@@ -3,20 +3,24 @@
 A body supplies membership, the gauge p(x, y) = inf{t > 0 : x + y/t in body}
 centered at an interior point x, the y-Hessian of the gauge where the
 boundary is C^2, and support values used to certify holomorphic pullbacks.
-Polytopes and ellipsoids use closed forms; smooth bodies fall back to a
-bracketed bisection on membership.
+Polytopes and ellipsoids use closed forms. Smooth bodies bracket the root
+on membership and then run a safeguarded Newton iteration on the oracle
+value along the ray, bisecting whenever a Newton step would leave the
+bracket. SciPy is imported only by the routines that need an LP or an
+optimizer, so smooth bodies never load it.
 """
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .errors import ConvergenceError, OutsideDomainError, SpecError
 
 _MAX_BRACKET = 200
-_MAX_BISECT = 200
+_MAX_ROOT_STEPS = 200
+_BRACKET_GROWTH = 2.0
+_REL_TOL = 1e-15
 
 
 def _vector(x, dim: int | None = None) -> np.ndarray:
@@ -59,46 +63,11 @@ class ConvexBody:
         return self._gauge(x, y)
 
     def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
-        # validated-input fast path shared by the tube models
-        if not self.contains(x):
-            raise OutsideDomainError("gauge center x is not inside the body")
-        if not np.any(y):
-            return 0.0
-        return self._gauge_bisect(x, y)
+        # validated-input fast path; the tube models call it directly
+        raise NotImplementedError
 
     def gauge_hessian(self, x, y) -> np.ndarray:
         raise NotImplementedError
-
-    # Bisection on t -> membership of x + y/t.  Boundedness guarantees the
-    # outer bracket endpoint; openness guarantees the inner one.
-    def _gauge_bisect(self, x: np.ndarray, y: np.ndarray,
-                      rel_tol: float = 1e-14, growth: float = 2.0) -> float:
-        t_hi = 1.0
-        if self.contains(x + y):
-            t_lo = 1.0
-            for _ in range(_MAX_BRACKET):
-                t_lo /= growth
-                if not self.contains(x + y / t_lo):
-                    break
-            else:
-                raise ConvergenceError("no lower bracket for gauge bisection")
-        else:
-            for _ in range(_MAX_BRACKET):
-                t_hi *= growth
-                if self.contains(x + y / t_hi):
-                    break
-            else:
-                raise ConvergenceError("no upper bracket for gauge bisection")
-            t_lo = t_hi / growth
-        for _ in range(_MAX_BISECT):
-            if t_hi - t_lo <= rel_tol * t_hi:
-                break
-            mid = 0.5 * (t_lo + t_hi)
-            if self.contains(x + y / mid):
-                t_hi = mid
-            else:
-                t_lo = mid
-        return 0.5 * (t_lo + t_hi)
 
 
 class Polytope(ConvexBody):
@@ -118,6 +87,7 @@ class Polytope(ConvexBody):
             raise SpecError("polytope has empty interior")
 
     def _lp(self, c) -> float:
+        from scipy.optimize import linprog
         res = linprog(c, A_ub=self.A, b_ub=self.b,
                       bounds=[(None, None)] * self.dim, method="highs")
         if res.status == 3:
@@ -137,6 +107,7 @@ class Polytope(ConvexBody):
         return lo, hi
 
     def _chebyshev(self):
+        from scipy.optimize import linprog
         norms = np.linalg.norm(self.A, axis=1)
         A_ext = np.hstack([self.A, norms[:, None]])
         c = np.zeros(self.dim + 1)
@@ -163,11 +134,6 @@ class Polytope(ConvexBody):
 
     def bounding_box(self):
         return self._bbox[0].copy(), self._bbox[1].copy()
-
-    def gauge(self, x, y) -> float:
-        x = _vector(x, self.dim)
-        y = _vector(y, self.dim)
-        return self._gauge(x, y)
 
     def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
         den = self.b - self.A @ x
@@ -221,11 +187,6 @@ class Ellipsoid(ConvexBody):
         half = np.sqrt(np.diag(self._Qinv))
         return -half, half.copy()
 
-    def gauge(self, x, y) -> float:
-        x = _vector(x, self.dim)
-        y = _vector(y, self.dim)
-        return self._gauge(x, y)
-
     def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
         Qx = self.Q @ x
         d = 1.0 - x @ Qx
@@ -262,17 +223,12 @@ class SmoothBody(ConvexBody):
     """
 
     def __init__(self, oracle: Callable[[np.ndarray], tuple], dim: int,
-                 bounding_radius: float, bracket_growth: float = 2.0,
-                 rel_tol: float = 1e-15, check_convexity: bool = True):
+                 bounding_radius: float, check_convexity: bool = True):
         if bounding_radius <= 0 or not np.isfinite(bounding_radius):
             raise SpecError("bounding radius must be positive and finite")
-        if bracket_growth <= 1.0:
-            raise SpecError("bracket growth factor must exceed 1")
         self.oracle = oracle
         self.dim = int(dim)
         self.bounding_radius = float(bounding_radius)
-        self.bracket_growth = float(bracket_growth)
-        self.rel_tol = float(rel_tol)
         if not self.contains(np.zeros(self.dim)):
             raise SpecError("smooth body oracle must contain the origin")
         if check_convexity:
@@ -295,6 +251,7 @@ class SmoothBody(ConvexBody):
 
     def support(self, a) -> float:
         """Multistart ascent of a . w over the boundary, with a safety margin."""
+        from scipy.optimize import minimize
         a = _vector(a, self.dim)
         norm_a = np.linalg.norm(a)
         if norm_a == 0.0:
@@ -341,10 +298,65 @@ class SmoothBody(ConvexBody):
         half = np.full(self.dim, self.bounding_radius)
         return -half, half.copy()
 
-    def _gauge_bisect(self, x, y, rel_tol=None, growth=None):
-        return super()._gauge_bisect(
-            x, y, self.rel_tol if rel_tol is None else rel_tol,
-            self.bracket_growth if growth is None else growth)
+    def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
+        if not self.contains(x):
+            raise OutsideDomainError("gauge center x is not inside the body")
+        if not np.any(y):
+            return 0.0
+        return self._gauge_bisect(x, y)
+
+    def _gauge_bisect(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Gauge 1/s, s the root of phi(s) = f(x + s y), for interior x, y != 0.
+
+        Membership brackets s by factors of two; boundedness guarantees the
+        outer endpoint and openness the inner one. phi is convex with
+        phi(0) < 0, so its root is simple, and a safeguarded Newton step
+        (rtsafe, Numerical Recipes 9.4) on the oracle value and gradient
+        refines it, bisecting whenever a Newton step would leave the
+        bracket or fails to halve the step before last; an oracle without
+        a useful gradient therefore degrades to bisection. The name is
+        kept because ``perfbench/spans.py`` hooks ``_gauge_bisect`` for
+        its ``bodies.bisect.*`` root-find metrics.
+        """
+        if self.contains(x + y):
+            s_lo = 1.0
+            for _ in range(_MAX_BRACKET):
+                s_hi = s_lo * _BRACKET_GROWTH
+                if not self.contains(x + s_hi * y):
+                    break
+                s_lo = s_hi
+            else:
+                raise ConvergenceError("no outer bracket for the gauge root")
+        else:
+            s_hi = 1.0
+            for _ in range(_MAX_BRACKET):
+                s_lo = s_hi / _BRACKET_GROWTH
+                if self.contains(x + s_lo * y):
+                    break
+                s_hi = s_lo
+            else:
+                raise ConvergenceError("no inner bracket for the gauge root")
+        s = 0.5 * (s_lo + s_hi)
+        step = step_before = s_hi - s_lo
+        for _ in range(_MAX_ROOT_STEPS):
+            value, grad, _ = self.oracle(x + s * y)
+            if value < 0.0:
+                s_lo = s
+            else:
+                s_hi = s
+            slope = float(np.dot(grad, y))
+            newton = value / slope if slope > 0.0 else np.inf
+            if abs(newton) <= _REL_TOL * s:
+                return 1.0 / (s - newton)
+            if s_hi - s_lo <= _REL_TOL * s_hi:
+                return 1.0 / s
+            if s_lo < s - newton < s_hi and 2.0 * abs(newton) <= step_before:
+                step_before, step = step, abs(newton)
+                s -= newton
+            else:
+                step_before, step = step, 0.5 * (s_hi - s_lo)
+                s = s_lo + step
+        raise ConvergenceError("gauge root find did not settle")
 
     def gauge_hessian(self, x, y) -> np.ndarray:
         x = _vector(x, self.dim)
@@ -374,7 +386,7 @@ class SmoothBody(ConvexBody):
 class Superellipse(SmoothBody):
     """Axis-aligned superellipse {sum (w_i / r_i)^m < 1}, m even, m >= 2."""
 
-    def __init__(self, radii: Sequence[float], power: int = 4, **kwargs):
+    def __init__(self, radii: Sequence[float], power: int = 4):
         radii = np.asarray(radii, dtype=float)
         if radii.ndim != 1 or np.any(radii <= 0):
             raise SpecError("superellipse radii must be positive")
@@ -394,7 +406,7 @@ class Superellipse(SmoothBody):
         # |w_i| < r_i for members, so the box diagonal bounds the body
         super().__init__(oracle, radii.size,
                          bounding_radius=float(np.linalg.norm(radii)) * 1.0001,
-                         check_convexity=False, **kwargs)
+                         check_convexity=False)
 
     def support(self, a) -> float:
         # Hoelder duality: the dual of the weighted m-norm ball

@@ -3,7 +3,8 @@ charts, run verification suites with machine-readable reports, and dump
 CSV grids for external plotting.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage/config error,
-3 domain error.
+3 domain error, 4 an iterative routine (gauge root find, sampler) failed
+to converge.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import sys
 import numpy as np
 
 from .bodies import Ellipsoid, Gauge, Polytope, interval
-from .errors import OutsideDomainError, SpecError
+from .errors import ConvergenceError, OutsideDomainError, SpecError
 from .geodesics import chart, identity_residual, striptube_geodesic
 from .levi import (check_monge_ampere, check_plurisubharmonic,
                    gauge_identity_residuals, tube_levi_residual)
@@ -53,8 +54,8 @@ def _parse_tols(pairs) -> dict:
         if not _ or name not in tols:
             raise SpecError(f"unknown tolerance assignment: {item!r}")
         tols[name] = float(value)
-        if tols[name] <= 0:
-            raise SpecError("tolerances must be positive")
+        if not (math.isfinite(tols[name]) and tols[name] > 0):
+            raise SpecError("tolerances must be positive and finite")
     return tols
 
 
@@ -84,7 +85,7 @@ def _load_model(path: str) -> Model:
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -389,6 +390,8 @@ class _VerifyConfig:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise SpecError("--samples must be at least 1")
     model = _load_model(args.model)
     cfg = _VerifyConfig(args)
     if args.suite == "all":
@@ -520,6 +523,9 @@ def main(argv=None) -> int:
     except OutsideDomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    except ConvergenceError as exc:
+        print(f"convergence error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pshmodels import Ellipsoid, Polytope, Superellipse, interval
+from pshmodels import Ellipsoid, Polytope, SmoothBody, Superellipse, interval
 
 
 def bisect_gauge(contains, x, y, iters: int = 120) -> float:
@@ -84,3 +84,12 @@ def interval_asym():
 @pytest.fixture(scope="session")
 def squircle():
     return Superellipse([1.0, 0.7], power=4)
+
+
+@pytest.fixture(scope="session")
+def zero_gradient_disc():
+    """Unit disc whose oracle gradient is zero: no Newton step is possible,
+    so its gauge rests on the bisection safeguard alone."""
+    def oracle(w):
+        return float(w @ w - 1.0), np.zeros(2), 2.0 * np.eye(2)
+    return SmoothBody(oracle, 2, bounding_radius=1.5)

@@ -1,5 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+
+import pshmodels
 
 from pshmodels import (Ellipsoid, Gauge, OutsideDomainError, Polytope,
                        SpecError, Superellipse, body_from_spec, interval,
@@ -72,7 +80,8 @@ class TestGaugeClosedForms:
 class TestGaugeAgainstOracle:
     @pytest.mark.parametrize("fixture", ["unit_square", "unit_ball",
                                          "ellipsoid14", "interval_sym",
-                                         "interval_asym", "squircle"])
+                                         "interval_asym", "squircle",
+                                         "zero_gradient_disc"])
     def test_closed_form_matches_bisection(self, fixture, request):
         body = request.getfixturevalue(fixture)
         for k in range(150):
@@ -82,6 +91,41 @@ class TestGaugeAgainstOracle:
             p = body.gauge(x, y)
             oracle = bisect_gauge(body.contains, x, y)
             assert abs(p - oracle) <= 1e-10
+
+    @pytest.mark.parametrize("power", [2, 4, 8])
+    def test_superellipse_offcentre_near_boundary(self, power):
+        body = Superellipse([1.0, 0.7], power=power)
+        origin = np.zeros(2)
+        for k in range(60):
+            rng = substream(109, k)
+            d = unit_vector(rng, 2)
+            x = rng.uniform(0.9, 0.999) * d / body.gauge(origin, d)
+            y = unit_vector(rng, 2) * 10.0 ** rng.uniform(-3.0, 3.0)
+            p = body.gauge(x, y)
+            oracle = bisect_gauge(body.contains, x, y)
+            # gauges reach 1e6 here, so the bound is relative above 1
+            assert abs(p - oracle) <= 1e-10 * max(1.0, oracle)
+
+    def test_squircle_oracle_calls_per_gauge(self, squircle):
+        origin = np.zeros(2)
+        rays = []
+        for k in range(200):
+            rng = substream(111, k)
+            d = unit_vector(rng, 2)
+            x = rng.uniform(0.0, 0.99) * d / squircle.gauge(origin, d)
+            y = rng.normal(size=2) * rng.uniform(0.1, 3.0)
+            rays.extend([(origin, y), (x, y)])
+        body = Superellipse(squircle.radii, power=squircle.power)
+        calls = [0]
+
+        def counting(w):
+            calls[0] += 1
+            return squircle.oracle(w)
+
+        body.oracle = counting
+        for x, y in rays:
+            body.gauge(x, y)
+        assert calls[0] <= 20 * len(rays)
 
     def test_superellipse_against_root_equation(self, squircle):
         # second independent route: the gauge solves sum((x+y/t)/r)^m = 1
@@ -314,3 +358,30 @@ class TestGeometryHelpers:
         assert np.allclose(hi, [1, 1], atol=1e-9)
         lo, hi = ellipsoid14.bounding_box()
         assert np.allclose(hi, [1.0, 0.5], atol=1e-12)
+
+
+class TestLazyScipy:
+    def test_squircle_commands_never_load_scipy(self, tmp_path):
+        spec = tmp_path / "squircle.json"
+        spec.write_text(json.dumps({
+            "model": "striptube",
+            "body": {"type": "smooth", "kind": "superellipse",
+                     "params": {"radii": [1.0, 0.7], "power": 4}}}))
+        script = textwrap.dedent(f"""
+            import contextlib, io, sys
+            import pshmodels
+            from pshmodels.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["verify", "--model", {str(spec)!r}, "--suite",
+                             "all", "--samples", "2", "--step", "2e-4"])
+            assert code == 0, code
+            assert "scipy" not in sys.modules, "a squircle command loaded SciPy"
+            assert abs(pshmodels.interval(-1.0, 1.0).inradius() - 1.0) < 1e-9
+            assert "scipy.optimize" in sys.modules
+            """)
+        src = os.path.dirname(os.path.dirname(pshmodels.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pshmodels.cli import main
+from pshmodels.cli import _emit, main
 
 BALL_TUBE = {"model": "elliptictube",
              "body": {"type": "ellipsoid", "Q": [[1.0, 0.0], [0.0, 1.0]]}}
@@ -18,6 +18,9 @@ ASYM_STRIPTUBE = {"model": "striptube",
                   "body": {"type": "polytope",
                            "halfspaces": [{"a": [1], "b": 2},
                                           {"a": [-1], "b": 1}]}}
+NEEDLE_STRIPTUBE = {"model": "striptube",
+                    "body": {"type": "smooth", "kind": "superellipse",
+                             "params": {"radii": [1e-8, 1e8], "power": 4}}}
 STRIP = {"model": "strip1d"}
 DISC = {"model": "disc1d"}
 
@@ -204,6 +207,35 @@ class TestVerify:
                                     "--suite", "schwarz",
                                     "--tol", "bogus=1"])
         assert code == 2
+
+    def test_zero_samples_rejected(self, spec_path, capsys):
+        code, out, err = run(capsys, ["verify", "--model", spec_path(STRIP),
+                                      "--suite", "maximality",
+                                      "--samples", "0"])
+        assert code == 2
+        assert out == "" and "samples" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, spec_path, capsys, value):
+        code, out, _ = run(capsys, ["verify", "--model", spec_path(STRIP),
+                                    "--suite", "geodesics", "--samples", "5",
+                                    "--tol", f"geodesic={value}"])
+        assert code == 2
+        assert out == ""
+
+    def test_reports_are_strict_json(self, capsys):
+        with pytest.raises(ValueError):
+            _emit({"worst_value": float("-inf")}, None)
+        assert capsys.readouterr().out == ""
+
+    def test_convergence_error_has_own_exit_code(self, spec_path, capsys):
+        # the safe sampler cannot reach 10 h inside a 1e-8-wide needle
+        code, out, err = run(capsys, ["verify", "--model",
+                                      spec_path(NEEDLE_STRIPTUBE),
+                                      "--suite", "psh", "--samples", "3"])
+        assert code == 4
+        assert out == ""
+        assert "safe sampling starved" in err
 
 
 class TestSlice:
