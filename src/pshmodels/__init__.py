@@ -14,10 +14,12 @@ from .errors import ConvergenceError, OutsideDomainError, SpecError
 from .geodesics import (GeodesicChart, chart, disc_upper_bound,
                         identity_residual, striptube_geodesic)
 from .levi import (LeviReport, check_monge_ampere, check_plurisubharmonic,
-                   gauge_identity_residuals, levi_line, levi_matrix,
-                   metric_levi_pair, tube_levi_residual)
-from .maximality import (Competitor, geodesic_pullback, linear_pullback,
-                         max_violation, slab_pullback)
+                   gauge_identity_residuals, gauge_identity_residuals_batch,
+                   levi_line, levi_matrices, levi_matrix, metric_levi_pair,
+                   tube_levi_residual, tube_levi_residual_batch)
+from .maximality import (Competitor, MemberSamples, geodesic_pullback,
+                         linear_pullback, max_violation, member_samples,
+                         slab_pullback)
 from .models import (QUARTER_PI, Disc1D, EllipticTube, Model, SchwarzReport,
                      Strip1D, StripTube, as_point, conjugate,
                      model_from_spec, schwarz_excess)
@@ -36,6 +38,7 @@ __all__ = [
     "Gauge",
     "GeodesicChart",
     "LeviReport",
+    "MemberSamples",
     "Model",
     "OutsideDomainError",
     "Polytope",
@@ -53,13 +56,16 @@ __all__ = [
     "conjugate",
     "disc_upper_bound",
     "gauge_identity_residuals",
+    "gauge_identity_residuals_batch",
     "geodesic_pullback",
     "identity_residual",
     "interval",
     "levi_line",
+    "levi_matrices",
     "levi_matrix",
     "linear_pullback",
     "max_violation",
+    "member_samples",
     "metric_levi_pair",
     "model_from_spec",
     "schwarz_excess",
@@ -67,6 +73,7 @@ __all__ = [
     "striptube_geodesic",
     "substream",
     "tube_levi_residual",
+    "tube_levi_residual_batch",
     "unit_disc_point",
     "unit_vector",
 ]

@@ -3,10 +3,12 @@
 A body supplies membership, the gauge p(x, y) = inf{t > 0 : x + y/t in body}
 centered at an interior point x, the y-Hessian of the gauge where the
 boundary is C^2, and support values used to certify holomorphic pullbacks.
-Polytopes and ellipsoids use closed forms. Smooth bodies bracket the root
-on membership and then run a safeguarded Newton iteration on the oracle
-value along the ray, bisecting whenever a Newton step would leave the
-bracket. SciPy is imported only by the routines that need an LP or an
+Polytopes and ellipsoids use closed forms, also batched over the rows of
+(N, n) arrays by ``gauge_batch``. Smooth bodies bracket the root on
+membership and then run a safeguarded Newton iteration on the oracle value
+along the ray, bisecting whenever a Newton step would leave the bracket;
+their ``gauge_batch`` runs that root find row by row. SciPy is imported
+only by the routines that need an LP, a halfspace intersection or an
 optimizer, so smooth bodies never load it.
 """
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, OutsideDomainError, SpecError
+from .stencils import central_differences
 
 _MAX_BRACKET = 200
 _MAX_ROOT_STEPS = 200
@@ -32,6 +35,31 @@ def _vector(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
     return v
+
+
+def _rows(a, dim: int) -> np.ndarray:
+    """Coerce a to a finite real (N, dim) array, validated once per batch."""
+    m = np.ascontiguousarray(a, dtype=float)
+    if m.ndim != 2 or m.shape[1] != dim:
+        raise ValueError(f"expected an (N, {dim}) real array")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("array has non-finite entries")
+    return m
+
+
+def _matvec(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Rows M @ v for the rows v of V, as a stacked matmul.
+
+    The stacked matmul runs the BLAS kernel of the scalar ``M @ v`` once
+    per row, so batched gauges agree with the scalar ones bit for bit; a
+    single ``V @ M.T`` rounds differently in about a third of the rows.
+    """
+    return (M @ V[:, :, None])[:, :, 0]
+
+
+def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row-wise dot products u @ v, with the scalar kernel (see _matvec)."""
+    return (U[:, None, :] @ V[:, :, None])[:, 0, 0]
 
 
 class ConvexBody:
@@ -66,8 +94,36 @@ class ConvexBody:
         # validated-input fast path; the tube models call it directly
         raise NotImplementedError
 
+    def gauge_batch(self, X, Y) -> np.ndarray:
+        """Gauges centered at the rows of X, at the rows of Y, as an (N,)
+        array; raises OutsideDomainError if any center is outside.
+
+        Generic version: the scalar gauge row by row. Closed-form bodies
+        override it with one array expression.
+        """
+        X = _rows(X, self.dim)
+        Y = _rows(Y, self.dim)
+        return np.array([self._gauge(x, y) for x, y in zip(X, Y)],
+                        dtype=float)
+
     def gauge_hessian(self, x, y) -> np.ndarray:
+        """y-Hessian of the gauge centered at interior x, at y != 0."""
+        x = _vector(x, self.dim)
+        y = _vector(y, self.dim)
+        return self.gauge_hessian_batch(x[None], y[None])[0]
+
+    def gauge_hessian_batch(self, X, Y) -> np.ndarray:
+        """gauge_hessian at each row pair of X and Y, shape (N, n, n)."""
         raise NotImplementedError
+
+
+def _offcenter_rows(X, Y, dim: int):
+    """(X, Y) validated for a gauge Hessian: y != 0 in every row."""
+    X = _rows(X, dim)
+    Y = _rows(Y, dim)
+    if not np.all(np.any(Y, axis=1)):
+        raise ValueError("gauge Hessian undefined at y = 0")
+    return X, Y
 
 
 class Polytope(ConvexBody):
@@ -85,6 +141,7 @@ class Polytope(ConvexBody):
         self._cheb_center, self._cheb_radius = self._chebyshev()
         if self._cheb_radius <= 0.0:
             raise SpecError("polytope has empty interior")
+        self._vertices = self._compute_vertices()
 
     def _lp(self, c) -> float:
         from scipy.optimize import linprog
@@ -119,12 +176,27 @@ class Polytope(ConvexBody):
             raise SpecError("polytope Chebyshev center LP failed")
         return res.x[:-1].copy(), float(res.x[-1])
 
+    def _compute_vertices(self) -> np.ndarray:
+        """Vertices of the closure, by halfspace intersection (Qhull) from
+        the Chebyshev center; in one dimension the bounding box ends."""
+        if self.dim == 1:
+            return np.array([self._bbox[0], self._bbox[1]])
+        from scipy.spatial import HalfspaceIntersection, QhullError
+        halfspaces = np.hstack([self.A, -self.b[:, None]])
+        try:
+            hull = HalfspaceIntersection(halfspaces, self._cheb_center)
+        except (QhullError, ValueError) as exc:
+            raise SpecError(f"polytope vertex enumeration failed: {exc}") \
+                from None
+        return hull.intersections
+
     def contains(self, x) -> bool:
         x = _vector(x, self.dim)
         return bool(np.all(self.A @ x < self.b))
 
     def support(self, a) -> float:
-        return -self._lp(-_vector(a, self.dim))
+        # a linear function on a bounded polytope peaks at a vertex
+        return float(np.max(self._vertices @ _vector(a, self.dim)))
 
     def interior_point(self) -> np.ndarray:
         return self._cheb_center.copy()
@@ -145,7 +217,16 @@ class Polytope(ConvexBody):
         ratios = (self.A @ y) / den
         return float(max(0.0, np.max(ratios)))
 
-    def gauge_hessian(self, x, y) -> np.ndarray:
+    def gauge_batch(self, X, Y) -> np.ndarray:
+        X = _rows(X, self.dim)
+        Y = _rows(Y, self.dim)
+        den = self.b - _matvec(self.A, X)
+        if np.any(den <= 0.0):
+            raise OutsideDomainError("gauge center x is not inside the polytope")
+        top = np.max(_matvec(self.A, Y) / den, axis=1)
+        return np.where(top > 0.0, top, 0.0)
+
+    def gauge_hessian_batch(self, X, Y) -> np.ndarray:
         raise ValueError("polytope gauge is not C2; no Hessian")
 
 
@@ -198,21 +279,32 @@ class Ellipsoid(ConvexBody):
         c = y @ self.Q @ y
         return float((b + np.sqrt(b * b + c * d)) / d)
 
-    def gauge_hessian(self, x, y) -> np.ndarray:
-        x = _vector(x, self.dim)
-        y = _vector(y, self.dim)
-        if not np.any(y):
-            raise ValueError("gauge Hessian undefined at y = 0")
-        d = 1.0 - x @ self.Q @ x
-        if d < 1e-12:
+    def gauge_batch(self, X, Y) -> np.ndarray:
+        X = _rows(X, self.dim)
+        Y = _rows(Y, self.dim)
+        QX = _matvec(self.Q, X)
+        d = 1.0 - _rowdot(X, QX)
+        if np.any(d < 1e-12):
             raise OutsideDomainError("x too close to the ellipsoid boundary")
-        b = x @ self.Q @ y
-        c = y @ self.Q @ y
-        r = np.sqrt(b * b + c * d)
-        Qx = self.Q @ x
-        Qy = self.Q @ y
-        v = b * Qx + d * Qy
-        return (np.outer(Qx, Qx) / r + d * self.Q / r - np.outer(v, v) / r ** 3) / d
+        b = _rowdot(QX, Y)
+        c = ((Y[:, None, :] @ self.Q) @ Y[:, :, None])[:, 0, 0]
+        p = (b + np.sqrt(b * b + c * d)) / d
+        return np.where(np.any(Y, axis=1), p, 0.0)
+
+    def gauge_hessian_batch(self, X, Y) -> np.ndarray:
+        X, Y = _offcenter_rows(X, Y, self.dim)
+        QX = _matvec(self.Q, X)
+        QY = _matvec(self.Q, Y)
+        d = 1.0 - _rowdot(X, QX)
+        if np.any(d < 1e-12):
+            raise OutsideDomainError("x too close to the ellipsoid boundary")
+        b = _rowdot(QX, Y)
+        c = _rowdot(QY, Y)
+        r = np.sqrt(b * b + c * d)[:, None, None]
+        d = d[:, None, None]
+        v = b[:, None] * QX + d[:, :, 0] * QY
+        return (QX[:, :, None] * QX[:, None, :] / r + d * self.Q / r
+                - v[:, :, None] * v[:, None, :] / r ** 3) / d
 
 
 class SmoothBody(ConvexBody):
@@ -358,28 +450,15 @@ class SmoothBody(ConvexBody):
                 s = s_lo + step
         raise ConvergenceError("gauge root find did not settle")
 
-    def gauge_hessian(self, x, y) -> np.ndarray:
-        x = _vector(x, self.dim)
-        y = _vector(y, self.dim)
-        if not np.any(y):
-            raise ValueError("gauge Hessian undefined at y = 0")
-        h = 1e-4 * np.linalg.norm(y)
-        n = self.dim
-        H = np.empty((n, n))
-        eye = np.eye(n)
-        for i in range(n):
-            for j in range(i, n):
-                if i == j:
-                    pp = self.gauge(x, y + h * eye[i])
-                    pm = self.gauge(x, y - h * eye[i])
-                    p0 = self.gauge(x, y)
-                    H[i, i] = (pp - 2.0 * p0 + pm) / (h * h)
-                else:
-                    pp = self.gauge(x, y + h * (eye[i] + eye[j]))
-                    pm = self.gauge(x, y + h * (eye[i] - eye[j]))
-                    mp = self.gauge(x, y - h * (eye[i] - eye[j]))
-                    mm = self.gauge(x, y - h * (eye[i] + eye[j]))
-                    H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
+    def gauge_hessian_batch(self, X, Y) -> np.ndarray:
+        """Central-difference y-Hessians of the gauge, step 1e-4 |y|."""
+        X, Y = _offcenter_rows(X, Y, self.dim)
+        H = np.empty((len(X), self.dim, self.dim))
+        for i, (x, y) in enumerate(zip(X, Y)):
+            def field(Ys, x=x):
+                return self.gauge_batch(np.broadcast_to(x, Ys.shape), Ys)
+            H[i] = central_differences(field, y[None],
+                                       1e-4 * np.linalg.norm(y))[2][0]
         return H
 
 
@@ -438,6 +517,11 @@ class Gauge:
 
     def __call__(self, y) -> float:
         return self.body.gauge(self._origin, y)
+
+    def batch(self, Y) -> np.ndarray:
+        """The gauge at each row of an (N, n) array."""
+        Y = _rows(Y, self.dim)
+        return self.body.gauge_batch(np.zeros_like(Y), Y)
 
     def hessian(self, y) -> np.ndarray:
         return self.body.gauge_hessian(self._origin, y)

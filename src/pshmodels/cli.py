@@ -5,6 +5,11 @@ CSV grids for external plotting.
 Exit codes: 0 pass, 1 verification failure, 2 usage/config error,
 3 domain error, 4 an iterative routine (gauge root find, sampler) failed
 to converge.
+
+The finite-difference suites refuse (exit 2) a step h below
+MIN_RELATIVE_STEP times the inradius of a tube model's body: there the
+rounding noise of the Levi form, about 1e-16 / (h / r)^2, swamps what the
+checks measure.
 """
 from __future__ import annotations
 
@@ -20,9 +25,9 @@ from .bodies import Ellipsoid, Gauge, Polytope, interval
 from .errors import ConvergenceError, OutsideDomainError, SpecError
 from .geodesics import chart, identity_residual, striptube_geodesic
 from .levi import (check_monge_ampere, check_plurisubharmonic,
-                   gauge_identity_residuals, tube_levi_residual)
+                   gauge_identity_residuals_batch, tube_levi_residual_batch)
 from .maximality import (Competitor, geodesic_pullback, linear_pullback,
-                         max_violation, slab_pullback)
+                         max_violation, member_samples, slab_pullback)
 from .models import (QUARTER_PI, Disc1D, EllipticTube, Model, Strip1D,
                      StripTube, model_from_spec, schwarz_excess)
 from .reports import CheckReport, point_to_list
@@ -45,6 +50,8 @@ TOL_DEFAULTS = {
 
 SUITES = ("psh", "ma", "tube-levi", "gauge-derivatives", "maximality",
           "geodesics", "schwarz")
+FD_SUITES = ("psh", "ma", "tube-levi", "gauge-derivatives")
+MIN_RELATIVE_STEP = 1e-5
 
 
 def _parse_tols(pairs) -> dict:
@@ -93,12 +100,30 @@ def _emit(payload, out_path):
         print(text)
 
 
-def _smooth_tube_body(model: Model):
+def _tube_body(model: Model):
     if isinstance(model, EllipticTube):
-        body = model.body
-    elif isinstance(model, StripTube):
-        body = model.gauge.body
-    else:
+        return model.body
+    if isinstance(model, StripTube):
+        return model.gauge.body
+    return None
+
+
+def _check_step(model: Model, h: float) -> None:
+    body = _tube_body(model)
+    if body is None:
+        return
+    if not (math.isfinite(h) and h > 0):
+        raise SpecError("--step must be positive and finite")
+    r = body.inradius()
+    if h / r < MIN_RELATIVE_STEP:
+        raise SpecError(f"--step {h:g} is below {MIN_RELATIVE_STEP:g} times "
+                        f"the body inradius {r:g}; finite differences at "
+                        "that scale measure rounding noise")
+
+
+def _smooth_tube_body(model: Model):
+    body = _tube_body(model)
+    if body is None:
         return None
     if isinstance(body, Polytope):
         raise SpecError(f"suite requires a C2 body; {model.name} is built "
@@ -207,16 +232,21 @@ def _ratio_report(check, model, points_and_ratios, cfg) -> CheckReport:
                        else 4.0, passed=passed)
 
 
+def _fd_samples(model: Model, cfg) -> np.ndarray:
+    """The 20 safe samples of the Richardson suites, safe at step 2h."""
+    return np.array([model.sample_fd_safe(substream(cfg.seed, k),
+                                          2 * cfg.step) for k in range(20)])
+
+
 def _suite_tube_levi(model, cfg) -> CheckReport:
     body = _smooth_tube_body(model)
     if not isinstance(model, EllipticTube):
         raise SpecError("tube-levi suite requires an elliptic tube")
-    rows = []
-    for k in range(20):
-        z = model.sample_fd_safe(substream(cfg.seed, k), 2 * cfg.step)
-        res_2h = tube_levi_residual(body, z, 2 * cfg.step)
-        res_h = tube_levi_residual(body, z, cfg.step)
-        rows.append((z, res_2h / res_h if res_h > 0 else 4.0, res_h))
+    Z = _fd_samples(model, cfg)
+    res_2h = tube_levi_residual_batch(body, Z, 2 * cfg.step).tolist()
+    res_h = tube_levi_residual_batch(body, Z, cfg.step).tolist()
+    rows = [(z, a / b if b > 0 else 4.0, b)
+            for z, a, b in zip(Z, res_2h, res_h)]
     return _ratio_report("tube-levi", model, rows, cfg)
 
 
@@ -224,14 +254,13 @@ def _suite_gauge_derivatives(model, cfg) -> CheckReport:
     body = _smooth_tube_body(model)
     if not isinstance(model, EllipticTube):
         raise SpecError("gauge-derivatives suite requires an elliptic tube")
-    rows = []
-    for k in range(20):
-        z = model.sample_fd_safe(substream(cfg.seed, k), 2 * cfg.step)
-        x, y = z.real, z.imag
-        res_2h = gauge_identity_residuals(body, x, y, 2 * cfg.step)
-        res_h = gauge_identity_residuals(body, x, y, cfg.step)
-        for a, b in zip(res_2h, res_h):
-            rows.append((z, a / b if b > 0 else 4.0, b))
+    Z = _fd_samples(model, cfg)
+    X, Y = Z.real, Z.imag
+    res_2h = gauge_identity_residuals_batch(body, X, Y, 2 * cfg.step).tolist()
+    res_h = gauge_identity_residuals_batch(body, X, Y, cfg.step).tolist()
+    rows = [(z, a / b if b > 0 else 4.0, b)
+            for z, r_2h, r_h in zip(Z, res_2h, res_h)
+            for a, b in zip(r_2h, r_h)]
     return _ratio_report("gauge-derivatives", model, rows, cfg)
 
 
@@ -270,12 +299,9 @@ def _competitor_battery(model: Model, seed: int) -> list[Competitor]:
 
 def _suite_maximality(model, cfg) -> CheckReport:
     comps = _competitor_battery(model, cfg.seed)
-    worst = -math.inf
-    worst_label = None
-    for comp in comps:
-        v = max_violation(model, comp, cfg.samples, cfg.seed)
-        if v > worst:
-            worst, worst_label = v, comp.label
+    shared = member_samples(model, cfg.samples, cfg.seed)
+    worst = max(max_violation(model, comp, cfg.samples, cfg.seed, shared)
+                for comp in comps)
     tol = cfg.tols["maximality"]
     return CheckReport(check="maximality", model=model.name,
                        samples=len(comps) * cfg.samples, h=cfg.step, tol=tol,
@@ -394,6 +420,8 @@ def cmd_verify(args) -> int:
         raise SpecError("--samples must be at least 1")
     model = _load_model(args.model)
     cfg = _VerifyConfig(args)
+    if args.suite in FD_SUITES + ("all",):
+        _check_step(model, cfg.step)
     if args.suite == "all":
         reports = []
         for name in SUITES:

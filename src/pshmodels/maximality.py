@@ -5,6 +5,10 @@ back 1-D extremal potentials through holomorphic maps; maximality demands
 each competitor stays below the model potential everywhere. Competitors
 come only from constructions the closed forms certify, so any violation
 indicates a real defect rather than an invalid test function.
+
+A battery of competitors shares one draw of model samples: the points are
+drawn once, the model potential is evaluated on all of them in one
+batched call, and each competitor is then evaluated point by point.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import numpy as np
 from .bodies import ConvexBody, Ellipsoid, Gauge, _vector
 from .errors import SpecError
 from .geodesics import GeodesicChart
-from .models import Model
+from .models import Model, batched_potential
 from .sampling import substream, unit_disc_point
 
 
@@ -104,13 +108,46 @@ def geodesic_pullback(chart: GeodesicChart) -> Competitor:
     return Competitor(label="geodesic-disc", evaluate=evaluate, sample=sample)
 
 
+@dataclass(frozen=True)
+class MemberSamples:
+    """Model samples k < len(points), drawn by ``sample_member`` from
+    ``substream(seed, k)``, with the model potential at each."""
+    seed: int
+    points: np.ndarray
+    values: np.ndarray
+
+
+def member_samples(model: Model, nsamples: int, seed: int) -> MemberSamples:
+    """Draw the shared samples of a competitor battery and evaluate the
+    model potential on all of them in one call."""
+    if nsamples < 1:
+        raise ValueError("nsamples must be positive")
+    points = np.array([model.sample_member(substream(seed, k))
+                       for k in range(nsamples)])
+    return MemberSamples(seed, points, batched_potential(model)(points))
+
+
 def max_violation(model: Model, competitor: Competitor, nsamples: int,
-                  seed: int) -> float:
+                  seed: int, shared: Optional[MemberSamples] = None) -> float:
     """Max over seeded samples of competitor(z) - potential(z); maximality
-    requires a nonpositive result up to roundoff."""
-    worst = -np.inf
-    for k in range(nsamples):
-        rng = substream(seed, k)
-        z = competitor.sample(rng) if competitor.sample else model.sample_member(rng)
-        worst = max(worst, competitor.evaluate(z) - model.potential(z))
-    return float(worst)
+    requires a nonpositive result up to roundoff.
+
+    A competitor with its own sampler is checked on its own draws; the
+    others on the model samples of ``member_samples(model, nsamples,
+    seed)``, which a caller checking several competitors passes as
+    ``shared`` so they are drawn and evaluated only once.
+    """
+    if nsamples < 1:
+        raise ValueError("nsamples must be positive")
+    if competitor.sample is not None:
+        points = np.array([competitor.sample(substream(seed, k))
+                           for k in range(nsamples)])
+        values = batched_potential(model)(points)
+    else:
+        if shared is None:
+            shared = member_samples(model, nsamples, seed)
+        elif shared.seed != seed or len(shared.values) != nsamples:
+            raise ValueError("shared samples belong to another seed or size")
+        points, values = shared.points, shared.values
+    return float(max(competitor.evaluate(z) - u
+                     for z, u in zip(points, values.tolist())))

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from pshmodels.cli import _emit, main
+from pshmodels import model_from_spec
+from pshmodels.cli import _check_step, _emit, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BALL_TUBE = {"model": "elliptictube",
              "body": {"type": "ellipsoid", "Q": [[1.0, 0.0], [0.0, 1.0]]}}
@@ -21,6 +25,7 @@ ASYM_STRIPTUBE = {"model": "striptube",
 NEEDLE_STRIPTUBE = {"model": "striptube",
                     "body": {"type": "smooth", "kind": "superellipse",
                              "params": {"radii": [1e-8, 1e8], "power": 4}}}
+HUGE_BALL = {"type": "ellipsoid", "Q": [[1e-30, 0.0], [0.0, 1e-30]]}
 STRIP = {"model": "strip1d"}
 DISC = {"model": "disc1d"}
 
@@ -236,6 +241,36 @@ class TestVerify:
         assert code == 4
         assert out == ""
         assert "safe sampling starved" in err
+
+    @pytest.mark.parametrize("model", ["elliptictube", "striptube"])
+    @pytest.mark.parametrize("suite", ["psh", "ma", "all"])
+    def test_step_below_body_scale_rejected(self, spec_path, capsys, model,
+                                            suite):
+        # inradius 1e15: at h = 1e-3 every Levi entry is rounding noise,
+        # and psh and ma used to pass with worst_value 0.0
+        code, out, err = run(capsys, ["verify", "--model",
+                                      spec_path({"model": model,
+                                                 "body": HUGE_BALL}),
+                                      "--suite", suite, "--samples", "5"])
+        assert code == 2
+        assert out == "" and "inradius" in err
+
+    def test_step_check_leaves_other_suites_alone(self, spec_path, capsys):
+        code, out, _ = run(capsys, ["verify", "--model",
+                                    spec_path({"model": "striptube",
+                                               "body": HUGE_BALL}),
+                                    "--suite", "maximality", "--samples",
+                                    "5"])
+        assert code == 0, out
+
+    @pytest.mark.parametrize("path", sorted(
+        p for d in ("specs", "perfbench/specs")
+        for p in (ROOT / d).glob("*.json")),
+        ids=lambda p: f"{p.parent.name}/{p.stem}")
+    def test_example_specs_pass_the_step_check(self, path):
+        # each at the step README documents for it
+        model = model_from_spec(json.loads(path.read_text()))
+        _check_step(model, 2e-4 if "squircle" in path.name else 1e-3)
 
 
 class TestSlice:

@@ -126,6 +126,12 @@ class TestIdentityResidual:
         residual = identity_residual(unit_ball, z, 1000, 11)
         assert residual <= 1e-10
 
+    @pytest.mark.parametrize("nsamples", [0, -1])
+    def test_no_samples_rejected(self, unit_ball, nsamples):
+        # a residual over no samples would read 0.0, a vacuous pass
+        with pytest.raises(ValueError):
+            identity_residual(unit_ball, np.array([0.3j, 0.0]), nsamples, 11)
+
     def test_real_zeta_trivial(self, unit_ball):
         ch = chart(unit_ball, np.array([0.3j, 0.0]))
         tube = EllipticTube(unit_ball)

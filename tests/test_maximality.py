@@ -6,8 +6,8 @@ import pytest
 from pshmodels import (QUARTER_PI, Competitor, Disc1D, EllipticTube, Gauge,
                        SpecError, Strip1D, StripTube, chart,
                        geodesic_pullback, interval, linear_pullback,
-                       max_violation, slab_pullback, substream,
-                       unit_disc_point)
+                       max_violation, member_samples, slab_pullback,
+                       substream, unit_disc_point)
 
 
 class TestSlabPullback:
@@ -132,6 +132,25 @@ class TestCompare:
                          evaluate=lambda z: 1.01 * base.evaluate(z))
         violation = max_violation(tube, bad, 1000, 29)
         assert violation > 1e-3
+
+    @pytest.mark.parametrize("nsamples", [0, -3])
+    def test_no_samples_rejected(self, unit_ball, nsamples):
+        # a maximum over no samples would be -inf, a vacuous pass
+        comp = slab_pullback(unit_ball, [1.0, 0.0])
+        with pytest.raises(ValueError):
+            max_violation(EllipticTube(unit_ball), comp, nsamples, 30)
+
+    def test_shared_samples_match_own_draws(self, unit_square):
+        tube = EllipticTube(unit_square)
+        shared = member_samples(tube, 200, 34)
+        for a in ([0.6, 0.8], [1.0, -0.3]):
+            comp = slab_pullback(unit_square, a)
+            assert max_violation(tube, comp, 200, 34, shared) == \
+                max_violation(tube, comp, 200, 34)
+        with pytest.raises(ValueError):
+            max_violation(tube, comp, 200, 35, shared)
+        with pytest.raises(ValueError):
+            max_violation(tube, comp, 100, 34, shared)
 
     def test_deterministic_given_seed(self, unit_square):
         tube = EllipticTube(unit_square)
