@@ -4,7 +4,8 @@ A body supplies membership, the gauge p(x, y) = inf{t > 0 : x + y/t in body}
 centered at an interior point x, the y-Hessian of the gauge where the
 boundary is C^2, and support values used to certify holomorphic pullbacks.
 Polytopes and ellipsoids use closed forms, also batched over the rows of
-(N, n) arrays by ``gauge_batch``. Smooth bodies bracket the root on
+(N, n) arrays by ``gauge_batch``; ``gauge_centers`` marks the rows at which
+a gauge may be centered. Smooth bodies bracket the root on
 membership and then run a safeguarded Newton iteration on the oracle value
 along the ray, bisecting whenever a Newton step would leave the bracket;
 their ``gauge_batch`` runs that root find row by row. SciPy is imported
@@ -92,6 +93,12 @@ class ConvexBody:
 
     def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
         # validated-input fast path; the tube models call it directly
+        raise NotImplementedError
+
+    def gauge_centers(self, X) -> np.ndarray:
+        """Bool (N,) mask of the rows of X at which a gauge may be centered,
+        by the gauge's own rule: ``_gauge`` raises OutsideDomainError
+        exactly at the rows outside the mask."""
         raise NotImplementedError
 
     def gauge_batch(self, X, Y) -> np.ndarray:
@@ -217,6 +224,10 @@ class Polytope(ConvexBody):
         ratios = (self.A @ y) / den
         return float(max(0.0, np.max(ratios)))
 
+    def gauge_centers(self, X) -> np.ndarray:
+        X = _rows(X, self.dim)
+        return np.all(self.b - _matvec(self.A, X) > 0.0, axis=1)
+
     def gauge_batch(self, X, Y) -> np.ndarray:
         X = _rows(X, self.dim)
         Y = _rows(Y, self.dim)
@@ -278,6 +289,12 @@ class Ellipsoid(ConvexBody):
         b = Qx @ y
         c = y @ self.Q @ y
         return float((b + np.sqrt(b * b + c * d)) / d)
+
+    def gauge_centers(self, X) -> np.ndarray:
+        # not contains: the gauge also refuses centers within 1e-12 of
+        # the boundary, where its quadratic loses all precision
+        X = _rows(X, self.dim)
+        return 1.0 - _rowdot(X, _matvec(self.Q, X)) >= 1e-12
 
     def gauge_batch(self, X, Y) -> np.ndarray:
         X = _rows(X, self.dim)
@@ -389,6 +406,10 @@ class SmoothBody(ConvexBody):
     def bounding_box(self):
         half = np.full(self.dim, self.bounding_radius)
         return -half, half.copy()
+
+    def gauge_centers(self, X) -> np.ndarray:
+        X = _rows(X, self.dim)
+        return np.array([self.contains(x) for x in X], dtype=bool)
 
     def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
         if not self.contains(x):

@@ -451,27 +451,36 @@ def cmd_slice(args) -> int:
               else np.zeros(2 * n))
     if center.size != 2 * n:
         raise SpecError(f"center must have {2 * n} coordinates")
-    if args.resolution < 0 or args.half_width <= 0:
-        raise SpecError("resolution must be >= 0 and half-width positive")
-    ticks = (np.linspace(-args.half_width, args.half_width,
-                         args.resolution + 1)
-             if args.resolution else np.array([0.0]))
-    rows = []
-    for c1 in ticks:
-        for c2 in ticks:
-            coords = center.copy()
-            coords[i] += c1
-            coords[j] += c2
-            z = coords[:n] + 1j * coords[n:]
-            member = model.member(z)
-            rows.append([center[i] + c1, center[j] + c2, int(member),
-                         model.potential(z) if member else ""])
+    if not np.all(np.isfinite(center)):
+        raise SpecError("--center must be finite")
+    if args.resolution < 0:
+        raise SpecError("--resolution must be >= 0")
+    if not (math.isfinite(args.half_width) and args.half_width > 0):
+        raise SpecError("--half-width must be positive and finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ticks = (np.linspace(-args.half_width, args.half_width,
+                             args.resolution + 1)
+                 if args.resolution else np.array([0.0]))
+        # rows run c2 fastest; each coordinate is center + tick, the same
+        # addition the CSV column reports
+        coords = np.tile(center, (ticks.size ** 2, 1))
+        coords[:, i] += np.repeat(ticks, ticks.size)
+        coords[:, j] += np.tile(ticks, ticks.size)
+    if not np.all(np.isfinite(coords)):
+        raise SpecError("slice grid overflows: --center plus --half-width "
+                        "is not finite")
+    Z = coords[:, :n] + 1j * coords[:, n:]
+    member = model.member_batch(Z)
+    u = np.full(len(Z), "", dtype=object)
+    u[member] = model.potential_batch(Z[member]).tolist()
+    columns = (coords[:, i].tolist(), coords[:, j].tolist(),
+               member.astype(int).tolist(), u.tolist())
     handle = open(args.out, "w", newline="", encoding="utf-8") if args.out \
         else sys.stdout
     try:
         writer = csv.writer(handle)
         writer.writerow(["c1", "c2", "member", "u"])
-        writer.writerows(rows)
+        writer.writerows(zip(*columns))
     finally:
         if args.out:
             handle.close()

@@ -8,7 +8,8 @@ realizes the metric as the limit of potential(x + i t v)/t.
 
 ``potential_batch`` evaluates the potential at every row of an (N, n)
 array in one call and agrees with ``potential`` bit for bit, so suites
-may draw their samples one by one and evaluate them all at once.
+may draw their samples one by one and evaluate them all at once;
+``member_batch`` agrees with ``member`` in the same way.
 """
 from __future__ import annotations
 
@@ -87,6 +88,15 @@ class Model:
     def member(self, z) -> bool:
         raise NotImplementedError
 
+    def member_batch(self, Z) -> np.ndarray:
+        """``member`` at each row of an (N, n) array, as a bool (N,) array.
+
+        Generic version: ``member`` row by row; the models here override
+        it with array expressions that agree with ``member`` exactly.
+        """
+        return np.array([self.member(z) for z in as_points(Z, self.dim)],
+                        dtype=bool)
+
     def potential(self, z) -> float:
         raise NotImplementedError
 
@@ -158,6 +168,9 @@ class Strip1D(Model):
         z = as_point(z, 1)
         return bool(abs(z[0].imag) < QUARTER_PI)
 
+    def member_batch(self, Z) -> np.ndarray:
+        return np.abs(as_points(Z, 1)[:, 0].imag) < QUARTER_PI
+
     def potential(self, z) -> float:
         z = as_point(z, 1)
         self._require_member(z)
@@ -205,17 +218,24 @@ class Disc1D(Model):
         z = as_point(z, 1)
         return bool(abs(z[0]) < 1.0)
 
+    def member_batch(self, Z) -> np.ndarray:
+        # Python abs per value, as in member: NumPy's vectorized complex
+        # abs differs from it in the last bit for about a third of inputs,
+        # which decides membership on the unit circle
+        w = as_points(Z, 1)[:, 0].tolist()
+        return np.array([abs(c) < 1.0 for c in w], dtype=bool)
+
     def potential(self, z) -> float:
         z = as_point(z, 1)
         self._require_member(z)
         return abs(cmath.atanh(z[0]).imag)
 
     def potential_batch(self, Z) -> np.ndarray:
-        w = as_points(Z, 1)[:, 0]
-        if np.any(np.abs(w) >= 1.0):
+        Z = as_points(Z, 1)
+        if not np.all(self.member_batch(Z)):
             raise OutsideDomainError(f"point is not in the {self.name} domain")
         # cmath per value: NumPy's complex arctanh rounds differently
-        return np.array([abs(cmath.atanh(c).imag) for c in w.tolist()],
+        return np.array([abs(cmath.atanh(c).imag) for c in Z[:, 0].tolist()],
                         dtype=float)
 
     def metric(self, x, v) -> float:
@@ -259,6 +279,9 @@ class StripTube(Model):
         z = as_point(z, self.dim)
         return bool(self.gauge(z.imag) < QUARTER_PI)
 
+    def member_batch(self, Z) -> np.ndarray:
+        return self.gauge.batch(as_points(Z, self.dim).imag) < QUARTER_PI
+
     def potential(self, z) -> float:
         z = as_point(z, self.dim)
         value = self.gauge(z.imag)
@@ -295,8 +318,9 @@ class StripTube(Model):
         x = rng.uniform(-1.0, 1.0, self.dim)
         for _ in range(1000):
             d = unit_vector(rng, self.dim)
-            level = rng.uniform(max(0.4 * QUARTER_PI, 10.0 * h),
-                                0.9 * QUARTER_PI)
+            # the level is dimensionless; the length test below keeps
+            # |y| above the step
+            level = rng.uniform(0.4 * QUARTER_PI, 0.9 * QUARTER_PI)
             y = level * d / self.gauge(d)
             if np.linalg.norm(y) >= max(0.5 * self.gauge.body.inradius(), 10.0 * h):
                 return x + 1j * y
@@ -330,6 +354,15 @@ class EllipticTube(Model):
         except OutsideDomainError:
             return False
         return bool(p * q < 1.0)
+
+    def member_batch(self, Z) -> np.ndarray:
+        Z = as_points(Z, self.dim)
+        inside = self.body.gauge_centers(Z.real)
+        X, Y = Z.real[inside], Z.imag[inside]
+        member = np.zeros(len(Z), dtype=bool)
+        member[inside] = (self.body.gauge_batch(X, Y)
+                          * self.body.gauge_batch(X, -Y) < 1.0)
+        return member
 
     def potential(self, z) -> float:
         z = as_point(z, self.dim)
@@ -403,7 +436,9 @@ class EllipticTube(Model):
                 continue
             t = rng.uniform(t_lo, t_hi)
             z = x + 1j * t * d
-            if self.potential(z) >= 10.0 * h:
+            # the potential is dimensionless, h a length: compare it with
+            # the step relative to the body's scale
+            if self.potential(z) >= 10.0 * h / rin:
                 return z
         raise ConvergenceError("elliptic-tube safe sampling starved")
 

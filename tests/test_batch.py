@@ -1,9 +1,12 @@
 """Batched evaluation against the scalar path, which is the reference.
 
 Property tests over random SPD ellipsoids and bounded polytopes: batched
-gauges and potentials reproduce the scalar ones row by row, batched Levi
-matrices reproduce levi_matrix, and vertex support values reproduce an LP.
+gauges, memberships and potentials reproduce the scalar ones row by row,
+batched Levi matrices reproduce levi_matrix, and vertex support values
+reproduce an LP.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +15,8 @@ from scipy.optimize import linprog
 
 from pshmodels import (Disc1D, Ellipsoid, EllipticTube, Gauge,
                        OutsideDomainError, Polytope, Strip1D, StripTube,
-                       levi_line, levi_matrices, levi_matrix, substream)
+                       Superellipse, levi_line, levi_matrices, levi_matrix,
+                       substream)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 dims = st.integers(min_value=1, max_value=3)
@@ -114,6 +118,83 @@ def test_potential_batch_rejects_an_outside_row(unit_ball):
         tube.potential_batch(Z)
     with pytest.raises(OutsideDomainError):
         StripTube(Gauge(unit_ball)).potential_batch(Z)
+
+
+def _real_parts(body, rng, count):
+    """Centers inside, outside and, for an ellipsoid, within 2e-12 of the
+    edge on either side, where the gauge's own rule and contains differ."""
+    lo, hi = body.bounding_box()
+    X = rng.uniform(lo - 0.3 * (hi - lo), hi + 0.3 * (hi - lo),
+                    size=(count, body.dim))
+    X[: count // 3] = _interior_rows(body, rng, count // 3)
+    if isinstance(body, Ellipsoid):
+        edge = X[count // 3: 2 * (count // 3)]
+        radius = np.sqrt(np.einsum("ij,jk,ik->i", edge, body.Q, edge))
+        radius[radius == 0.0] = 1.0
+        gap = rng.choice([-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12],
+                         size=len(edge))
+        edge *= (np.sqrt(1.0 + gap) / radius)[:, None]
+    return X
+
+
+def _assert_batch_matches_scalar(model, Z):
+    member = model.member_batch(Z)
+    assert member.dtype == bool and member.shape == (len(Z),)
+    np.testing.assert_array_equal(member, [model.member(z) for z in Z])
+    np.testing.assert_array_equal(model.potential_batch(Z[member]),
+                                  [model.potential(z) for z in Z[member]])
+
+
+@SETTINGS
+@given(body=bodies, seed=st.integers(0, 2 ** 32 - 1))
+def test_member_batch_matches_scalar(body, seed):
+    rng = np.random.default_rng(seed)
+    X = _real_parts(body, rng, 18)
+    lo, hi = body.bounding_box()
+    Y = rng.normal(size=X.shape) * (hi - lo) * rng.uniform(0.0, 1.0,
+                                                          (len(X), 1))
+    Y[0] = 0.0
+    for model in (StripTube(Gauge(body)), EllipticTube(body)):
+        _assert_batch_matches_scalar(model, X + 1j * Y)
+
+
+def _near(values, rng):
+    """Each value moved by up to three ulps either way."""
+    steps = rng.integers(-3, 4, size=values.shape)
+    return values * (1.0 + steps * np.finfo(float).eps)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_member_batch_matches_scalar_at_the_edge(seed):
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, 2.0 * math.pi, 24)
+    rows = rng.normal(size=(24, 2))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    squircle = StripTube(Gauge(Superellipse([1.0, 0.7], 4)))
+    level = _near(np.full(24, math.pi / 4), rng)
+    edge = level[:, None] * rows / squircle.gauge.batch(rows)[:, None]
+    cases = [
+        (Strip1D(), (rng.uniform(-1.0, 1.0, 24)
+                     + 1j * _near(np.full(24, math.pi / 4), rng)
+                     * np.sign(rng.normal(size=24)))[:, None]),
+        (Disc1D(), (_near(np.ones(24), rng) * np.exp(1j * angle))[:, None]),
+        (squircle, rng.uniform(-1.0, 1.0, (24, 2)) + 1j * edge),
+    ]
+    for model, Z in cases:
+        _assert_batch_matches_scalar(model, Z)
+
+
+def test_disc_potential_batch_rejects_what_potential_rejects():
+    # NumPy's complex abs reads 0.9999999999999999 here, Python's 1.0
+    w = -0.9972426976221218 - 0.07420917759518231j
+    disc = Disc1D()
+    assert not disc.member([w])
+    with pytest.raises(OutsideDomainError):
+        disc.potential([w])
+    with pytest.raises(OutsideDomainError):
+        disc.potential_batch([[w]])
+    assert not disc.member_batch([[w]])[0]
 
 
 def _polarized(field, z, h):

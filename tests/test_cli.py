@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pshmodels import model_from_spec
@@ -25,6 +28,9 @@ ASYM_STRIPTUBE = {"model": "striptube",
 NEEDLE_STRIPTUBE = {"model": "striptube",
                     "body": {"type": "smooth", "kind": "superellipse",
                              "params": {"radii": [1e-8, 1e8], "power": 4}}}
+SQUIRCLE_STRIPTUBE = {"model": "striptube",
+                      "body": {"type": "smooth", "kind": "superellipse",
+                               "params": {"radii": [1.0, 0.7], "power": 4}}}
 HUGE_BALL = {"type": "ellipsoid", "Q": [[1e-30, 0.0], [0.0, 1e-30]]}
 STRIP = {"model": "strip1d"}
 DISC = {"model": "disc1d"}
@@ -255,6 +261,21 @@ class TestVerify:
         assert code == 2
         assert out == "" and "inradius" in err
 
+    @pytest.mark.parametrize("model", ["elliptictube", "striptube"])
+    @pytest.mark.parametrize("suite", ["psh", "ma"])
+    def test_safe_samplers_scale_with_the_body(self, spec_path, capsys,
+                                               model, suite):
+        # h / r = 1e-3 over inradius 1e15: the safe samplers used to
+        # compare the dimensionless level or potential with the length
+        # 10 h, and starved (elliptic) or drew from an empty range (strip)
+        code, out, err = run(capsys, ["verify", "--model",
+                                      spec_path({"model": model,
+                                                 "body": HUGE_BALL}),
+                                      "--suite", suite, "--samples", "5",
+                                      "--step", "1e12"])
+        assert code == 0, err
+        assert json.loads(out)["samples"] == 5
+
     def test_step_check_leaves_other_suites_alone(self, spec_path, capsys):
         code, out, _ = run(capsys, ["verify", "--model",
                                     spec_path({"model": "striptube",
@@ -318,12 +339,76 @@ class TestSlice:
                 r = math.hypot(float(c1), float(c2))
                 assert float(u) == pytest.approx(math.atan(r), abs=1e-12)
 
-    def test_bad_plane_indices(self, spec_path, capsys):
-        for plane in ("0,0", "0,9", "0,1"):
-            code, _, _ = run(capsys, ["slice", "--model",
-                                      spec_path(BALL_TUBE),
-                                      "--plane", plane, "--resolution", "2"])
-            if plane == "0,1":
-                assert code == 2  # two real coordinates
-            else:
-                assert code == 2
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("extra, message", [
+        (["--plane", "0,0"], "plane indices"),
+        (["--plane", "0,9"], "plane indices"),
+        (["--plane", "0,1"], "imaginary coordinate"),
+        (["--resolution", "-1"], "--resolution"),
+        (["--half-width", "0"], "--half-width"),
+        (["--half-width", "nan"], "--half-width"),
+        (["--half-width", "inf"], "--half-width"),
+        (["--center=nan,0,0,0"], "--center"),
+        (["--center=0,0,-inf,0"], "--center"),
+        (["--center=0,0,1e308,0", "--half-width", "1e308"], "--half-width"),
+    ], ids=["plane-repeated", "plane-out-of-range", "plane-two-real",
+            "resolution-negative", "half-width-zero", "half-width-nan",
+            "half-width-inf", "center-nan", "center-inf", "grid-overflow"])
+    def test_rejects_bad_input(self, spec_path, capsys, tmp_path, extra,
+                               message):
+        out_path = tmp_path / "grid.csv"
+        argv = ["slice", "--model", spec_path(BALL_TUBE), "--plane", "2,3",
+                "--resolution", "2", "--out", str(out_path)]
+        code, _, err = run(capsys, argv + extra)
+        assert code == 2
+        assert message in err
+        assert "RuntimeWarning" not in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("spec, plane, center, half_width, resolution", [
+        # the Re-Im plane leaves the polytope body: gauges without a center
+        (SQUARE_TUBE, "0,2", "0,0.05,0,0.1", 1.25, 20),
+        (SQUIRCLE_STRIPTUBE, "2,3", "0.1,0,0,0", 1.0, 12),
+        # the grid holds the four points of the unit circle
+        (DISC, "0,1", "0,0", 1.0, 4),
+        # NumPy's complex abs puts this point inside the disc
+        (DISC, "0,1", "-0.9972426976221218,-0.07420917759518231", 1.0, 0),
+    ], ids=["square-tube-re-im", "squircle-im-im", "disc-circle",
+            "disc-last-bit"])
+    def test_matches_scalar_evaluation(self, spec_path, capsys, tmp_path,
+                                       spec, plane, center, half_width,
+                                       resolution):
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, ["slice", "--model", spec_path(spec),
+                                  "--plane", plane, "--center=" + center,
+                                  "--half-width", repr(half_width),
+                                  "--resolution", str(resolution),
+                                  "--out", str(out_path)])
+        assert code == 0
+        expected = _scalar_slice(model_from_spec(spec),
+                                 [int(p) for p in plane.split(",")],
+                                 np.array([float(c) for c in
+                                           center.split(",")]),
+                                 half_width, resolution)
+        assert out_path.read_bytes() == expected
+
+
+def _scalar_slice(model, plane, center, half_width, resolution) -> bytes:
+    """The slice CSV from scalar member and potential, point by point."""
+    i, j = plane
+    n = model.dim
+    ticks = (np.linspace(-half_width, half_width, resolution + 1)
+             if resolution else np.array([0.0]))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["c1", "c2", "member", "u"])
+    for c1 in ticks:
+        for c2 in ticks:
+            coords = center.copy()
+            coords[i] += c1
+            coords[j] += c2
+            z = coords[:n] + 1j * coords[n:]
+            member = model.member(z)
+            writer.writerow([center[i] + c1, center[j] + c2, int(member),
+                             model.potential(z) if member else ""])
+    return out.getvalue().encode("utf-8")
