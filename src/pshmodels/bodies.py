@@ -8,12 +8,15 @@ Polytopes and ellipsoids use closed forms, also batched over the rows of
 a gauge may be centered. Smooth bodies bracket the root on
 membership and then run a safeguarded Newton iteration on the oracle value
 along the ray, bisecting whenever a Newton step would leave the bracket;
-their ``gauge_batch`` runs that root find row by row. SciPy is imported
-only by the routines that need an LP, a halfspace intersection or an
-optimizer, so smooth bodies never load it.
+their ``gauge_batch`` runs that root find row by row. A polytope is
+built with NumPy alone: its vertices, bounding box and Chebyshev ball come
+from solving every square subsystem of its halfspaces in one stacked call.
+SciPy is imported only by the optimizer of ``SmoothBody.support``, so
+polytopes, ellipsoids and superellipses never load it.
 """
 from __future__ import annotations
 
+from itertools import chain, combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +28,11 @@ _MAX_BRACKET = 200
 _MAX_ROOT_STEPS = 200
 _BRACKET_GROWTH = 2.0
 _REL_TOL = 1e-15
+# rows of norm about 1 are independent when |det| exceeds this, or when
+# the smallest over the largest singular value does
+_RANK_RTOL = 1e-12
+# slack of a solution of M v <= c, relative to |M| |v| + |c|
+_FEAS_RTOL = 1e-12
 
 
 def _vector(x, dim: int | None = None) -> np.ndarray:
@@ -133,8 +141,106 @@ def _offcenter_rows(X, Y, dim: int):
     return X, Y
 
 
+def _subsets(m: int, k: int) -> np.ndarray:
+    """Every k-subset of range(m), one per row, in lexicographic order."""
+    flat = chain.from_iterable(combinations(range(m), k))
+    return np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+
+
+def _unit_halfspaces(A: np.ndarray, b: np.ndarray):
+    """The halfspaces a.w < b rewritten as u.w < beta with |u| = 1.
+
+    A halfspace whose offset |b| / max_j |a_j| is past the float range
+    holds at every float point if b > 0 and is dropped, and at none if
+    b <= 0, which includes a zero row with b <= 0. Subnormal entries of u
+    are flushed to zero, since BLAS kernels take a subnormal pivot for a
+    zero one.
+    """
+    top = np.max(np.abs(A), axis=1)
+    far = np.abs(b) / np.finfo(float).max >= top
+    if np.any(far & (b <= 0.0)):
+        raise SpecError("polytope has empty interior")
+    # scaled by the largest entry first, so the norm cannot overflow
+    A, b, top = A[~far], b[~far], top[~far]
+    norms = np.hypot.reduce(A / top[:, None], axis=1)
+    U = A / top[:, None] / norms[:, None]
+    U[np.abs(U) < np.finfo(float).tiny] = 0.0
+    return U, b / top / norms
+
+
+def _basic_feasible(M: np.ndarray, c: np.ndarray):
+    """Distinct vertices of {v : M v <= c}, rows of M of norm about 1,
+    with the rows tight at each.
+
+    Every square subsystem M[S] v = c[S] whose rows are independent
+    (|det| above _RANK_RTOL; the rows bound it by their norms) is solved
+    in one stacked call. A solution is kept if it satisfies M v <= c up
+    to a slack relative to the data; one whose coordinates or residuals
+    overflow lies past the float range. Solutions with the same tight
+    rows are one vertex, reached from several subsystems where more
+    than dim halfspaces meet, and the first in subset order is kept.
+    The cost grows as C(m, dim).
+    """
+    S = _subsets(*M.shape)
+    # a pivot that underflows to zero makes det take log(0): the subset
+    # is singular and its det of 0 is screened out below
+    with np.errstate(divide="ignore"):
+        S = S[np.abs(np.linalg.det(M[S])) > _RANK_RTOL]
+    V = np.linalg.solve(M[S], c[S][:, :, None])[:, :, 0]
+    V = V[np.all(np.isfinite(V), axis=1)]
+    with np.errstate(over="ignore"):
+        residual = V @ M.T - c
+        slack = _FEAS_RTOL * (np.abs(V) @ np.abs(M).T + np.abs(c))
+    feasible = np.all(np.isfinite(slack) & (residual <= slack), axis=1)
+    tight = np.abs(residual[feasible]) <= slack[feasible]
+    keys = np.packbits(tight, axis=1)
+    _, first = np.unique(keys.view(f"V{keys.shape[1]}")[:, 0],
+                         return_index=True)
+    first.sort()
+    return V[feasible][first], tight[first]
+
+
+def _check_bounded(U: np.ndarray):
+    """Raise unless the recession cone {d : U d <= 0} is {0}, for unit
+    rows U.
+
+    With rank U = n the cone is pointed, so it is {0} exactly when it has
+    no extreme ray; an extreme ray spans the null space of n - 1
+    independent rows, with one of its two signs.
+    """
+    n = U.shape[1]
+    if np.linalg.matrix_rank(U) < n:
+        raise SpecError("polytope is unbounded")
+    if n == 1:
+        rays = np.array([[1.0], [-1.0]])
+    else:
+        _, s, vh = np.linalg.svd(U[_subsets(len(U), n - 1)])
+        d = vh[s[:, -1] > _RANK_RTOL * s[:, 0], -1]
+        rays = np.vstack([d, -d])
+    if np.any(np.all(rays @ U.T <= _FEAS_RTOL, axis=1)):
+        raise SpecError("polytope is unbounded")
+
+
+def _chebyshev(U: np.ndarray, beta: np.ndarray):
+    """Center and radius of the largest ball in {w : U w < beta}, unit
+    rows U: the maximum of r over the vertices of {(x, r) : U x + r <=
+    beta}, several optimal vertices resolving to their mean."""
+    sol, _ = _basic_feasible(np.hstack([U, np.ones((len(U), 1))]), beta)
+    if len(sol) == 0 or np.max(sol[:, -1]) <= 0.0:
+        raise SpecError("polytope has empty interior")
+    radius = float(np.max(sol[:, -1]))
+    best = sol[sol[:, -1] >= radius * (1.0 - _FEAS_RTOL)]
+    return np.mean(best[:, :-1], axis=0), radius
+
+
 class Polytope(ConvexBody):
-    """Open polytope {w : A w < b}, bounded (normals positively span R^n)."""
+    """Open polytope {w : A w < b}, bounded (normals positively span R^n).
+
+    Built with NumPy alone: the vertices are the feasible solutions of
+    the square subsystems of the halfspaces, the bounding box is their
+    extent (a linear function peaks at a vertex), and the Chebyshev ball
+    comes from the same enumeration one dimension up.
+    """
 
     def __init__(self, A, b):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -144,65 +250,25 @@ class Polytope(ConvexBody):
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
             raise SpecError("non-finite halfspace data")
         self.dim = self.A.shape[1]
-        self._bbox = self._compute_bbox()
-        self._cheb_center, self._cheb_radius = self._chebyshev()
-        if self._cheb_radius <= 0.0:
+        if self.dim == 0:
+            raise SpecError("polytope dimension must be at least 1")
+        U, beta = _unit_halfspaces(self.A, self.b)
+        _check_bounded(U)
+        self._vertices, tight = _basic_feasible(U, beta)
+        if len(self._vertices) == 0:
             raise SpecError("polytope has empty interior")
-        self._vertices = self._compute_vertices()
-
-    def _lp(self, c) -> float:
-        from scipy.optimize import linprog
-        res = linprog(c, A_ub=self.A, b_ub=self.b,
-                      bounds=[(None, None)] * self.dim, method="highs")
-        if res.status == 3:
-            raise SpecError("polytope is unbounded")
-        if not res.success:
-            raise SpecError(f"polytope LP failed: {res.message}")
-        return float(res.fun)
-
-    def _compute_bbox(self):
-        lo = np.empty(self.dim)
-        hi = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            lo[i] = self._lp(e)
-            hi[i] = -self._lp(-e)
-        return lo, hi
-
-    def _chebyshev(self):
-        from scipy.optimize import linprog
-        norms = np.linalg.norm(self.A, axis=1)
-        A_ext = np.hstack([self.A, norms[:, None]])
-        c = np.zeros(self.dim + 1)
-        c[-1] = -1.0
-        res = linprog(c, A_ub=A_ext, b_ub=self.b,
-                      bounds=[(None, None)] * self.dim + [(0, None)],
-                      method="highs")
-        if not res.success:
-            raise SpecError("polytope Chebyshev center LP failed")
-        return res.x[:-1].copy(), float(res.x[-1])
-
-    def _compute_vertices(self) -> np.ndarray:
-        """Vertices of the closure, by halfspace intersection (Qhull) from
-        the Chebyshev center; in one dimension the bounding box ends."""
-        if self.dim == 1:
-            return np.array([self._bbox[0], self._bbox[1]])
-        from scipy.spatial import HalfspaceIntersection, QhullError
-        halfspaces = np.hstack([self.A, -self.b[:, None]])
-        try:
-            hull = HalfspaceIntersection(halfspaces, self._cheb_center)
-        except (QhullError, ValueError) as exc:
-            raise SpecError(f"polytope vertex enumeration failed: {exc}") \
-                from None
-        return hull.intersections
+        self._bbox = self._vertices.min(axis=0), self._vertices.max(axis=0)
+        # only halfspaces tight at a vertex can touch the ball: the others
+        # hold strictly on the whole closure
+        rows = np.any(tight, axis=0)
+        self._cheb_center, self._cheb_radius = _chebyshev(U[rows],
+                                                          beta[rows])
 
     def contains(self, x) -> bool:
         x = _vector(x, self.dim)
         return bool(np.all(self.A @ x < self.b))
 
     def support(self, a) -> float:
-        # a linear function on a bounded polytope peaks at a vertex
         return float(np.max(self._vertices @ _vector(a, self.dim)))
 
     def interior_point(self) -> np.ndarray:

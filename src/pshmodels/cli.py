@@ -321,8 +321,9 @@ def _suite_geodesics(model, cfg) -> CheckReport:
             if not np.any(z.imag):
                 continue
             ch = chart(model.body, z)
+            # relative to |z|, so rounding on a large body is no failure
             rec = float(np.linalg.norm(ch.point(ch.zeta0) - z))
-            if rec > rec_tol:
+            if rec > rec_tol * max(1.0, float(np.linalg.norm(z))):
                 passed = False
             res = identity_residual(model.body, z, max(cfg.samples // 10, 10),
                                     cfg.seed + j)

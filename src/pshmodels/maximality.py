@@ -94,8 +94,9 @@ def geodesic_pullback(chart: GeodesicChart) -> Competitor:
     def invert(z: np.ndarray) -> complex:
         z = np.asarray(z, dtype=complex)
         zeta = complex(np.dot(half, z - center)) / norm2
+        # relative to |z|, so the test keeps its meaning on large bodies
         residual = np.linalg.norm(z - (center + zeta * half))
-        if residual > 1e-9:
+        if residual > 1e-9 * max(1.0, float(np.linalg.norm(z))):
             raise ValueError("point is off the disc image")
         return zeta
 

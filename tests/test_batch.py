@@ -2,8 +2,9 @@
 
 Property tests over random SPD ellipsoids and bounded polytopes: batched
 gauges, memberships and potentials reproduce the scalar ones row by row,
-batched Levi matrices reproduce levi_matrix, and vertex support values
-reproduce an LP.
+batched Levi matrices reproduce levi_matrix, and polytope vertices,
+bounding boxes, Chebyshev radii and support values reproduce HiGHS and
+Qhull.
 """
 import math
 
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection
 
 from pshmodels import (Disc1D, Ellipsoid, EllipticTube, Gauge,
-                       OutsideDomainError, Polytope, Strip1D, StripTube,
-                       Superellipse, levi_line, levi_matrices, levi_matrix,
-                       substream)
+                       OutsideDomainError, Polytope, SpecError, Strip1D,
+                       StripTube, Superellipse, levi_line, levi_matrices,
+                       levi_matrix, substream)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 dims = st.integers(min_value=1, max_value=3)
@@ -233,7 +235,141 @@ def test_levi_matrices_match_levi_matrix(body, seed):
                                            elements=unit_floats))
 def test_vertex_support_matches_lp(body, directions):
     for a in directions[:, :body.dim]:
-        res = linprog(-a, A_ub=body.A, b_ub=body.b,
-                      bounds=[(None, None)] * body.dim, method="highs")
+        # HiGHS solves for the unit direction at its tightest dual
+        # tolerance: objective coefficients under its default of 1e-7
+        # would pass a suboptimal vertex as optimal
+        norm = float(np.linalg.norm(a)) or 1.0
+        res = linprog(-a / norm, A_ub=body.A, b_ub=body.b,
+                      bounds=[(None, None)] * body.dim, method="highs",
+                      options={"dual_feasibility_tolerance": 1e-10})
         assert res.success
-        assert abs(body.support(a) - (-res.fun)) <= 1e-9 * max(1.0, -res.fun)
+        expected = -res.fun * norm
+        assert abs(body.support(a) - expected) <= 1e-9 * max(1.0, expected)
+
+
+def _lp_geometry(A, b):
+    """Bounding box and Chebyshev radius by HiGHS, and the vertices by
+    Qhull's halfspace intersection from the Chebyshev center."""
+    n = A.shape[1]
+    free = [(None, None)] * n
+
+    def lp(c, A_ub, bounds):
+        res = linprog(c, A_ub=A_ub, b_ub=b, bounds=bounds, method="highs")
+        assert res.success, res.message
+        return res
+
+    lo = np.array([lp(e, A, free).fun for e in np.eye(n)])
+    hi = np.array([-lp(-e, A, free).fun for e in np.eye(n)])
+    ext = np.hstack([A, np.linalg.norm(A, axis=1)[:, None]])
+    cheb = lp(np.r_[np.zeros(n), -1.0], ext, free + [(0, None)]).x
+    if n == 1:
+        vertices = np.array([lo, hi])
+    else:
+        vertices = HalfspaceIntersection(np.hstack([A, -b[:, None]]),
+                                         cheb[:-1]).intersections
+    return lo, hi, cheb[-1], vertices
+
+
+def _assert_matches_lp_geometry(body):
+    """Vertices as a set to 1e-9 against Qhull; bounding box and radius to
+    1e-7 against HiGHS, whose presolve drops coefficients below 1e-9."""
+    lo, hi, radius, vertices = _lp_geometry(body.A, body.b)
+    scale = max(1.0, float(np.max(np.abs(vertices))))
+    tol, lp_tol = 1e-9 * scale, 1e-7 * scale
+    ours = body._vertices
+    gaps = np.max(np.abs(ours[:, None, :] - vertices[None, :, :]), axis=2)
+    assert np.all(np.min(gaps, axis=1) <= tol), "a vertex Qhull lacks"
+    assert np.all(np.min(gaps, axis=0) <= tol), "a Qhull vertex is missing"
+    pairs = np.max(np.abs(ours[:, None, :] - ours[None, :, :]), axis=2)
+    assert np.all(pairs[np.triu_indices(len(ours), 1)] > tol), \
+        "a vertex is listed twice"
+    box_lo, box_hi = body.bounding_box()
+    np.testing.assert_allclose(box_lo, lo, rtol=0, atol=lp_tol)
+    np.testing.assert_allclose(box_hi, hi, rtol=0, atol=lp_tol)
+    assert abs(body.inradius() - radius) <= lp_tol
+    center = body.interior_point()
+    assert np.all(body.A @ center + np.linalg.norm(body.A, axis=1)
+                  * body.inradius() <= body.b + tol), "ball leaves the body"
+
+
+@SETTINGS
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(body=polytopes())
+def test_polytope_geometry_matches_lp_and_qhull(body):
+    _assert_matches_lp_geometry(body)
+
+
+SQUARE_A = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+PYRAMID_A = [[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("A, b, count", [
+    (SQUARE_A + [[1, 0], [2, 0]], [1, 1, 1, 1, 1, 2], 4),  # duplicates
+    (SQUARE_A + [[1, 1], [1, 1]], [1, 1, 1, 1, 5, 2], 4),  # redundant
+    (SQUARE_A + [[0, 0]], [1, 1, 1, 1, 3], 4),  # zero row, b > 0
+    (PYRAMID_A, [0, 1, 1, 1, 1], 5),  # four facets meet at the apex
+    ([[1], [-1], [2], [-3]], [2, 1, 8, 6], 2),  # redundant in 1-D
+    (SQUARE_A + [[2.225073858507e-311, 1]], [1, 1, 1, 1, 1], 4),
+], ids=["duplicate", "redundant", "zero-row", "pyramid", "interval",
+        "subnormal"])
+def test_polytope_geometry_on_degenerate_input(A, b, count):
+    body = Polytope(A, b)
+    assert len(body._vertices) == count
+    _assert_matches_lp_geometry(body)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_unique_chebyshev_center():
+    # the 2 x 1 rectangle: every center on the segment |x| <= 0.5, y = 0
+    body = Polytope(SQUARE_A, [1, 1, 0.5, 0.5])
+    _assert_matches_lp_geometry(body)
+    assert body.inradius() == 0.5
+    x, y = body.interior_point()
+    assert abs(x) <= 0.5 and y == 0.0
+    # the tie resolves to the mean of the optimal vertices (+-0.5, 0)
+    assert body.interior_point().tolist() == [0.0, 0.0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-310, 1e-150, 1e150, 1e300])
+def test_polytope_geometry_ignores_row_scale(scale):
+    # rows are normalized before any determinant, norm or residual, so
+    # nothing overflows, and subnormal rows meet no subnormal pivot
+    body = Polytope(np.array(SQUARE_A) * scale, np.ones(4) * scale)
+    np.testing.assert_array_equal(np.sort(np.abs(body._vertices), axis=0),
+                                  np.ones((4, 2)))
+    assert body.inradius() == 1.0
+    assert body.interior_point().tolist() == [0.0, 0.0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subsystem_solved_past_the_float_range_is_dropped():
+    # the first two halfspaces meet at x = 2 b / 1e-12, past the float
+    # range; the body is the triangle cut by the other three
+    b = 2.0 ** 983
+    body = Polytope(np.array([[0, 1], [1e-12, -1], [1, -1], [-1, -1]]),
+                    np.full(4, b))
+    np.testing.assert_allclose(sorted(body._vertices.tolist()),
+                               [[-2 * b, b], [0, -b], [2 * b, b]],
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("A, b, message", [
+    ([[0, 1], [0, -1]], [1, 1], "unbounded"),  # rank 1 < 2
+    ([[0, 1], [0, -1], [0, 2]], [1, 1, 3], "unbounded"),
+    ([[-1, 0], [0, -1], [1, -1]], [1, 1, 1], "unbounded"),  # ray (1, 1)
+    ([[1], [2]], [1, 3], "unbounded"),  # one-sided in 1-D
+    ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]],
+     [1, 1, 1, 1, 1], "unbounded"),  # open below in z
+    (SQUARE_A + [[1, 0]], [1, 1, 1, 1, -2], "empty interior"),  # empty
+    (SQUARE_A, [1, 1, 0, 0], "empty interior"),  # flat: r = 0
+    (SQUARE_A, [1, 1, 0.25, -0.25], "empty interior"),  # flat, offset
+    (SQUARE_A + [[0, 0]], [1, 1, 1, 1, 0], "empty interior"),  # 0 < 0
+    ([[]], [1], "dimension"),
+], ids=["rank-deficient", "rank-deficient-3", "cone", "cone-1d",
+        "cone-3d", "empty", "flat", "flat-offset", "zero-row", "no-dim"])
+def test_polytope_rejections(A, b, message):
+    with pytest.raises(SpecError, match=message):
+        Polytope(A, b)

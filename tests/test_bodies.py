@@ -360,6 +360,21 @@ class TestGeometryHelpers:
         assert np.allclose(hi, [1.0, 0.5], atol=1e-12)
 
 
+SPEC_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "specs")
+
+
+def _run_fresh(script: str):
+    """Run script in a new interpreter with this package importable."""
+    src = os.path.dirname(os.path.dirname(pshmodels.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestLazyScipy:
     def test_squircle_commands_never_load_scipy(self, tmp_path):
         spec = tmp_path / "squircle.json"
@@ -367,21 +382,32 @@ class TestLazyScipy:
             "model": "striptube",
             "body": {"type": "smooth", "kind": "superellipse",
                      "params": {"radii": [1.0, 0.7], "power": 4}}}))
-        script = textwrap.dedent(f"""
+        _run_fresh(f"""
             import contextlib, io, sys
-            import pshmodels
             from pshmodels.cli import main
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(["verify", "--model", {str(spec)!r}, "--suite",
                              "all", "--samples", "2", "--step", "2e-4"])
             assert code == 0, code
             assert "scipy" not in sys.modules, "a squircle command loaded SciPy"
-            assert abs(pshmodels.interval(-1.0, 1.0).inradius() - 1.0) < 1e-9
-            assert "scipy.optimize" in sys.modules
             """)
-        src = os.path.dirname(os.path.dirname(pshmodels.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+
+    def test_polytope_commands_never_load_scipy(self):
+        specs = [os.path.join(SPEC_DIR, name)
+                 for name in ("square_tube.json", "striptube_asym.json")]
+        _run_fresh(f"""
+            import contextlib, io, sys
+            import pshmodels
+            from pshmodels.cli import main
+            assert abs(pshmodels.interval(-1.0, 1.0).inradius() - 1.0) < 1e-12
+            square = pshmodels.Polytope([[1, 0], [-1, 0], [0, 1], [0, -1]],
+                                        [1, 1, 1, 1])
+            assert square.support([1.0, 1.0]) == 2.0
+            assert "scipy" not in sys.modules, "building a polytope loaded SciPy"
+            for spec in {specs!r}:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["verify", "--model", spec, "--suite", "all",
+                                 "--samples", "20"])
+                assert code == 0, (spec, code)
+                assert "scipy" not in sys.modules, spec + " loaded SciPy"
+            """)

@@ -276,6 +276,20 @@ class TestVerify:
         assert code == 0, err
         assert json.loads(out)["samples"] == 5
 
+    def test_geodesics_scale_with_the_body(self, spec_path, capsys):
+        # the off-disc and reconstruction residuals are relative to |z|;
+        # measured absolutely, maximality exited 2 "point is off the disc
+        # image" and geodesics failed on rounding over inradius 1e15
+        code, out, err = run(capsys, ["verify", "--model",
+                                      spec_path({"model": "elliptictube",
+                                                 "body": HUGE_BALL}),
+                                      "--suite", "all", "--samples", "5",
+                                      "--step", "1e12"])
+        assert code == 0, err
+        suites = {r["check"]: r for r in json.loads(out)["suites"]}
+        assert suites["geodesics"]["pass"] is True
+        assert suites["maximality"]["pass"] is True
+
     def test_step_check_leaves_other_suites_alone(self, spec_path, capsys):
         code, out, _ = run(capsys, ["verify", "--model",
                                     spec_path({"model": "striptube",

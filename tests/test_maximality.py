@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pshmodels import (QUARTER_PI, Competitor, Disc1D, EllipticTube, Gauge,
-                       SpecError, Strip1D, StripTube, chart,
-                       geodesic_pullback, interval, linear_pullback,
+from pshmodels import (QUARTER_PI, Competitor, Disc1D, Ellipsoid,
+                       EllipticTube, Gauge, SpecError, Strip1D, StripTube,
+                       chart, geodesic_pullback, interval, linear_pullback,
                        max_violation, member_samples, slab_pullback,
                        substream, unit_disc_point)
 
@@ -122,6 +122,16 @@ class TestGeodesicPullback:
         comp = geodesic_pullback(ch)
         with pytest.raises(ValueError):
             comp.evaluate(np.array([0.1 + 0.1j, 0.5 + 0.0j]))
+
+    def test_off_disc_test_scales_with_the_body(self):
+        # inradius 1e15: disc points pass, a point 1e-6 |z| off fails
+        ball = Ellipsoid(1e-30 * np.eye(2))
+        ch = chart(ball, np.array([0.3e15j, 0.1e15]))
+        comp = geodesic_pullback(ch)
+        assert abs(max_violation(EllipticTube(ball), comp, 200, 29)) <= 1e-10
+        z = ch.point(0.2 + 0.4j)
+        with pytest.raises(ValueError):
+            comp.evaluate(z + 1e-6 * np.linalg.norm(z) * np.array([0, 1j]))
 
 
 class TestCompare:
