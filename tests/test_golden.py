@@ -1,0 +1,69 @@
+"""Pinned outputs of the CLI over the example specs.
+
+``golden.json`` maps each command below to its exit code and either its
+stdout (eval, geodesic) or the sha256 of its stdout (verify, slice). Any
+change to a report, a record or a CSV byte shows here. Regenerate it only
+when an output changes on purpose:
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden.json
+"""
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from pshmodels import model_from_spec
+from pshmodels.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).with_name("golden.json")
+POINTS = {1: "0.3+0.2j", 2: "0.1+0.2j,-0.2+0.15j"}
+
+
+def _commands() -> dict:
+    commands = {}
+    for path in sorted((ROOT / "specs").glob("*.json")):
+        spec, model = path.stem, str(path)
+        step = "2e-4" if "squircle" in spec else "1e-3"
+        for seed in ("42", "7"):
+            commands[f"verify {spec} {seed}"] = [
+                "verify", "--model", model, "--suite", "all", "--samples",
+                "20", "--seed", seed, "--step", step]
+        point = POINTS[model_from_spec(json.loads(path.read_text())).dim]
+        for command in ("eval", "geodesic"):
+            commands[f"{command} {spec}"] = [command, "--model", model,
+                                              "--point", point]
+    for spec, plane in (("ball_tube", "2,3"), ("square_tube", "0,2")):
+        commands[f"slice {spec}"] = [
+            "slice", "--model", str(ROOT / "specs" / f"{spec}.json"),
+            "--plane", plane, "--resolution", "20"]
+    return commands
+
+
+COMMANDS = _commands()
+
+
+def _run(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue()
+    if argv[0] in ("verify", "slice"):
+        return {"code": code,
+                "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+    return {"code": code, "stdout": text, "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_is_pinned(name):
+    assert _run(COMMANDS[name]) == json.loads(GOLDEN.read_text())[name]
+
+
+if __name__ == "__main__":
+    json.dump({name: _run(argv) for name, argv in sorted(COMMANDS.items())},
+              sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
