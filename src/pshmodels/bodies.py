@@ -75,6 +75,7 @@ class ConvexBody:
     """Base class; concrete bodies implement membership and geometry hooks."""
 
     dim: int
+    c2 = True  # C2 boundary, so the gauge has a Hessian off the center
 
     def contains(self, x) -> bool:
         raise NotImplementedError
@@ -241,6 +242,8 @@ class Polytope(ConvexBody):
     extent (a linear function peaks at a vertex), and the Chebyshev ball
     comes from the same enumeration one dimension up.
     """
+
+    c2 = False  # faces meet at corners
 
     def __init__(self, A, b):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))

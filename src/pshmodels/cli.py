@@ -6,10 +6,9 @@ Exit codes: 0 pass, 1 verification failure, 2 usage/config error,
 3 domain error, 4 an iterative routine (gauge root find, sampler) failed
 to converge.
 
-The finite-difference suites refuse (exit 2) a step h below
-MIN_RELATIVE_STEP times the inradius of a tube model's body: there the
-rounding noise of the Levi form, about 1e-16 / (h / r)^2, swamps what the
-checks measure.
+The step h of ``verify`` must be positive and finite for every model; the
+finite-difference suites also need at least MIN_RELATIVE_STEP times the
+body inradius on tube models (see ``suites``).
 """
 from __future__ import annotations
 
@@ -21,37 +20,15 @@ import sys
 
 import numpy as np
 
-from .bodies import Ellipsoid, Gauge, Polytope, interval
 from .errors import ConvergenceError, OutsideDomainError, SpecError
-from .geodesics import chart, identity_residual, striptube_geodesic
-from .levi import (check_monge_ampere, check_plurisubharmonic,
-                   gauge_identity_residuals_batch, tube_levi_residual_batch)
-from .maximality import (Competitor, geodesic_pullback, linear_pullback,
-                         max_violation, member_samples, slab_pullback)
-from .models import (QUARTER_PI, Disc1D, EllipticTube, Model, Strip1D,
-                     StripTube, model_from_spec, schwarz_excess)
-from .reports import CheckReport, point_to_list
-from .sampling import substream, unit_vector
+from .geodesics import disc_upper_bound
+from .models import Model, model_from_spec
+# perfbench's tracer test checks that tracing leaves cli.substream bound
+from .sampling import substream  # noqa: F401
+from .suites import RUNNERS, SUITES, TOL_DEFAULTS, verify
 
-TOL_DEFAULTS = {
-    "psh": 1e-6,
-    "ma": 1e-4,
-    "ma_abs": 1e-4,
-    "metric_fd": 1e-6,
-    "maximality": 1e-10,
-    "geodesic": 1e-10,
-    "reconstruction": 1e-12,
-    "flat_ray": 1e-12,
-    "schwarz": 1e-12,
-    "ratio_lo": 3.5,
-    "ratio_hi": 4.5,
-    "residual_floor": 1e-12,
-}
-
-SUITES = ("psh", "ma", "tube-levi", "gauge-derivatives", "maximality",
-          "geodesics", "schwarz")
-FD_SUITES = ("psh", "ma", "tube-levi", "gauge-derivatives")
-MIN_RELATIVE_STEP = 1e-5
+# the very table verify indexes; perfbench wraps its entries in spans
+_SUITE_RUNNERS = RUNNERS
 
 
 def _parse_tols(pairs) -> dict:
@@ -100,52 +77,20 @@ def _emit(payload, out_path):
         print(text)
 
 
-def _tube_body(model: Model):
-    if isinstance(model, EllipticTube):
-        return model.body
-    if isinstance(model, StripTube):
-        return model.gauge.body
-    return None
-
-
-def _check_step(model: Model, h: float) -> None:
-    body = _tube_body(model)
-    if body is None:
-        return
-    if not (math.isfinite(h) and h > 0):
-        raise SpecError("--step must be positive and finite")
-    r = body.inradius()
-    if h / r < MIN_RELATIVE_STEP:
-        raise SpecError(f"--step {h:g} is below {MIN_RELATIVE_STEP:g} times "
-                        f"the body inradius {r:g}; finite differences at "
-                        "that scale measure rounding noise")
-
-
-def _smooth_tube_body(model: Model):
-    body = _tube_body(model)
-    if body is None:
-        return None
-    if isinstance(body, Polytope):
-        raise SpecError(f"suite requires a C2 body; {model.name} is built "
-                        "over a polytope")
-    return body
-
-
-def cmd_eval(args) -> int:
+def _model_and_point(args):
     model = _load_model(args.model)
     z = _parse_point(args.point)
     if z.size != model.dim:
         raise SpecError(f"point dimension {z.size} does not match model "
                         f"dimension {model.dim}")
-    member = model.member(z)
-    record = {"member": member, "u": None, "p": None, "p_bar": None}
-    if isinstance(model, EllipticTube) and model.body.contains(z.real):
-        p, q = model.gauges(z)
-        record["p"], record["p_bar"] = p, q
-    if member:
-        record["u"] = model.potential(z)
+    return model, z
+
+
+def cmd_eval(args) -> int:
+    model, z = _model_and_point(args)
+    record = model.eval_record(z)
     print(json.dumps(record, sort_keys=True))
-    return 0 if member else 3
+    return 0 if record["member"] else 3
 
 
 def cmd_metric(args) -> int:
@@ -153,12 +98,14 @@ def cmd_metric(args) -> int:
     tols = _parse_tols(args.tol)
     x = _parse_reals(args.x)
     v = _parse_reals(args.xi)
+    if v.size != model.dim:
+        raise SpecError(f"xi dimension {v.size} does not match model "
+                        f"dimension {model.dim}")
     if not model.in_center(x):
         raise OutsideDomainError("x is not in the model center")
     if not np.any(v):
         record = {"E_closed": 0.0, "E_fd": 0.0, "F_upper": 0.0}
     else:
-        from .geodesics import disc_upper_bound
         closed = model.metric(x, v)
         fd = model.metric_slope(x, v)
         record = {"E_closed": closed, "E_fd": fd,
@@ -171,273 +118,19 @@ def cmd_metric(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    model = _load_model(args.model)
-    z = _parse_point(args.point)
-    if z.size != model.dim:
-        raise SpecError("point dimension does not match model dimension")
-    if isinstance(model, EllipticTube):
-        ch = chart(model.body, z)
-        rec = ch.point(ch.zeta0)
-        record = {
-            "t1": ch.t1, "t2": ch.t2,
-            "x1": list(map(float, ch.x1)), "x2": list(map(float, ch.x2)),
-            "zeta0": [ch.zeta0.real, ch.zeta0.imag],
-            "reconstruction_residual": float(np.linalg.norm(rec - z)),
-        }
-    elif isinstance(model, StripTube):
-        y = z.imag
-        if not np.any(y):
-            raise OutsideDomainError("no flat ray through center points")
-        height = model.gauge(y)
-        record = {
-            "direction": list(map(float, y / height)),
-            "height": height,
-            "u": model.potential(z) if model.member(z) else None,
-        }
-    else:
-        raise SpecError("geodesic charts require a tube model")
-    print(json.dumps(record, sort_keys=True))
+    model, z = _model_and_point(args)
+    print(json.dumps(model.geodesic_record(z), sort_keys=True))
     return 0
-
-
-def _suite_psh(model, cfg) -> CheckReport:
-    _smooth_tube_body(model)
-    return check_plurisubharmonic(model, cfg.samples, cfg.seed, cfg.step,
-                                  cfg.tols["psh"])
-
-
-def _suite_ma(model, cfg) -> CheckReport:
-    _smooth_tube_body(model)
-    return check_monge_ampere(model, cfg.samples, cfg.seed, cfg.step,
-                              cfg.tols["ma"], cfg.tols["ma_abs"])
-
-
-def _ratio_report(check, model, points_and_ratios, cfg) -> CheckReport:
-    lo, hi = cfg.tols["ratio_lo"], cfg.tols["ratio_hi"]
-    worst_dev, worst_point, worst_ratio = -1.0, None, None
-    passed = True
-    for z, ratio, res_h in points_and_ratios:
-        if res_h <= cfg.tols["residual_floor"]:
-            continue  # converged below noise; treated as pass
-        if not lo <= ratio <= hi:
-            passed = False
-        dev = abs(ratio - 4.0)
-        if dev > worst_dev:
-            worst_dev, worst_point, worst_ratio = dev, z, ratio
-    return CheckReport(check=check, model=model.name,
-                       samples=len(points_and_ratios), h=cfg.step, tol=lo,
-                       worst_point=point_to_list(worst_point)
-                       if worst_point is not None else None,
-                       worst_value=worst_ratio if worst_ratio is not None
-                       else 4.0, passed=passed)
-
-
-def _fd_samples(model: Model, cfg) -> np.ndarray:
-    """The 20 safe samples of the Richardson suites, safe at step 2h."""
-    return np.array([model.sample_fd_safe(substream(cfg.seed, k),
-                                          2 * cfg.step) for k in range(20)])
-
-
-def _suite_tube_levi(model, cfg) -> CheckReport:
-    body = _smooth_tube_body(model)
-    if not isinstance(model, EllipticTube):
-        raise SpecError("tube-levi suite requires an elliptic tube")
-    Z = _fd_samples(model, cfg)
-    res_2h = tube_levi_residual_batch(body, Z, 2 * cfg.step).tolist()
-    res_h = tube_levi_residual_batch(body, Z, cfg.step).tolist()
-    rows = [(z, a / b if b > 0 else 4.0, b)
-            for z, a, b in zip(Z, res_2h, res_h)]
-    return _ratio_report("tube-levi", model, rows, cfg)
-
-
-def _suite_gauge_derivatives(model, cfg) -> CheckReport:
-    body = _smooth_tube_body(model)
-    if not isinstance(model, EllipticTube):
-        raise SpecError("gauge-derivatives suite requires an elliptic tube")
-    Z = _fd_samples(model, cfg)
-    X, Y = Z.real, Z.imag
-    res_2h = gauge_identity_residuals_batch(body, X, Y, 2 * cfg.step).tolist()
-    res_h = gauge_identity_residuals_batch(body, X, Y, cfg.step).tolist()
-    rows = [(z, a / b if b > 0 else 4.0, b)
-            for z, r_2h, r_h in zip(Z, res_2h, res_h)
-            for a, b in zip(r_2h, r_h)]
-    return _ratio_report("gauge-derivatives", model, rows, cfg)
-
-
-def _competitor_battery(model: Model, seed: int) -> list[Competitor]:
-    comps: list[Competitor] = []
-    if isinstance(model, EllipticTube):
-        for j in range(12):
-            d = unit_vector(substream(seed, 10 ** 6 + j), model.dim)
-            comps.append(slab_pullback(model.body, d))
-        for j in range(4):
-            z = model.sample_member(substream(seed, 2 * 10 ** 6 + j))
-            if np.any(z.imag):
-                comps.append(geodesic_pullback(chart(model.body, z)))
-    elif isinstance(model, StripTube):
-        body = model.gauge.body
-        for j in range(16):
-            d = unit_vector(substream(seed, 10 ** 6 + j), model.dim)
-            if isinstance(body, Ellipsoid):
-                c = (body.Q @ d) / math.sqrt(d @ body.Q @ d)
-            else:
-                c = d / max(body.support(d), body.support(-d))
-            comps.append(linear_pullback(model.gauge, c))
-    elif isinstance(model, Strip1D):
-        gauge = Gauge(interval(-1.0, 1.0))
-        for c in (1.0, -1.0, 0.5):
-            comps.append(linear_pullback(gauge, [c]))
-    elif isinstance(model, Disc1D):
-        body = interval(-1.0, 1.0)
-        comps.append(slab_pullback(body, [1.0]))
-        for j in range(3):
-            z = Disc1D().sample_member(substream(seed, 10 ** 6 + j))
-            if abs(z[0].imag) > 1e-3:
-                comps.append(geodesic_pullback(chart(body, z)))
-    return comps
-
-
-def _suite_maximality(model, cfg) -> CheckReport:
-    comps = _competitor_battery(model, cfg.seed)
-    shared = member_samples(model, cfg.samples, cfg.seed)
-    worst = max(max_violation(model, comp, cfg.samples, cfg.seed, shared)
-                for comp in comps)
-    tol = cfg.tols["maximality"]
-    return CheckReport(check="maximality", model=model.name,
-                       samples=len(comps) * cfg.samples, h=cfg.step, tol=tol,
-                       worst_point=None, worst_value=worst,
-                       passed=bool(worst <= tol))
-
-
-def _suite_geodesics(model, cfg) -> CheckReport:
-    tol = cfg.tols["geodesic"]
-    worst = 0.0
-    passed = True
-    count = 0
-    if isinstance(model, EllipticTube):
-        rec_tol = cfg.tols["reconstruction"]
-        for j in range(10):
-            z = model.sample_member(substream(cfg.seed, 3 * 10 ** 6 + j))
-            if not np.any(z.imag):
-                continue
-            ch = chart(model.body, z)
-            # relative to |z|, so rounding on a large body is no failure
-            rec = float(np.linalg.norm(ch.point(ch.zeta0) - z))
-            if rec > rec_tol * max(1.0, float(np.linalg.norm(z))):
-                passed = False
-            res = identity_residual(model.body, z, max(cfg.samples // 10, 10),
-                                    cfg.seed + j)
-            worst = max(worst, res)
-            count += 1
-        if worst > tol:
-            passed = False
-    elif isinstance(model, StripTube):
-        tol = cfg.tols["flat_ray"]
-        for k in range(cfg.samples):
-            rng = substream(cfg.seed, k)
-            d = unit_vector(rng, model.dim)
-            y = d / model.gauge(d) * rng.uniform(0.1, 0.9) * QUARTER_PI
-            x = rng.uniform(-1.0, 1.0, model.dim)
-            zeta = complex(rng.uniform(-1.0, 1.0),
-                           rng.uniform(0.05, 0.95) * QUARTER_PI)
-            f = striptube_geodesic(model.gauge, x, y, zeta)
-            worst = max(worst, abs(model.potential(f) - zeta.imag))
-            count += 1
-        passed = worst <= tol
-    elif isinstance(model, (Disc1D, Strip1D)):
-        for k in range(cfg.samples):
-            rng = substream(cfg.seed, k)
-            eta = complex(rng.uniform(-1.0, 1.0),
-                          rng.uniform(-0.95, 0.95) * QUARTER_PI)
-            z = np.array([np.tanh(eta)]) if isinstance(model, Disc1D) \
-                else np.array([eta])
-            worst = max(worst, abs(model.potential(z) - abs(eta.imag)))
-            count += 1
-        passed = worst <= tol
-    return CheckReport(check="geodesics", model=model.name, samples=count,
-                       h=cfg.step, tol=tol, worst_point=None,
-                       worst_value=worst, passed=bool(passed))
-
-
-def _strip_samples_through(model: Model, rng) -> tuple[complex, float]:
-    """One sample (eta, u at the image) of a holomorphic strip pullback."""
-    eta = complex(rng.uniform(-1.0, 1.0),
-                  rng.uniform(0.05, 0.95) * QUARTER_PI)
-    contraction = 0.5 if rng.uniform() < 0.5 else 1.0
-    w = complex(eta.real, contraction * eta.imag)
-    if isinstance(model, Strip1D):
-        z = np.array([w])
-    elif isinstance(model, Disc1D):
-        z = np.array([np.tanh(w)])
-    elif isinstance(model, StripTube):
-        d = unit_vector(rng, model.dim)
-        y = d / model.gauge(d)
-        x = rng.uniform(-1.0, 1.0, model.dim)
-        z = striptube_geodesic(model.gauge, x, y, w)
-    else:
-        z_base = model.sample_member(rng)
-        while not np.any(z_base.imag):
-            z_base = model.sample_member(rng)
-        ch = chart(model.body, z_base)
-        z = ch.strip_point(w)
-    return eta, model.potential(z)
-
-
-def _suite_schwarz(model, cfg) -> CheckReport:
-    samples = []
-    for k in range(cfg.samples):
-        samples.append(_strip_samples_through(model, substream(cfg.seed, k)))
-    report = schwarz_excess(samples, QUARTER_PI, QUARTER_PI)
-    tol = cfg.tols["schwarz"]
-    return CheckReport(check="schwarz", model=model.name, samples=cfg.samples,
-                       h=cfg.step, tol=tol,
-                       worst_point=[report.worst_point.real,
-                                    report.worst_point.imag],
-                       worst_value=report.max_excess,
-                       passed=bool(report.max_excess <= tol))
-
-
-_SUITE_RUNNERS = {
-    "psh": _suite_psh,
-    "ma": _suite_ma,
-    "tube-levi": _suite_tube_levi,
-    "gauge-derivatives": _suite_gauge_derivatives,
-    "maximality": _suite_maximality,
-    "geodesics": _suite_geodesics,
-    "schwarz": _suite_schwarz,
-}
-
-
-class _VerifyConfig:
-    def __init__(self, args):
-        self.seed = args.seed
-        self.samples = args.samples
-        self.step = args.step
-        self.tols = _parse_tols(args.tol)
 
 
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise SpecError("--samples must be at least 1")
     model = _load_model(args.model)
-    cfg = _VerifyConfig(args)
-    if args.suite in FD_SUITES + ("all",):
-        _check_step(model, cfg.step)
-    if args.suite == "all":
-        reports = []
-        for name in SUITES:
-            try:
-                reports.append(_SUITE_RUNNERS[name](model, cfg).to_dict())
-            except SpecError as exc:
-                reports.append({"check": name, "model": model.name,
-                                "skipped": str(exc)})
-        overall = all(r.get("pass", True) for r in reports)
-        _emit({"model": model.name, "suites": reports, "pass": overall},
-              args.out)
-        return 0 if overall else 1
-    report = _SUITE_RUNNERS[args.suite](model, cfg)
-    _emit(report.to_dict(), args.out)
-    return 0 if report.passed else 1
+    payload = verify(model, args.suite, args.seed, args.samples, args.step,
+                     _parse_tols(args.tol))
+    _emit(payload, args.out)
+    return 0 if payload["pass"] else 1
 
 
 def cmd_slice(args) -> int:

@@ -8,15 +8,13 @@ an analogous flat ray through each point.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bodies import ConvexBody, Gauge, _vector
 from .errors import OutsideDomainError
-from .models import (QUARTER_PI, Disc1D, EllipticTube, Model, Strip1D,
-                     StripTube, as_point)
+from .models import QUARTER_PI, EllipticTube, Model, as_point
 from .sampling import substream, unit_disc_point
 
 
@@ -106,19 +104,4 @@ def disc_upper_bound(model: Model, x, v) -> float:
         raise ValueError("no candidate disc for v = 0")
     if not model.in_center(x):
         raise OutsideDomainError(f"x is not in the {model.name} center")
-    if isinstance(model, EllipticTube):
-        # the chart disc depends only on the ray of v; scale v into the
-        # tube, chart there, and undo the scaling on the realized bound
-        p, q = model.gauges(x + 1j * v)
-        tau = 0.5 / math.sqrt(p * q)
-        ch = chart(model.body, x + 1j * tau * v)
-        return 0.5 * (1.0 / ch.t1 + 1.0 / ch.t2) / tau
-    if isinstance(model, StripTube):
-        # flat ray of striptube_geodesic, reparameterized to unit speed
-        return model.gauge(v)
-    if isinstance(model, Strip1D):
-        return abs(float(v[0]))
-    if isinstance(model, Disc1D):
-        # Moebius reparameterization of the identity disc
-        return abs(float(v[0])) / (1.0 - float(x[0]) ** 2)
-    raise TypeError(f"no disc construction for model {model.name!r}")
+    return model.disc_bound(x, v)

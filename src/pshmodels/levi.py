@@ -17,10 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bodies import ConvexBody, Ellipsoid, Polytope, _rows, _vector
+from .bodies import ConvexBody, Ellipsoid, _rows, _vector
 from .errors import OutsideDomainError
-from .models import (EllipticTube, Model, StripTube, as_points,
-                     batched_potential, pointwise)
+from .models import EllipticTube, Model, StripTube, as_points, pointwise
 from .reports import CheckReport, point_to_list
 from .sampling import substream
 from .stencils import BatchField, central_differences
@@ -131,7 +130,7 @@ def _sampled_eigs(model: Model, nsamples: int, seed: int, h: float):
         raise ValueError("nsamples must be positive")
     Z = np.array([model.sample_fd_safe(substream(seed, k), h)
                   for k in range(nsamples)])
-    eigs = np.linalg.eigvalsh(levi_matrices(batched_potential(model), Z, h))
+    eigs = np.linalg.eigvalsh(levi_matrices(model.potential_batch, Z, h))
     return Z, eigs[:, 0], eigs[:, -1]
 
 
@@ -166,7 +165,7 @@ def check_monge_ampere(model: Model, nsamples: int, seed: int,
 
 
 def _require_c2_body(body: ConvexBody) -> None:
-    if isinstance(body, Polytope):
+    if not body.c2:
         raise ValueError("polytope bodies are not C2; check requires a "
                          "smooth boundary")
 

@@ -21,7 +21,7 @@ import numpy as np
 from .bodies import ConvexBody, Ellipsoid, Gauge, _vector
 from .errors import SpecError
 from .geodesics import GeodesicChart
-from .models import Model, batched_potential
+from .models import Model
 from .sampling import substream, unit_disc_point
 
 
@@ -125,7 +125,7 @@ def member_samples(model: Model, nsamples: int, seed: int) -> MemberSamples:
         raise ValueError("nsamples must be positive")
     points = np.array([model.sample_member(substream(seed, k))
                        for k in range(nsamples)])
-    return MemberSamples(seed, points, batched_potential(model)(points))
+    return MemberSamples(seed, points, model.potential_batch(points))
 
 
 def max_violation(model: Model, competitor: Competitor, nsamples: int,
@@ -143,7 +143,7 @@ def max_violation(model: Model, competitor: Competitor, nsamples: int,
     if competitor.sample is not None:
         points = np.array([competitor.sample(substream(seed, k))
                            for k in range(nsamples)])
-        values = batched_potential(model)(points)
+        values = model.potential_batch(points)
     else:
         if shared is None:
             shared = member_samples(model, nsamples, seed)

@@ -10,6 +10,9 @@ realizes the metric as the limit of potential(x + i t v)/t.
 array in one call and agrees with ``potential`` bit for bit, so suites
 may draw their samples one by one and evaluate them all at once;
 ``member_batch`` agrees with ``member`` in the same way.
+
+Each model also carries its own part of every verification suite and CLI
+record (see Model), so no caller branches on the model type.
 """
 from __future__ import annotations
 
@@ -20,9 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bodies import ConvexBody, Gauge, _vector, body_from_spec
+from .bodies import (ConvexBody, Ellipsoid, Gauge, _vector, body_from_spec,
+                     interval)
 from .errors import ConvergenceError, OutsideDomainError, SpecError
-from .sampling import unit_vector
+from .sampling import substream, unit_vector
 
 QUARTER_PI = math.pi / 4  # 0.7853981633974483, the potential supremum
 
@@ -60,17 +64,6 @@ def pointwise(field: Callable[[np.ndarray], float]):
     return batch
 
 
-def batched_potential(model) -> Callable[[np.ndarray], np.ndarray]:
-    """The model's potential over the rows of an (N, n) array.
-
-    ``potential_batch(Z)`` where the model has one (each model here does:
-    it raises OutsideDomainError if any row lies outside the domain); a
-    model with only ``potential`` is evaluated row by row.
-    """
-    batch = getattr(model, "potential_batch", None)
-    return batch if batch is not None else pointwise(model.potential)
-
-
 def _atan_mean(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # math.atan rather than np.arctan: NumPy's SIMD arctan differs from
     # libm in the last bit for about 0.2% of inputs, and the batched
@@ -80,22 +73,26 @@ def _atan_mean(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 class Model:
-    """Base class: a tube domain with center and extremal potential."""
+    """Base class: a tube domain with center and extremal potential.
+
+    Each model also has ``member_batch``, ``potential_batch``, the
+    maximality battery ``competitors(seed)``, and ``strip_point(w, rng)``:
+    w, |Im w| < pi/4, mapped into the domain by a holomorphic strip map
+    (drawn from rng on tubes). ``geodesic_witnesses(seed, samples)`` gives
+    the gap of the potential along each extremal disc or flat ray to its
+    closed form, and each disc chart's base point error over max(1, |z|).
+    """
 
     name: str
     dim: int
+    body: ConvexBody | None = None  # the tube's body; None in dimension 1
+    # the elliptic-tube identities (tube-levi, gauge-derivatives) tie the
+    # potential to the centered gauges of the body; other models have none
+    gauge_identities = False
+    witness_tol = "geodesic"  # tolerance of the geodesics-suite witnesses
 
     def member(self, z) -> bool:
         raise NotImplementedError
-
-    def member_batch(self, Z) -> np.ndarray:
-        """``member`` at each row of an (N, n) array, as a bool (N,) array.
-
-        Generic version: ``member`` row by row; the models here override
-        it with array expressions that agree with ``member`` exactly.
-        """
-        return np.array([self.member(z) for z in as_points(Z, self.dim)],
-                        dtype=bool)
 
     def potential(self, z) -> float:
         raise NotImplementedError
@@ -115,6 +112,21 @@ class Model:
     def sample_fd_safe(self, rng, h: float) -> np.ndarray:
         """Member point with enough interior margin for O(h^2) stencils."""
         raise NotImplementedError
+
+    def disc_bound(self, x, v) -> float:
+        """Metric bound at (x, v) realized by an explicit analytic disc,
+        for validated x in the center and v != 0."""
+        raise TypeError(f"no disc construction for model {self.name!r}")
+
+    def eval_record(self, z) -> dict:
+        """The record ``eval`` prints at a point z of matching dimension."""
+        member = self.member(z)
+        return {"member": member, "u": self.potential(z) if member else None,
+                "p": None, "p_bar": None}
+
+    def geodesic_record(self, z) -> dict:
+        """The record ``geodesic`` prints: the extremal curve through z."""
+        raise SpecError("geodesic charts require a tube model")
 
     def _require_member(self, z: np.ndarray) -> None:
         if not self.member(z):
@@ -158,11 +170,46 @@ class Model:
         return float(coeffs[0])
 
 
-class Strip1D(Model):
+class _PlaneDomain(Model):
+    """A plane domain over a real interval: the image of the strip
+    {|Im w| < pi/4} under the conformal map _to_plane, with inverse
+    _to_strip. The potential is |Im w| at the preimage w, so the map is an
+    extremal disc."""
+
+    dim = 1
+
+    def potential(self, z) -> float:
+        z = as_point(z, 1)
+        self._require_member(z)
+        return abs(self._to_strip(z[0]).imag)
+
+    def potential_batch(self, Z) -> np.ndarray:
+        Z = as_points(Z, 1)
+        if not np.all(self.member_batch(Z)):
+            raise OutsideDomainError(f"point is not in the {self.name} domain")
+        # per value: NumPy's complex arctanh rounds differently from cmath
+        return np.array([abs(self._to_strip(c).imag)
+                         for c in Z[:, 0].tolist()], dtype=float)
+
+    def strip_point(self, w: complex, rng) -> np.ndarray:
+        return np.array([self._to_plane(w)])
+
+    def geodesic_witnesses(self, seed: int, samples: int):
+        gaps = []
+        for k in range(samples):
+            rng = substream(seed, k)
+            eta = complex(rng.uniform(-1.0, 1.0),
+                          rng.uniform(-0.95, 0.95) * QUARTER_PI)
+            gaps.append(abs(self.potential(self.strip_point(eta, rng))
+                            - abs(eta.imag)))
+        return gaps, []
+
+
+class Strip1D(_PlaneDomain):
     """The flat strip {|Im z| < pi/4} over the real line."""
 
     name = "strip1d"
-    dim = 1
+    _to_plane = _to_strip = staticmethod(complex)  # the identity
 
     def member(self, z) -> bool:
         z = as_point(z, 1)
@@ -170,17 +217,6 @@ class Strip1D(Model):
 
     def member_batch(self, Z) -> np.ndarray:
         return np.abs(as_points(Z, 1)[:, 0].imag) < QUARTER_PI
-
-    def potential(self, z) -> float:
-        z = as_point(z, 1)
-        self._require_member(z)
-        return abs(z[0].imag)
-
-    def potential_batch(self, Z) -> np.ndarray:
-        u = np.abs(as_points(Z, 1)[:, 0].imag)
-        if np.any(u >= QUARTER_PI):
-            raise OutsideDomainError(f"point is not in the {self.name} domain")
-        return u
 
     def metric(self, x, v) -> float:
         x = _vector(x, 1)
@@ -207,12 +243,20 @@ class Strip1D(Model):
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
         return np.array([complex(x, sign * y)])
 
+    def competitors(self, seed: int) -> list:
+        from .maximality import linear_pullback
+        gauge = Gauge(interval(-1.0, 1.0))
+        return [linear_pullback(gauge, [c]) for c in (1.0, -1.0, 0.5)]
 
-class Disc1D(Model):
+    def disc_bound(self, x, v) -> float:
+        return abs(float(v[0]))
+
+
+class Disc1D(_PlaneDomain):
     """The unit disc over the interval (-1, 1)."""
 
     name = "disc1d"
-    dim = 1
+    _to_plane, _to_strip = staticmethod(np.tanh), staticmethod(cmath.atanh)
 
     def member(self, z) -> bool:
         z = as_point(z, 1)
@@ -224,19 +268,6 @@ class Disc1D(Model):
         # which decides membership on the unit circle
         w = as_points(Z, 1)[:, 0].tolist()
         return np.array([abs(c) < 1.0 for c in w], dtype=bool)
-
-    def potential(self, z) -> float:
-        z = as_point(z, 1)
-        self._require_member(z)
-        return abs(cmath.atanh(z[0]).imag)
-
-    def potential_batch(self, Z) -> np.ndarray:
-        Z = as_points(Z, 1)
-        if not np.all(self.member_batch(Z)):
-            raise OutsideDomainError(f"point is not in the {self.name} domain")
-        # cmath per value: NumPy's complex arctanh rounds differently
-        return np.array([abs(cmath.atanh(c).imag) for c in Z[:, 0].tolist()],
-                        dtype=float)
 
     def metric(self, x, v) -> float:
         x = _vector(x, 1)
@@ -265,6 +296,21 @@ class Disc1D(Model):
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
         return np.array([cmath.tanh(complex(s, sign * t))])
 
+    def competitors(self, seed: int) -> list:
+        from .geodesics import chart
+        from .maximality import geodesic_pullback, slab_pullback
+        body = interval(-1.0, 1.0)
+        comps = [slab_pullback(body, [1.0])]
+        for j in range(3):
+            z = self.sample_member(substream(seed, 10 ** 6 + j))
+            if abs(z[0].imag) > 1e-3:
+                comps.append(geodesic_pullback(chart(body, z)))
+        return comps
+
+    def disc_bound(self, x, v) -> float:
+        # Moebius reparameterization of the identity disc
+        return abs(float(v[0])) / (1.0 - float(x[0]) ** 2)
+
 
 class StripTube(Model):
     """Tube {gauge(Im z) < pi/4} over R^n, for a convex gauge."""
@@ -274,6 +320,11 @@ class StripTube(Model):
         self.dim = gauge.dim
 
     name = "striptube"
+    witness_tol = "flat_ray"
+
+    @property
+    def body(self) -> ConvexBody:
+        return self.gauge.body
 
     def member(self, z) -> bool:
         z = as_point(z, self.dim)
@@ -322,9 +373,54 @@ class StripTube(Model):
             # |y| above the step
             level = rng.uniform(0.4 * QUARTER_PI, 0.9 * QUARTER_PI)
             y = level * d / self.gauge(d)
-            if np.linalg.norm(y) >= max(0.5 * self.gauge.body.inradius(), 10.0 * h):
+            if np.linalg.norm(y) >= max(0.5 * self.body.inradius(), 10.0 * h):
                 return x + 1j * y
         raise ConvergenceError("strip-tube safe sampling starved")
+
+    def competitors(self, seed: int) -> list:
+        from .maximality import linear_pullback
+        body, comps = self.body, []
+        for j in range(16):
+            d = unit_vector(substream(seed, 10 ** 6 + j), self.dim)
+            if isinstance(body, Ellipsoid):
+                c = (body.Q @ d) / math.sqrt(d @ body.Q @ d)
+            else:
+                c = d / max(body.support(d), body.support(-d))
+            comps.append(linear_pullback(self.gauge, c))
+        return comps
+
+    def geodesic_witnesses(self, seed: int, samples: int):
+        from .geodesics import striptube_geodesic
+        gaps = []
+        for k in range(samples):
+            rng = substream(seed, k)
+            d = unit_vector(rng, self.dim)
+            y = d / self.gauge(d) * rng.uniform(0.1, 0.9) * QUARTER_PI
+            x = rng.uniform(-1.0, 1.0, self.dim)
+            zeta = complex(rng.uniform(-1.0, 1.0),
+                           rng.uniform(0.05, 0.95) * QUARTER_PI)
+            f = striptube_geodesic(self.gauge, x, y, zeta)
+            gaps.append(abs(self.potential(f) - zeta.imag))
+        return gaps, []
+
+    def strip_point(self, w: complex, rng) -> np.ndarray:
+        from .geodesics import striptube_geodesic
+        d = unit_vector(rng, self.dim)
+        y = d / self.gauge(d)
+        x = rng.uniform(-1.0, 1.0, self.dim)
+        return striptube_geodesic(self.gauge, x, y, w)
+
+    def disc_bound(self, x, v) -> float:
+        # flat ray of striptube_geodesic, reparameterized to unit speed
+        return self.gauge(v)
+
+    def geodesic_record(self, z) -> dict:
+        y = as_point(z, self.dim).imag
+        if not np.any(y):
+            raise OutsideDomainError("no flat ray through center points")
+        height = self.gauge(y)
+        return {"direction": list(map(float, y / height)), "height": height,
+                "u": self.potential(z) if self.member(z) else None}
 
 
 class EllipticTube(Model):
@@ -339,6 +435,7 @@ class EllipticTube(Model):
         self.dim = body.dim
 
     name = "elliptictube"
+    gauge_identities = True
 
     def gauges(self, z) -> tuple[float, float]:
         """The pair (p(z), p(conj z)) at z = x + iy."""
@@ -441,6 +538,66 @@ class EllipticTube(Model):
             if self.potential(z) >= 10.0 * h / rin:
                 return z
         raise ConvergenceError("elliptic-tube safe sampling starved")
+
+    def competitors(self, seed: int) -> list:
+        from .geodesics import chart
+        from .maximality import geodesic_pullback, slab_pullback
+        comps = [slab_pullback(self.body,
+                               unit_vector(substream(seed, 10 ** 6 + j),
+                                           self.dim))
+                 for j in range(12)]
+        for j in range(4):
+            z = self.sample_member(substream(seed, 2 * 10 ** 6 + j))
+            if np.any(z.imag):
+                comps.append(geodesic_pullback(chart(self.body, z)))
+        return comps
+
+    def geodesic_witnesses(self, seed: int, samples: int):
+        from .geodesics import chart, identity_residual
+        gaps, reconstructions = [], []
+        for j in range(10):
+            z = self.sample_member(substream(seed, 3 * 10 ** 6 + j))
+            if not np.any(z.imag):
+                continue
+            ch = chart(self.body, z)
+            # relative to |z|, so rounding on a large body is no failure
+            rec = float(np.linalg.norm(ch.point(ch.zeta0) - z))
+            reconstructions.append(rec / max(1.0, float(np.linalg.norm(z))))
+            gaps.append(identity_residual(self.body, z,
+                                          max(samples // 10, 10), seed + j))
+        return gaps, reconstructions
+
+    def strip_point(self, w: complex, rng) -> np.ndarray:
+        from .geodesics import chart
+        z = self.sample_member(rng)
+        while not np.any(z.imag):
+            z = self.sample_member(rng)
+        return chart(self.body, z).strip_point(w)
+
+    def disc_bound(self, x, v) -> float:
+        from .geodesics import chart
+        # the chart disc depends only on the ray of v; scale v into the
+        # tube, chart there, and undo the scaling on the realized bound
+        p, q = self.gauges(x + 1j * v)
+        tau = 0.5 / math.sqrt(p * q)
+        ch = chart(self.body, x + 1j * tau * v)
+        return 0.5 * (1.0 / ch.t1 + 1.0 / ch.t2) / tau
+
+    def eval_record(self, z) -> dict:
+        record = super().eval_record(z)
+        if self.body.contains(as_point(z, self.dim).real):
+            record["p"], record["p_bar"] = self.gauges(z)
+        return record
+
+    def geodesic_record(self, z) -> dict:
+        from .geodesics import chart
+        z = as_point(z, self.dim)
+        ch = chart(self.body, z)
+        return {"t1": ch.t1, "t2": ch.t2,
+                "x1": list(map(float, ch.x1)), "x2": list(map(float, ch.x2)),
+                "zeta0": [ch.zeta0.real, ch.zeta0.imag],
+                "reconstruction_residual":
+                    float(np.linalg.norm(ch.point(ch.zeta0) - z))}
 
 
 @dataclass(frozen=True)

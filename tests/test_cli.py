@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from pshmodels import model_from_spec
-from pshmodels.cli import _check_step, _emit, main
+from pshmodels.cli import _emit, main
+from pshmodels.suites import check_step
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -124,6 +125,15 @@ class TestMetric:
         code, _, err = run(capsys, ["metric", "--model", spec_path(BALL_TUBE),
                                     "--x", "2.0,0.0", "--xi", "1,0"])
         assert code == 3
+
+    @pytest.mark.parametrize("xi", ["0,0,0,0", "1,0,0,0", "0", "1"])
+    def test_xi_of_wrong_dimension(self, spec_path, capsys, xi):
+        # a zero xi used to skip the dimension check and print zeros
+        code, out, err = run(capsys, ["metric", "--model",
+                                      spec_path(BALL_TUBE), "--x", "0,0",
+                                      "--xi", xi])
+        assert code == 2
+        assert out == "" and "xi dimension" in err
 
 
 class TestGeodesic:
@@ -290,6 +300,19 @@ class TestVerify:
         assert suites["geodesics"]["pass"] is True
         assert suites["maximality"]["pass"] is True
 
+    @pytest.mark.parametrize("spec", [STRIP, DISC], ids=["strip1d", "disc1d"])
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    @pytest.mark.parametrize("suite", ["psh", "all", "geodesics"])
+    def test_non_finite_step_rejected(self, spec_path, capsys, spec, step,
+                                      suite):
+        # 1-D models have no body; the finiteness test used to be skipped
+        # with it, and psh died in rng.uniform with exit 1
+        code, out, err = run(capsys, ["verify", "--model", spec_path(spec),
+                                      "--suite", suite, "--samples", "5",
+                                      f"--step={step}"])
+        assert code == 2
+        assert out == "" and "--step must be positive and finite" in err
+
     def test_step_check_leaves_other_suites_alone(self, spec_path, capsys):
         code, out, _ = run(capsys, ["verify", "--model",
                                     spec_path({"model": "striptube",
@@ -305,7 +328,7 @@ class TestVerify:
     def test_example_specs_pass_the_step_check(self, path):
         # each at the step README documents for it
         model = model_from_spec(json.loads(path.read_text()))
-        _check_step(model, 2e-4 if "squircle" in path.name else 1e-3)
+        check_step(model, 2e-4 if "squircle" in path.name else 1e-3)
 
 
 class TestSlice:

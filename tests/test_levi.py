@@ -27,6 +27,9 @@ class CorruptedModel:
     def potential(self, z):
         return self._base.potential(z) + self._perturb(np.asarray(z))
 
+    def potential_batch(self, Z):
+        return np.array([self.potential(z) for z in Z], dtype=float)
+
     def sample_fd_safe(self, rng, h):
         return self._base.sample_fd_safe(rng, h)
 
@@ -39,6 +42,9 @@ class QuadraticModel:
 
     def potential(self, z):
         return sq_norm_field(z)
+
+    def potential_batch(self, Z):
+        return np.array([self.potential(z) for z in Z], dtype=float)
 
     def sample_fd_safe(self, rng, h):
         return rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
