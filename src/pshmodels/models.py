@@ -75,12 +75,13 @@ def _atan_mean(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 class Model:
     """Base class: a tube domain with center and extremal potential.
 
-    Each model also has ``member_batch``, ``potential_batch``, the
-    maximality battery ``competitors(seed)``, and ``strip_point(w, rng)``:
-    w, |Im w| < pi/4, mapped into the domain by a holomorphic strip map
-    (drawn from rng on tubes). ``geodesic_witnesses(seed, samples)`` gives
-    the gap of the potential along each extremal disc or flat ray to its
-    closed form, and each disc chart's base point error over max(1, |z|).
+    Each model also has ``member_batch`` and ``potential_batch``; the
+    maximality battery ``competitors(seed)``; ``strip_point(w, rng)``, the
+    image of w, |Im w| < pi/4, under a holomorphic strip map into the
+    domain (drawn from rng on tubes); and ``geodesic_witnesses(seed,
+    samples)``, a pair (gaps, reconstructions): per extremal disc or flat
+    ray, the largest gap between the potential along it and its closed
+    form, and per disc chart, its base point error over max(1, |z|).
     """
 
     name: str
