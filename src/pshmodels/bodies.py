@@ -3,6 +3,8 @@
 A body supplies membership, the gauge p(x, y) = inf{t > 0 : x + y/t in body}
 centered at an interior point x, the y-Hessian of the gauge where the
 boundary is C^2, and support values used to certify holomorphic pullbacks.
+Support values come from closed forms only (polytope vertices, ellipsoid
+and superellipse duality); a generic smooth body has none and refuses.
 Polytopes and ellipsoids use closed forms, also batched over the rows of
 (N, n) arrays by ``gauge_batch``; ``gauge_centers`` marks the rows at which
 a gauge may be centered. Smooth bodies bracket the root on
@@ -11,8 +13,6 @@ along the ray, bisecting whenever a Newton step would leave the bracket;
 their ``gauge_batch`` runs that root find row by row. A polytope is
 built with NumPy alone: its vertices, bounding box and Chebyshev ball come
 from solving every square subsystem of its halfspaces in one stacked call.
-SciPy is imported only by the optimizer of ``SmoothBody.support``, so
-polytopes, ellipsoids and superellipses never load it.
 """
 from __future__ import annotations
 
@@ -81,8 +81,10 @@ class ConvexBody:
         raise NotImplementedError
 
     def support(self, a) -> float:
-        """sup of a . w over the body (finite by boundedness)."""
-        raise NotImplementedError
+        """sup of a . w over the body (finite by boundedness), from a closed
+        form; a body without one refuses, so no competitor rests on an
+        uncertified bound."""
+        raise SpecError(f"no certified support for {type(self).__name__}")
 
     def interior_point(self) -> np.ndarray:
         raise NotImplementedError
@@ -397,11 +399,12 @@ class SmoothBody(ConvexBody):
     """Body {w : f(w) < 0} given by an oracle w -> (value, gradient, Hessian).
 
     The caller declares a bounding radius; convexity is spot-checked by
-    sampling the oracle Hessian.
+    sampling the oracle Hessian. A generic body has no certified support
+    value, so competitors that need one are not built over it.
     """
 
     def __init__(self, oracle: Callable[[np.ndarray], tuple], dim: int,
-                 bounding_radius: float, check_convexity: bool = True):
+                 bounding_radius: float):
         if bounding_radius <= 0 or not np.isfinite(bounding_radius):
             raise SpecError("bounding radius must be positive and finite")
         self.oracle = oracle
@@ -409,8 +412,7 @@ class SmoothBody(ConvexBody):
         self.bounding_radius = float(bounding_radius)
         if not self.contains(np.zeros(self.dim)):
             raise SpecError("smooth body oracle must contain the origin")
-        if check_convexity:
-            self._spot_check_convexity()
+        self._spot_check_convexity()
 
     def _spot_check_convexity(self):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(0)))
@@ -426,38 +428,6 @@ class SmoothBody(ConvexBody):
             return False
         value, _, _ = self.oracle(x)
         return bool(value < 0.0)
-
-    def support(self, a) -> float:
-        """Multistart ascent of a . w over the boundary, with a safety margin."""
-        from scipy.optimize import minimize
-        a = _vector(a, self.dim)
-        norm_a = np.linalg.norm(a)
-        if norm_a == 0.0:
-            return 0.0
-        origin = np.zeros(self.dim)
-
-        def neg_ratio(d):
-            n = np.linalg.norm(d)
-            if n < 1e-9:
-                return 0.0
-            d = d / n
-            return -(a @ d) / self.gauge(origin, d)
-
-        starts = [a / norm_a]
-        eye = np.eye(self.dim)
-        starts.extend(eye)
-        starts.extend(-eye)
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(1)))
-        for _ in range(4):
-            v = rng.normal(size=self.dim)
-            starts.append(v / np.linalg.norm(v))
-        best = -np.inf
-        for s in starts:
-            res = minimize(neg_ratio, s, method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-12,
-                                    "maxiter": 400})
-            best = max(best, -float(res.fun))
-        return best + 1e-9
 
     def interior_point(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -566,16 +536,18 @@ class Superellipse(SmoothBody):
         self.power = power
 
         def oracle(w):
+            # no Hessian: only the convexity spot check would read it
             s = w / radii
             value = float(np.sum(s ** power) - 1.0)
             grad = power * s ** (power - 1) / radii
-            hess = np.diag(power * (power - 1) * s ** (power - 2) / radii ** 2)
-            return value, grad, hess
+            return value, grad, None
 
         # |w_i| < r_i for members, so the box diagonal bounds the body
         super().__init__(oracle, radii.size,
-                         bounding_radius=float(np.linalg.norm(radii)) * 1.0001,
-                         check_convexity=False)
+                         bounding_radius=float(np.linalg.norm(radii)) * 1.0001)
+
+    def _spot_check_convexity(self):
+        """Nothing to check: a sum of even powers is convex."""
 
     def support(self, a) -> float:
         # Hoelder duality: the dual of the weighted m-norm ball

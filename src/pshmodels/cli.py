@@ -89,7 +89,7 @@ def _model_and_point(args):
 def cmd_eval(args) -> int:
     model, z = _model_and_point(args)
     record = model.eval_record(z)
-    print(json.dumps(record, sort_keys=True))
+    _emit(record, args.out)
     return 0 if record["member"] else 3
 
 
@@ -113,13 +113,13 @@ def cmd_metric(args) -> int:
         if abs(closed - fd) > tols["metric_fd"]:
             print(f"warning: closed-form and FD metrics differ by "
                   f"{abs(closed - fd):.3e}", file=sys.stderr)
-    print(json.dumps(record, sort_keys=True))
+    _emit(record, args.out)
     return 0
 
 
 def cmd_geodesic(args) -> int:
     model, z = _model_and_point(args)
-    print(json.dumps(model.geodesic_record(z), sort_keys=True))
+    _emit(model.geodesic_record(z), args.out)
     return 0
 
 
@@ -181,16 +181,22 @@ def cmd_slice(args) -> int:
     return 0
 
 
-def _add_common(parser):
+# the options shared between subcommands; each takes only those it reads
+_COMMON = {
+    "--seed": dict(type=int, default=42),
+    "--samples": dict(type=int, default=1000),
+    "--step": dict(type=float, default=1e-3, help="finite-difference step h"),
+    "--tol": dict(action="append", metavar="NAME=V",
+                  help="override a named tolerance"),
+    "--out": dict(default=None, help="output file path"),
+}
+
+
+def _add_common(parser, *flags):
     parser.add_argument("--model", required=True,
                         help="path to the model spec JSON")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--samples", type=int, default=1000)
-    parser.add_argument("--step", type=float, default=1e-3,
-                        help="finite-difference step h")
-    parser.add_argument("--tol", action="append", metavar="NAME=V",
-                        help="override a named tolerance")
-    parser.add_argument("--out", default=None, help="output file path")
+    for flag in flags:
+        parser.add_argument(flag, **_COMMON[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,33 +207,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate the potential at a point")
-    _add_common(p_eval)
+    _add_common(p_eval, "--out")
     p_eval.add_argument("--point", required=True,
                         help="comma-separated complex coordinates, e.g. "
                              "'0.1+0.2j,0.3'")
     p_eval.set_defaults(func=cmd_eval)
 
     p_metric = sub.add_parser("metric", help="evaluate the center metric")
-    _add_common(p_metric)
+    _add_common(p_metric, "--tol", "--out")
     p_metric.add_argument("--x", required=True, help="center point")
     p_metric.add_argument("--xi", required=True, help="tangent direction")
     p_metric.set_defaults(func=cmd_metric)
 
     p_geo = sub.add_parser("geodesic", help="emit the geodesic chart "
                                             "through a point")
-    _add_common(p_geo)
+    _add_common(p_geo, "--out")
     p_geo.add_argument("--point", required=True)
     p_geo.set_defaults(func=cmd_geodesic)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p_verify)
+    _add_common(p_verify, *_COMMON)
     p_verify.add_argument("--suite", required=True,
                           choices=SUITES + ("all",))
     p_verify.set_defaults(func=cmd_verify)
 
     p_slice = sub.add_parser("slice", help="dump a CSV grid of the potential "
                                            "over an affine 2-plane")
-    _add_common(p_slice)
+    _add_common(p_slice, "--out")
     p_slice.add_argument("--plane", required=True, metavar="I,J",
                          help="two of the 2n real coordinates (0..n-1 real "
                               "parts, n..2n-1 imaginary parts)")

@@ -73,9 +73,13 @@ def identity_residual(body: ConvexBody, z, nsamples: int, seed: int) -> float:
     drawn one by one and evaluated in one batched potential call."""
     if nsamples < 1:
         raise ValueError("nsamples must be positive")
-    ch = chart(body, z)
+    return _chart_residual(chart(body, z), nsamples, seed)
+
+
+def _chart_residual(ch: GeodesicChart, nsamples: int, seed: int) -> float:
+    """identity_residual over an already built chart."""
     zetas = [unit_disc_point(substream(seed, k)) for k in range(nsamples)]
-    values = EllipticTube(body).potential_batch(
+    values = EllipticTube(ch.body).potential_batch(
         np.array([ch.point(zeta) for zeta in zetas])).tolist()
     return max([0.0] + [abs(value - abs(cmath.atanh(zeta).imag))
                         for value, zeta in zip(values, zetas)])

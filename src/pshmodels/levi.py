@@ -248,7 +248,9 @@ def metric_levi_pair(model: StripTube, x, v,
                      h: float = 1e-4) -> tuple[float, float]:
     """(sqrt of twice the Levi form of the squared potential, closed-form
     metric) at a center point; the pair agrees to O(h^2) when the squared
-    gauge is C^2 (ellipsoidal gauges).
+    gauge is C^2 (ellipsoidal gauges). The Levi form is levi_line's; its
+    real-direction stencil points lie on the center, where the squared
+    potential vanishes.
     """
     if not isinstance(model, StripTube):
         raise TypeError("squared-potential check is defined for strip tubes")
@@ -258,9 +260,5 @@ def metric_levi_pair(model: StripTube, x, v,
     v = _vector(v, model.dim)
     if not np.any(v):
         return 0.0, 0.0
-
-    def g(t: float) -> float:
-        return model.potential(x + 1j * t * v) ** 2
-
-    second = (g(h) - 2.0 * g(0.0) + g(-h)) / (h * h)
-    return math.sqrt(max(0.5 * second, 0.0)), model.metric(x, v)
+    levi = levi_line(lambda z: model.potential(z) ** 2, x, v, h)
+    return math.sqrt(max(2.0 * levi, 0.0)), model.metric(x, v)

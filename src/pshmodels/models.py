@@ -421,7 +421,7 @@ class StripTube(Model):
             raise OutsideDomainError("no flat ray through center points")
         height = self.gauge(y)
         return {"direction": list(map(float, y / height)), "height": height,
-                "u": self.potential(z) if self.member(z) else None}
+                "u": self.potential(z)}
 
 
 class EllipticTube(Model):
@@ -507,12 +507,12 @@ class EllipticTube(Model):
                 return x
         raise ConvergenceError("body sampling starved")
 
-    def sample_member(self, rng, margin: float = 0.9) -> np.ndarray:
+    def sample_member(self, rng) -> np.ndarray:
         x = self._sample_body_point(rng, 0.97)
         d = unit_vector(rng, self.dim)
         pu = self.body._gauge(x, d)
         qu = self.body._gauge(x, -d)
-        t = math.sqrt(rng.uniform(0.0, margin) / (pu * qu))
+        t = math.sqrt(rng.uniform(0.0, 0.9) / (pu * qu))
         return x + 1j * t * d
 
     def sample_center(self, rng) -> np.ndarray:
@@ -554,7 +554,7 @@ class EllipticTube(Model):
         return comps
 
     def geodesic_witnesses(self, seed: int, samples: int):
-        from .geodesics import chart, identity_residual
+        from .geodesics import _chart_residual, chart
         gaps, reconstructions = [], []
         for j in range(10):
             z = self.sample_member(substream(seed, 3 * 10 ** 6 + j))
@@ -564,8 +564,7 @@ class EllipticTube(Model):
             # relative to |z|, so rounding on a large body is no failure
             rec = float(np.linalg.norm(ch.point(ch.zeta0) - z))
             reconstructions.append(rec / max(1.0, float(np.linalg.norm(z))))
-            gaps.append(identity_residual(self.body, z,
-                                          max(samples // 10, 10), seed + j))
+            gaps.append(_chart_residual(ch, max(samples // 10, 10), seed + j))
         return gaps, reconstructions
 
     def strip_point(self, w: complex, rng) -> np.ndarray:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import pytest
 import pshmodels
 
 from pshmodels import (Ellipsoid, Gauge, OutsideDomainError, Polytope,
-                       SpecError, Superellipse, body_from_spec, interval,
-                       substream, unit_vector)
+                       SmoothBody, SpecError, Superellipse, body_from_spec,
+                       interval, substream, unit_vector)
 
 from conftest import bisect_gauge, fd_hessian
 
@@ -257,6 +258,11 @@ class TestSupport:
                 w = d / squircle.gauge(np.zeros(2), d)
                 assert a @ w <= h + 1e-9
 
+    def test_generic_smooth_body_has_no_certified_support(
+            self, zero_gradient_disc):
+        with pytest.raises(SpecError, match="no certified support"):
+            zero_gradient_disc.support([1.0, 0.0])
+
 
 class TestValidation:
     def test_unbounded_polytope_rejected(self):
@@ -278,6 +284,18 @@ class TestValidation:
     def test_superellipse_odd_power_rejected(self):
         with pytest.raises(SpecError):
             Superellipse([1.0, 1.0], power=3)
+
+    def test_generic_oracle_is_spot_checked(self):
+        # a saddle Hessian: any generic oracle is checked for convexity
+        def oracle(w):
+            return (float(w[0] ** 2 - w[1] ** 2 - 1.0),
+                    np.array([2.0 * w[0], -2.0 * w[1]]), np.diag([2.0, -2.0]))
+        with pytest.raises(SpecError, match="not convex"):
+            SmoothBody(oracle, 2, bounding_radius=1.5)
+
+    def test_superellipse_oracle_builds_no_hessian(self, squircle):
+        # convex by construction, so nothing reads a Hessian
+        assert squircle.oracle(np.array([0.3, -0.2]))[2] is None
 
     def test_interval_requires_order(self):
         with pytest.raises(SpecError):
@@ -393,8 +411,11 @@ class TestLazyScipy:
             """)
 
     def test_polytope_commands_never_load_scipy(self):
-        specs = [os.path.join(SPEC_DIR, name)
-                 for name in ("square_tube.json", "striptube_asym.json")]
+        # every spec in specs/ over a closed-form body, 1-D models included
+        specs = sorted(str(path) for path in Path(SPEC_DIR).glob("*.json")
+                       if json.loads(path.read_text()).get(
+                           "body", {}).get("type") != "smooth")
+        assert len(specs) == 8
         _run_fresh(f"""
             import contextlib, io, sys
             import pshmodels

@@ -169,6 +169,56 @@ class TestGeodesic:
                                   spec_path(INTERVAL_TUBE), "--point", "0.5"])
         assert code == 3
 
+    def test_striptube_nonmember_rejected(self, capsys):
+        # gauge 10 > pi/4: the record used to print "u": null with exit 0
+        code, out, err = run(capsys, ["geodesic", "--model",
+                                      str(ROOT / "specs" /
+                                          "striptube_ellipsoid.json"),
+                                      "--point", "0,5j"])
+        assert code == 3
+        assert out == "" and "not in the strip tube" in err
+
+
+# the common options each subcommand reads; it must refuse the others
+READS = {"eval": ("--out",), "metric": ("--tol", "--out"),
+         "geodesic": ("--out",), "slice": ("--out",),
+         "verify": ("--seed", "--samples", "--step", "--tol", "--out")}
+COMMON_VALUES = {"--seed": "7", "--samples": "5", "--step": "0.01",
+                 "--tol": "psh=1e-6", "--out": "report.out"}
+REQUIRED = {"eval": ["--point", "0.5j"], "metric": ["--x", "0", "--xi", "1"],
+            "geodesic": ["--point", "0.5j"], "slice": ["--plane", "0,1"],
+            "verify": ["--suite", "psh"]}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in READS for flag in COMMON_VALUES
+        if flag not in READS[command]])
+    def test_unread_option_rejected(self, spec_path, capsys, command, flag):
+        argv = [command, "--model", spec_path(INTERVAL_TUBE),
+                *REQUIRED[command], flag, COMMON_VALUES[flag]]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == "" and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["eval", "--point", "0.1+0.2j,0.3j"], 0),
+        (["eval", "--point", "2.0j,0"], 3),
+        (["metric", "--x", "0.1,0.2", "--xi", "0.3,-0.5"], 0),
+        (["metric", "--x", "0,0", "--xi", "0,0"], 0),
+        (["geodesic", "--point", "0.1+0.2j,0.3j"], 0),
+    ], ids=["eval", "eval-nonmember", "metric", "metric-zero", "geodesic"])
+    def test_out_file_holds_the_stdout_bytes(self, spec_path, capsys,
+                                             tmp_path, argv, code):
+        model = ["--model", spec_path(BALL_TUBE)]
+        code_stdout, out, _ = run(capsys, argv[:1] + model + argv[1:])
+        out_path = tmp_path / "record.json"
+        code_file, printed, _ = run(capsys, argv[:1] + model + argv[1:]
+                                    + ["--out", str(out_path)])
+        assert code_stdout == code_file == code
+        assert printed == ""
+        assert out_path.read_bytes() == out.encode("utf-8")
+
 
 class TestVerify:
     def test_all_on_ball_tube(self, spec_path, capsys):

@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from pshmodels import geodesics
 from pshmodels import (QUARTER_PI, Disc1D, EllipticTube, Gauge,
                        OutsideDomainError, Strip1D, StripTube, chart,
                        disc_upper_bound, identity_residual,
@@ -131,6 +132,22 @@ class TestIdentityResidual:
         # a residual over no samples would read 0.0, a vacuous pass
         with pytest.raises(ValueError):
             identity_residual(unit_ball, np.array([0.3j, 0.0]), nsamples, 11)
+
+    def test_witnesses_build_each_chart_once(self, unit_ball, monkeypatch):
+        built = []
+
+        def counting_chart(body, z):
+            built.append(z)
+            return chart(body, z)
+
+        monkeypatch.setattr(geodesics, "chart", counting_chart)
+        gaps, reconstructions = EllipticTube(unit_ball).geodesic_witnesses(
+            42, 20)
+        assert len(gaps) == len(reconstructions) == 10
+        assert len(built) == 10
+        # the shared chart gives the residual identity_residual computes
+        assert gaps == [identity_residual(unit_ball, z, 10, 42 + j)
+                        for j, z in enumerate(list(built))]
 
     def test_real_zeta_trivial(self, unit_ball):
         ch = chart(unit_ball, np.array([0.3j, 0.0]))

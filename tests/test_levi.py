@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -249,6 +250,23 @@ class TestMetricFromSquaredPotential:
     def test_zero_direction(self, unit_ball):
         tube = StripTube(Gauge(unit_ball))
         assert metric_levi_pair(tube, [0.0, 0.0], [0.0, 0.0]) == (0.0, 0.0)
+
+    def test_equals_the_second_difference_along_i_v(self, ellipsoid14):
+        # the Levi form's real-direction points lie on the center, where
+        # the squared potential is 0, so levi_line reduces to the 3-point
+        # second difference of t -> u(x + i t v)^2, bit for bit
+        tube = StripTube(Gauge(ellipsoid14))
+        h = 1e-4
+        for k in range(20):
+            rng = substream(31, k)
+            x, v = rng.normal(size=2), rng.normal(size=2)
+
+            def g(t):
+                return tube.potential(x + 1j * t * v) ** 2
+
+            second = (g(h) - 2.0 * g(0.0) + g(-h)) / (h * h)
+            assert metric_levi_pair(tube, x, v, h)[0] == \
+                math.sqrt(max(0.5 * second, 0.0))
 
     def test_polytope_gauge_rejected(self, unit_square):
         tube = StripTube(Gauge(unit_square))

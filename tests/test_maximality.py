@@ -8,6 +8,7 @@ from pshmodels import (QUARTER_PI, Competitor, Disc1D, Ellipsoid,
                        chart, geodesic_pullback, interval, linear_pullback,
                        max_violation, member_samples, slab_pullback,
                        substream, unit_disc_point)
+from pshmodels.suites import TOL_DEFAULTS, verify
 
 
 class TestSlabPullback:
@@ -93,6 +94,19 @@ class TestLinearPullback:
         with pytest.raises(SpecError):
             linear_pullback(gauge, [0.6])
 
+
+    def test_generic_smooth_gauge_not_certified(self, zero_gradient_disc):
+        with pytest.raises(SpecError, match="no certified support"):
+            linear_pullback(Gauge(zero_gradient_disc), [0.5, 0.0])
+
+    def test_generic_smooth_tube_skips_maximality(self, zero_gradient_disc):
+        tube = StripTube(Gauge(zero_gradient_disc))
+        report = verify(tube, "all", 42, 3, 1e-3, TOL_DEFAULTS)
+        suites = {r["check"]: r for r in report["suites"]}
+        assert suites["maximality"] == {
+            "check": "maximality", "model": "striptube",
+            "skipped": "no certified support for SmoothBody"}
+        assert suites["schwarz"]["pass"] is True
 
 class TestGeodesicPullback:
     def test_interval_equality_witness(self, interval_sym):

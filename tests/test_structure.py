@@ -1,5 +1,6 @@
 """The CLI, the suites and the geodesics module branch on no model type:
-what differs between models lives on the model classes."""
+what differs between models lives on the model classes. No module of the
+package imports SciPy, which only the tests use, as an independent oracle."""
 import ast
 from pathlib import Path
 
@@ -41,3 +42,34 @@ def test_guard_sees_each_spelling():
               "isinstance(m, (Disc1D, int))\n"
               "isinstance(m, Ellipsoid)\n")
     assert model_isinstance_lines(source) == [1, 2, 3]
+
+
+def scipy_import_lines(source: str) -> list:
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert scipy_import_lines(path.read_text()) == []
+
+
+def test_scipy_guard_sees_each_spelling():
+    source = ("import scipy\n"
+              "from scipy.optimize import minimize\n"
+              "import numpy, scipy.linalg as la\n"
+              "def f():\n"
+              "    from scipy import optimize\n"
+              "from .scipy_free import x\n"
+              "import scipyish\n")
+    assert scipy_import_lines(source) == [1, 2, 3, 5]
