@@ -37,6 +37,11 @@ def _commands() -> dict:
         for command in ("eval", "geodesic"):
             commands[f"{command} {spec}"] = [command, "--model", model,
                                               "--point", point]
+    # about 2,500 smooth-body gauge rows per batched call
+    commands["verify striptube_squircle 42 large"] = [
+        "verify", "--model", str(ROOT / "specs" / "striptube_squircle.json"),
+        "--suite", "all", "--samples", "100", "--step", "2e-4", "--seed",
+        "42"]
     for spec, plane in (("ball_tube", "2,3"), ("square_tube", "0,2")):
         commands[f"slice {spec}"] = [
             "slice", "--model", str(ROOT / "specs" / f"{spec}.json"),
