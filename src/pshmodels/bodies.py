@@ -10,7 +10,10 @@ Polytopes and ellipsoids use closed forms, also batched over the rows of
 a gauge may be centered. Smooth bodies bracket the root on
 membership and then run a safeguarded Newton iteration on the oracle value
 along the ray, bisecting whenever a Newton step would leave the bracket;
-their ``gauge_batch`` runs that root find row by row. A polytope is
+their ``gauge_batch`` runs that root find as one masked loop over all rows,
+on the batched oracle ``oracle_batch``, and gives the scalar gauges bit for
+bit. One-row callers keep the scalar path, which is cheaper for a single
+ray. A polytope is
 built with NumPy alone: its vertices, bounding box and Chebyshev ball come
 from solving every square subsystem of its halfspaces in one stacked call.
 """
@@ -114,15 +117,8 @@ class ConvexBody:
 
     def gauge_batch(self, X, Y) -> np.ndarray:
         """Gauges centered at the rows of X, at the rows of Y, as an (N,)
-        array; raises OutsideDomainError if any center is outside.
-
-        Generic version: the scalar gauge row by row. Closed-form bodies
-        override it with one array expression.
-        """
-        X = _rows(X, self.dim)
-        Y = _rows(Y, self.dim)
-        return np.array([self._gauge(x, y) for x, y in zip(X, Y)],
-                        dtype=float)
+        array; raises OutsideDomainError if any center is outside."""
+        raise NotImplementedError
 
     def gauge_hessian(self, x, y) -> np.ndarray:
         """y-Hessian of the gauge centered at interior x, at y != 0."""
@@ -399,8 +395,11 @@ class SmoothBody(ConvexBody):
     """Body {w : f(w) < 0} given by an oracle w -> (value, gradient, Hessian).
 
     The caller declares a bounding radius; convexity is spot-checked by
-    sampling the oracle Hessian. A generic body has no certified support
-    value, so competitors that need one are not built over it.
+    sampling the oracle Hessian. ``oracle_batch`` gives the values and
+    gradients at the rows of an (N, n) array, for the batched root find of
+    ``gauge_batch``; a subclass with a closed form overrides it. A generic
+    body has no certified support value, so competitors that need one are
+    not built over it.
     """
 
     def __init__(self, oracle: Callable[[np.ndarray], tuple], dim: int,
@@ -446,9 +445,27 @@ class SmoothBody(ConvexBody):
         half = np.full(self.dim, self.bounding_radius)
         return -half, half.copy()
 
+    def oracle_batch(self, W: np.ndarray):
+        """Values (N,) and gradients (N, n) of the oracle at the rows of W.
+
+        Generic version: the oracle row by row.
+        """
+        values = np.empty(len(W))
+        grads = np.empty_like(W)
+        for i, w in enumerate(W):
+            values[i], grads[i], _ = self.oracle(w)
+        return values, grads
+
+    def _members(self, W: np.ndarray) -> np.ndarray:
+        """contains at each row of a validated (N, n) array; as there, the
+        oracle sees only the rows within the bounding radius."""
+        near = np.sqrt(_rowdot(W, W)) <= self.bounding_radius
+        member = np.zeros(len(W), dtype=bool)
+        member[near] = self.oracle_batch(W[near])[0] < 0.0
+        return member
+
     def gauge_centers(self, X) -> np.ndarray:
-        X = _rows(X, self.dim)
-        return np.array([self.contains(x) for x in X], dtype=bool)
+        return self._members(_rows(X, self.dim))
 
     def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
         if not self.contains(x):
@@ -510,6 +527,86 @@ class SmoothBody(ConvexBody):
                 s = s_lo + step
         raise ConvergenceError("gauge root find did not settle")
 
+    def gauge_batch(self, X, Y) -> np.ndarray:
+        X = _rows(X, self.dim)
+        Y = _rows(Y, self.dim)
+        if not np.all(self._members(X)):
+            raise OutsideDomainError("gauge center x is not inside the body")
+        out = np.zeros(len(X))
+        rows = np.flatnonzero(np.any(Y, axis=1))
+        if len(rows):
+            out[rows] = 1.0 / self._roots(X[rows], Y[rows])
+        return out
+
+    def _roots(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """The root s of ``_gauge_bisect`` at every row pair, y != 0.
+
+        The scalar iteration run on all rows at once: each row keeps its
+        own bracket, steps and iteration count, with the same constants,
+        tests and dot products, and leaves the loop when a scalar stopping
+        rule fires; so each root is the scalar one bit for bit. The state
+        arrays hold only the rows still running.
+        """
+        s_lo, s_hi = self._brackets(X, Y)
+        roots = np.empty(len(X))
+        rows = np.arange(len(X))
+        s = 0.5 * (s_lo + s_hi)
+        step = step_before = s_hi - s_lo
+        # the scalar divides Python floats, which never warn; a slope of
+        # 0 or below gives no Newton step (inf) there
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(_MAX_ROOT_STEPS):
+                value, grad = self.oracle_batch(X + s[:, None] * Y)
+                below = value < 0.0
+                np.copyto(s_lo, s, where=below)
+                np.copyto(s_hi, s, where=~below)
+                slope = _rowdot(grad, Y)
+                newton = value / slope
+                np.copyto(newton, np.inf, where=~(slope > 0.0))
+                size = np.abs(newton)
+                target = s - newton
+                width = s_hi - s_lo
+                by_newton = size <= _REL_TOL * s
+                done = by_newton | (width <= _REL_TOL * s_hi)
+                if np.count_nonzero(done):
+                    roots[rows[done]] = np.where(by_newton, target, s)[done]
+                    keep = np.flatnonzero(~done)
+                    if not len(keep):
+                        return roots
+                    (rows, X, Y, s, s_lo, s_hi, step, step_before, size,
+                     target, width) = (
+                        a[keep] for a in (rows, X, Y, s, s_lo, s_hi, step,
+                                          step_before, size, target, width))
+                take = (s_lo < target) & (target < s_hi) \
+                    & (2.0 * size <= step_before)
+                step_before, step = step, 0.5 * width
+                np.copyto(step, size, where=take)
+                s = s_lo + step
+                np.copyto(s, target, where=take)
+        raise ConvergenceError("gauge root find did not settle")
+
+    def _brackets(self, X: np.ndarray, Y: np.ndarray):
+        """(s_lo, s_hi) of ``_gauge_bisect``'s membership bracket at every
+        row pair: from s = 1, rows whose point is inside grow s by
+        _BRACKET_GROWTH until it leaves, the others shrink it until it
+        enters, each row with its own count. A row that has crossed probes
+        the same s again and crosses again, so it needs no mask."""
+        up = self._members(X + Y)
+        down = ~up
+        near = np.ones(len(X))  # last s on the side of s = 1
+        far = np.empty(len(X))  # first s across the boundary
+        for _ in range(_MAX_BRACKET):
+            probe = near * _BRACKET_GROWTH
+            np.copyto(probe, near / _BRACKET_GROWTH, where=down)
+            crossed = self._members(X + probe[:, None] * Y) != up
+            np.copyto(far, probe, where=crossed)
+            np.copyto(near, probe, where=~crossed)
+            if np.count_nonzero(crossed) == len(X):
+                return np.where(up, near, far), np.where(up, far, near)
+        if up[np.argmin(crossed)]:
+            raise ConvergenceError("no outer bracket for the gauge root")
+        raise ConvergenceError("no inner bracket for the gauge root")
+
     def gauge_hessian_batch(self, X, Y) -> np.ndarray:
         """Central-difference y-Hessians of the gauge, step 1e-4 |y|."""
         X, Y = _offcenter_rows(X, Y, self.dim)
@@ -545,6 +642,15 @@ class Superellipse(SmoothBody):
         # |w_i| < r_i for members, so the box diagonal bounds the body
         super().__init__(oracle, radii.size,
                          bounding_radius=float(np.linalg.norm(radii)) * 1.0001)
+
+    def oracle_batch(self, W: np.ndarray):
+        """The oracle's closed form over the rows of W, equal to it row by
+        row."""
+        S = W / self.radii
+        m = self.power
+        # add.reduce is np.sum without its wrapper, so the same sum
+        return (np.add.reduce(S ** m, axis=1) - 1.0,
+                m * S ** (m - 1) / self.radii)
 
     def _spot_check_convexity(self):
         """Nothing to check: a sum of even powers is convex."""

@@ -31,11 +31,18 @@ from .suites import RUNNERS, SUITES, TOL_DEFAULTS, verify
 _SUITE_RUNNERS = RUNNERS
 
 
-def _parse_tols(pairs) -> dict:
+# the tolerances each command reads; any other name is refused
+_METRIC_TOLS = ("metric_fd",)
+_VERIFY_TOLS = tuple(name for name in TOL_DEFAULTS if name not in _METRIC_TOLS)
+
+
+def _parse_tols(pairs, names) -> dict:
+    """TOL_DEFAULTS with the NAME=V overrides applied, each NAME one of
+    ``names``, the tolerances the command reads."""
     tols = dict(TOL_DEFAULTS)
     for item in pairs or []:
-        name, _, value = item.partition("=")
-        if not _ or name not in tols:
+        name, sep, value = item.partition("=")
+        if not sep or name not in names:
             raise SpecError(f"unknown tolerance assignment: {item!r}")
         tols[name] = float(value)
         if not (math.isfinite(tols[name]) and tols[name] > 0):
@@ -95,7 +102,7 @@ def cmd_eval(args) -> int:
 
 def cmd_metric(args) -> int:
     model = _load_model(args.model)
-    tols = _parse_tols(args.tol)
+    tols = _parse_tols(args.tol, _METRIC_TOLS)
     x = _parse_reals(args.x)
     v = _parse_reals(args.xi)
     if v.size != model.dim:
@@ -128,7 +135,7 @@ def cmd_verify(args) -> int:
         raise SpecError("--samples must be at least 1")
     model = _load_model(args.model)
     payload = verify(model, args.suite, args.seed, args.samples, args.step,
-                     _parse_tols(args.tol))
+                     _parse_tols(args.tol, _VERIFY_TOLS))
     _emit(payload, args.out)
     return 0 if payload["pass"] else 1
 

@@ -1,7 +1,8 @@
 """Batched evaluation against the scalar path, which is the reference.
 
-Property tests over random SPD ellipsoids and bounded polytopes: batched
-gauges, memberships and potentials reproduce the scalar ones row by row,
+Property tests over random SPD ellipsoids, bounded polytopes and
+superellipses: batched gauges, memberships and potentials reproduce the
+scalar ones row by row (the smooth-body gauges bit for bit),
 batched Levi matrices reproduce levi_matrix, and polytope vertices,
 bounding boxes, Chebyshev radii and support values reproduce HiGHS and
 Qhull.
@@ -16,9 +17,9 @@ from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
 from pshmodels import (Disc1D, Ellipsoid, EllipticTube, Gauge,
-                       OutsideDomainError, Polytope, SpecError, Strip1D,
-                       StripTube, Superellipse, levi_line, levi_matrices,
-                       levi_matrix, substream)
+                       OutsideDomainError, Polytope, SmoothBody, SpecError,
+                       Strip1D, StripTube, Superellipse, levi_line,
+                       levi_matrices, levi_matrix, substream)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 dims = st.integers(min_value=1, max_value=3)
@@ -49,7 +50,14 @@ def polytopes(draw):
     return Polytope(A[keep], b[keep])
 
 
-bodies = st.one_of(ellipsoids(), polytopes())
+@st.composite
+def superellipses(draw):
+    n = draw(dims)
+    radii = draw(arrays(float, n, elements=st.floats(0.3, 3.0)))
+    return Superellipse(radii, draw(st.sampled_from([2, 4, 8])))
+
+
+bodies = st.one_of(ellipsoids(), polytopes(), superellipses())
 
 
 def _interior_rows(body, rng, count, reach=0.95):
@@ -64,15 +72,82 @@ def _scalar_gauges(body, X, Y):
     return np.array([body._gauge(x, y) for x, y in zip(X, Y)])
 
 
+def _rays(body, rng, count):
+    """Off-center x, |y| from 1e-3 to 1e3, and y = 0 in the first row."""
+    X = _interior_rows(body, rng, count)
+    Y = rng.normal(size=X.shape)
+    Y *= (10.0 ** rng.uniform(-3.0, 3.0, count)
+          / np.linalg.norm(Y, axis=1))[:, None]
+    Y[0] = 0.0
+    return X, Y
+
+
+def _assert_gauge_batch_matches_scalar(body, X, Y):
+    """Smooth bodies run the scalar root find row by row, so equal bit for
+    bit; closed forms round differently in a batch."""
+    batch, scalar = body.gauge_batch(X, Y), _scalar_gauges(body, X, Y)
+    if isinstance(body, SmoothBody):
+        np.testing.assert_array_equal(batch, scalar)
+    else:
+        np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=0)
+
+
 @SETTINGS
 @given(body=bodies, seed=st.integers(0, 2 ** 32 - 1))
 def test_gauge_batch_matches_scalar(body, seed):
     rng = np.random.default_rng(seed)
-    X = _interior_rows(body, rng, 12)
-    Y = rng.normal(scale=2.0, size=X.shape)
-    Y[0] = 0.0
-    np.testing.assert_allclose(body.gauge_batch(X, Y),
-                               _scalar_gauges(body, X, Y), rtol=1e-13, atol=0)
+    _assert_gauge_batch_matches_scalar(body, *_rays(body, rng, 12))
+    none = np.empty((0, body.dim))
+    assert body.gauge_batch(none, none).shape == (0,)
+
+
+def _reversed_gradient_disc():
+    """Unit disc whose oracle gradient points inward: the slope along a
+    ray is negative where the true one is positive."""
+    def oracle(w):
+        return float(w @ w - 1.0), -2.0 * w, 2.0 * np.eye(2)
+    return SmoothBody(oracle, 2, bounding_radius=1.5)
+
+
+def test_zero_gradient_gauge_batch_matches_scalar(zero_gradient_disc):
+    # no Newton step for a slope of 0 or below: every row takes the
+    # pure-bisection branch
+    for body in (zero_gradient_disc, _reversed_gradient_disc()):
+        rng = np.random.default_rng(3)
+        _assert_gauge_batch_matches_scalar(body, *_rays(body, rng, 40))
+    values, grads = zero_gradient_disc.oracle_batch(np.eye(2))
+    np.testing.assert_array_equal(values, [0.0, 0.0])
+    np.testing.assert_array_equal(grads, np.zeros((2, 2)))
+
+
+def _near(values, rng):
+    """Each value moved by up to three ulps either way."""
+    steps = rng.integers(-3, 4, size=values.shape)
+    return values * (1.0 + steps * np.finfo(float).eps)
+
+
+def _assert_centers_match_contains(body, rng, count):
+    """gauge_centers against contains, on rows within three ulps of the
+    boundary and on rows anywhere in and around the bounding box."""
+    d = rng.normal(size=(count, body.dim))
+    edge = d / _scalar_gauges(body, np.zeros_like(d), d)[:, None]
+    lo, hi = body.bounding_box()
+    X = np.vstack([_near(np.ones((count, 1)), rng) * edge,
+                   rng.uniform(2.0 * lo, 2.0 * hi, size=(count, body.dim))])
+    np.testing.assert_array_equal(body.gauge_centers(X),
+                                  [body.contains(x) for x in X])
+
+
+@SETTINGS
+@given(body=superellipses(), seed=st.integers(0, 2 ** 32 - 1))
+def test_gauge_centers_match_contains_at_the_edge(body, seed):
+    _assert_centers_match_contains(body, np.random.default_rng(seed), 24)
+
+
+def test_zero_gradient_centers_match_contains_at_the_edge(
+        zero_gradient_disc):
+    _assert_centers_match_contains(zero_gradient_disc,
+                                   np.random.default_rng(4), 60)
 
 
 @SETTINGS
@@ -158,12 +233,6 @@ def test_member_batch_matches_scalar(body, seed):
     Y[0] = 0.0
     for model in (StripTube(Gauge(body)), EllipticTube(body)):
         _assert_batch_matches_scalar(model, X + 1j * Y)
-
-
-def _near(values, rng):
-    """Each value moved by up to three ulps either way."""
-    steps = rng.integers(-3, 4, size=values.shape)
-    return values * (1.0 + steps * np.finfo(float).eps)
 
 
 @SETTINGS

@@ -107,7 +107,10 @@ class TestGaugeAgainstOracle:
             # gauges reach 1e6 here, so the bound is relative above 1
             assert abs(p - oracle) <= 1e-10 * max(1.0, oracle)
 
-    def test_squircle_oracle_calls_per_gauge(self, squircle):
+    @staticmethod
+    def _squircle_rays(squircle):
+        """400 rays, half from the origin and half from centers reaching
+        out to 0.99 of the way to the boundary."""
         origin = np.zeros(2)
         rays = []
         for k in range(200):
@@ -116,6 +119,10 @@ class TestGaugeAgainstOracle:
             x = rng.uniform(0.0, 0.99) * d / squircle.gauge(origin, d)
             y = rng.normal(size=2) * rng.uniform(0.1, 3.0)
             rays.extend([(origin, y), (x, y)])
+        return rays
+
+    def test_squircle_oracle_calls_per_gauge(self, squircle):
+        rays = self._squircle_rays(squircle)
         body = Superellipse(squircle.radii, power=squircle.power)
         calls = [0]
 
@@ -127,6 +134,26 @@ class TestGaugeAgainstOracle:
         for x, y in rays:
             body.gauge(x, y)
         assert calls[0] <= 20 * len(rays)
+
+    def test_squircle_gauge_batch_is_one_root_find(self, squircle):
+        rays = self._squircle_rays(squircle)
+        X, Y = (np.array(rows) for rows in zip(*rays))
+        body = Superellipse(squircle.radii, power=squircle.power)
+        calls = {"batch": 0, "scalar": 0}
+
+        def counting_batch(W):
+            calls["batch"] += 1
+            return squircle.oracle_batch(W)
+
+        def counting(w):
+            calls["scalar"] += 1
+            return squircle.oracle(w)
+
+        body.oracle_batch, body.oracle = counting_batch, counting
+        gauges = body.gauge_batch(X, Y)
+        assert calls["batch"] <= 40 and calls["scalar"] == 0
+        np.testing.assert_array_equal(
+            gauges, [squircle.gauge(x, y) for x, y in zip(X, Y)])
 
     def test_superellipse_against_root_equation(self, squircle):
         # second independent route: the gauge solves sum((x+y/t)/r)^m = 1

@@ -8,7 +8,7 @@ import pytest
 
 from pshmodels import model_from_spec
 from pshmodels.cli import _emit, main
-from pshmodels.suites import check_step
+from pshmodels.suites import TOL_DEFAULTS, check_step
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -200,6 +200,30 @@ class TestOptions:
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == "" and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command, name", [
+        *(("metric", name) for name in TOL_DEFAULTS if name != "metric_fd"),
+        ("verify", "metric_fd")])
+    def test_unread_tolerance_rejected(self, spec_path, capsys, command,
+                                      name):
+        # metric reads metric_fd alone, and no verify suite reads it
+        argv = [command, "--model", spec_path(DISC), *REQUIRED[command],
+                "--tol", f"{name}=1e-30"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == "" and name in err
+
+    @pytest.mark.parametrize("command, name", [
+        ("metric", "metric_fd"),
+        *(("verify", name) for name in TOL_DEFAULTS if name != "metric_fd")])
+    def test_read_tolerance_accepted(self, spec_path, capsys, command, name):
+        # set to its default, an accepted override leaves the output as is
+        argv = [command, "--model", spec_path(DISC), *REQUIRED[command]]
+        expected = run(capsys, argv)
+        assert expected[0] == 0
+        assert run(capsys, argv + ["--tol",
+                                   f"{name}={TOL_DEFAULTS[name]!r}"]) \
+            == expected
 
     @pytest.mark.parametrize("argv, code", [
         (["eval", "--point", "0.1+0.2j,0.3j"], 0),
