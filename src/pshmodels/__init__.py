@@ -17,9 +17,8 @@ from .levi import (LeviReport, check_monge_ampere, check_plurisubharmonic,
                    gauge_identity_residuals, gauge_identity_residuals_batch,
                    levi_line, levi_matrices, levi_matrix, metric_levi_pair,
                    tube_levi_residual, tube_levi_residual_batch)
-from .maximality import (Competitor, MemberSamples, geodesic_pullback,
-                         linear_pullback, max_violation, member_samples,
-                         slab_pullback)
+from .maximality import (Competitor, geodesic_pullback, linear_pullback,
+                         max_violation, member_samples, slab_pullback)
 from .models import (QUARTER_PI, Disc1D, EllipticTube, Model, SchwarzReport,
                      Strip1D, StripTube, as_point, conjugate,
                      model_from_spec, schwarz_excess)
@@ -38,7 +37,6 @@ __all__ = [
     "Gauge",
     "GeodesicChart",
     "LeviReport",
-    "MemberSamples",
     "Model",
     "OutsideDomainError",
     "Polytope",

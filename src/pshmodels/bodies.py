@@ -15,7 +15,8 @@ on the batched oracle ``oracle_batch``, and gives the scalar gauges bit for
 bit. One-row callers keep the scalar path, which is cheaper for a single
 ray. A polytope is
 built with NumPy alone: its vertices, bounding box and Chebyshev ball come
-from solving every square subsystem of its halfspaces in one stacked call.
+from solving every square subsystem of its halfspaces, in stacked calls
+of a bounded number of subsystems.
 """
 from __future__ import annotations
 
@@ -36,6 +37,9 @@ _REL_TOL = 1e-15
 _RANK_RTOL = 1e-12
 # slack of a solution of M v <= c, relative to |M| |v| + |c|
 _FEAS_RTOL = 1e-12
+# square subsystems per stacked solve: bounds the memory of a polytope
+# build; the polytopes of the specs and tests need at most a few hundred
+_SUBSET_CHUNK = 4096
 
 
 def _vector(x, dim: int | None = None) -> np.ndarray:
@@ -167,20 +171,15 @@ def _unit_halfspaces(A: np.ndarray, b: np.ndarray):
     return U, b / top / norms
 
 
-def _basic_feasible(M: np.ndarray, c: np.ndarray):
-    """Distinct vertices of {v : M v <= c}, rows of M of norm about 1,
-    with the rows tight at each.
+def _solve_subsets(M: np.ndarray, c: np.ndarray, S: np.ndarray):
+    """Feasible solutions of the square subsystems M[S] v = c[S] whose rows
+    are independent (|det| above _RANK_RTOL; the rows bound it by their
+    norms), in subset order, with the rows tight at each.
 
-    Every square subsystem M[S] v = c[S] whose rows are independent
-    (|det| above _RANK_RTOL; the rows bound it by their norms) is solved
-    in one stacked call. A solution is kept if it satisfies M v <= c up
-    to a slack relative to the data; one whose coordinates or residuals
-    overflow lies past the float range. Solutions with the same tight
-    rows are one vertex, reached from several subsystems where more
-    than dim halfspaces meet, and the first in subset order is kept.
-    The cost grows as C(m, dim).
+    A solution is kept if it satisfies M v <= c up to a slack relative to
+    the data; one whose coordinates or residuals overflow lies past the
+    float range.
     """
-    S = _subsets(*M.shape)
     # a pivot that underflows to zero makes det take log(0): the subset
     # is singular and its det of 0 is screened out below
     with np.errstate(divide="ignore"):
@@ -191,12 +190,30 @@ def _basic_feasible(M: np.ndarray, c: np.ndarray):
         residual = V @ M.T - c
         slack = _FEAS_RTOL * (np.abs(V) @ np.abs(M).T + np.abs(c))
     feasible = np.all(np.isfinite(slack) & (residual <= slack), axis=1)
-    tight = np.abs(residual[feasible]) <= slack[feasible]
+    return V[feasible], np.abs(residual[feasible]) <= slack[feasible]
+
+
+def _basic_feasible(M: np.ndarray, c: np.ndarray):
+    """Distinct vertices of {v : M v <= c}, rows of M of norm about 1,
+    with the rows tight at each.
+
+    Every square subsystem is solved (_solve_subsets), _SUBSET_CHUNK
+    subsets per stacked call, so the time grows as C(m, dim) and the
+    memory stays bounded. Solutions with the same tight rows are one
+    vertex, reached from several subsystems where more than dim
+    halfspaces meet, and the first in subset order is kept.
+    """
+    S = _subsets(*M.shape)
+    # one call at least, so that no subsets give empty arrays
+    chunks = [_solve_subsets(M, c, S[i:i + _SUBSET_CHUNK])
+              for i in range(0, max(len(S), 1), _SUBSET_CHUNK)]
+    V = np.concatenate([v for v, _ in chunks])
+    tight = np.concatenate([t for _, t in chunks])
     keys = np.packbits(tight, axis=1)
     _, first = np.unique(keys.view(f"V{keys.shape[1]}")[:, 0],
                          return_index=True)
     first.sort()
-    return V[feasible][first], tight[first]
+    return V[first], tight[first]
 
 
 def _check_bounded(U: np.ndarray):

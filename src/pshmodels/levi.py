@@ -5,21 +5,22 @@ matrices by polarization, plurisubharmonicity and Monge-Ampere degeneracy
 checks on sampled safe-region points, and the smooth-case identities tying
 the tube potential's Levi matrix to gauge Hessians.
 
-Every check draws its samples one by one from ``substream(seed, k)``,
-then stacks all stencil points of all samples and evaluates the field in
-one batched call (``potential_batch``, ``gauge_batch``).
+Every check draws its samples from ``substream(seed, k)`` and evaluates
+all their stencil points in one batched field call (``potential_batch``,
+``gauge_batch``); psh and ma share one cached draw and its eigenvalues.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .bodies import ConvexBody, Ellipsoid, _rows, _vector
+from .bodies import ConvexBody, Ellipsoid, Gauge, _rows, _vector
 from .errors import OutsideDomainError
-from .models import EllipticTube, Model, StripTube, as_points, pointwise
+from .models import EllipticTube, Model, as_points, pointwise
 from .reports import CheckReport, point_to_list
 from .sampling import substream
 from .stencils import BatchField, central_differences
@@ -123,14 +124,17 @@ def levi_matrix(field: Field, z, h: float) -> LeviReport:
                       det_abs=abs(float(np.prod(eigs))), step=h, point=z)
 
 
+@functools.lru_cache(maxsize=1)
 def _sampled_eigs(model: Model, nsamples: int, seed: int, h: float):
-    """Safe-region samples k < nsamples and the extreme eigenvalues of the
-    potential's Levi matrix at each: (points, min_eigs, max_eigs)."""
+    """Safe-region samples k < nsamples and the extreme Levi eigenvalues
+    of the potential at each, cached read-only: (points, lo, hi)."""
     if nsamples < 1:
         raise ValueError("nsamples must be positive")
     Z = np.array([model.sample_fd_safe(substream(seed, k), h)
                   for k in range(nsamples)])
     eigs = np.linalg.eigvalsh(levi_matrices(model.potential_batch, Z, h))
+    Z.setflags(write=False)
+    eigs.setflags(write=False)
     return Z, eigs[:, 0], eigs[:, -1]
 
 
@@ -244,7 +248,7 @@ def gauge_identity_residuals(body: ConvexBody, x, y,
     return float(r1), float(r2), float(r3)
 
 
-def metric_levi_pair(model: StripTube, x, v,
+def metric_levi_pair(model: Model, x, v,
                      h: float = 1e-4) -> tuple[float, float]:
     """(sqrt of twice the Levi form of the squared potential, closed-form
     metric) at a center point; the pair agrees to O(h^2) when the squared
@@ -252,7 +256,7 @@ def metric_levi_pair(model: StripTube, x, v,
     real-direction stencil points lie on the center, where the squared
     potential vanishes.
     """
-    if not isinstance(model, StripTube):
+    if not isinstance(getattr(model, "gauge", None), Gauge):
         raise TypeError("squared-potential check is defined for strip tubes")
     if not isinstance(model.gauge.body, Ellipsoid):
         raise ValueError("squared gauge must be C2 (ellipsoidal body)")

@@ -6,13 +6,14 @@ each competitor stays below the model potential everywhere. Competitors
 come only from constructions the closed forms certify, so any violation
 indicates a real defect rather than an invalid test function.
 
-A battery of competitors shares one draw of model samples: the points are
-drawn once, the model potential is evaluated on all of them in one
-batched call, and each competitor is then evaluated point by point.
+A battery of competitors shares one cached draw of model samples and one
+batched model potential call on them (``member_samples``); each
+competitor is then evaluated point by point.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -109,34 +110,29 @@ def geodesic_pullback(chart: GeodesicChart) -> Competitor:
     return Competitor(label="geodesic-disc", evaluate=evaluate, sample=sample)
 
 
-@dataclass(frozen=True)
-class MemberSamples:
-    """Model samples k < len(points), drawn by ``sample_member`` from
-    ``substream(seed, k)``, with the model potential at each."""
-    seed: int
-    points: np.ndarray
-    values: np.ndarray
-
-
-def member_samples(model: Model, nsamples: int, seed: int) -> MemberSamples:
-    """Draw the shared samples of a competitor battery and evaluate the
-    model potential on all of them in one call."""
+@functools.lru_cache(maxsize=1)
+def member_samples(model: Model, nsamples: int, seed: int):
+    """Model samples k < nsamples, drawn by ``sample_member`` from
+    ``substream(seed, k)``, and the model potential at each, cached
+    read-only: (points, values)."""
     if nsamples < 1:
         raise ValueError("nsamples must be positive")
     points = np.array([model.sample_member(substream(seed, k))
                        for k in range(nsamples)])
-    return MemberSamples(seed, points, model.potential_batch(points))
+    values = model.potential_batch(points)
+    points.setflags(write=False)
+    values.setflags(write=False)
+    return points, values
 
 
 def max_violation(model: Model, competitor: Competitor, nsamples: int,
-                  seed: int, shared: Optional[MemberSamples] = None) -> float:
+                  seed: int) -> float:
     """Max over seeded samples of competitor(z) - potential(z); maximality
     requires a nonpositive result up to roundoff.
 
     A competitor with its own sampler is checked on its own draws; the
-    others on the model samples of ``member_samples(model, nsamples,
-    seed)``, which a caller checking several competitors passes as
-    ``shared`` so they are drawn and evaluated only once.
+    others on ``member_samples(model, nsamples, seed)``, which the
+    competitors of a battery share.
     """
     if nsamples < 1:
         raise ValueError("nsamples must be positive")
@@ -145,10 +141,6 @@ def max_violation(model: Model, competitor: Competitor, nsamples: int,
                            for k in range(nsamples)])
         values = model.potential_batch(points)
     else:
-        if shared is None:
-            shared = member_samples(model, nsamples, seed)
-        elif shared.seed != seed or len(shared.values) != nsamples:
-            raise ValueError("shared samples belong to another seed or size")
-        points, values = shared.points, shared.values
+        points, values = member_samples(model, nsamples, seed)
     return float(max(competitor.evaluate(z) - u
                      for z, u in zip(points, values.tolist())))

@@ -82,6 +82,8 @@ class Model:
     samples)``, a pair (gaps, reconstructions): per extremal disc or flat
     ray, the largest gap between the potential along it and its closed
     form, and per disc chart, its base point error over max(1, |z|).
+    A model must not change after construction: the suites cache their
+    sample draws on the model object (``functools.lru_cache``).
     """
 
     name: str

@@ -7,6 +7,7 @@ model, so no runner branches on a model type.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from .errors import SpecError
 from .levi import (check_monge_ampere, check_plurisubharmonic,
                    gauge_identity_residuals_batch, tube_levi_residual_batch)
-from .maximality import max_violation, member_samples
+from .maximality import max_violation
 from .models import QUARTER_PI, Model, schwarz_excess
 from .reports import CheckReport, point_to_list
 from .sampling import substream
@@ -75,6 +76,15 @@ def _suite_ma(model, seed, samples, h, tols) -> CheckReport:
                               tols["ma_abs"])
 
 
+@functools.lru_cache(maxsize=1)
+def _richardson_points(model, seed, h):
+    """The 20 samples safe at 2h of both Richardson suites, read-only."""
+    Z = np.array([model.sample_fd_safe(substream(seed, k), 2 * h)
+                  for k in range(20)])
+    Z.setflags(write=False)
+    return Z
+
+
 def _richardson(check, residuals, model, seed, h, tols) -> CheckReport:
     """Ratios of each residual at 2h to its value at h over the 20 samples
     safe at 2h; an O(h^2) residual gives about 4. A residual at h below
@@ -82,30 +92,25 @@ def _richardson(check, residuals, model, seed, h, tols) -> CheckReport:
     body = _smooth_body(model)
     if not model.gauge_identities:
         raise SpecError(f"{check} suite requires an elliptic tube")
-    Z = np.array([model.sample_fd_safe(substream(seed, k), 2 * h)
-                  for k in range(20)])
-    res_2h = residuals(body, Z, 2 * h).reshape(len(Z), -1).tolist()
-    res_h = residuals(body, Z, h).reshape(len(Z), -1).tolist()
+    Z = _richardson_points(model, seed, h)
+    res_2h = residuals(body, Z, 2 * h).reshape(len(Z), -1)
+    res_h = residuals(body, Z, h).reshape(len(Z), -1)
     lo, hi = tols["ratio_lo"], tols["ratio_hi"]
-    worst_dev, worst_point, worst_ratio = -1.0, None, None
-    passed, count = True, 0
-    for z, r_2h, r_h in zip(Z, res_2h, res_h):
+    worst_dev, worst_point, worst_ratio = -1.0, None, 4.0
+    passed = True
+    for z, r_2h, r_h in zip(Z, res_2h.tolist(), res_h.tolist()):
         for a, b in zip(r_2h, r_h):
-            count += 1
             if b <= tols["residual_floor"]:
                 continue
             ratio = a / b
-            if not lo <= ratio <= hi:
-                passed = False
+            passed = passed and lo <= ratio <= hi
             dev = abs(ratio - 4.0)
             if dev > worst_dev:
-                worst_dev, worst_point, worst_ratio = dev, z, ratio
-    return CheckReport(check=check, model=model.name, samples=count, h=h,
-                       tol=lo,
-                       worst_point=point_to_list(worst_point)
-                       if worst_point is not None else None,
-                       worst_value=worst_ratio if worst_ratio is not None
-                       else 4.0, passed=passed)
+                worst_dev, worst_ratio = dev, ratio
+                worst_point = point_to_list(z)
+    return CheckReport(check=check, model=model.name, samples=res_h.size,
+                       h=h, tol=lo, worst_point=worst_point,
+                       worst_value=worst_ratio, passed=passed)
 
 
 def _suite_tube_levi(model, seed, samples, h, tols) -> CheckReport:
@@ -124,9 +129,7 @@ def _suite_gauge_derivatives(model, seed, samples, h, tols) -> CheckReport:
 
 def _suite_maximality(model, seed, samples, h, tols) -> CheckReport:
     comps = model.competitors(seed)
-    shared = member_samples(model, samples, seed)
-    worst = max(max_violation(model, comp, samples, seed, shared)
-                for comp in comps)
+    worst = max(max_violation(model, comp, samples, seed) for comp in comps)
     tol = tols["maximality"]
     return CheckReport(check="maximality", model=model.name,
                        samples=len(comps) * samples, h=h, tol=tol,

@@ -8,6 +8,7 @@ bounding boxes, Chebyshev radii and support values reproduce HiGHS and
 Qhull.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,44 +21,10 @@ from pshmodels import (Disc1D, Ellipsoid, EllipticTube, Gauge,
                        OutsideDomainError, Polytope, SmoothBody, SpecError,
                        Strip1D, StripTube, Superellipse, levi_line,
                        levi_matrices, levi_matrix, substream)
+from strategies import (bodies, ellipsoids, polytopes, superellipses,
+                        unit_floats)
 
 SETTINGS = settings(max_examples=40, deadline=None)
-dims = st.integers(min_value=1, max_value=3)
-unit_floats = st.floats(min_value=-1.0, max_value=1.0)
-
-
-@st.composite
-def ellipsoids(draw):
-    n = draw(dims)
-    L = draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0)))
-    eps = draw(st.floats(min_value=0.05, max_value=2.0))
-    return Ellipsoid(L @ L.T + eps * np.eye(n))
-
-
-@st.composite
-def polytopes(draw):
-    """Bounded by an axis box around the origin, cut by extra halfspaces
-    that keep the origin inside."""
-    n = draw(dims)
-    box = draw(arrays(float, 2 * n, elements=st.floats(0.5, 3.0)))
-    extra = draw(st.integers(min_value=0, max_value=4))
-    normals = draw(arrays(float, (extra, n), elements=unit_floats))
-    offsets = draw(arrays(float, extra, elements=st.floats(0.2, 2.0)))
-    eye = np.eye(n)
-    A = np.vstack([eye, -eye, normals])
-    b = np.concatenate([box, offsets])
-    keep = np.any(A, axis=1)
-    return Polytope(A[keep], b[keep])
-
-
-@st.composite
-def superellipses(draw):
-    n = draw(dims)
-    radii = draw(arrays(float, n, elements=st.floats(0.3, 3.0)))
-    return Superellipse(radii, draw(st.sampled_from([2, 4, 8])))
-
-
-bodies = st.one_of(ellipsoids(), polytopes(), superellipses())
 
 
 def _interior_rows(body, rng, count, reach=0.95):
@@ -365,6 +332,23 @@ def _assert_matches_lp_geometry(body):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(body=polytopes())
 def test_polytope_geometry_matches_lp_and_qhull(body):
+    _assert_matches_lp_geometry(body)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_many_halfspaces_build_in_bounded_memory():
+    # 40 unit normals in 3-D: 91,390 Chebyshev subsystems, solved in
+    # chunks; in one stacked call the build peaked at about 120 MiB
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(40, 3))
+    A /= np.linalg.norm(A, axis=1)[:, None]
+    tracemalloc.start()
+    try:
+        body = Polytope(A, np.ones(40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2 ** 20
     _assert_matches_lp_geometry(body)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pshmodels import model_from_spec
+from pshmodels import EllipticTube, model_from_spec
 from pshmodels.cli import _emit, main
 from pshmodels.suites import TOL_DEFAULTS, check_step
 
@@ -523,3 +523,23 @@ def _scalar_slice(model, plane, center, half_width, resolution) -> bytes:
             writer.writerow([center[i] + c1, center[j] + c2, int(member),
                              model.potential(z) if member else ""])
     return out.getvalue().encode("utf-8")
+
+
+def test_each_command_draws_its_own_samples(monkeypatch, capsys):
+    # the cached draws key on the model, and each command builds its own
+    draw, counts = EllipticTube.sample_fd_safe, []
+
+    def counted(self, rng, h):
+        counts[-1] += 1
+        return draw(self, rng, h)
+
+    monkeypatch.setattr(EllipticTube, "sample_fd_safe", counted)
+    argv = ["verify", "--model", str(ROOT / "specs" / "ball_tube.json"),
+            "--suite", "all", "--samples", "5"]
+    outputs = []
+    for _ in range(2):
+        counts.append(0)
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert counts == [5 + 20, 5 + 20]
+    assert outputs[0] == outputs[1]

@@ -6,8 +6,10 @@ import pytest
 from pshmodels import (Ellipsoid, EllipticTube, Gauge, OutsideDomainError,
                        Strip1D, Disc1D, StripTube, check_monge_ampere,
                        check_plurisubharmonic, gauge_identity_residuals,
-                       levi_line, levi_matrix, metric_levi_pair, substream,
-                       tube_levi_residual)
+                       levi_line, levi_matrix, member_samples,
+                       metric_levi_pair, substream, tube_levi_residual)
+from pshmodels import levi, suites
+from pshmodels.suites import TOL_DEFAULTS, verify
 
 INTERVAL_1D = Ellipsoid([[1.0]])  # the interval (-1, 1) with a C2 boundary
 
@@ -175,6 +177,33 @@ class TestMongeAmpereDegeneracy:
         report = check_monge_ampere(QuadraticModel(), 50, 10)
         assert not report.passed
         assert report.worst_value == pytest.approx(1.0, abs=1e-6)
+
+
+class TestDrawOnce:
+    def test_suites_share_their_draws(self, unit_ball, monkeypatch):
+        # psh and ma read one draw of N samples and one levi_matrices
+        # call; tube-levi and gauge-derivatives one draw of 20 at 2h
+        tube = EllipticTube(unit_ball)
+        draw, steps, fields = tube.sample_fd_safe, [], []
+        monkeypatch.setattr(tube, "sample_fd_safe",
+                            lambda rng, h: steps.append(h) or draw(rng, h))
+        matrices = levi.levi_matrices
+        monkeypatch.setattr(levi, "levi_matrices", lambda field, Z, h:
+                            fields.append(field) or matrices(field, Z, h))
+        report = verify(tube, "all", 11, 30, 1e-3, TOL_DEFAULTS)
+        assert report["pass"]
+        assert len(steps) == 30 + 20
+        assert steps.count(1e-3) == 30 and steps.count(2e-3) == 20
+        assert fields.count(tube.potential_batch) == 1
+
+    def test_cached_draws_are_read_only(self, unit_ball):
+        tube = EllipticTube(unit_ball)
+        points, values = member_samples(tube, 3, 12)
+        assert member_samples(tube, 3, 12)[0] is points
+        for a in (*levi._sampled_eigs(tube, 3, 12, 1e-3), points, values,
+                  suites._richardson_points(tube, 12, 1e-3)):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestTubeLevi:

@@ -6,8 +6,8 @@ import pytest
 from pshmodels import (QUARTER_PI, Competitor, Disc1D, Ellipsoid,
                        EllipticTube, Gauge, SpecError, Strip1D, StripTube,
                        chart, geodesic_pullback, interval, linear_pullback,
-                       max_violation, member_samples, slab_pullback,
-                       substream, unit_disc_point)
+                       max_violation, slab_pullback, substream,
+                       unit_disc_point)
 from pshmodels.suites import TOL_DEFAULTS, verify
 
 
@@ -164,17 +164,20 @@ class TestCompare:
         with pytest.raises(ValueError):
             max_violation(EllipticTube(unit_ball), comp, nsamples, 30)
 
-    def test_shared_samples_match_own_draws(self, unit_square):
+    def test_battery_draws_member_samples_once(self, unit_square,
+                                               monkeypatch):
+        # competitors without a sampler share one cached draw, with the
+        # values a fresh model (a cache miss) draws for each of them
         tube = EllipticTube(unit_square)
-        shared = member_samples(tube, 200, 34)
-        for a in ([0.6, 0.8], [1.0, -0.3]):
-            comp = slab_pullback(unit_square, a)
-            assert max_violation(tube, comp, 200, 34, shared) == \
-                max_violation(tube, comp, 200, 34)
-        with pytest.raises(ValueError):
-            max_violation(tube, comp, 200, 35, shared)
-        with pytest.raises(ValueError):
-            max_violation(tube, comp, 100, 34, shared)
+        draw, calls = tube.sample_member, []
+        monkeypatch.setattr(tube, "sample_member",
+                            lambda rng: calls.append(rng) or draw(rng))
+        comps = [slab_pullback(unit_square, a)
+                 for a in ([0.6, 0.8], [1.0, -0.3], [0.0, 1.0])]
+        worst = [max_violation(tube, comp, 200, 34) for comp in comps]
+        assert len(calls) == 200
+        assert worst == [max_violation(EllipticTube(unit_square), comp, 200,
+                                       34) for comp in comps]
 
     def test_deterministic_given_seed(self, unit_square):
         tube = EllipticTube(unit_square)

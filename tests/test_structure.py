@@ -1,6 +1,6 @@
-"""The CLI, the suites and the geodesics module branch on no model type:
-what differs between models lives on the model classes. No module of the
-package imports SciPy, which only the tests use, as an independent oracle."""
+"""No module of the package branches on a model type: what differs
+between models lives on the model classes. No module imports SciPy,
+which only the tests use, as an independent oracle."""
 import ast
 from pathlib import Path
 
@@ -31,9 +31,10 @@ def model_isinstance_lines(source: str) -> list:
             and _named_classes(node.args[1]) & MODEL_CLASSES]
 
 
-@pytest.mark.parametrize("module", ["cli.py", "suites.py", "geodesics.py"])
-def test_no_isinstance_on_a_model_class(module):
-    assert model_isinstance_lines((SRC / module).read_text()) == []
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_isinstance_on_a_model_class(path):
+    assert model_isinstance_lines(path.read_text()) == []
 
 
 def test_guard_sees_each_spelling():
