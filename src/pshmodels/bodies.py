@@ -6,17 +6,17 @@ boundary is C^2, and support values used to certify holomorphic pullbacks.
 Support values come from closed forms only (polytope vertices, ellipsoid
 and superellipse duality); a generic smooth body has none and refuses.
 Polytopes and ellipsoids use closed forms, also batched over the rows of
-(N, n) arrays by ``gauge_batch``; ``gauge_centers`` marks the rows at which
-a gauge may be centered. Smooth bodies bracket the root on
-membership and then run a safeguarded Newton iteration on the oracle value
-along the ray, bisecting whenever a Newton step would leave the bracket;
-their ``gauge_batch`` runs that root find as one masked loop over all rows,
-on the batched oracle ``oracle_batch``, and gives the scalar gauges bit for
-bit. One-row callers keep the scalar path, which is cheaper for a single
-ray. A polytope is
-built with NumPy alone: its vertices, bounding box and Chebyshev ball come
-from solving every square subsystem of its halfspaces, in stacked calls
-of a bounded number of subsystems.
+(N, n) arrays by ``gauge_batch`` and ``contains_batch``; ``gauge_centers``
+marks the rows at which a gauge may be centered. Smooth bodies bracket the
+root on membership and then run a safeguarded Newton iteration on the
+oracle value along the ray, bisecting whenever a Newton step would leave
+the bracket; their ``gauge_batch`` runs that root find as one masked loop
+over all rows, on the batched oracle ``oracle_batch``, and gives the
+scalar gauges bit for bit. One-row callers keep the scalar path, which is
+cheaper for a single ray. A polytope is built with NumPy alone: its
+vertices, bounding box and Chebyshev ball come from solving every square
+subsystem of its halfspaces, in stacked calls of a bounded number of
+subsystems.
 """
 from __future__ import annotations
 
@@ -85,6 +85,11 @@ class ConvexBody:
     c2 = True  # C2 boundary, so the gauge has a Hessian off the center
 
     def contains(self, x) -> bool:
+        raise NotImplementedError
+
+    def contains_batch(self, W) -> np.ndarray:
+        """contains at each row of an (N, n) array, as a bool (N,) array,
+        agreeing with ``contains`` bit for bit."""
         raise NotImplementedError
 
     def support(self, a) -> float:
@@ -286,6 +291,10 @@ class Polytope(ConvexBody):
         x = _vector(x, self.dim)
         return bool(np.all(self.A @ x < self.b))
 
+    def contains_batch(self, W) -> np.ndarray:
+        W = _rows(W, self.dim)
+        return np.all(_matvec(self.A, W) < self.b, axis=1)
+
     def support(self, a) -> float:
         return float(np.max(self._vertices @ _vector(a, self.dim)))
 
@@ -348,6 +357,10 @@ class Ellipsoid(ConvexBody):
     def contains(self, x) -> bool:
         x = _vector(x, self.dim)
         return bool(x @ self.Q @ x < 1.0)
+
+    def contains_batch(self, W) -> np.ndarray:
+        W = _rows(W, self.dim)
+        return ((W[:, None, :] @ self.Q) @ W[:, :, None])[:, 0, 0] < 1.0
 
     def support(self, a) -> float:
         a = _vector(a, self.dim)
@@ -481,8 +494,10 @@ class SmoothBody(ConvexBody):
         member[near] = self.oracle_batch(W[near])[0] < 0.0
         return member
 
-    def gauge_centers(self, X) -> np.ndarray:
-        return self._members(_rows(X, self.dim))
+    def contains_batch(self, W) -> np.ndarray:
+        return self._members(_rows(W, self.dim))
+
+    gauge_centers = contains_batch
 
     def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
         if not self.contains(x):

@@ -4,6 +4,10 @@ Every off-center point of an elliptic tube sits on a flat analytic disc
 whose diameter is a chord of the body; the chart below recovers that disc
 and reproduces the potential along it in closed form. Strip tubes carry
 an analogous flat ray through each point.
+
+``chart_rows`` builds the charts of many points from two ``gauge_batch``
+calls, and ``disc_points`` / ``strip_map`` map one parameter per chart;
+they agree with ``chart`` and ``GeodesicChart.point`` bit for bit.
 """
 from __future__ import annotations
 
@@ -14,8 +18,8 @@ import numpy as np
 
 from .bodies import ConvexBody, Gauge, _vector
 from .errors import OutsideDomainError
-from .models import QUARTER_PI, EllipticTube, Model, as_point
-from .sampling import substream, unit_disc_point
+from .models import QUARTER_PI, EllipticTube, Model, as_point, as_points
+from .sampling import substream, unit_disc_points
 
 
 @dataclass(frozen=True)
@@ -36,18 +40,37 @@ class GeodesicChart:
 
     def point(self, zeta) -> np.ndarray:
         """Disc map ((1 - zeta)/2) x1 + ((1 + zeta)/2) x2 for |zeta| < 1."""
-        zeta = complex(zeta)
-        if abs(zeta) >= 1.0:
-            raise OutsideDomainError("disc parameter must satisfy |zeta| < 1")
-        return 0.5 * (1.0 - zeta) * self.x1.astype(complex) \
-            + 0.5 * (1.0 + zeta) * self.x2.astype(complex)
+        return disc_points(self.x1, self.x2, [complex(zeta)])[0]
 
     def strip_point(self, eta) -> np.ndarray:
         """Strip reparameterization through tanh, for |Im eta| < pi/4."""
-        eta = complex(eta)
-        if abs(eta.imag) >= QUARTER_PI:
-            raise OutsideDomainError("strip parameter must satisfy |Im eta| < pi/4")
-        return self.point(cmath.tanh(eta))
+        return strip_map(self.x1, self.x2, [eta])[0]
+
+
+def disc_points(X1, X2, zetas) -> np.ndarray:
+    """Row i of the disc map with endpoints X1[i], X2[i] at zetas[i]; a
+    single endpoint pair of shape (n,) serves every row."""
+    zetas = np.asarray(zetas, dtype=complex)
+    # Python abs per value, which NumPy's complex abs may differ from
+    if any(abs(zeta) >= 1.0 for zeta in zetas.tolist()):
+        raise OutsideDomainError("disc parameter must satisfy |zeta| < 1")
+    return (0.5 * (1.0 - zetas))[:, None] * X1.astype(complex) \
+        + (0.5 * (1.0 + zetas))[:, None] * X2.astype(complex)
+
+
+def strip_map(X1, X2, etas) -> np.ndarray:
+    """``GeodesicChart.strip_point`` row by row, as ``disc_points``."""
+    etas = [complex(eta) for eta in etas]
+    if any(abs(eta.imag) >= QUARTER_PI for eta in etas):
+        raise OutsideDomainError("strip parameter must satisfy |Im eta| < pi/4")
+    # cmath per value: NumPy's complex tanh rounds differently
+    return disc_points(X1, X2, [cmath.tanh(eta) for eta in etas])
+
+
+def zeta0(t1: float, t2: float) -> complex:
+    """The disc parameter at which the chart with these t1, t2 returns
+    its base point."""
+    return complex(t1 - t2, -2.0) / (t1 + t2)
 
 
 def chart(body: ConvexBody, z) -> GeodesicChart:
@@ -61,28 +84,54 @@ def chart(body: ConvexBody, z) -> GeodesicChart:
     p, q = tube.gauges(z)
     t1, t2 = 1.0 / p, 1.0 / q
     x, y = z.real, z.imag
-    x1 = x + t1 * y
-    x2 = x - t2 * y
-    zeta0 = complex(t1 - t2, -2.0) / (t1 + t2)
-    return GeodesicChart(body, t1, t2, x1, x2, zeta0)
+    return GeodesicChart(body, t1, t2, x + t1 * y, x - t2 * y, zeta0(t1, t2))
+
+
+def chart_rows(body: ConvexBody, Z):
+    """(t1, t2, x1, x2) of ``chart(body, z)`` at each row z of Z, as
+    arrays of shapes (N,), (N,), (N, n), (N, n), from two gauge_batch
+    calls; refused as ``chart`` refuses."""
+    Z = as_points(Z, body.dim)
+    if not np.all(np.any(Z.imag, axis=1)):
+        raise OutsideDomainError("no disc chart through center points (y = 0)")
+    X, Y = Z.real, Z.imag
+    refusal = OutsideDomainError("point is not in the elliptic tube")
+    try:
+        P, Q = body.gauge_batch(X, Y), body.gauge_batch(X, -Y)
+    except OutsideDomainError:
+        raise refusal from None
+    if not np.all(P * Q < 1.0):
+        raise refusal
+    T1, T2 = 1.0 / P, 1.0 / Q
+    return T1, T2, X + T1[:, None] * Y, X - T2[:, None] * Y
 
 
 def identity_residual(body: ConvexBody, z, nsamples: int, seed: int) -> float:
     """Worst gap between the tube potential on the disc and the disc's own
     hyperbolic height |Im atanh zeta|, over seeded samples of the disc,
-    drawn one by one and evaluated in one batched potential call."""
+    drawn by ``unit_disc_points`` and evaluated in one batched potential
+    call."""
     if nsamples < 1:
         raise ValueError("nsamples must be positive")
-    return _chart_residual(chart(body, z), nsamples, seed)
+    ch = chart(body, z)
+    return chart_residuals(body, ch.x1[None], ch.x2[None], nsamples,
+                           [seed])[0]
 
 
-def _chart_residual(ch: GeodesicChart, nsamples: int, seed: int) -> float:
-    """identity_residual over an already built chart."""
-    zetas = [unit_disc_point(substream(seed, k)) for k in range(nsamples)]
-    values = EllipticTube(ch.body).potential_batch(
-        np.array([ch.point(zeta) for zeta in zetas])).tolist()
-    return max([0.0] + [abs(value - abs(cmath.atanh(zeta).imag))
-                        for value, zeta in zip(values, zetas)])
+def chart_residuals(body: ConvexBody, X1, X2, nsamples: int,
+                    seeds) -> list:
+    """identity_residual of the chart with endpoints X1[i], X2[i] over
+    the disc draws of seeds[i], for every i; all charts' draws go to one
+    batched potential call."""
+    zetas = unit_disc_points([substream(seed, k) for seed in seeds
+                              for k in range(nsamples)])
+    points = disc_points(np.repeat(X1, nsamples, axis=0),
+                         np.repeat(X2, nsamples, axis=0), zetas)
+    values = EllipticTube(body).potential_batch(points).tolist()
+    gaps = [abs(value - abs(cmath.atanh(zeta).imag))
+            for value, zeta in zip(values, zetas.tolist())]
+    return [max([0.0] + gaps[i:i + nsamples])
+            for i in range(0, len(gaps), nsamples)]
 
 
 def striptube_geodesic(gauge: Gauge, x, y, zeta) -> np.ndarray:

@@ -130,8 +130,8 @@ def _sampled_eigs(model: Model, nsamples: int, seed: int, h: float):
     of the potential at each, cached read-only: (points, lo, hi)."""
     if nsamples < 1:
         raise ValueError("nsamples must be positive")
-    Z = np.array([model.sample_fd_safe(substream(seed, k), h)
-                  for k in range(nsamples)])
+    Z = model.sample_fd_safe_batch([substream(seed, k)
+                                    for k in range(nsamples)], h)
     eigs = np.linalg.eigvalsh(levi_matrices(model.potential_batch, Z, h))
     Z.setflags(write=False)
     eigs.setflags(write=False)

@@ -7,8 +7,10 @@ come only from constructions the closed forms certify, so any violation
 indicates a real defect rather than an invalid test function.
 
 A battery of competitors shares one cached draw of model samples and one
-batched model potential call on them (``member_samples``); each
-competitor is then evaluated point by point.
+batched model potential call on them (``member_samples``), and one cached
+draw of disc parameters (``disc_samples``) that each geodesic-disc
+competitor maps through its own chart; each competitor is then evaluated
+point by point.
 """
 from __future__ import annotations
 
@@ -21,21 +23,22 @@ import numpy as np
 
 from .bodies import ConvexBody, Ellipsoid, Gauge, _vector
 from .errors import SpecError
-from .geodesics import GeodesicChart
+from .geodesics import GeodesicChart, disc_points
 from .models import Model
-from .sampling import substream, unit_disc_point
+from .sampling import substream, unit_disc_points
 
 
 @dataclass
 class Competitor:
     """A certified element of the potential class, as a point evaluator.
 
-    `sample` (if set) draws points from the competitor's own domain, for
-    competitors defined only along a sub-variety such as a disc image.
+    `chart` (if set) is the disc a competitor is defined on, for
+    competitors defined only along a disc image: it is checked at the
+    images of disc parameters rather than at model samples.
     """
     label: str
     evaluate: Callable[[np.ndarray], float]
-    sample: Optional[Callable[[np.random.Generator], np.ndarray]] = None
+    chart: Optional[GeodesicChart] = None
 
 
 def slab_pullback(body: ConvexBody, direction) -> Competitor:
@@ -104,10 +107,7 @@ def geodesic_pullback(chart: GeodesicChart) -> Competitor:
     def evaluate(z: np.ndarray) -> float:
         return abs(cmath.atanh(invert(z)).imag)
 
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return chart.point(unit_disc_point(rng))
-
-    return Competitor(label="geodesic-disc", evaluate=evaluate, sample=sample)
+    return Competitor(label="geodesic-disc", evaluate=evaluate, chart=chart)
 
 
 @functools.lru_cache(maxsize=1)
@@ -117,12 +117,25 @@ def member_samples(model: Model, nsamples: int, seed: int):
     read-only: (points, values)."""
     if nsamples < 1:
         raise ValueError("nsamples must be positive")
-    points = np.array([model.sample_member(substream(seed, k))
-                       for k in range(nsamples)])
+    points = model.sample_member_batch([substream(seed, k)
+                                        for k in range(nsamples)])
     values = model.potential_batch(points)
     points.setflags(write=False)
     values.setflags(write=False)
     return points, values
+
+
+@functools.lru_cache(maxsize=1)
+def disc_samples(model: Model, nsamples: int, seed: int) -> np.ndarray:
+    """Disc parameters k < nsamples, drawn by ``unit_disc_points`` from
+    ``substream(seed, k)``, cached read-only. The draw does not depend on
+    the model; keyed on it, as ``member_samples`` is, the cache serves
+    one command and no other."""
+    if nsamples < 1:
+        raise ValueError("nsamples must be positive")
+    zetas = unit_disc_points([substream(seed, k) for k in range(nsamples)])
+    zetas.setflags(write=False)
+    return zetas
 
 
 def max_violation(model: Model, competitor: Competitor, nsamples: int,
@@ -130,15 +143,16 @@ def max_violation(model: Model, competitor: Competitor, nsamples: int,
     """Max over seeded samples of competitor(z) - potential(z); maximality
     requires a nonpositive result up to roundoff.
 
-    A competitor with its own sampler is checked on its own draws; the
-    others on ``member_samples(model, nsamples, seed)``, which the
-    competitors of a battery share.
+    A competitor on a disc is checked at its chart's images of
+    ``disc_samples(model, nsamples, seed)``; the others on
+    ``member_samples(model, nsamples, seed)``. The competitors of a
+    battery share both draws.
     """
     if nsamples < 1:
         raise ValueError("nsamples must be positive")
-    if competitor.sample is not None:
-        points = np.array([competitor.sample(substream(seed, k))
-                           for k in range(nsamples)])
+    if competitor.chart is not None:
+        ch = competitor.chart
+        points = disc_points(ch.x1, ch.x2, disc_samples(model, nsamples, seed))
         values = model.potential_batch(points)
     else:
         points, values = member_samples(model, nsamples, seed)

@@ -7,9 +7,17 @@ pseudo-metric on the center, and a finite-difference slope estimator that
 realizes the metric as the limit of potential(x + i t v)/t.
 
 ``potential_batch`` evaluates the potential at every row of an (N, n)
-array in one call and agrees with ``potential`` bit for bit, so suites
-may draw their samples one by one and evaluate them all at once;
+array in one call and agrees with ``potential`` bit for bit;
 ``member_batch`` agrees with ``member`` in the same way.
+
+The samplers have batched forms too: ``sample_member_batch(rngs)``,
+``sample_fd_safe_batch(rngs, h)`` and ``strip_points(W, rngs)`` draw row i
+from ``rngs[i]`` alone, with exactly the Generator calls of the scalar
+sampler in the same order, so their rows equal the scalar draws byte for
+byte and each Generator ends in the same state. The base class loops over
+the scalar sampler; elliptic tubes override all three with masked
+rejection rounds over the rows still drawing, and their scalar samplers
+are the batches of one row.
 
 Each model also carries its own part of every verification suite and CLI
 record (see Model), so no caller branches on the model type.
@@ -26,7 +34,7 @@ import numpy as np
 from .bodies import (ConvexBody, Ellipsoid, Gauge, _vector, body_from_spec,
                      interval)
 from .errors import ConvergenceError, OutsideDomainError, SpecError
-from .sampling import substream, unit_vector
+from .sampling import substream, unit_vector, unit_vectors
 
 QUARTER_PI = math.pi / 4  # 0.7853981633974483, the potential supremum
 
@@ -78,10 +86,11 @@ class Model:
     Each model also has ``member_batch`` and ``potential_batch``; the
     maximality battery ``competitors(seed)``; ``strip_point(w, rng)``, the
     image of w, |Im w| < pi/4, under a holomorphic strip map into the
-    domain (drawn from rng on tubes); and ``geodesic_witnesses(seed,
-    samples)``, a pair (gaps, reconstructions): per extremal disc or flat
-    ray, the largest gap between the potential along it and its closed
-    form, and per disc chart, its base point error over max(1, |z|).
+    domain (drawn from rng on tubes), and its batch ``strip_points(W,
+    rngs)``; and ``geodesic_witnesses(seed, samples)``, a pair (gaps,
+    reconstructions): per extremal disc or flat ray, the largest gap
+    between the potential along it and its closed form, and per disc
+    chart, its base point error over max(1, |z|).
     A model must not change after construction: the suites cache their
     sample draws on the model object (``functools.lru_cache``).
     """
@@ -93,6 +102,8 @@ class Model:
     # potential to the centered gauges of the body; other models have none
     gauge_identities = False
     witness_tol = "geodesic"  # tolerance of the geodesics-suite witnesses
+    # the safe sampler's window is empty for steps h at or above this
+    fd_step_limit = math.inf
 
     def member(self, z) -> bool:
         raise NotImplementedError
@@ -115,6 +126,18 @@ class Model:
     def sample_fd_safe(self, rng, h: float) -> np.ndarray:
         """Member point with enough interior margin for O(h^2) stencils."""
         raise NotImplementedError
+
+    def sample_member_batch(self, rngs) -> np.ndarray:
+        """``sample_member`` of each Generator of rngs, as (N, n) rows."""
+        return np.array([self.sample_member(rng) for rng in rngs])
+
+    def sample_fd_safe_batch(self, rngs, h: float) -> np.ndarray:
+        """``sample_fd_safe`` of each Generator of rngs, as (N, n) rows."""
+        return np.array([self.sample_fd_safe(rng, h) for rng in rngs])
+
+    def strip_points(self, W, rngs) -> np.ndarray:
+        """``strip_point(W[i], rngs[i])`` at each i, as (N, n) rows."""
+        return np.array([self.strip_point(w, rng) for w, rng in zip(W, rngs)])
 
     def disc_bound(self, x, v) -> float:
         """Metric bound at (x, v) realized by an explicit analytic disc,
@@ -213,6 +236,7 @@ class Strip1D(_PlaneDomain):
 
     name = "strip1d"
     _to_plane = _to_strip = staticmethod(complex)  # the identity
+    fd_step_limit = 0.9 * QUARTER_PI / 10.0  # the window 10 h < 0.9 pi/4
 
     def member(self, z) -> bool:
         z = as_point(z, 1)
@@ -260,6 +284,7 @@ class Disc1D(_PlaneDomain):
 
     name = "disc1d"
     _to_plane, _to_strip = staticmethod(np.tanh), staticmethod(cmath.atanh)
+    fd_step_limit = 0.8 * QUARTER_PI / 20.0  # the window 20 h < 0.8 pi/4
 
     def member(self, z) -> bool:
         z = as_point(z, 1)
@@ -500,47 +525,74 @@ class EllipticTube(Model):
         x = _vector(x, self.dim)
         return self.body.contains(x)
 
-    def _sample_body_point(self, rng, shrink: float) -> np.ndarray:
+    def _body_points(self, rngs, shrink: float) -> np.ndarray:
+        """Uniform draws from the bounding box, each redrawn until the
+        body shrunk by ``shrink`` about its interior point contains it."""
         lo, hi = self.body.bounding_box()
         c = self.body.interior_point()
+        X = np.empty((len(rngs), self.dim))
+        rows = np.arange(len(rngs))
         for _ in range(10000):
-            x = rng.uniform(lo, hi)
-            if self.body.contains(c + (x - c) / shrink):
-                return x
+            # lo + (hi - lo) u is what rng.uniform(lo, hi) computes, at a
+            # fraction of its cost for array bounds
+            U = np.array([rngs[i].random(self.dim) for i in rows.tolist()])
+            B = lo + (hi - lo) * U.reshape(-1, self.dim)
+            inside = self.body.contains_batch(c + (B - c) / shrink)
+            X[rows[inside]] = B[inside]
+            rows = rows[~inside]
+            if not len(rows):
+                return X
         raise ConvergenceError("body sampling starved")
 
+    def sample_member_batch(self, rngs) -> np.ndarray:
+        X = self._body_points(rngs, 0.97)
+        D = unit_vectors(rngs, self.dim)
+        P = self.body.gauge_batch(X, D)
+        Q = self.body.gauge_batch(X, -D)
+        # rng.uniform(0.0, 0.9) is 0.9 u
+        U = np.array([rng.random() for rng in rngs])
+        T = np.sqrt(0.9 * U / (P * Q))
+        return X + 1j * T[:, None] * D
+
     def sample_member(self, rng) -> np.ndarray:
-        x = self._sample_body_point(rng, 0.97)
-        d = unit_vector(rng, self.dim)
-        pu = self.body._gauge(x, d)
-        qu = self.body._gauge(x, -d)
-        t = math.sqrt(rng.uniform(0.0, 0.9) / (pu * qu))
-        return x + 1j * t * d
+        return self.sample_member_batch([rng])[0]
 
     def sample_center(self, rng) -> np.ndarray:
-        return self._sample_body_point(rng, 0.97)
+        return self._body_points([rng], 0.97)[0]
 
-    def sample_fd_safe(self, rng, h: float) -> np.ndarray:
+    def sample_fd_safe_batch(self, rngs, h: float) -> np.ndarray:
         # margins chosen so the h^2 truncation of 5-point stencils stays
         # orders of magnitude below the degeneracy tolerances: x in the
         # half-shrunk body, both gauges <= 0.8, and |y| bounded below
         rin = self.body.inradius()
+        # the potential is dimensionless, h a length: compare it with
+        # the step relative to the body's scale
+        floor = 10.0 * h / rin
+        Z = np.empty((len(rngs), self.dim), dtype=complex)
+        rows = np.arange(len(rngs))
         for _ in range(10000):
-            x = self._sample_body_point(rng, 0.5)
-            d = unit_vector(rng, self.dim)
-            pu = self.body._gauge(x, d)
-            qu = self.body._gauge(x, -d)
-            t_hi = 0.8 / max(pu, qu)
-            t_lo = max(0.3 * rin, 0.6 * t_hi)
-            if t_hi <= t_lo:
-                continue
-            t = rng.uniform(t_lo, t_hi)
-            z = x + 1j * t * d
-            # the potential is dimensionless, h a length: compare it with
-            # the step relative to the body's scale
-            if self.potential(z) >= 10.0 * h / rin:
-                return z
+            active = [rngs[i] for i in rows.tolist()]
+            X = self._body_points(active, 0.5)
+            D = unit_vectors(active, self.dim)
+            t_hi = 0.8 / np.maximum(self.body.gauge_batch(X, D),
+                                    self.body.gauge_batch(X, -D))
+            t_lo = np.maximum(0.3 * rin, 0.6 * t_hi)
+            # a row whose window is empty draws again next round
+            drawn = np.flatnonzero(~(t_hi <= t_lo))
+            if len(drawn):
+                U = np.array([active[i].random() for i in drawn.tolist()])
+                lo, hi = t_lo[drawn], t_hi[drawn]
+                T = lo + (hi - lo) * U  # rng.uniform(lo, hi)
+                Zd = X[drawn] + 1j * T[:, None] * D[drawn]
+                done = self.potential_batch(Zd) >= floor
+                Z[rows[drawn[done]]] = Zd[done]
+                rows = np.delete(rows, drawn[done])
+                if not len(rows):
+                    return Z
         raise ConvergenceError("elliptic-tube safe sampling starved")
+
+    def sample_fd_safe(self, rng, h: float) -> np.ndarray:
+        return self.sample_fd_safe_batch([rng], h)[0]
 
     def competitors(self, seed: int) -> list:
         from .geodesics import chart
@@ -556,25 +608,35 @@ class EllipticTube(Model):
         return comps
 
     def geodesic_witnesses(self, seed: int, samples: int):
-        from .geodesics import _chart_residual, chart
-        gaps, reconstructions = [], []
-        for j in range(10):
-            z = self.sample_member(substream(seed, 3 * 10 ** 6 + j))
-            if not np.any(z.imag):
-                continue
-            ch = chart(self.body, z)
-            # relative to |z|, so rounding on a large body is no failure
-            rec = float(np.linalg.norm(ch.point(ch.zeta0) - z))
-            reconstructions.append(rec / max(1.0, float(np.linalg.norm(z))))
-            gaps.append(_chart_residual(ch, max(samples // 10, 10), seed + j))
+        from .geodesics import chart_residuals, chart_rows, disc_points, zeta0
+        Z = self.sample_member_batch([substream(seed, 3 * 10 ** 6 + j)
+                                      for j in range(10)])
+        witnesses = np.flatnonzero(np.any(Z.imag, axis=1))
+        Z = Z[witnesses]
+        T1, T2, X1, X2 = chart_rows(self.body, Z)
+        R = disc_points(X1, X2, np.array(
+            [zeta0(t1, t2) for t1, t2 in zip(T1.tolist(), T2.tolist())]))
+        # relative to |z|, so rounding on a large body is no failure
+        reconstructions = [float(np.linalg.norm(r - z))
+                           / max(1.0, float(np.linalg.norm(z)))
+                           for r, z in zip(R, Z)]
+        gaps = chart_residuals(self.body, X1, X2, max(samples // 10, 10),
+                               [seed + j for j in witnesses.tolist()])
         return gaps, reconstructions
 
+    def strip_points(self, W, rngs) -> np.ndarray:
+        from .geodesics import chart_rows, strip_map
+        Z = self.sample_member_batch(rngs)
+        rows = np.flatnonzero(~np.any(Z.imag, axis=1))
+        while len(rows):
+            Z[rows] = self.sample_member_batch([rngs[i]
+                                                for i in rows.tolist()])
+            rows = rows[~np.any(Z[rows].imag, axis=1)]
+        _, _, X1, X2 = chart_rows(self.body, Z)
+        return strip_map(X1, X2, W)
+
     def strip_point(self, w: complex, rng) -> np.ndarray:
-        from .geodesics import chart
-        z = self.sample_member(rng)
-        while not np.any(z.imag):
-            z = self.sample_member(rng)
-        return chart(self.body, z).strip_point(w)
+        return self.strip_points([w], [rng])[0]
 
     def disc_bound(self, x, v) -> float:
         from .geodesics import chart

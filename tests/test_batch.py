@@ -2,11 +2,13 @@
 
 Property tests over random SPD ellipsoids, bounded polytopes and
 superellipses: batched gauges, memberships and potentials reproduce the
-scalar ones row by row (the smooth-body gauges bit for bit),
-batched Levi matrices reproduce levi_matrix, and polytope vertices,
+scalar ones row by row (the smooth-body gauges bit for bit), the
+batched samplers reproduce the scalar draws byte for byte, batched Levi
+matrices reproduce levi_matrix, and polytope vertices,
 bounding boxes, Chebyshev radii and support values reproduce HiGHS and
 Qhull.
 """
+import cmath
 import math
 import tracemalloc
 
@@ -17,10 +19,12 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
-from pshmodels import (Disc1D, Ellipsoid, EllipticTube, Gauge,
-                       OutsideDomainError, Polytope, SmoothBody, SpecError,
-                       Strip1D, StripTube, Superellipse, levi_line,
-                       levi_matrices, levi_matrix, substream)
+from pshmodels import (QUARTER_PI, ConvergenceError, Disc1D, Ellipsoid,
+                       EllipticTube, Gauge, OutsideDomainError, Polytope,
+                       SmoothBody, SpecError, Strip1D, StripTube,
+                       Superellipse, chart, levi_line, levi_matrices,
+                       levi_matrix, substream, unit_disc_point, unit_vector)
+from pshmodels.sampling import unit_disc_points, unit_vectors
 from strategies import (bodies, ellipsoids, polytopes, superellipses,
                         unit_floats)
 
@@ -221,6 +225,123 @@ def test_member_batch_matches_scalar_at_the_edge(seed):
     ]
     for model, Z in cases:
         _assert_batch_matches_scalar(model, Z)
+
+
+@SETTINGS
+@given(body=bodies, seed=st.integers(0, 2 ** 32 - 1))
+def test_contains_batch_matches_contains(body, seed):
+    rng = np.random.default_rng(seed)
+    X = _real_parts(body, rng, 18)
+    assert body.contains_batch(X).tolist() == [body.contains(x) for x in X]
+
+
+def _reference_body_point(tube, rng, shrink):
+    lo, hi = tube.body.bounding_box()
+    c = tube.body.interior_point()
+    for _ in range(10000):
+        x = rng.uniform(lo, hi)
+        if tube.body.contains(c + (x - c) / shrink):
+            return x
+    raise ConvergenceError("body sampling starved")
+
+
+def _reference_member(tube, rng):
+    x = _reference_body_point(tube, rng, 0.97)
+    d = unit_vector(rng, tube.dim)
+    pu, qu = tube.body._gauge(x, d), tube.body._gauge(x, -d)
+    t = math.sqrt(rng.uniform(0.0, 0.9) / (pu * qu))
+    return x + 1j * t * d
+
+
+def _reference_fd_safe(tube, rng, h):
+    rin = tube.body.inradius()
+    for _ in range(10000):
+        x = _reference_body_point(tube, rng, 0.5)
+        d = unit_vector(rng, tube.dim)
+        pu, qu = tube.body._gauge(x, d), tube.body._gauge(x, -d)
+        t_hi = 0.8 / max(pu, qu)
+        t_lo = max(0.3 * rin, 0.6 * t_hi)
+        if t_hi <= t_lo:
+            continue
+        z = x + 1j * rng.uniform(t_lo, t_hi) * d
+        if tube.potential(z) >= 10.0 * h / rin:
+            return z
+    raise ConvergenceError("elliptic-tube safe sampling starved")
+
+
+def _reference_strip_point(tube, w, rng):
+    z = _reference_member(tube, rng)
+    while not np.any(z.imag):
+        z = _reference_member(tube, rng)
+    ch = chart(tube.body, z)
+    zeta = cmath.tanh(w)
+    return 0.5 * (1.0 - zeta) * ch.x1.astype(complex) \
+        + 0.5 * (1.0 + zeta) * ch.x2.astype(complex)
+
+
+def _assert_rows_match_the_scalar_loop(batch, scalar, seed, count=12):
+    """batch(rngs) against scalar(rng) row by row, each on fresh
+    substreams: the same bytes, and every Generator left in the same
+    state, so no row made a draw the scalar loop does not make."""
+    rngs = [substream(seed, k) for k in range(count)]
+    refs = [substream(seed, k) for k in range(count)]
+    got = batch(rngs)
+    want = np.array([scalar(rng) for rng in refs])
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert [repr(r.bit_generator.state) for r in rngs] == \
+        [repr(r.bit_generator.state) for r in refs]
+
+
+@SETTINGS
+@given(body=st.one_of(ellipsoids(), polytopes()),
+       seed=st.integers(0, 2 ** 32 - 1),
+       relative_step=st.floats(1e-4, 1e-2))
+def test_batched_samplers_match_the_scalar_row_loop(body, seed,
+                                                    relative_step):
+    # the scalar references are the elliptic-tube samplers as they were
+    # before batching: rng.uniform on array bounds, unit_vector, contains
+    # and _gauge one row at a time
+    tube = EllipticTube(body)
+    h = relative_step * body.inradius()
+    w = complex(0.2, 0.4 * QUARTER_PI)
+    cases = [
+        (tube.sample_member_batch, lambda rng: _reference_member(tube, rng)),
+        (tube.sample_member_batch, tube.sample_member),
+        (lambda rngs: tube.sample_fd_safe_batch(rngs, h),
+         lambda rng: _reference_fd_safe(tube, rng, h)),
+        (lambda rngs: tube.sample_fd_safe_batch(rngs, h),
+         lambda rng: tube.sample_fd_safe(rng, h)),
+        (lambda rngs: tube.strip_points([w] * len(rngs), rngs),
+         lambda rng: _reference_strip_point(tube, w, rng)),
+    ]
+    for batch, scalar in cases:
+        _assert_rows_match_the_scalar_loop(batch, scalar, seed)
+
+
+class _OverstatedEllipsoid(Ellipsoid):
+    """Claims twice its inradius, so that some safe windows come out
+    empty; with a true inradius no row's window ever does."""
+
+    def inradius(self):
+        return 2.0 * super().inradius()
+
+
+def test_rows_with_an_empty_safe_window_draw_again():
+    tube = EllipticTube(_OverstatedEllipsoid(np.diag([1.0, 4.0])))
+    _assert_rows_match_the_scalar_loop(
+        lambda rngs: tube.sample_fd_safe_batch(rngs, 1e-3),
+        lambda rng: _reference_fd_safe(tube, rng, 1e-3), 5, count=40)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4))
+def test_batched_unit_draws_match_the_scalar_row_loop(seed, dim):
+    _assert_rows_match_the_scalar_loop(
+        lambda rngs: unit_vectors(rngs, dim),
+        lambda rng: unit_vector(rng, dim), seed)
+    _assert_rows_match_the_scalar_loop(
+        unit_disc_points, lambda rng: complex(unit_disc_point(rng)), seed)
 
 
 def test_disc_potential_batch_rejects_what_potential_rejects():

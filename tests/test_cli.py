@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pshmodels import EllipticTube, model_from_spec
+from pshmodels import QUARTER_PI, EllipticTube, model_from_spec
 from pshmodels.cli import _emit, main
 from pshmodels.suites import TOL_DEFAULTS, check_step
 
@@ -369,10 +369,19 @@ class TestVerify:
                                                  "body": HUGE_BALL}),
                                       "--suite", "all", "--samples", "5",
                                       "--step", "1e12"])
-        assert code == 0, err
         suites = {r["check"]: r for r in json.loads(out)["suites"]}
         assert suites["geodesics"]["pass"] is True
         assert suites["maximality"]["pass"] is True
+        # every other suite passes too, except the Richardson suites: the
+        # absolute residual_floor of 1e-12 sits above every residual at
+        # this scale, so they compare no ratio, and a check that compared
+        # nothing fails
+        for name in ("tube-levi", "gauge-derivatives"):
+            assert suites[name]["pass"] is False
+            assert suites[name]["worst_point"] is None
+        assert all(r["pass"] for name, r in suites.items()
+                   if name not in ("tube-levi", "gauge-derivatives"))
+        assert code == 1, err
 
     @pytest.mark.parametrize("spec", [STRIP, DISC], ids=["strip1d", "disc1d"])
     @pytest.mark.parametrize("step", ["nan", "inf"])
@@ -386,6 +395,51 @@ class TestVerify:
                                       f"--step={step}"])
         assert code == 2
         assert out == "" and "--step must be positive and finite" in err
+
+    @pytest.mark.parametrize("spec, limit", [
+        (DISC, 0.8 * QUARTER_PI / 20.0), (STRIP, 0.9 * QUARTER_PI / 10.0)],
+        ids=["disc1d", "strip1d"])
+    @pytest.mark.parametrize("suite", ["psh", "ma", "all"])
+    def test_step_past_the_safe_window_rejected(self, spec_path, capsys,
+                                                spec, limit, suite):
+        # the safe sampler of disc1d draws the height from
+        # [max(0.3 pi/4, 20 h), 0.8 pi/4], strip1d from
+        # [max(0.1 pi/4, 10 h), 0.9 pi/4]; past the limit NumPy used to
+        # raise "high - low < 0", exit 2 with an internal message
+        path = spec_path(spec)
+        for step in ("0.1", repr(limit)):
+            code, out, err = run(capsys, ["verify", "--model", path,
+                                          "--suite", suite, "--samples", "5",
+                                          "--step", step])
+            assert code == 2
+            assert out == ""
+            assert f"--step {float(step):g}" in err and f"{limit:g}" in err
+        below = repr(float(np.nextafter(limit, 0.0)))
+        code, out, err = run(capsys, ["verify", "--model", path, "--suite",
+                                      suite, "--samples", "5", "--step",
+                                      below])
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)
+
+    def test_safe_window_leaves_other_suites_alone(self, spec_path, capsys):
+        code, out, _ = run(capsys, ["verify", "--model", spec_path(DISC),
+                                    "--suite", "schwarz", "--samples", "5",
+                                    "--step", "0.1"])
+        assert code == 0, out
+
+    @pytest.mark.parametrize("suite, floor", [("tube-levi", "1"),
+                                              ("gauge-derivatives", "1e300")])
+    def test_richardson_comparing_no_ratio_fails(self, spec_path, capsys,
+                                                 suite, floor):
+        # every residual at h is below the floor, so no ratio is compared;
+        # such a check used to pass with worst_point null
+        code, out, err = run(capsys, ["verify", "--model",
+                                      spec_path(BALL_TUBE), "--suite", suite,
+                                      "--samples", "5", "--tol",
+                                      f"residual_floor={floor}"])
+        assert code == 1, err
+        report = json.loads(out)
+        assert report["pass"] is False and report["worst_point"] is None
 
     def test_step_check_leaves_other_suites_alone(self, spec_path, capsys):
         code, out, _ = run(capsys, ["verify", "--model",
@@ -526,14 +580,15 @@ def _scalar_slice(model, plane, center, half_width, resolution) -> bytes:
 
 
 def test_each_command_draws_its_own_samples(monkeypatch, capsys):
-    # the cached draws key on the model, and each command builds its own
-    draw, counts = EllipticTube.sample_fd_safe, []
+    # the cached draws key on the model, and each command builds its own;
+    # counted are the rows drawn by the batched safe sampler
+    draw, counts = EllipticTube.sample_fd_safe_batch, []
 
-    def counted(self, rng, h):
-        counts[-1] += 1
-        return draw(self, rng, h)
+    def counted(self, rngs, h):
+        counts[-1] += len(rngs)
+        return draw(self, rngs, h)
 
-    monkeypatch.setattr(EllipticTube, "sample_fd_safe", counted)
+    monkeypatch.setattr(EllipticTube, "sample_fd_safe_batch", counted)
     argv = ["verify", "--model", str(ROOT / "specs" / "ball_tube.json"),
             "--suite", "all", "--samples", "5"]
     outputs = []

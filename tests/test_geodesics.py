@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pshmodels import geodesics
+from pshmodels.geodesics import chart_rows
 from pshmodels import (QUARTER_PI, Disc1D, EllipticTube, Gauge,
                        OutsideDomainError, Strip1D, StripTube, chart,
                        disc_upper_bound, identity_residual,
@@ -134,20 +135,23 @@ class TestIdentityResidual:
             identity_residual(unit_ball, np.array([0.3j, 0.0]), nsamples, 11)
 
     def test_witnesses_build_each_chart_once(self, unit_ball, monkeypatch):
-        built = []
+        # the ten witness charts come from one batched chart_rows call
+        built, scalar = [], []
 
-        def counting_chart(body, z):
-            built.append(z)
-            return chart(body, z)
+        def counting_rows(body, Z):
+            built.append(np.array(Z))
+            return chart_rows(body, Z)
 
-        monkeypatch.setattr(geodesics, "chart", counting_chart)
+        monkeypatch.setattr(geodesics, "chart_rows", counting_rows)
+        monkeypatch.setattr(geodesics, "chart", lambda body, z:
+                            scalar.append(z) or chart(body, z))
         gaps, reconstructions = EllipticTube(unit_ball).geodesic_witnesses(
             42, 20)
         assert len(gaps) == len(reconstructions) == 10
-        assert len(built) == 10
-        # the shared chart gives the residual identity_residual computes
+        assert len(built) == 1 and len(built[0]) == 10 and scalar == []
+        # the shared charts give the residuals identity_residual computes
         assert gaps == [identity_residual(unit_ball, z, 10, 42 + j)
-                        for j, z in enumerate(list(built))]
+                        for j, z in enumerate(built[0])]
 
     def test_real_zeta_trivial(self, unit_ball):
         ch = chart(unit_ball, np.array([0.3j, 0.0]))

@@ -42,6 +42,11 @@ def _commands() -> dict:
         "verify", "--model", str(ROOT / "specs" / "striptube_squircle.json"),
         "--suite", "all", "--samples", "100", "--step", "2e-4", "--seed",
         "42"]
+    # many rows of the rejection retries of the elliptic-tube samplers
+    for spec in ("ball_tube", "square_tube"):
+        commands[f"verify {spec} 1000003 large"] = [
+            "verify", "--model", str(ROOT / "specs" / f"{spec}.json"),
+            "--suite", "all", "--samples", "200", "--seed", "1000003"]
     for spec, plane in (("ball_tube", "2,3"), ("square_tube", "0,2")):
         commands[f"slice {spec}"] = [
             "slice", "--model", str(ROOT / "specs" / f"{spec}.json"),

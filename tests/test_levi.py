@@ -6,9 +6,10 @@ import pytest
 from pshmodels import (Ellipsoid, EllipticTube, Gauge, OutsideDomainError,
                        Strip1D, Disc1D, StripTube, check_monge_ampere,
                        check_plurisubharmonic, gauge_identity_residuals,
-                       levi_line, levi_matrix, member_samples,
+                       Model, levi_line, levi_matrix, member_samples,
                        metric_levi_pair, substream, tube_levi_residual)
 from pshmodels import levi, suites
+from pshmodels.maximality import disc_samples
 from pshmodels.suites import TOL_DEFAULTS, verify
 
 INTERVAL_1D = Ellipsoid([[1.0]])  # the interval (-1, 1) with a C2 boundary
@@ -18,7 +19,7 @@ def sq_norm_field(z):
     return float(np.sum(np.abs(z) ** 2))
 
 
-class CorruptedModel:
+class CorruptedModel(Model):
     """Wraps a model, perturbing its potential; for counter-tests."""
 
     def __init__(self, base, perturb):
@@ -37,7 +38,7 @@ class CorruptedModel:
         return self._base.sample_fd_safe(rng, h)
 
 
-class QuadraticModel:
+class QuadraticModel(Model):
     """Strictly plurisubharmonic field on a box; fails degeneracy checks."""
 
     name = "quadratic"
@@ -182,11 +183,12 @@ class TestMongeAmpereDegeneracy:
 class TestDrawOnce:
     def test_suites_share_their_draws(self, unit_ball, monkeypatch):
         # psh and ma read one draw of N samples and one levi_matrices
-        # call; tube-levi and gauge-derivatives one draw of 20 at 2h
+        # call; tube-levi and gauge-derivatives one draw of 20 at 2h;
+        # steps holds the step of each row the batched sampler draws
         tube = EllipticTube(unit_ball)
-        draw, steps, fields = tube.sample_fd_safe, [], []
-        monkeypatch.setattr(tube, "sample_fd_safe",
-                            lambda rng, h: steps.append(h) or draw(rng, h))
+        draw, steps, fields = tube.sample_fd_safe_batch, [], []
+        monkeypatch.setattr(tube, "sample_fd_safe_batch", lambda rngs, h:
+                            steps.extend([h] * len(rngs)) or draw(rngs, h))
         matrices = levi.levi_matrices
         monkeypatch.setattr(levi, "levi_matrices", lambda field, Z, h:
                             fields.append(field) or matrices(field, Z, h))
@@ -201,7 +203,8 @@ class TestDrawOnce:
         points, values = member_samples(tube, 3, 12)
         assert member_samples(tube, 3, 12)[0] is points
         for a in (*levi._sampled_eigs(tube, 3, 12, 1e-3), points, values,
-                  suites._richardson_points(tube, 12, 1e-3)):
+                  suites._richardson_points(tube, 12, 1e-3),
+                  disc_samples(tube, 3, 12)):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 

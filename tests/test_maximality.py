@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pshmodels import maximality
 from pshmodels import (QUARTER_PI, Competitor, Disc1D, Ellipsoid,
                        EllipticTube, Gauge, SpecError, Strip1D, StripTube,
                        chart, geodesic_pullback, interval, linear_pullback,
@@ -61,7 +62,7 @@ class TestCompetitorClassConstraints:
         comp = geodesic_pullback(ch)
         for k in range(300):
             rng = substream(242, k)
-            z = comp.sample(rng)
+            z = comp.chart.point(unit_disc_point(rng))
             assert 0.0 <= comp.evaluate(z) < QUARTER_PI
         # real chart parameters are center points of the tube
         for s in (-0.9, -0.2, 0.6):
@@ -166,18 +167,33 @@ class TestCompare:
 
     def test_battery_draws_member_samples_once(self, unit_square,
                                                monkeypatch):
-        # competitors without a sampler share one cached draw, with the
-        # values a fresh model (a cache miss) draws for each of them
+        # competitors off a disc share one cached draw, with the values a
+        # fresh model (a cache miss) draws for each of them; calls holds
+        # the rows the batched sampler draws
         tube = EllipticTube(unit_square)
-        draw, calls = tube.sample_member, []
-        monkeypatch.setattr(tube, "sample_member",
-                            lambda rng: calls.append(rng) or draw(rng))
+        draw, calls = tube.sample_member_batch, []
+        monkeypatch.setattr(tube, "sample_member_batch",
+                            lambda rngs: calls.extend(rngs) or draw(rngs))
         comps = [slab_pullback(unit_square, a)
                  for a in ([0.6, 0.8], [1.0, -0.3], [0.0, 1.0])]
         worst = [max_violation(tube, comp, 200, 34) for comp in comps]
         assert len(calls) == 200
         assert worst == [max_violation(EllipticTube(unit_square), comp, 200,
                                        34) for comp in comps]
+
+    def test_battery_draws_each_disc_parameter_once(self, unit_ball,
+                                                    monkeypatch):
+        # the geodesic-disc competitors map one cached draw of N disc
+        # parameters through their own charts; each used to draw its own
+        # N, so a battery of four made 4 N draws of N distinct values
+        draw, rows = maximality.unit_disc_points, []
+        monkeypatch.setattr(maximality, "unit_disc_points",
+                            lambda rngs: rows.extend(rngs) or draw(rngs))
+        tube = EllipticTube(unit_ball)
+        comps = tube.competitors(42)
+        assert sum(comp.chart is not None for comp in comps) == 4
+        assert verify(tube, "maximality", 42, 25, 1e-3, TOL_DEFAULTS)["pass"]
+        assert len(rows) == 25
 
     def test_deterministic_given_seed(self, unit_square):
         tube = EllipticTube(unit_square)
