@@ -130,7 +130,8 @@ def chart_residuals(body: ConvexBody, X1, X2, nsamples: int,
     values = EllipticTube(body).potential_batch(points).tolist()
     gaps = [abs(value - abs(cmath.atanh(zeta).imag))
             for value, zeta in zip(values, zetas.tolist())]
-    return [max([0.0] + gaps[i:i + nsamples])
+    # np.max, not max: Python's max drops a NaN that is not first
+    return [float(np.max([0.0] + gaps[i:i + nsamples]))
             for i in range(0, len(gaps), nsamples)]
 
 

@@ -10,7 +10,10 @@ A battery of competitors shares one cached draw of model samples and one
 batched model potential call on them (``member_samples``), and one cached
 draw of disc parameters (``disc_samples``) that each geodesic-disc
 competitor maps through its own chart; each competitor is then evaluated
-point by point.
+once over all its samples. A competitor's evaluator takes the rows of an
+(N, n) array and agrees bit for bit with the scalar formula at each row:
+row-wise products use the stacked-matmul kernel of ``np.dot``, and the
+complex arithmetic and ``cmath.atanh`` run per value.
 """
 from __future__ import annotations
 
@@ -21,23 +24,25 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import ConvexBody, Ellipsoid, Gauge, _vector
+from .bodies import (ConvexBody, Ellipsoid, Gauge, _matvec, _rowdot,
+                     _vector)
 from .errors import SpecError
 from .geodesics import GeodesicChart, disc_points
-from .models import Model
+from .models import Model, as_points
 from .sampling import substream, unit_disc_points
 
 
 @dataclass
 class Competitor:
-    """A certified element of the potential class, as a point evaluator.
+    """A certified element of the potential class, as an evaluator of the
+    rows of an (N, n) complex array, returning an (N,) float array.
 
     `chart` (if set) is the disc a competitor is defined on, for
     competitors defined only along a disc image: it is checked at the
     images of disc parameters rather than at model samples.
     """
     label: str
-    evaluate: Callable[[np.ndarray], float]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     chart: Optional[GeodesicChart] = None
 
 
@@ -57,10 +62,13 @@ def slab_pullback(body: ConvexBody, direction) -> Competitor:
     if not (np.isfinite(width) and width > 0):
         raise SpecError("degenerate slab")
 
-    def evaluate(z: np.ndarray) -> float:
-        s = complex(np.dot(a, np.asarray(z, dtype=complex)))
-        phi = (2.0 * s - (alpha + beta)) / width
-        return abs(cmath.atanh(phi).imag)
+    A = a[None, :].astype(complex)
+
+    def evaluate(Z) -> np.ndarray:
+        S = _matvec(A, as_points(Z, len(a)))[:, 0]
+        return np.array([abs(cmath.atanh((2.0 * s - (alpha + beta))
+                                         / width).imag)
+                         for s in S.tolist()], dtype=float)
 
     return Competitor(label=f"slab[{np.round(a, 6).tolist()}]", evaluate=evaluate)
 
@@ -82,8 +90,10 @@ def linear_pullback(gauge: Gauge, covector) -> Competitor:
         if max(body.support(c), body.support(-c)) > 1.0 + 1e-12:
             raise SpecError("covector exceeds the gauge on the body closure")
 
-    def evaluate(z: np.ndarray) -> float:
-        return abs(float(np.dot(c, np.asarray(z, dtype=complex).imag)))
+    C = c[None, :]
+
+    def evaluate(Z) -> np.ndarray:
+        return np.abs(_matvec(C, as_points(Z, len(c)).imag)[:, 0])
 
     return Competitor(label=f"linear[{np.round(c, 6).tolist()}]", evaluate=evaluate)
 
@@ -94,18 +104,25 @@ def geodesic_pullback(chart: GeodesicChart) -> Competitor:
     center = 0.5 * (chart.x1 + chart.x2)
     half = 0.5 * (chart.x2 - chart.x1)
     norm2 = float(half @ half)
+    H = half[None, :].astype(complex)
 
-    def invert(z: np.ndarray) -> complex:
-        z = np.asarray(z, dtype=complex)
-        zeta = complex(np.dot(half, z - center)) / norm2
-        # relative to |z|, so the test keeps its meaning on large bodies
-        residual = np.linalg.norm(z - (center + zeta * half))
-        if residual > 1e-9 * max(1.0, float(np.linalg.norm(z))):
+    def invert(Z) -> list:
+        Z = as_points(Z, len(half))
+        # Python division per value: NumPy's complex-by-real division
+        # multiplies by the reciprocal, which rounds differently
+        zetas = [s / norm2 for s in _matvec(H, Z - center)[:, 0].tolist()]
+        R = Z - (center + np.array(zetas, dtype=complex)[:, None] * half)
+        # the norms of np.linalg.norm, relative to |z|, so the test keeps
+        # its meaning on large bodies
+        residual = np.sqrt(_rowdot(R.real, R.real) + _rowdot(R.imag, R.imag))
+        size = np.sqrt(_rowdot(Z.real, Z.real) + _rowdot(Z.imag, Z.imag))
+        if np.any(residual > 1e-9 * np.maximum(1.0, size)):
             raise ValueError("point is off the disc image")
-        return zeta
+        return zetas
 
-    def evaluate(z: np.ndarray) -> float:
-        return abs(cmath.atanh(invert(z)).imag)
+    def evaluate(Z) -> np.ndarray:
+        return np.array([abs(cmath.atanh(zeta).imag) for zeta in invert(Z)],
+                        dtype=float)
 
     return Competitor(label="geodesic-disc", evaluate=evaluate, chart=chart)
 
@@ -156,5 +173,5 @@ def max_violation(model: Model, competitor: Competitor, nsamples: int,
         values = model.potential_batch(points)
     else:
         points, values = member_samples(model, nsamples, seed)
-    return float(max(competitor.evaluate(z) - u
-                     for z, u in zip(points, values.tolist())))
+    # np.max, not max: a NaN anywhere makes the violation NaN, which fails
+    return float(np.max(competitor.evaluate(points) - values))

@@ -408,8 +408,8 @@ class StripTube(Model):
     def competitors(self, seed: int) -> list:
         from .maximality import linear_pullback
         body, comps = self.body, []
-        for j in range(16):
-            d = unit_vector(substream(seed, 10 ** 6 + j), self.dim)
+        for d in unit_vectors([substream(seed, 10 ** 6 + j)
+                               for j in range(16)], self.dim):
             if isinstance(body, Ellipsoid):
                 c = (body.Q @ d) / math.sqrt(d @ body.Q @ d)
             else:
@@ -597,14 +597,13 @@ class EllipticTube(Model):
     def competitors(self, seed: int) -> list:
         from .geodesics import chart
         from .maximality import geodesic_pullback, slab_pullback
-        comps = [slab_pullback(self.body,
-                               unit_vector(substream(seed, 10 ** 6 + j),
-                                           self.dim))
-                 for j in range(12)]
-        for j in range(4):
-            z = self.sample_member(substream(seed, 2 * 10 ** 6 + j))
-            if np.any(z.imag):
-                comps.append(geodesic_pullback(chart(self.body, z)))
+        D = unit_vectors([substream(seed, 10 ** 6 + j) for j in range(12)],
+                         self.dim)
+        comps = [slab_pullback(self.body, d) for d in D]
+        Z = self.sample_member_batch([substream(seed, 2 * 10 ** 6 + j)
+                                      for j in range(4)])
+        comps += [geodesic_pullback(chart(self.body, z))
+                  for z in Z if np.any(z.imag)]
         return comps
 
     def geodesic_witnesses(self, seed: int, samples: int):

@@ -11,8 +11,16 @@ scalar draw makes on ``rngs[i]``, and ends with that Generator in the
 same state, so a batched draw is byte-identical to the scalar row loop.
 Rejection retries run in masked rounds over the rows still drawing; only
 the arithmetic between the draws is shared across rows.
+
+``substream`` seeds its Philox with a seed sequence whose state is the key
+itself. ``Philox(key=...)`` builds the same stream, but first builds an
+unkeyed ``SeedSequence()`` from OS entropy and throws it away, which more
+than doubles the cost of a stream. The class is built on first use, so
+that ``import pshmodels`` does not load ``numpy.random``.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -21,10 +29,33 @@ from .bodies import _rowdot
 _MASK64 = (1 << 64) - 1
 
 
+@functools.cache
+def _keyed_seed():
+    """The seed sequence class whose state is a given Philox key."""
+
+    class KeyedSeed(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # Philox asks for its two-word key; any other request means
+            # this NumPy seeds it differently, and the key would not be
+            # the stream's key
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise RuntimeError("a keyed Philox seed holds two 64-bit "
+                                   f"words, not {n_words} of {dtype}")
+            return np.array(self.key, dtype=np.uint64)
+
+    return KeyedSeed
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Generator for sample `index` of the sweep identified by `seed`."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator for sample `index` of the sweep identified by `seed`: the
+    Philox stream keyed by [seed mod 2^64, index mod 2^64]."""
+    key = _keyed_seed()([seed & _MASK64, index & _MASK64])
+    return np.random.Generator(np.random.Philox(key))
 
 
 def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

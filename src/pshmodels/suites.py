@@ -142,7 +142,9 @@ def _suite_gauge_derivatives(model, seed, samples, h, tols) -> CheckReport:
 
 def _suite_maximality(model, seed, samples, h, tols) -> CheckReport:
     comps = model.competitors(seed)
-    worst = max(max_violation(model, comp, samples, seed) for comp in comps)
+    # np.max, not max: Python's max drops a NaN that is not first
+    worst = float(np.max([max_violation(model, comp, samples, seed)
+                          for comp in comps]))
     tol = tols["maximality"]
     return CheckReport(check="maximality", model=model.name,
                        samples=len(comps) * samples, h=h, tol=tol,
@@ -153,7 +155,7 @@ def _suite_maximality(model, seed, samples, h, tols) -> CheckReport:
 def _suite_geodesics(model, seed, samples, h, tols) -> CheckReport:
     tol = tols[model.witness_tol]
     gaps, reconstructions = model.geodesic_witnesses(seed, samples)
-    worst = max([0.0] + gaps)
+    worst = float(np.max([0.0] + gaps))  # a NaN gap fails, as above
     passed = worst <= tol and all(rec <= tols["reconstruction"]
                                   for rec in reconstructions)
     return CheckReport(check="geodesics", model=model.name, samples=len(gaps),

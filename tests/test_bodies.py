@@ -459,3 +459,23 @@ class TestLazyScipy:
                 assert code == 0, (spec, code)
                 assert "scipy" not in sys.modules, spec + " loaded SciPy"
             """)
+
+
+class TestLazyNumpyRandom:
+    def test_import_and_slice_never_load_numpy_random(self, tmp_path):
+        # substream builds its seed sequence class on first use; a slice
+        # draws nothing, so it must not pay for loading numpy.random
+        out = tmp_path / "slice.csv"
+        _run_fresh(f"""
+            import contextlib, io, sys
+            import pshmodels
+            from pshmodels.cli import main
+            assert "numpy.random" not in sys.modules, "import loaded it"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["slice", "--model",
+                             {os.path.join(SPEC_DIR, "square_tube.json")!r},
+                             "--plane", "0,3", "--half-width", "1.5",
+                             "--out", {str(out)!r}])
+            assert code == 0, code
+            assert "numpy.random" not in sys.modules, "a slice loaded it"
+            """)

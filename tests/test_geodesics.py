@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pshmodels import (QUARTER_PI, Disc1D, EllipticTube, Gauge,
                        OutsideDomainError, Strip1D, StripTube, chart,
                        disc_upper_bound, identity_residual,
                        striptube_geodesic, substream, unit_disc_point)
+from pshmodels.suites import TOL_DEFAULTS, verify
 
 
 class TestChart:
@@ -159,6 +161,32 @@ class TestIdentityResidual:
         for s in (-0.7, 0.0, 0.4):
             assert tube.potential(ch.point(s)) == 0.0
             assert abs(cmath.atanh(s).imag) == 0.0
+
+
+class TestNaNWitnessFails:
+    def test_nan_gap_fails_the_suite(self, unit_ball, monkeypatch):
+        # a NaN that is not the first gap: Python's max would drop it
+        tube = EllipticTube(unit_ball)
+        monkeypatch.setattr(tube, "geodesic_witnesses", lambda seed, samples:
+                            ([0.0, math.nan, 1e-20], []))
+        report = verify(tube, "geodesics", 42, 20, 1e-3, TOL_DEFAULTS)
+        assert report["pass"] is False
+
+    def test_nan_potential_on_a_disc_fails_the_suite(self, unit_ball,
+                                                     monkeypatch):
+        # a NaN potential at the second disc sample of the first chart
+        potential_batch = EllipticTube.potential_batch
+
+        def nan_at_row_one(self, Z):
+            values = potential_batch(self, Z)
+            values[1] = math.nan
+            return values
+        monkeypatch.setattr(EllipticTube, "potential_batch", nan_at_row_one)
+        tube = EllipticTube(unit_ball)
+        gaps, _ = tube.geodesic_witnesses(42, 20)
+        assert math.isnan(gaps[0])
+        report = verify(tube, "geodesics", 42, 20, 1e-3, TOL_DEFAULTS)
+        assert report["pass"] is False
 
 
 class TestStripEval:

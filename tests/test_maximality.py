@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from pshmodels import (QUARTER_PI, Competitor, Disc1D, Ellipsoid,
                        EllipticTube, Gauge, SpecError, Strip1D, StripTube,
                        chart, geodesic_pullback, interval, linear_pullback,
                        max_violation, slab_pullback, substream,
-                       unit_disc_point)
+                       unit_disc_point, unit_vector)
+from pshmodels.geodesics import disc_points
 from pshmodels.suites import TOL_DEFAULTS, verify
 
 
@@ -40,9 +42,9 @@ class TestSlabPullback:
         for k in range(300):
             rng = substream(240, k)
             x = tube.sample_center(rng)
-            assert comp.evaluate(x.astype(complex)) <= 1e-14
+            assert comp.evaluate(x.astype(complex)[None])[0] <= 1e-14
             z = tube.sample_member(rng)
-            assert 0.0 <= comp.evaluate(z) < QUARTER_PI
+            assert 0.0 <= comp.evaluate(z[None])[0] < QUARTER_PI
 
 
 class TestCompetitorClassConstraints:
@@ -53,9 +55,9 @@ class TestCompetitorClassConstraints:
         for k in range(300):
             rng = substream(241, k)
             x = tube.sample_center(rng)
-            assert comp.evaluate(x.astype(complex)) == 0.0
+            assert comp.evaluate(x.astype(complex)[None])[0] == 0.0
             z = tube.sample_member(rng)
-            assert 0.0 <= comp.evaluate(z) < QUARTER_PI
+            assert 0.0 <= comp.evaluate(z[None])[0] < QUARTER_PI
 
     def test_geodesic_pullback(self, unit_ball):
         ch = chart(unit_ball, np.array([0.3j, 0.1 + 0.0j]))
@@ -63,10 +65,10 @@ class TestCompetitorClassConstraints:
         for k in range(300):
             rng = substream(242, k)
             z = comp.chart.point(unit_disc_point(rng))
-            assert 0.0 <= comp.evaluate(z) < QUARTER_PI
+            assert 0.0 <= comp.evaluate(z[None])[0] < QUARTER_PI
         # real chart parameters are center points of the tube
         for s in (-0.9, -0.2, 0.6):
-            assert comp.evaluate(ch.point(s)) <= 1e-14
+            assert comp.evaluate(ch.point(s)[None])[0] <= 1e-14
 
 
 class TestLinearPullback:
@@ -118,7 +120,8 @@ class TestGeodesicPullback:
         for k in range(1000):
             zeta = unit_disc_point(substream(27, k))
             z = ch.point(zeta)
-            worst = max(worst, abs(comp.evaluate(z) - tube.potential(z)))
+            worst = max(worst, abs(comp.evaluate(z[None])[0]
+                                   - tube.potential(z)))
         assert worst <= 1e-12
 
     def test_ball_equality_witness(self, unit_ball):
@@ -130,13 +133,14 @@ class TestGeodesicPullback:
     def test_real_parameter_vanishes(self, interval_sym):
         ch = chart(interval_sym, np.array([0.5j]))
         comp = geodesic_pullback(ch)
-        assert comp.evaluate(ch.point(0.3)) == pytest.approx(0.0, abs=1e-15)
+        assert comp.evaluate(ch.point(0.3)[None])[0] == pytest.approx(
+            0.0, abs=1e-15)
 
     def test_off_disc_rejected(self, unit_ball):
         ch = chart(unit_ball, np.array([0.3j, 0.0]))
         comp = geodesic_pullback(ch)
         with pytest.raises(ValueError):
-            comp.evaluate(np.array([0.1 + 0.1j, 0.5 + 0.0j]))
+            comp.evaluate(np.array([[0.1 + 0.1j, 0.5 + 0.0j]]))
 
     def test_off_disc_test_scales_with_the_body(self):
         # inradius 1e15: disc points pass, a point 1e-6 |z| off fails
@@ -145,8 +149,9 @@ class TestGeodesicPullback:
         comp = geodesic_pullback(ch)
         assert abs(max_violation(EllipticTube(ball), comp, 200, 29)) <= 1e-10
         z = ch.point(0.2 + 0.4j)
+        off = z + 1e-6 * np.linalg.norm(z) * np.array([0, 1j])
         with pytest.raises(ValueError):
-            comp.evaluate(z + 1e-6 * np.linalg.norm(z) * np.array([0, 1j]))
+            comp.evaluate(off[None])
 
 
 class TestCompare:
@@ -215,6 +220,72 @@ class TestCompare:
         assert abs(max_violation(disc, comp, 500, 33)) <= 1e-12
 
 
+def _slab_row(a, alpha, beta, z):
+    """The former one-point slab competitor."""
+    s = complex(np.dot(a, np.asarray(z, dtype=complex)))
+    phi = (2.0 * s - (alpha + beta)) / (beta - alpha)
+    return abs(cmath.atanh(phi).imag)
+
+
+def _linear_row(c, z):
+    """The former one-point linear competitor."""
+    return abs(float(np.dot(c, np.asarray(z, dtype=complex).imag)))
+
+
+def _geodesic_row(ch, z):
+    """The former one-point geodesic-disc competitor."""
+    center = 0.5 * (ch.x1 + ch.x2)
+    half = 0.5 * (ch.x2 - ch.x1)
+    zeta = complex(np.dot(half, z - center)) / float(half @ half)
+    return abs(cmath.atanh(zeta).imag)
+
+
+class TestBatchedCompetitors:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_equal_the_one_point_formulas(self, dim):
+        # bit for bit: maximality reports rest on these values
+        Q = np.diag([1.0, 4.0, 0.25][:dim])
+        body = Ellipsoid(Q)
+        tube = EllipticTube(body)
+        Z = tube.sample_member_batch([substream(250 + dim, k)
+                                      for k in range(400)])
+        for j in range(4):
+            a = unit_vector(substream(251, j), dim)
+            comp = slab_pullback(body, a)
+            beta, alpha = body.support(a), -body.support(-a)
+            assert comp.evaluate(Z).tolist() == \
+                [_slab_row(a, alpha, beta, z) for z in Z]
+            c = (Q @ a) / math.sqrt(a @ Q @ a)
+            comp = linear_pullback(Gauge(body), c)
+            assert comp.evaluate(Z).tolist() == [_linear_row(c, z) for z in Z]
+            ch = chart(body, Z[j])
+            comp = geodesic_pullback(ch)
+            zetas = [unit_disc_point(substream(252, k)) for k in range(400)]
+            P = disc_points(ch.x1, ch.x2, zetas)
+            assert comp.evaluate(P).tolist() == \
+                [_geodesic_row(ch, z) for z in P]
+
+
+class TestNaNFails:
+    def test_nan_row_of_a_competitor_fails_maximality(self, unit_square,
+                                                      monkeypatch):
+        # one NaN row in a competitor that is not the battery's first,
+        # where Python's max would drop it at both levels
+        tube = EllipticTube(unit_square)
+        comps = tube.competitors(42)
+        base = comps[3]
+
+        def evaluate(Z):
+            values = base.evaluate(Z)
+            values[1] = math.nan
+            return values
+        comps[3] = Competitor(label="nan-row", evaluate=evaluate)
+        monkeypatch.setattr(tube, "competitors", lambda seed: comps)
+        assert math.isnan(max_violation(tube, comps[3], 25, 42))
+        report = verify(tube, "maximality", 42, 25, 1e-3, TOL_DEFAULTS)
+        assert report["pass"] is False
+
+
 class TestSlabMonotonicity:
     def test_narrower_slab_dominates_on_grid(self):
         # pullback through the slab (-1, 1) versus the wider (-2, 2): the
@@ -226,4 +297,5 @@ class TestSlabMonotonicity:
                 z = np.array([complex(x, y)])
                 if x * x + y * y >= 0.96:
                     continue
-                assert narrow.evaluate(z) >= wide.evaluate(z) - 1e-14
+                assert (narrow.evaluate(z[None])[0]
+                        >= wide.evaluate(z[None])[0] - 1e-14)

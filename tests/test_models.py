@@ -100,10 +100,11 @@ class TestPotential:
             EllipticTube(unit_ball).potential(np.array([2.0, 0.0]))
 
     def test_range_invariant(self, catalog):
+        # the batched draw has the rows of the scalar sample_member loop
         for model in catalog:
-            for k in range(10000):
-                z = model.sample_member(substream(201, k))
-                value = model.potential(z)
+            Z = model.sample_member_batch([substream(201, k)
+                                           for k in range(10000)])
+            for value in model.potential_batch(Z).tolist():
                 assert 0.0 <= value < QUARTER_PI
 
     def test_center_characterization(self, catalog):
