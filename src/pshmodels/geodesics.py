@@ -8,6 +8,7 @@ an analogous flat ray through each point.
 ``chart_rows`` builds the charts of many points from two ``gauge_batch``
 calls, and ``disc_points`` / ``strip_map`` map one parameter per chart;
 they agree with ``chart`` and ``GeodesicChart.point`` bit for bit.
+``striptube_geodesics`` maps many flat rays from one gauge call.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, Gauge, _vector
+from .bodies import ConvexBody, Gauge, _rows, _vector
 from .errors import OutsideDomainError
 from .models import QUARTER_PI, EllipticTube, Model, as_point, as_points
 from .sampling import substream, unit_disc_points
@@ -138,15 +139,21 @@ def chart_residuals(body: ConvexBody, X1, X2, nsamples: int,
 def striptube_geodesic(gauge: Gauge, x, y, zeta) -> np.ndarray:
     """Point x + zeta * y / gauge(y) of the flat ray through a strip-tube
     point, for zeta in the upper half-strip 0 < Im zeta < pi/4."""
-    x = _vector(x, gauge.dim)
-    y = _vector(y, gauge.dim)
-    if not np.any(y):
+    return striptube_geodesics(gauge, [x], [y], [zeta])[0]
+
+
+def striptube_geodesics(gauge: Gauge, X, Y, zetas) -> np.ndarray:
+    """``striptube_geodesic`` at each row of X and Y with zetas[i], from
+    one ``Gauge.batch`` call."""
+    X = _rows(X, gauge.dim)
+    Y = _rows(Y, gauge.dim)
+    if not np.all(np.any(Y, axis=1)):
         raise OutsideDomainError("flat ray undefined for y = 0")
-    zeta = complex(zeta)
-    if not 0.0 < zeta.imag < QUARTER_PI:
+    zetas = np.array([complex(zeta) for zeta in zetas], dtype=complex)
+    if not np.all((0.0 < zetas.imag) & (zetas.imag < QUARTER_PI)):
         raise OutsideDomainError("zeta must lie in the open upper half-strip")
-    direction = y / gauge(y)
-    return x.astype(complex) + zeta * direction
+    directions = Y / gauge.batch(Y)[:, None]
+    return X.astype(complex) + zetas[:, None] * directions
 
 
 def disc_upper_bound(model: Model, x, v) -> float:

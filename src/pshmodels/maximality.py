@@ -14,6 +14,12 @@ once over all its samples. A competitor's evaluator takes the rows of an
 (N, n) array and agrees bit for bit with the scalar formula at each row:
 row-wise products use the stacked-matmul kernel of ``np.dot``, and the
 complex arithmetic and ``cmath.atanh`` run per value.
+
+A battery certifies its competitors in batches as well: ``slab_pullbacks``
+and ``linear_pullbacks`` take the support values of all their directions
+from two ``support_batch`` calls, and pass each competitor's to
+``slab_pullback`` or ``linear_pullback``, which build it as for one
+direction.
 """
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import (ConvexBody, Ellipsoid, Gauge, _matvec, _rowdot,
+from .bodies import (ConvexBody, Ellipsoid, Gauge, _matvec, _rowdot, _rows,
                      _vector)
 from .errors import SpecError
 from .geodesics import GeodesicChart, disc_points
@@ -46,18 +52,20 @@ class Competitor:
     chart: Optional[GeodesicChart] = None
 
 
-def slab_pullback(body: ConvexBody, direction) -> Competitor:
+def slab_pullback(body: ConvexBody, direction, bounds=None) -> Competitor:
     """Pullback of the 1-D disc potential through z -> direction . z.
 
     The linear map sends the tube over the body into the tube over the
     slab (alpha, beta) of attained values, which is the disc model of that
-    interval; support evaluations certify the slab bounds.
+    interval; support evaluations certify the slab bounds. ``bounds`` is
+    (alpha, beta) when the caller has those support values already, as
+    ``slab_pullbacks`` has.
     """
     a = _vector(direction, body.dim)
     if not np.any(a):
         raise SpecError("slab direction must be nonzero")
-    beta = body.support(a)
-    alpha = -body.support(-a)
+    alpha, beta = (bounds if bounds is not None
+                   else (-body.support(-a), body.support(a)))
     width = beta - alpha
     if not (np.isfinite(width) and width > 0):
         raise SpecError("degenerate slab")
@@ -73,12 +81,23 @@ def slab_pullback(body: ConvexBody, direction) -> Competitor:
     return Competitor(label=f"slab[{np.round(a, 6).tolist()}]", evaluate=evaluate)
 
 
-def linear_pullback(gauge: Gauge, covector) -> Competitor:
+def slab_pullbacks(body: ConvexBody, D) -> list:
+    """``slab_pullback`` along each row of D, the slabs certified by two
+    ``support_batch`` calls."""
+    D = _rows(D, body.dim)
+    alphas = (-body.support_batch(-D)).tolist()
+    betas = body.support_batch(D).tolist()
+    return [slab_pullback(body, a, bounds)
+            for a, bounds in zip(D, zip(alphas, betas))]
+
+
+def linear_pullback(gauge: Gauge, covector, reach=None) -> Competitor:
     """Pullback |Im(c . z)| of the flat-strip potential through z -> c . z.
 
     Admissible when |c . y| <= gauge(y) for all y, certified in closed
-    form: c^T Q^{-1} c <= 1 for ellipsoidal gauges, support evaluations of
-    +/- c otherwise.
+    form: c^T Q^{-1} c <= 1 for ellipsoidal gauges, the support values of
+    +/- c otherwise, whose larger one ``reach`` is when the caller has it
+    already, as ``linear_pullbacks`` has.
     """
     c = _vector(covector, gauge.dim)
     body = gauge.body
@@ -87,7 +106,9 @@ def linear_pullback(gauge: Gauge, covector) -> Competitor:
         if bound > 1.0 + 1e-12:
             raise SpecError("covector exceeds the gauge (c^T Q^-1 c > 1)")
     else:
-        if max(body.support(c), body.support(-c)) > 1.0 + 1e-12:
+        if reach is None:
+            reach = max(body.support(c), body.support(-c))
+        if reach > 1.0 + 1e-12:
             raise SpecError("covector exceeds the gauge on the body closure")
 
     C = c[None, :]
@@ -96,6 +117,17 @@ def linear_pullback(gauge: Gauge, covector) -> Competitor:
         return np.abs(_matvec(C, as_points(Z, len(c)).imag)[:, 0])
 
     return Competitor(label=f"linear[{np.round(c, 6).tolist()}]", evaluate=evaluate)
+
+
+def linear_pullbacks(gauge: Gauge, C) -> list:
+    """``linear_pullback`` of each row of C; off ellipsoids, the rows are
+    certified by two ``support_batch`` calls."""
+    C = _rows(C, gauge.dim)
+    if isinstance(gauge.body, Ellipsoid):
+        return [linear_pullback(gauge, c) for c in C]
+    reach = np.maximum(gauge.body.support_batch(C),
+                       gauge.body.support_batch(-C)).tolist()
+    return [linear_pullback(gauge, c, r) for c, r in zip(C, reach)]
 
 
 def geodesic_pullback(chart: GeodesicChart) -> Competitor:

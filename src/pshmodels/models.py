@@ -10,14 +10,13 @@ realizes the metric as the limit of potential(x + i t v)/t.
 array in one call and agrees with ``potential`` bit for bit;
 ``member_batch`` agrees with ``member`` in the same way.
 
-The samplers have batched forms too: ``sample_member_batch(rngs)``,
+Every model samples in batches: ``sample_member_batch(rngs)``,
 ``sample_fd_safe_batch(rngs, h)`` and ``strip_points(W, rngs)`` draw row i
-from ``rngs[i]`` alone, with exactly the Generator calls of the scalar
-sampler in the same order, so their rows equal the scalar draws byte for
-byte and each Generator ends in the same state. The base class loops over
-the scalar sampler; elliptic tubes override all three with masked
-rejection rounds over the rows still drawing, and their scalar samplers
-are the batches of one row.
+from ``rngs[i]`` alone, each row with its own Generator calls in a fixed
+order, rejection retries in masked rounds over the rows still drawing.
+The gauges and potentials of a draw site run after the draws, in one
+batched call each. ``sample_member``, ``sample_fd_safe`` and
+``strip_point`` are defined once, on Model, as batches of one row.
 
 Each model also carries its own part of every verification suite and CLI
 record (see Model), so no caller branches on the model type.
@@ -31,10 +30,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bodies import (ConvexBody, Ellipsoid, Gauge, _vector, body_from_spec,
-                     interval)
+from .bodies import (ConvexBody, Ellipsoid, Gauge, _rowdot, _vector,
+                     body_from_spec, interval)
 from .errors import ConvergenceError, OutsideDomainError, SpecError
-from .sampling import substream, unit_vector, unit_vectors
+from .sampling import substream, unit_vectors
 
 QUARTER_PI = math.pi / 4  # 0.7853981633974483, the potential supremum
 
@@ -80,17 +79,26 @@ def _atan_mean(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
                      for p, q in zip(P.tolist(), Q.tolist())], dtype=float)
 
 
+def _uniform_rows(rngs, dim: int) -> np.ndarray:
+    """``rng.uniform(-1.0, 1.0, dim)`` of each Generator of rngs, as rows."""
+    return np.array([rng.uniform(-1.0, 1.0, dim)
+                     for rng in rngs]).reshape(-1, dim)
+
+
 class Model:
     """Base class: a tube domain with center and extremal potential.
 
     Each model also has ``member_batch`` and ``potential_batch``; the
-    maximality battery ``competitors(seed)``; ``strip_point(w, rng)``, the
-    image of w, |Im w| < pi/4, under a holomorphic strip map into the
-    domain (drawn from rng on tubes), and its batch ``strip_points(W,
-    rngs)``; and ``geodesic_witnesses(seed, samples)``, a pair (gaps,
+    maximality battery ``competitors(seed)``; ``strip_points(W, rngs)``,
+    the images of the W[i], |Im W[i]| < pi/4, under holomorphic strip
+    maps into the domain (drawn from rngs[i] on tubes); and
+    ``geodesic_witnesses(seed, samples)``, a pair (gaps,
     reconstructions): per extremal disc or flat ray, the largest gap
     between the potential along it and its closed form, and per disc
     chart, its base point error over max(1, |z|).
+    A subclass draws only in batches (``sample_member_batch``,
+    ``sample_fd_safe_batch``, ``strip_points``); the one-point samplers
+    here are their batches of one row.
     A model must not change after construction: the suites cache their
     sample draws on the model object (``functools.lru_cache``).
     """
@@ -117,27 +125,29 @@ class Model:
     def in_center(self, x) -> bool:
         raise NotImplementedError
 
-    def sample_member(self, rng) -> np.ndarray:
-        raise NotImplementedError
-
     def sample_center(self, rng) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_fd_safe(self, rng, h: float) -> np.ndarray:
-        """Member point with enough interior margin for O(h^2) stencils."""
+    def sample_member_batch(self, rngs) -> np.ndarray:
+        """A member point from each Generator of rngs, as (N, n) rows."""
         raise NotImplementedError
 
-    def sample_member_batch(self, rngs) -> np.ndarray:
-        """``sample_member`` of each Generator of rngs, as (N, n) rows."""
-        return np.array([self.sample_member(rng) for rng in rngs])
-
     def sample_fd_safe_batch(self, rngs, h: float) -> np.ndarray:
-        """``sample_fd_safe`` of each Generator of rngs, as (N, n) rows."""
-        return np.array([self.sample_fd_safe(rng, h) for rng in rngs])
+        """As sample_member_batch, with the interior margin of O(h^2)
+        stencils."""
+        raise NotImplementedError
 
     def strip_points(self, W, rngs) -> np.ndarray:
-        """``strip_point(W[i], rngs[i])`` at each i, as (N, n) rows."""
-        return np.array([self.strip_point(w, rng) for w, rng in zip(W, rngs)])
+        raise NotImplementedError
+
+    def sample_member(self, rng) -> np.ndarray:
+        return self.sample_member_batch([rng])[0]
+
+    def sample_fd_safe(self, rng, h: float) -> np.ndarray:
+        return self.sample_fd_safe_batch([rng], h)[0]
+
+    def strip_point(self, w: complex, rng) -> np.ndarray:
+        return self.strip_points([w], [rng])[0]
 
     def disc_bound(self, x, v) -> float:
         """Metric bound at (x, v) realized by an explicit analytic disc,
@@ -217,18 +227,30 @@ class _PlaneDomain(Model):
         return np.array([abs(self._to_strip(c).imag)
                          for c in Z[:, 0].tolist()], dtype=float)
 
-    def strip_point(self, w: complex, rng) -> np.ndarray:
-        return np.array([self._to_plane(w)])
+    def strip_points(self, W, rngs) -> np.ndarray:
+        # the identity strip map, or tanh per value: no draw
+        return np.array([self._to_plane(w) for w in W],
+                        dtype=complex).reshape(-1, 1)
+
+    @staticmethod
+    def _strip_rows(rngs, a: float, lo: float, hi: float) -> list:
+        """complex(s, +-t) from each Generator: s from (-a, a), then t from
+        (lo, hi), then its sign, each with probability 1/2."""
+        rows = []
+        for rng in rngs:
+            s = rng.uniform(-a, a)
+            t = rng.uniform(lo, hi)
+            rows.append(complex(s, t if rng.uniform() < 0.5 else -t))
+        return rows
 
     def geodesic_witnesses(self, seed: int, samples: int):
-        gaps = []
-        for k in range(samples):
-            rng = substream(seed, k)
-            eta = complex(rng.uniform(-1.0, 1.0),
-                          rng.uniform(-0.95, 0.95) * QUARTER_PI)
-            gaps.append(abs(self.potential(self.strip_point(eta, rng))
-                            - abs(eta.imag)))
-        return gaps, []
+        rngs = [substream(seed, k) for k in range(samples)]
+        etas = [complex(rng.uniform(-1.0, 1.0),
+                        rng.uniform(-0.95, 0.95) * QUARTER_PI)
+                for rng in rngs]
+        values = self.potential_batch(self.strip_points(etas, rngs))
+        return [abs(u - abs(eta.imag))
+                for u, eta in zip(values.tolist(), etas)], []
 
 
 class Strip1D(_PlaneDomain):
@@ -256,24 +278,24 @@ class Strip1D(_PlaneDomain):
         x = _vector(x, 1)
         return True
 
-    def sample_member(self, rng) -> np.ndarray:
-        x = rng.uniform(-1.0, 1.0)
-        y = rng.uniform(-0.95, 0.95) * QUARTER_PI
-        return np.array([complex(x, y)])
+    def sample_member_batch(self, rngs) -> np.ndarray:
+        # x, then y, from each Generator
+        return np.array([complex(rng.uniform(-1.0, 1.0),
+                                 rng.uniform(-0.95, 0.95) * QUARTER_PI)
+                         for rng in rngs], dtype=complex).reshape(-1, 1)
 
     def sample_center(self, rng) -> np.ndarray:
         return np.array([rng.uniform(-1.0, 1.0)])
 
-    def sample_fd_safe(self, rng, h: float) -> np.ndarray:
-        x = rng.uniform(-1.0, 1.0)
-        y = rng.uniform(max(10.0 * h, 0.1 * QUARTER_PI), 0.9 * QUARTER_PI)
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        return np.array([complex(x, sign * y)])
+    def sample_fd_safe_batch(self, rngs, h: float) -> np.ndarray:
+        W = self._strip_rows(rngs, 1.0, max(10.0 * h, 0.1 * QUARTER_PI),
+                             0.9 * QUARTER_PI)
+        return np.array(W, dtype=complex).reshape(-1, 1)
 
     def competitors(self, seed: int) -> list:
-        from .maximality import linear_pullback
-        gauge = Gauge(interval(-1.0, 1.0))
-        return [linear_pullback(gauge, [c]) for c in (1.0, -1.0, 0.5)]
+        from .maximality import linear_pullbacks
+        return linear_pullbacks(Gauge(interval(-1.0, 1.0)),
+                                [[1.0], [-1.0], [0.5]])
 
     def disc_bound(self, x, v) -> float:
         return abs(float(v[0]))
@@ -308,32 +330,34 @@ class Disc1D(_PlaneDomain):
         x = _vector(x, 1)
         return bool(abs(float(x[0])) < 1.0)
 
-    def sample_member(self, rng) -> np.ndarray:
-        r = 0.97 * math.sqrt(rng.uniform())
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        return np.array([r * cmath.exp(1j * theta)])
+    def sample_member_batch(self, rngs) -> np.ndarray:
+        rows = []
+        for rng in rngs:
+            r = 0.97 * math.sqrt(rng.uniform())
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            rows.append(r * cmath.exp(1j * theta))
+        return np.array(rows, dtype=complex).reshape(-1, 1)
 
     def sample_center(self, rng) -> np.ndarray:
         return np.array([rng.uniform(-0.95, 0.95)])
 
-    def sample_fd_safe(self, rng, h: float) -> np.ndarray:
+    def sample_fd_safe_batch(self, rngs, h: float) -> np.ndarray:
         # sample in strip coordinates; capping the window keeps the tanh
         # image away from the circle, where stencil truncation blows up
-        s = rng.uniform(-0.45, 0.45)
-        t = rng.uniform(max(0.3 * QUARTER_PI, 20.0 * h), 0.8 * QUARTER_PI)
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        return np.array([cmath.tanh(complex(s, sign * t))])
+        W = self._strip_rows(rngs, 0.45, max(0.3 * QUARTER_PI, 20.0 * h),
+                             0.8 * QUARTER_PI)
+        return np.array([cmath.tanh(w) for w in W],
+                        dtype=complex).reshape(-1, 1)
 
     def competitors(self, seed: int) -> list:
         from .geodesics import chart
-        from .maximality import geodesic_pullback, slab_pullback
+        from .maximality import geodesic_pullback, slab_pullbacks
         body = interval(-1.0, 1.0)
-        comps = [slab_pullback(body, [1.0])]
-        for j in range(3):
-            z = self.sample_member(substream(seed, 10 ** 6 + j))
-            if abs(z[0].imag) > 1e-3:
-                comps.append(geodesic_pullback(chart(body, z)))
-        return comps
+        Z = self.sample_member_batch([substream(seed, 10 ** 6 + j)
+                                      for j in range(3)])
+        return slab_pullbacks(body, [[1.0]]) + [
+            geodesic_pullback(chart(body, z)) for z in Z
+            if abs(z[0].imag) > 1e-3]
 
     def disc_bound(self, x, v) -> float:
         # Moebius reparameterization of the identity disc
@@ -383,60 +407,78 @@ class StripTube(Model):
         x = _vector(x, self.dim)
         return True
 
-    def sample_member(self, rng) -> np.ndarray:
-        x = rng.uniform(-1.0, 1.0, self.dim)
-        d = unit_vector(rng, self.dim)
-        level = rng.uniform(0.0, 0.95) * QUARTER_PI
-        y = level * d / self.gauge(d)
-        return x + 1j * y
+    # Each sampler draws, per row, the coordinates x, a unit direction d
+    # and a level or scale along it, in the order of the Generator calls
+    # noted below; the gauges at the directions, and at the rays of
+    # striptube_geodesics, then take one Gauge.batch call each.
+
+    def sample_member_batch(self, rngs) -> np.ndarray:
+        # x, d, level
+        X = _uniform_rows(rngs, self.dim)
+        D = unit_vectors(rngs, self.dim)
+        levels = np.array([rng.uniform(0.0, 0.95) * QUARTER_PI
+                           for rng in rngs])
+        return X + 1j * (levels[:, None] * D / self.gauge.batch(D)[:, None])
 
     def sample_center(self, rng) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, self.dim)
 
-    def sample_fd_safe(self, rng, h: float) -> np.ndarray:
-        x = rng.uniform(-1.0, 1.0, self.dim)
+    def sample_fd_safe_batch(self, rngs, h: float) -> np.ndarray:
+        # x, then (d, level) until the length test passes; the level is
+        # dimensionless, and the length test keeps |y| above the step
+        X = _uniform_rows(rngs, self.dim)
+        Y = np.empty_like(X)
+        floor = max(0.5 * self.body.inradius(), 10.0 * h)
+        rows = np.arange(len(rngs))
         for _ in range(1000):
-            d = unit_vector(rng, self.dim)
-            # the level is dimensionless; the length test below keeps
-            # |y| above the step
-            level = rng.uniform(0.4 * QUARTER_PI, 0.9 * QUARTER_PI)
-            y = level * d / self.gauge(d)
-            if np.linalg.norm(y) >= max(0.5 * self.body.inradius(), 10.0 * h):
-                return x + 1j * y
+            active = [rngs[i] for i in rows.tolist()]
+            D = unit_vectors(active, self.dim)
+            levels = np.array([rng.uniform(0.4 * QUARTER_PI, 0.9 * QUARTER_PI)
+                               for rng in active])
+            Yr = levels[:, None] * D / self.gauge.batch(D)[:, None]
+            # the norm of np.linalg.norm: the root of the dot product
+            done = np.sqrt(_rowdot(Yr, Yr)) >= floor
+            Y[rows[done]] = Yr[done]
+            rows = rows[~done]
+            if not len(rows):
+                return X + 1j * Y
         raise ConvergenceError("strip-tube safe sampling starved")
 
     def competitors(self, seed: int) -> list:
-        from .maximality import linear_pullback
-        body, comps = self.body, []
-        for d in unit_vectors([substream(seed, 10 ** 6 + j)
-                               for j in range(16)], self.dim):
-            if isinstance(body, Ellipsoid):
-                c = (body.Q @ d) / math.sqrt(d @ body.Q @ d)
-            else:
-                c = d / max(body.support(d), body.support(-d))
-            comps.append(linear_pullback(self.gauge, c))
-        return comps
+        from .maximality import linear_pullbacks
+        body = self.body
+        D = unit_vectors([substream(seed, 10 ** 6 + j) for j in range(16)],
+                         self.dim)
+        if isinstance(body, Ellipsoid):
+            C = [(body.Q @ d) / math.sqrt(d @ body.Q @ d) for d in D]
+        else:
+            C = D / np.maximum(body.support_batch(D),
+                               body.support_batch(-D))[:, None]
+        return linear_pullbacks(self.gauge, C)
 
     def geodesic_witnesses(self, seed: int, samples: int):
-        from .geodesics import striptube_geodesic
-        gaps = []
-        for k in range(samples):
-            rng = substream(seed, k)
-            d = unit_vector(rng, self.dim)
-            y = d / self.gauge(d) * rng.uniform(0.1, 0.9) * QUARTER_PI
-            x = rng.uniform(-1.0, 1.0, self.dim)
-            zeta = complex(rng.uniform(-1.0, 1.0),
-                           rng.uniform(0.05, 0.95) * QUARTER_PI)
-            f = striptube_geodesic(self.gauge, x, y, zeta)
-            gaps.append(abs(self.potential(f) - zeta.imag))
-        return gaps, []
+        from .geodesics import striptube_geodesics
+        # d, scale, x, zeta
+        rngs = [substream(seed, k) for k in range(samples)]
+        D = unit_vectors(rngs, self.dim)
+        scales = np.array([rng.uniform(0.1, 0.9) for rng in rngs])
+        X = _uniform_rows(rngs, self.dim)
+        zetas = [complex(rng.uniform(-1.0, 1.0),
+                         rng.uniform(0.05, 0.95) * QUARTER_PI)
+                 for rng in rngs]
+        Y = D / self.gauge.batch(D)[:, None] * scales[:, None] * QUARTER_PI
+        values = self.potential_batch(
+            striptube_geodesics(self.gauge, X, Y, zetas))
+        return [abs(u - zeta.imag)
+                for u, zeta in zip(values.tolist(), zetas)], []
 
-    def strip_point(self, w: complex, rng) -> np.ndarray:
-        from .geodesics import striptube_geodesic
-        d = unit_vector(rng, self.dim)
-        y = d / self.gauge(d)
-        x = rng.uniform(-1.0, 1.0, self.dim)
-        return striptube_geodesic(self.gauge, x, y, w)
+    def strip_points(self, W, rngs) -> np.ndarray:
+        from .geodesics import striptube_geodesics
+        # d, x
+        D = unit_vectors(rngs, self.dim)
+        X = _uniform_rows(rngs, self.dim)
+        return striptube_geodesics(self.gauge, X,
+                                   D / self.gauge.batch(D)[:, None], W)
 
     def disc_bound(self, x, v) -> float:
         # flat ray of striptube_geodesic, reparameterized to unit speed
@@ -554,9 +596,6 @@ class EllipticTube(Model):
         T = np.sqrt(0.9 * U / (P * Q))
         return X + 1j * T[:, None] * D
 
-    def sample_member(self, rng) -> np.ndarray:
-        return self.sample_member_batch([rng])[0]
-
     def sample_center(self, rng) -> np.ndarray:
         return self._body_points([rng], 0.97)[0]
 
@@ -591,15 +630,12 @@ class EllipticTube(Model):
                     return Z
         raise ConvergenceError("elliptic-tube safe sampling starved")
 
-    def sample_fd_safe(self, rng, h: float) -> np.ndarray:
-        return self.sample_fd_safe_batch([rng], h)[0]
-
     def competitors(self, seed: int) -> list:
         from .geodesics import chart
-        from .maximality import geodesic_pullback, slab_pullback
+        from .maximality import geodesic_pullback, slab_pullbacks
         D = unit_vectors([substream(seed, 10 ** 6 + j) for j in range(12)],
                          self.dim)
-        comps = [slab_pullback(self.body, d) for d in D]
+        comps = slab_pullbacks(self.body, D)
         Z = self.sample_member_batch([substream(seed, 2 * 10 ** 6 + j)
                                       for j in range(4)])
         comps += [geodesic_pullback(chart(self.body, z))
@@ -633,9 +669,6 @@ class EllipticTube(Model):
             rows = rows[~np.any(Z[rows].imag, axis=1)]
         _, _, X1, X2 = chart_rows(self.body, Z)
         return strip_map(X1, X2, W)
-
-    def strip_point(self, w: complex, rng) -> np.ndarray:
-        return self.strip_points([w], [rng])[0]
 
     def disc_bound(self, x, v) -> float:
         from .geodesics import chart

@@ -1,6 +1,7 @@
 """Machine-readable verification reports."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,9 @@ class CheckReport:
     passed: bool
 
     def to_dict(self) -> dict:
+        # strict JSON has no NaN or infinity: a worst value that is not
+        # finite is written as null, and its check fails
+        finite = math.isfinite(self.worst_value)
         return {
             "check": self.check,
             "model": self.model,
@@ -25,8 +29,8 @@ class CheckReport:
             "h": self.h,
             "tol": self.tol,
             "worst_point": self.worst_point,
-            "worst_value": self.worst_value,
-            "pass": self.passed,
+            "worst_value": self.worst_value if finite else None,
+            "pass": self.passed and finite,
         }
 
 

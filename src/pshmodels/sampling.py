@@ -5,12 +5,12 @@ Sample k of a sweep is drawn from its own Philox stream keyed by
 of evaluation order or parallel scheduling.
 
 The batched draws (``unit_vectors``, ``unit_disc_points`` and the models'
-``sample_member_batch`` / ``sample_fd_safe_batch``) take one Generator per
-row. Row i makes exactly the Generator calls, in the same order, that the
-scalar draw makes on ``rngs[i]``, and ends with that Generator in the
-same state, so a batched draw is byte-identical to the scalar row loop.
-Rejection retries run in masked rounds over the rows still drawing; only
-the arithmetic between the draws is shared across rows.
+``sample_member_batch`` / ``sample_fd_safe_batch`` / ``strip_points``)
+take one Generator per row. Row i makes exactly the Generator calls, in
+the same order, that a one-row draw makes on ``rngs[i]``, and ends with
+that Generator in the same state, so a batched draw is byte-identical to
+the row loop. Rejection retries run in masked rounds over the rows still
+drawing; only the arithmetic between the draws is shared across rows.
 
 ``substream`` seeds its Philox with a seed sequence whose state is the key
 itself. ``Philox(key=...)`` builds the same stream, but first builds an
@@ -59,17 +59,14 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim)
-    n = np.linalg.norm(v)
-    while n < 1e-12:
-        v = rng.normal(size=dim)
-        n = np.linalg.norm(v)
-    return v / n
+    """A uniform unit vector of R^dim: the batch of one row."""
+    return unit_vectors([rng], dim)[0]
 
 
 def unit_vectors(rngs, dim: int) -> np.ndarray:
-    """``unit_vector`` of each Generator of rngs, as the rows of an
-    (N, dim) array."""
+    """A uniform unit vector of R^dim from each Generator of rngs, as the
+    rows of an (N, dim) array: a standard normal draw, drawn again while
+    its norm is below 1e-12, over its norm."""
     out = np.empty((len(rngs), dim))
     rows = np.arange(len(rngs))
     while len(rows):
@@ -83,16 +80,16 @@ def unit_vectors(rngs, dim: int) -> np.ndarray:
 
 
 def unit_disc_point(rng: np.random.Generator) -> complex:
-    """Uniform draw from the open unit disc of the complex plane."""
-    r = np.sqrt(rng.uniform(0.0, 1.0))
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    return complex(r * np.cos(theta), r * np.sin(theta))
+    """Uniform draw from the open unit disc: the batch of one row."""
+    return complex(unit_disc_points([rng])[0])
 
 
 def unit_disc_points(rngs) -> np.ndarray:
-    """``unit_disc_point`` of each Generator of rngs, as a complex (N,)
-    array."""
-    # uniform(0, b) is 0 + b u, and 0 + b u is b u for u >= 0
+    """A uniform draw from the open unit disc of the complex plane from
+    each Generator of rngs, as a complex (N,) array: the root of a
+    uniform radius draw, then a uniform angle in [0, 2 pi)."""
+    # one random(2) call makes the draws of uniform(0, 1) and then
+    # uniform(0, 2 pi); uniform(0, b) is 0 + b u, which is b u for u >= 0
     U = np.array([rng.random(2) for rng in rngs]).reshape(-1, 2)
     r = np.sqrt(U[:, 0])
     theta = 2.0 * np.pi * U[:, 1]

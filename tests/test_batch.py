@@ -3,14 +3,17 @@
 Property tests over random SPD ellipsoids, bounded polytopes and
 superellipses: batched gauges, memberships and potentials reproduce the
 scalar ones row by row (the smooth-body gauges bit for bit), the
-batched samplers reproduce the scalar draws byte for byte, batched Levi
-matrices reproduce levi_matrix, and polytope vertices,
-bounding boxes, Chebyshev radii and support values reproduce HiGHS and
-Qhull.
+batched samplers and support values reproduce the former scalar code
+byte for byte, batched Levi matrices reproduce levi_matrix, and polytope
+vertices, bounding boxes, Chebyshev radii and support values reproduce
+HiGHS and Qhull.
 """
 import cmath
+import io
 import math
 import tracemalloc
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +27,13 @@ from pshmodels import (QUARTER_PI, ConvergenceError, Disc1D, Ellipsoid,
                        SmoothBody, SpecError, Strip1D, StripTube,
                        Superellipse, chart, levi_line, levi_matrices,
                        levi_matrix, substream, unit_disc_point, unit_vector)
+from pshmodels.cli import main
 from pshmodels.sampling import unit_disc_points, unit_vectors
 from strategies import (bodies, ellipsoids, polytopes, superellipses,
                         unit_floats)
 
 SETTINGS = settings(max_examples=40, deadline=None)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _interior_rows(body, rng, count, reach=0.95):
@@ -235,6 +240,33 @@ def test_contains_batch_matches_contains(body, seed):
     assert body.contains_batch(X).tolist() == [body.contains(x) for x in X]
 
 
+# The one-point draws and support values as they were before batching,
+# the references of the batched code below.
+
+def _reference_unit_vector(rng, dim):
+    v = rng.normal(size=dim)
+    n = np.linalg.norm(v)
+    while n < 1e-12:
+        v = rng.normal(size=dim)
+        n = np.linalg.norm(v)
+    return v / n
+
+
+def _reference_unit_disc_point(rng):
+    r = np.sqrt(rng.uniform(0.0, 1.0))
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    return complex(r * np.cos(theta), r * np.sin(theta))
+
+
+def _reference_support(body, a):
+    if isinstance(body, Polytope):
+        return float(np.max(body._vertices @ a))
+    if isinstance(body, Ellipsoid):
+        return float(np.sqrt(a @ body._Qinv @ a))
+    q = body.power / (body.power - 1)
+    return float(np.sum(np.abs(a * body.radii) ** q) ** (1.0 / q))
+
+
 def _reference_body_point(tube, rng, shrink):
     lo, hi = tube.body.bounding_box()
     c = tube.body.interior_point()
@@ -247,7 +279,7 @@ def _reference_body_point(tube, rng, shrink):
 
 def _reference_member(tube, rng):
     x = _reference_body_point(tube, rng, 0.97)
-    d = unit_vector(rng, tube.dim)
+    d = _reference_unit_vector(rng, tube.dim)
     pu, qu = tube.body._gauge(x, d), tube.body._gauge(x, -d)
     t = math.sqrt(rng.uniform(0.0, 0.9) / (pu * qu))
     return x + 1j * t * d
@@ -257,7 +289,7 @@ def _reference_fd_safe(tube, rng, h):
     rin = tube.body.inradius()
     for _ in range(10000):
         x = _reference_body_point(tube, rng, 0.5)
-        d = unit_vector(rng, tube.dim)
+        d = _reference_unit_vector(rng, tube.dim)
         pu, qu = tube.body._gauge(x, d), tube.body._gauge(x, -d)
         t_hi = 0.8 / max(pu, qu)
         t_lo = max(0.3 * rin, 0.6 * t_hi)
@@ -334,14 +366,225 @@ def test_rows_with_an_empty_safe_window_draw_again():
         lambda rng: _reference_fd_safe(tube, rng, 1e-3), 5, count=40)
 
 
+# The strip-tube and 1-D samplers as they were before batching: one row
+# at a time, with the former unit_vector and the scalar gauge.
+
+def _reference_strip_member(tube, rng):
+    x = rng.uniform(-1.0, 1.0, tube.dim)
+    d = _reference_unit_vector(rng, tube.dim)
+    level = rng.uniform(0.0, 0.95) * QUARTER_PI
+    y = level * d / tube.gauge(d)
+    return x + 1j * y
+
+
+def _reference_strip_fd_safe(tube, rng, h, attempts=None):
+    x = rng.uniform(-1.0, 1.0, tube.dim)
+    for attempt in range(1, 1001):
+        d = _reference_unit_vector(rng, tube.dim)
+        level = rng.uniform(0.4 * QUARTER_PI, 0.9 * QUARTER_PI)
+        y = level * d / tube.gauge(d)
+        if np.linalg.norm(y) >= max(0.5 * tube.body.inradius(), 10.0 * h):
+            if attempts is not None:
+                attempts.append(attempt)
+            return x + 1j * y
+    raise ConvergenceError("strip-tube safe sampling starved")
+
+
+def _reference_flat_ray(gauge, x, y, zeta):
+    direction = y / gauge(y)
+    return x.astype(complex) + complex(zeta) * direction
+
+
+def _reference_strip_tube_point(tube, w, rng):
+    d = _reference_unit_vector(rng, tube.dim)
+    y = d / tube.gauge(d)
+    x = rng.uniform(-1.0, 1.0, tube.dim)
+    return _reference_flat_ray(tube.gauge, x, y, w)
+
+
+def _reference_strip_tube_gaps(tube, seed, samples):
+    gaps = []
+    for k in range(samples):
+        rng = substream(seed, k)
+        d = _reference_unit_vector(rng, tube.dim)
+        y = d / tube.gauge(d) * rng.uniform(0.1, 0.9) * QUARTER_PI
+        x = rng.uniform(-1.0, 1.0, tube.dim)
+        zeta = complex(rng.uniform(-1.0, 1.0),
+                       rng.uniform(0.05, 0.95) * QUARTER_PI)
+        f = _reference_flat_ray(tube.gauge, x, y, zeta)
+        gaps.append(abs(tube.potential(f) - zeta.imag))
+    return gaps
+
+
+def _reference_strip1d_member(rng):
+    x = rng.uniform(-1.0, 1.0)
+    y = rng.uniform(-0.95, 0.95) * QUARTER_PI
+    return np.array([complex(x, y)])
+
+
+def _reference_strip1d_fd_safe(rng, h):
+    x = rng.uniform(-1.0, 1.0)
+    y = rng.uniform(max(10.0 * h, 0.1 * QUARTER_PI), 0.9 * QUARTER_PI)
+    sign = 1.0 if rng.uniform() < 0.5 else -1.0
+    return np.array([complex(x, sign * y)])
+
+
+def _reference_disc1d_member(rng):
+    r = 0.97 * math.sqrt(rng.uniform())
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    return np.array([r * cmath.exp(1j * theta)])
+
+
+def _reference_disc1d_fd_safe(rng, h):
+    s = rng.uniform(-0.45, 0.45)
+    t = rng.uniform(max(0.3 * QUARTER_PI, 20.0 * h), 0.8 * QUARTER_PI)
+    sign = 1.0 if rng.uniform() < 0.5 else -1.0
+    return np.array([cmath.tanh(complex(s, sign * t))])
+
+
+def _reference_plane_gaps(model, to_plane, seed, samples):
+    gaps = []
+    for k in range(samples):
+        rng = substream(seed, k)
+        eta = complex(rng.uniform(-1.0, 1.0),
+                      rng.uniform(-0.95, 0.95) * QUARTER_PI)
+        gaps.append(abs(model.potential(np.array([to_plane(eta)]))
+                        - abs(eta.imag)))
+    return gaps
+
+
+def _strip_parameters(count):
+    """Distinct strip parameters in the upper half-strip, one per row."""
+    return [complex(0.1 * k - 0.6, (0.05 + 0.9 * k / count) * QUARTER_PI)
+            for k in range(count)]
+
+
+def _assert_strip_points_match(model, reference, seed, count=12):
+    W = _strip_parameters(count)
+    rows = iter(W)
+    _assert_rows_match_the_scalar_loop(
+        lambda rngs: model.strip_points(W, rngs),
+        lambda rng: reference(next(rows), rng), seed, count)
+
+
+@SETTINGS
+@given(body=bodies, seed=st.integers(0, 2 ** 32 - 1),
+       relative_step=st.floats(1e-4, 1e-2))
+def test_strip_tube_samplers_match_the_scalar_code(body, seed,
+                                                   relative_step):
+    tube = StripTube(Gauge(body))
+    h = relative_step * body.inradius()
+    cases = [
+        (tube.sample_member_batch,
+         lambda rng: _reference_strip_member(tube, rng)),
+        (tube.sample_member_batch, tube.sample_member),
+        (lambda rngs: tube.sample_fd_safe_batch(rngs, h),
+         lambda rng: _reference_strip_fd_safe(tube, rng, h)),
+        (lambda rngs: tube.sample_fd_safe_batch(rngs, h),
+         lambda rng: tube.sample_fd_safe(rng, h)),
+    ]
+    for batch, scalar in cases:
+        _assert_rows_match_the_scalar_loop(batch, scalar, seed)
+    _assert_strip_points_match(
+        tube, lambda w, rng: _reference_strip_tube_point(tube, w, rng), seed)
+    _assert_strip_points_match(tube, tube.strip_point, seed)
+    gaps, reconstructions = tube.geodesic_witnesses(seed, 12)
+    assert reconstructions == []
+    assert np.array(gaps).tobytes() == \
+        np.array(_reference_strip_tube_gaps(tube, seed, 12)).tobytes()
+
+
+def test_strip_tube_rows_too_short_draw_again():
+    # an overstated inradius raises the length floor of the safe sampler
+    # above many of the drawn |y|, so rows take several rounds
+    tube = StripTube(Gauge(_OverstatedEllipsoid(np.diag([1.0, 4.0]))))
+    attempts = []
+    _assert_rows_match_the_scalar_loop(
+        lambda rngs: tube.sample_fd_safe_batch(rngs, 1e-3),
+        lambda rng: _reference_strip_fd_safe(tube, rng, 1e-3, attempts),
+        6, count=40)
+    assert len(attempts) == 40 and max(attempts) >= 3
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), h=st.floats(1e-4, 1e-2))
+def test_one_dimensional_samplers_match_the_scalar_code(seed, h):
+    for model, member, fd_safe, to_plane in (
+            (Strip1D(), _reference_strip1d_member,
+             _reference_strip1d_fd_safe, complex),
+            (Disc1D(), _reference_disc1d_member, _reference_disc1d_fd_safe,
+             np.tanh)):
+        cases = [
+            (model.sample_member_batch, member),
+            (model.sample_member_batch, model.sample_member),
+            (lambda rngs: model.sample_fd_safe_batch(rngs, h),
+             lambda rng: fd_safe(rng, h)),
+            (lambda rngs: model.sample_fd_safe_batch(rngs, h),
+             lambda rng: model.sample_fd_safe(rng, h)),
+        ]
+        for batch, scalar in cases:
+            _assert_rows_match_the_scalar_loop(batch, scalar, seed)
+        _assert_strip_points_match(
+            model, lambda w, rng: np.array([to_plane(w)]), seed)
+        gaps, reconstructions = model.geodesic_witnesses(seed, 12)
+        assert reconstructions == []
+        assert np.array(gaps).tobytes() == np.array(
+            _reference_plane_gaps(model, to_plane, seed, 12)).tobytes()
+
+
+@SETTINGS
+@given(body=bodies, seed=st.integers(0, 2 ** 32 - 1))
+def test_support_batch_matches_support(body, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(32, body.dim)) \
+        * 10.0 ** rng.uniform(-3.0, 3.0, (32, 1))
+    A[0] = 0.0
+    got = body.support_batch(A)
+    assert got.dtype == float and got.shape == (32,)
+    for support in (body.support, lambda a: _reference_support(body, a)):
+        assert got.tobytes() == np.array([support(a) for a in A]).tobytes()
+
+
+def test_support_refused_without_a_closed_form(zero_gradient_disc):
+    with pytest.raises(SpecError, match="no certified support for SmoothBody"):
+        zero_gradient_disc.support_batch(np.eye(2))
+    with pytest.raises(SpecError, match="no certified support for SmoothBody"):
+        zero_gradient_disc.support([1.0, 0.0])
+
+
+def test_squircle_verify_makes_no_one_row_gauge_call(monkeypatch):
+    # every gauge of the command runs in a batch; batches of one or two
+    # rays still reach the scalar root find inside gauge_batch
+    counts = {"_gauge": 0, "_gauge_bisect": 0}
+    for name in counts:
+        def counted(self, x, y, method=getattr(SmoothBody, name), name=name):
+            counts[name] += 1
+            return method(self, x, y)
+        monkeypatch.setattr(SmoothBody, name, counted)
+    spec = ROOT / "specs" / "striptube_squircle.json"
+    argv = ["verify", "--model", str(spec), "--suite", "all", "--step",
+            "2e-4", "--samples"]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv + ["200"]) == 0
+    assert counts["_gauge"] == 0
+    counts["_gauge_bisect"] = 0
+    with redirect_stdout(io.StringIO()):
+        assert main(argv + ["2"]) == 0
+    assert counts == {"_gauge": 0, "_gauge_bisect": counts["_gauge_bisect"]}
+    assert counts["_gauge_bisect"] > 0
+
+
 @SETTINGS
 @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4))
 def test_batched_unit_draws_match_the_scalar_row_loop(seed, dim):
     _assert_rows_match_the_scalar_loop(
         lambda rngs: unit_vectors(rngs, dim),
-        lambda rng: unit_vector(rng, dim), seed)
+        lambda rng: _reference_unit_vector(rng, dim), seed)
     _assert_rows_match_the_scalar_loop(
-        unit_disc_points, lambda rng: complex(unit_disc_point(rng)), seed)
+        lambda rngs: unit_vectors(rngs, dim),
+        lambda rng: unit_vector(rng, dim), seed)
+    for scalar in (_reference_unit_disc_point, unit_disc_point):
+        _assert_rows_match_the_scalar_loop(unit_disc_points, scalar, seed)
 
 
 def test_disc_potential_batch_rejects_what_potential_rejects():

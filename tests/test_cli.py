@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -598,3 +599,36 @@ def test_each_command_draws_its_own_samples(monkeypatch, capsys):
         outputs.append(capsys.readouterr().out)
     assert counts == [5 + 20, 5 + 20]
     assert outputs[0] == outputs[1]
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("suite", ["geodesics", "all"])
+def test_nan_worst_value_is_written_as_null(monkeypatch, capsys, suite):
+    # a NaN gap fails the geodesics suite; its report is still strict
+    # JSON, with the key set of any other report, and the command exits
+    # 1 as any failed check does
+    argv = ["verify", "--model", str(ROOT / "specs" / "ball_tube.json"),
+            "--suite", suite, "--samples", "5"]
+    assert main(argv) == 0
+    passing = _strict_json(capsys.readouterr().out)
+    monkeypatch.setattr(EllipticTube, "geodesic_witnesses",
+                        lambda self, seed, samples: ([0.0, math.nan], []))
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (1, "")
+    payload = _strict_json(out)
+    assert payload.keys() == passing.keys()
+    assert payload["pass"] is False
+    if suite == "all":
+        reports = {r["check"]: r for r in payload["suites"]}
+        before = {r["check"]: r for r in passing["suites"]}
+        assert all(reports[name] == before[name] for name in before
+                   if name != "geodesics")
+        report = reports["geodesics"]
+    else:
+        report = payload
+    assert report["worst_value"] is None and report["pass"] is False

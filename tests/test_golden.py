@@ -42,8 +42,9 @@ def _commands() -> dict:
         "verify", "--model", str(ROOT / "specs" / "striptube_squircle.json"),
         "--suite", "all", "--samples", "100", "--step", "2e-4", "--seed",
         "42"]
-    # many rows of the rejection retries of the elliptic-tube samplers
-    for spec in ("ball_tube", "square_tube"):
+    # many rows of the rejection retries of the batched samplers
+    for spec in ("ball_tube", "square_tube", "striptube_asym",
+                 "striptube_ellipsoid", "strip1d", "disc1d"):
         commands[f"verify {spec} 1000003 large"] = [
             "verify", "--model", str(ROOT / "specs" / f"{spec}.json"),
             "--suite", "all", "--samples", "200", "--seed", "1000003"]

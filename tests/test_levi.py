@@ -34,8 +34,8 @@ class CorruptedModel(Model):
     def potential_batch(self, Z):
         return np.array([self.potential(z) for z in Z], dtype=float)
 
-    def sample_fd_safe(self, rng, h):
-        return self._base.sample_fd_safe(rng, h)
+    def sample_fd_safe_batch(self, rngs, h):
+        return self._base.sample_fd_safe_batch(rngs, h)
 
 
 class QuadraticModel(Model):
@@ -50,8 +50,9 @@ class QuadraticModel(Model):
     def potential_batch(self, Z):
         return np.array([self.potential(z) for z in Z], dtype=float)
 
-    def sample_fd_safe(self, rng, h):
-        return rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
+    def sample_fd_safe_batch(self, rngs, h):
+        return np.array([rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
+                         for rng in rngs])
 
 
 class TestLeviLine:

@@ -6,10 +6,11 @@ import pytest
 
 from pshmodels import maximality
 from pshmodels import (QUARTER_PI, Competitor, Disc1D, Ellipsoid,
-                       EllipticTube, Gauge, SpecError, Strip1D, StripTube,
-                       chart, geodesic_pullback, interval, linear_pullback,
-                       max_violation, slab_pullback, substream,
-                       unit_disc_point, unit_vector)
+                       EllipticTube, Gauge, Polytope, SpecError, Strip1D,
+                       StripTube, Superellipse, chart, geodesic_pullback,
+                       interval, linear_pullback, max_violation,
+                       slab_pullback, substream, unit_disc_point,
+                       unit_vector)
 from pshmodels.geodesics import disc_points
 from pshmodels.suites import TOL_DEFAULTS, verify
 
@@ -264,6 +265,37 @@ class TestBatchedCompetitors:
             P = disc_points(ch.x1, ch.x2, zetas)
             assert comp.evaluate(P).tolist() == \
                 [_geodesic_row(ch, z) for z in P]
+
+
+class TestBatchCertifiedCompetitors:
+    @pytest.mark.parametrize("body", [
+        Ellipsoid(np.diag([1.0, 4.0])),
+        Polytope([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
+                 [1, 2, 0.5, 1, 1.2]),
+        Superellipse([1.0, 0.7], 4)], ids=["ellipsoid", "polytope",
+                                           "superellipse"])
+    def test_batteries_equal_the_one_direction_factories(self, body):
+        # the same labels and values as slab_pullback and linear_pullback
+        # with their own support calls, row by row
+        D = np.array([unit_vector(substream(253, j), 2) for j in range(8)])
+        Z = StripTube(Gauge(body)).sample_member_batch(
+            [substream(254, k) for k in range(50)])
+        Z *= 0.5 * body.inradius()  # inside the elliptic tube too
+        reach = np.array([max(body.support(d), body.support(-d)) for d in D])
+        C = D / reach[:, None]
+        for batch, one in (
+                (maximality.slab_pullbacks(body, D),
+                 [slab_pullback(body, d) for d in D]),
+                (maximality.linear_pullbacks(Gauge(body), C),
+                 [linear_pullback(Gauge(body), c) for c in C])):
+            assert [c.label for c in batch] == [c.label for c in one]
+            for b, o in zip(batch, one):
+                assert b.evaluate(Z).tobytes() == o.evaluate(Z).tobytes()
+
+    def test_batch_certificate_refuses_a_long_covector(self, unit_square):
+        gauge = Gauge(unit_square)
+        with pytest.raises(SpecError, match="exceeds the gauge"):
+            maximality.linear_pullbacks(gauge, [[0.5, 0.0], [0.6, 0.6]])
 
 
 class TestNaNFails:

@@ -1,6 +1,8 @@
 """No module of the package branches on a model type: what differs
-between models lives on the model classes. No module imports SciPy,
-which only the tests use, as an independent oracle."""
+between models lives on the model classes, and no model defines a
+one-point sampler of its own, so every draw takes the batched path. No
+module imports SciPy, which only the tests use, as an independent
+oracle."""
 import ast
 from pathlib import Path
 
@@ -74,3 +76,40 @@ def test_scipy_guard_sees_each_spelling():
               "from .scipy_free import x\n"
               "import scipyish\n")
     assert scipy_import_lines(source) == [1, 2, 3, 5]
+
+
+SCALAR_SAMPLERS = ("sample_member", "sample_fd_safe", "strip_point")
+
+
+def scalar_sampler_overrides(classes) -> list:
+    """Each one-point sampler a class defines for itself, as Class.name."""
+    return [f"{cls.__name__}.{name}" for cls in classes
+            for name in SCALAR_SAMPLERS if name in vars(cls)]
+
+
+def _model_subclasses(cls) -> list:
+    subs = []
+    for sub in cls.__subclasses__():
+        subs += [sub] + _model_subclasses(sub)
+    return subs
+
+
+def test_one_sampling_path():
+    # a model draws only in batches; its one-point samplers are those of
+    # Model, the batches of one row
+    from pshmodels import models
+    assert sorted(scalar_sampler_overrides([models.Model])) == sorted(
+        f"Model.{name}" for name in SCALAR_SAMPLERS)
+    assert scalar_sampler_overrides(_model_subclasses(models.Model)) == []
+
+
+def test_sampler_guard_sees_an_override():
+    class Scalar:
+        def sample_fd_safe(self, rng, h):
+            return rng
+
+    class Batched:
+        def sample_fd_safe_batch(self, rngs, h):
+            return rngs
+    assert scalar_sampler_overrides([Scalar, Batched]) == [
+        "Scalar.sample_fd_safe"]
