@@ -80,9 +80,13 @@ def chart(body: ConvexBody, z) -> GeodesicChart:
     z = as_point(z, body.dim)
     if not np.any(z.imag):
         raise OutsideDomainError("no disc chart through center points (y = 0)")
-    if not tube.member(z):
-        raise OutsideDomainError("point is not in the elliptic tube")
-    p, q = tube.gauges(z)
+    refusal = OutsideDomainError("point is not in the elliptic tube")
+    try:
+        p, q = tube.gauges(z)
+    except OutsideDomainError:
+        raise refusal from None
+    if not p * q < 1.0:
+        raise refusal
     t1, t2 = 1.0 / p, 1.0 / q
     x, y = z.real, z.imag
     return GeodesicChart(body, t1, t2, x + t1 * y, x - t2 * y, zeta0(t1, t2))

@@ -102,7 +102,7 @@ def linear_pullback(gauge: Gauge, covector, reach=None) -> Competitor:
     c = _vector(covector, gauge.dim)
     body = gauge.body
     if isinstance(body, Ellipsoid):
-        bound = float(c @ np.linalg.inv(body.Q) @ c)
+        bound = float(c @ body._Qinv @ c)
         if bound > 1.0 + 1e-12:
             raise SpecError("covector exceeds the gauge (c^T Q^-1 c > 1)")
     else:

@@ -7,8 +7,8 @@ pseudo-metric on the center, and a finite-difference slope estimator that
 realizes the metric as the limit of potential(x + i t v)/t.
 
 ``potential_batch`` evaluates the potential at every row of an (N, n)
-array in one call and agrees with ``potential`` bit for bit;
-``member_batch`` agrees with ``member`` in the same way.
+array in one call, and ``member_batch`` the membership; ``potential`` and
+``member`` are defined once, on Model, as batches of one row.
 
 Every model samples in batches: ``sample_member_batch(rngs)``,
 ``sample_fd_safe_batch(rngs, h)`` and ``strip_points(W, rngs)`` draw row i
@@ -73,8 +73,8 @@ def pointwise(field: Callable[[np.ndarray], float]):
 
 def _atan_mean(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # math.atan rather than np.arctan: NumPy's SIMD arctan differs from
-    # libm in the last bit for about 0.2% of inputs, and the batched
-    # potential must reproduce the scalar one exactly
+    # libm in the last bit for about 0.2% of inputs, and the potential
+    # must reproduce the closed form of libm arctangents exactly
     return np.array([0.5 * (math.atan(p) + math.atan(q))
                      for p, q in zip(P.tolist(), Q.tolist())], dtype=float)
 
@@ -96,9 +96,10 @@ class Model:
     reconstructions): per extremal disc or flat ray, the largest gap
     between the potential along it and its closed form, and per disc
     chart, its base point error over max(1, |z|).
-    A subclass draws only in batches (``sample_member_batch``,
-    ``sample_fd_safe_batch``, ``strip_points``); the one-point samplers
-    here are their batches of one row.
+    A subclass evaluates and draws only in batches (``member_batch``,
+    ``potential_batch``, ``sample_member_batch``, ``sample_fd_safe_batch``,
+    ``strip_points``); ``member``, ``potential`` and the one-point
+    samplers here are their batches of one row, validated by ``as_point``.
     A model must not change after construction: the suites cache their
     sample draws on the model object (``functools.lru_cache``).
     """
@@ -114,10 +115,10 @@ class Model:
     fd_step_limit = math.inf
 
     def member(self, z) -> bool:
-        raise NotImplementedError
+        return bool(self.member_batch(as_point(z, self.dim)[None])[0])
 
     def potential(self, z) -> float:
-        raise NotImplementedError
+        return float(self.potential_batch(as_point(z, self.dim)[None])[0])
 
     def metric(self, x, v) -> float:
         raise NotImplementedError
@@ -164,10 +165,6 @@ class Model:
         """The record ``geodesic`` prints: the extremal curve through z."""
         raise SpecError("geodesic charts require a tube model")
 
-    def _require_member(self, z: np.ndarray) -> None:
-        if not self.member(z):
-            raise OutsideDomainError(f"point is not in the {self.name} domain")
-
     def metric_slope(self, x, v, steps=_DEFAULT_STEPS) -> float:
         """Slope of the potential along t -> x + i t v, extrapolated to t = 0+.
 
@@ -191,8 +188,7 @@ class Model:
             steps = steps / 2.0
         else:
             raise OutsideDomainError("slope ladder cannot enter the domain")
-        quotients = np.array(
-            [self.potential(x + 1j * t * v) / t for t in steps])
+        quotients = self.potential_batch(x + 1j * steps[:, None] * v) / steps
         if steps.size == 1:
             return float(quotients[0])
         diffs = np.abs(np.diff(quotients))
@@ -213,11 +209,6 @@ class _PlaneDomain(Model):
     extremal disc."""
 
     dim = 1
-
-    def potential(self, z) -> float:
-        z = as_point(z, 1)
-        self._require_member(z)
-        return abs(self._to_strip(z[0]).imag)
 
     def potential_batch(self, Z) -> np.ndarray:
         Z = as_points(Z, 1)
@@ -259,10 +250,6 @@ class Strip1D(_PlaneDomain):
     name = "strip1d"
     _to_plane = _to_strip = staticmethod(complex)  # the identity
     fd_step_limit = 0.9 * QUARTER_PI / 10.0  # the window 10 h < 0.9 pi/4
-
-    def member(self, z) -> bool:
-        z = as_point(z, 1)
-        return bool(abs(z[0].imag) < QUARTER_PI)
 
     def member_batch(self, Z) -> np.ndarray:
         return np.abs(as_points(Z, 1)[:, 0].imag) < QUARTER_PI
@@ -308,14 +295,10 @@ class Disc1D(_PlaneDomain):
     _to_plane, _to_strip = staticmethod(np.tanh), staticmethod(cmath.atanh)
     fd_step_limit = 0.8 * QUARTER_PI / 20.0  # the window 20 h < 0.8 pi/4
 
-    def member(self, z) -> bool:
-        z = as_point(z, 1)
-        return bool(abs(z[0]) < 1.0)
-
     def member_batch(self, Z) -> np.ndarray:
-        # Python abs per value, as in member: NumPy's vectorized complex
-        # abs differs from it in the last bit for about a third of inputs,
-        # which decides membership on the unit circle
+        # Python abs per value: NumPy's vectorized complex abs differs
+        # from it in the last bit for about a third of inputs, which
+        # decides membership on the unit circle
         w = as_points(Z, 1)[:, 0].tolist()
         return np.array([abs(c) < 1.0 for c in w], dtype=bool)
 
@@ -378,19 +361,8 @@ class StripTube(Model):
     def body(self) -> ConvexBody:
         return self.gauge.body
 
-    def member(self, z) -> bool:
-        z = as_point(z, self.dim)
-        return bool(self.gauge(z.imag) < QUARTER_PI)
-
     def member_batch(self, Z) -> np.ndarray:
         return self.gauge.batch(as_points(Z, self.dim).imag) < QUARTER_PI
-
-    def potential(self, z) -> float:
-        z = as_point(z, self.dim)
-        value = self.gauge(z.imag)
-        if value >= QUARTER_PI:
-            raise OutsideDomainError("point is not in the strip tube")
-        return value
 
     def potential_batch(self, Z) -> np.ndarray:
         values = self.gauge.batch(as_points(Z, self.dim).imag)
@@ -513,15 +485,6 @@ class EllipticTube(Model):
         x, y = z.real, z.imag
         return self.body._gauge(x, y), self.body._gauge(x, -y)
 
-    def member(self, z) -> bool:
-        z = as_point(z, self.dim)
-        try:
-            p, q = self.body._gauge(z.real, z.imag), \
-                self.body._gauge(z.real, -z.imag)
-        except OutsideDomainError:
-            return False
-        return bool(p * q < 1.0)
-
     def member_batch(self, Z) -> np.ndarray:
         Z = as_points(Z, self.dim)
         inside = self.body.gauge_centers(Z.real)
@@ -530,18 +493,6 @@ class EllipticTube(Model):
         member[inside] = (self.body.gauge_batch(X, Y)
                           * self.body.gauge_batch(X, -Y) < 1.0)
         return member
-
-    def potential(self, z) -> float:
-        z = as_point(z, self.dim)
-        try:
-            p = self.body._gauge(z.real, z.imag)
-            q = self.body._gauge(z.real, -z.imag)
-        except OutsideDomainError:
-            raise OutsideDomainError(
-                f"point is not in the {self.name} domain") from None
-        if p * q >= 1.0:
-            raise OutsideDomainError(f"point is not in the {self.name} domain")
-        return 0.5 * (math.atan(p) + math.atan(q))
 
     def potential_batch(self, Z) -> np.ndarray:
         Z = as_points(Z, self.dim)

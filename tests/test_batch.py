@@ -1,12 +1,13 @@
 """Batched evaluation against the scalar path, which is the reference.
 
 Property tests over random SPD ellipsoids, bounded polytopes and
-superellipses: batched gauges, memberships and potentials reproduce the
-scalar ones row by row (the smooth-body gauges bit for bit), the
-batched samplers and support values reproduce the former scalar code
-byte for byte, batched Levi matrices reproduce levi_matrix, and polytope
-vertices, bounding boxes, Chebyshev radii and support values reproduce
-HiGHS and Qhull.
+superellipses: batched gauges reproduce the scalar ones row by row (the
+smooth-body gauges bit for bit), batched memberships and potentials
+reproduce the former one-point formulas kept here, the batched samplers
+and support values reproduce the former scalar code byte for byte,
+batched Levi matrices reproduce levi_matrix, and polytope vertices,
+bounding boxes, Chebyshev radii and support values reproduce HiGHS and
+Qhull.
 """
 import cmath
 import io
@@ -46,6 +47,38 @@ def _interior_rows(body, rng, count, reach=0.95):
 
 def _scalar_gauges(body, X, Y):
     return np.array([body._gauge(x, y) for x, y in zip(X, Y)])
+
+
+def _former_member(model, z):
+    """Membership of a row z by the one-point formula each model had before
+    ``member`` became a batch of one row."""
+    if isinstance(model, EllipticTube):
+        try:
+            p, q = _former_gauges(model.body, z)
+        except OutsideDomainError:
+            return False
+        return p * q < 1.0
+    if isinstance(model, StripTube):
+        return model.gauge(z.imag) < QUARTER_PI
+    if isinstance(model, Disc1D):
+        return abs(z[0]) < 1.0
+    return abs(z[0].imag) < QUARTER_PI
+
+
+def _former_potential(model, z):
+    """The potential at a member row z by the former one-point formula."""
+    if isinstance(model, EllipticTube):
+        p, q = _former_gauges(model.body, z)
+        return 0.5 * (math.atan(p) + math.atan(q))
+    if isinstance(model, StripTube):
+        return model.gauge(z.imag)
+    if isinstance(model, Disc1D):
+        return abs(cmath.atanh(z[0]).imag)
+    return abs(z[0].imag)
+
+
+def _former_gauges(body, z):
+    return body._gauge(z.real, z.imag), body._gauge(z.real, -z.imag)
 
 
 def _rays(body, rng, count):
@@ -147,8 +180,11 @@ def test_potential_batch_matches_scalar(body, seed):
     for model in (StripTube(Gauge(body)), EllipticTube(body)):
         Z = np.array([model.sample_member(substream(seed, k))
                       for k in range(10)])
-        np.testing.assert_allclose(model.potential_batch(Z),
-                                   [model.potential(z) for z in Z],
+        values = model.potential_batch(Z)
+        np.testing.assert_allclose(values,
+                                   [_former_potential(model, z) for z in Z],
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(values, [model.potential(z) for z in Z],
                                    rtol=1e-13, atol=0)
 
 
@@ -158,7 +194,10 @@ def test_one_dimensional_potential_batch_matches_scalar(seed):
     for model in (Strip1D(), Disc1D()):
         Z = np.array([model.sample_member(substream(seed, k))
                       for k in range(10)])
-        np.testing.assert_array_equal(model.potential_batch(Z),
+        values = model.potential_batch(Z)
+        np.testing.assert_array_equal(
+            values, [_former_potential(model, z) for z in Z])
+        np.testing.assert_array_equal(values,
                                       [model.potential(z) for z in Z])
 
 
@@ -193,8 +232,13 @@ def _real_parts(body, rng, count):
 def _assert_batch_matches_scalar(model, Z):
     member = model.member_batch(Z)
     assert member.dtype == bool and member.shape == (len(Z),)
+    np.testing.assert_array_equal(member,
+                                  [_former_member(model, z) for z in Z])
     np.testing.assert_array_equal(member, [model.member(z) for z in Z])
-    np.testing.assert_array_equal(model.potential_batch(Z[member]),
+    values = model.potential_batch(Z[member])
+    np.testing.assert_array_equal(
+        values, [_former_potential(model, z) for z in Z[member]])
+    np.testing.assert_array_equal(values,
                                   [model.potential(z) for z in Z[member]])
 
 

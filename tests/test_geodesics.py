@@ -49,6 +49,16 @@ class TestChart:
         with pytest.raises(OutsideDomainError):
             chart(interval_sym, np.array([1.5j]))
 
+    def test_real_part_outside_the_body_rejected(self, interval_sym):
+        # the gauges themselves refuse a real part outside the body
+        z = np.array([1.5 + 0.1j])
+        with pytest.raises(OutsideDomainError) as one:
+            chart(interval_sym, z)
+        with pytest.raises(OutsideDomainError) as rows:
+            chart_rows(interval_sym, z[None])
+        assert str(one.value) == str(rows.value) \
+            == "point is not in the elliptic tube"
+
     @pytest.mark.parametrize("fixture", ["interval_sym", "unit_ball",
                                          "unit_square", "ellipsoid14"])
     def test_reconstruction_residual(self, fixture, request):

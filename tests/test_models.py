@@ -61,6 +61,31 @@ class TestMembership:
             tube.member(np.array([0.1 + 0.1j]))
 
 
+def test_scalar_error_surface(unit_ball, interval_sym):
+    # (model, a point outside its domain, the refusal of potential); the
+    # last real part lies outside the body, where the gauges refuse
+    cases = [
+        (STRIP, [1.0j], "point is not in the strip1d domain"),
+        (DISC, [1.5], "point is not in the disc1d domain"),
+        (StripTube(Gauge(unit_ball)), [0.0, 1.0j],
+         "point is not in the strip tube"),
+        (EllipticTube(unit_ball), [0.0, 1.5j],
+         "point is not in the elliptictube domain"),
+        (EllipticTube(interval_sym), [1.5 + 0.1j],
+         "point is not in the elliptictube domain"),
+    ]
+    for model, outside, message in cases:
+        for method in (model.member, model.potential):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                method(np.zeros(model.dim + 1, dtype=complex))
+            with pytest.raises(ValueError, match="non-finite"):
+                method(np.full(model.dim, complex(math.nan, 0.0)))
+        assert model.member(outside) is False
+        with pytest.raises(OutsideDomainError) as refusal:
+            model.potential(outside)
+        assert str(refusal.value) == message
+
+
 class TestPotential:
     def test_strip_example(self):
         assert STRIP.potential(0.3 + 0.2j) == pytest.approx(0.2, abs=1e-16)

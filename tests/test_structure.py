@@ -1,6 +1,7 @@
 """No module of the package branches on a model type: what differs
 between models lives on the model classes, and no model defines a
-one-point sampler of its own, so every draw takes the batched path. No
+one-point sampler, member or potential of its own, so every draw and
+every evaluation takes the batched path. No
 module imports SciPy, which only the tests use, as an independent
 oracle."""
 import ast
@@ -79,12 +80,14 @@ def test_scipy_guard_sees_each_spelling():
 
 
 SCALAR_SAMPLERS = ("sample_member", "sample_fd_safe", "strip_point")
+SCALAR_EVALUATORS = ("member", "potential")
 
 
-def scalar_sampler_overrides(classes) -> list:
-    """Each one-point sampler a class defines for itself, as Class.name."""
+def scalar_overrides(classes, names=SCALAR_SAMPLERS) -> list:
+    """Each of the one-point methods names a class defines for itself, as
+    Class.name."""
     return [f"{cls.__name__}.{name}" for cls in classes
-            for name in SCALAR_SAMPLERS if name in vars(cls)]
+            for name in names if name in vars(cls)]
 
 
 def _model_subclasses(cls) -> list:
@@ -98,9 +101,9 @@ def test_one_sampling_path():
     # a model draws only in batches; its one-point samplers are those of
     # Model, the batches of one row
     from pshmodels import models
-    assert sorted(scalar_sampler_overrides([models.Model])) == sorted(
+    assert sorted(scalar_overrides([models.Model])) == sorted(
         f"Model.{name}" for name in SCALAR_SAMPLERS)
-    assert scalar_sampler_overrides(_model_subclasses(models.Model)) == []
+    assert scalar_overrides(_model_subclasses(models.Model)) == []
 
 
 def test_sampler_guard_sees_an_override():
@@ -111,5 +114,37 @@ def test_sampler_guard_sees_an_override():
     class Batched:
         def sample_fd_safe_batch(self, rngs, h):
             return rngs
-    assert scalar_sampler_overrides([Scalar, Batched]) == [
-        "Scalar.sample_fd_safe"]
+    assert scalar_overrides([Scalar, Batched]) == ["Scalar.sample_fd_safe"]
+
+
+def _package_models(classes) -> list:
+    """The classes of the package among classes; the tests' own model
+    doubles may evaluate one point at a time."""
+    return [cls for cls in classes if cls.__module__.startswith("pshmodels")]
+
+
+def test_one_evaluation_path():
+    # a model evaluates only in batches; its member and potential are
+    # those of Model, the batches of one row
+    from pshmodels import models
+    assert scalar_overrides([models.Model], SCALAR_EVALUATORS) == [
+        "Model.member", "Model.potential"]
+    assert scalar_overrides(_package_models(_model_subclasses(models.Model)),
+                            SCALAR_EVALUATORS) == []
+
+
+def test_evaluation_guard_sees_an_override():
+    class Scalar:
+        def potential(self, z):
+            return 0.0
+
+    class Batched:
+        def potential_batch(self, Z):
+            return Z
+
+    class Double:  # a test double, outside the package
+        def potential(self, z):
+            return 0.0
+    Scalar.__module__ = Batched.__module__ = "pshmodels.models"
+    assert scalar_overrides(_package_models([Scalar, Batched, Double]),
+                            SCALAR_EVALUATORS) == ["Scalar.potential"]
