@@ -7,8 +7,10 @@ pseudo-metric on the center, and a finite-difference slope estimator that
 realizes the metric as the limit of potential(x + i t v)/t.
 
 ``potential_batch`` evaluates the potential at every row of an (N, n)
-array in one call, and ``member_batch`` the membership; ``potential`` and
-``member`` are defined once, on Model, as batches of one row.
+array in one call, and ``member_batch`` the membership;
+``member_potential_batch`` gives both in one pass, the potential at the
+member rows only. ``potential`` and ``member`` are defined once, on Model,
+as batches of one row.
 
 Every model samples in batches: ``sample_member_batch(rngs)``,
 ``sample_fd_safe_batch(rngs, h)`` and ``strip_points(W, rngs)`` draw row i
@@ -120,6 +122,13 @@ class Model:
     def potential(self, z) -> float:
         return float(self.potential_batch(as_point(z, self.dim)[None])[0])
 
+    def member_potential_batch(self, Z) -> tuple[np.ndarray, np.ndarray]:
+        """The membership mask of the rows of an (N, n) array, and the
+        potential at its member rows, in row order."""
+        Z = as_points(Z, self.dim)
+        member = self.member_batch(Z)
+        return member, self.potential_batch(Z[member])
+
     def metric(self, x, v) -> float:
         raise NotImplementedError
 
@@ -157,8 +166,9 @@ class Model:
 
     def eval_record(self, z) -> dict:
         """The record ``eval`` prints at a point z of matching dimension."""
-        member = self.member(z)
-        return {"member": member, "u": self.potential(z) if member else None,
+        member, u = self.member_potential_batch(as_point(z, self.dim)[None])
+        return {"member": bool(member[0]),
+                "u": float(u[0]) if member[0] else None,
                 "p": None, "p_bar": None}
 
     def geodesic_record(self, z) -> dict:
@@ -370,6 +380,12 @@ class StripTube(Model):
             raise OutsideDomainError("point is not in the strip tube")
         return values
 
+    def member_potential_batch(self, Z) -> tuple[np.ndarray, np.ndarray]:
+        # the gauge is the potential, and membership is gauge < pi/4
+        values = self.gauge.batch(as_points(Z, self.dim).imag)
+        member = values < QUARTER_PI
+        return member, values[member]
+
     def metric(self, x, v) -> float:
         x = _vector(x, self.dim)
         v = _vector(v, self.dim)
@@ -507,6 +523,19 @@ class EllipticTube(Model):
             raise OutsideDomainError(f"point is not in the {self.name} domain")
         return _atan_mean(P, Q)
 
+    def member_potential_batch(self, Z) -> tuple[np.ndarray, np.ndarray]:
+        # one gauge pair per row: the pair that decides membership also
+        # gives the potential
+        Z = as_points(Z, self.dim)
+        inside = np.flatnonzero(self.body.gauge_centers(Z.real))
+        X, Y = Z.real[inside], Z.imag[inside]
+        P = self.body.gauge_batch(X, Y)
+        Q = self.body.gauge_batch(X, -Y)
+        keep = P * Q < 1.0
+        member = np.zeros(len(Z), dtype=bool)
+        member[inside[keep]] = True
+        return member, _atan_mean(P[keep], Q[keep])
+
     def metric(self, x, v) -> float:
         x = _vector(x, self.dim)
         v = _vector(v, self.dim)
@@ -631,9 +660,22 @@ class EllipticTube(Model):
         return 0.5 * (1.0 / ch.t1 + 1.0 / ch.t2) / tau
 
     def eval_record(self, z) -> dict:
-        record = super().eval_record(z)
-        if self.body.contains(as_point(z, self.dim).real):
-            record["p"], record["p_bar"] = self.gauges(z)
+        # one gauge pair gives membership, the potential and (p, p_bar).
+        # The pair is reported where the body contains Re z; within 1e-12
+        # of an ellipsoid's edge the gauge refuses such a center, and eval
+        # fails there as a domain error
+        z = as_point(z, self.dim)
+        X, Y = z.real[None], z.imag[None]
+        record = {"member": False, "u": None, "p": None, "p_bar": None}
+        contained = self.body.contains(z.real)
+        if contained or self.body.gauge_centers(X)[0]:
+            P = self.body.gauge_batch(X, Y)
+            Q = self.body.gauge_batch(X, -Y)
+            if P[0] * Q[0] < 1.0:
+                record["member"] = True
+                record["u"] = float(_atan_mean(P, Q)[0])
+            if contained:
+                record["p"], record["p_bar"] = float(P[0]), float(Q[0])
         return record
 
     def geodesic_record(self, z) -> dict:

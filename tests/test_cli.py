@@ -54,6 +54,25 @@ def run(capsys, argv):
 
 
 class TestEval:
+    @pytest.mark.parametrize("point, member", [
+        ("0.1+0.2j,-0.2+0.15j", True), ("0.1+2j,0.3", False),
+        ("1.5+0.1j,0", False)], ids=["member", "nonmember", "outside-body"])
+    def test_one_gauge_pair(self, spec_path, capsys, monkeypatch, point,
+                            member):
+        # membership, potential and (p, p_bar) come from one gauge pair
+        body = type(model_from_spec(SQUARE_TUBE).body)
+        calls = []
+        for name in ("gauge_batch", "_gauge"):
+            def counted(self, *args, _method=getattr(body, name)):
+                calls.append(len(np.atleast_2d(args[0])))
+                return _method(self, *args)
+            monkeypatch.setattr(body, name, counted)
+        code, out, _ = run(capsys, ["eval", "--model", spec_path(SQUARE_TUBE),
+                                    "--point=" + point])
+        assert json.loads(out)["member"] is member
+        assert code == (0 if member else 3)
+        assert calls == ([1, 1] if json.loads(out)["p"] is not None else [])
+
     def test_interval_tube_point(self, spec_path, capsys):
         code, out, _ = run(capsys, ["eval", "--model", spec_path(INTERVAL_TUBE),
                                     "--point", "0.5j"])
@@ -539,24 +558,81 @@ class TestSlice:
         (DISC, "0,1", "0,0", 1.0, 4),
         # NumPy's complex abs puts this point inside the disc
         (DISC, "0,1", "-0.9972426976221218,-0.07420917759518231", 1.0, 0),
+        # every spec of specs/, on off-centre planes; 1e-05 prints with an
+        # exponent, and -0.0 is a signed zero
+        ("ball_tube", "2,3", "0.05,-0.03,0,0", 1.25, 7),
+        ("disc1d", "0,1", "1e-05,-0.0", 1.0, 1),
+        ("ellipsoid_tube", "1,3", "-0.0,0.2,1e-05,0", 0.9, 0),
+        ("interval_tube", "0,1", "0.1,-0.0", 1.2, 9),
+        ("square_tube", "2,1", "1e-05,0,-0.0,0.3", 1.5, 6),
+        ("strip1d", "1,0", "-0.0,1e-05", 1.0, 2),
+        ("striptube_asym", "0,1", "0.5,-0.2", 2.5, 8),
+        ("striptube_ellipsoid", "3,0", "0,0.1,-0.0,1e-05", 0.8, 1),
+        ("striptube_squircle", "1,2", "0.1,-0.2,0.05,0.1", 0.9, 5),
+        # no member point: the potential of zero rows
+        ("ball_tube", "0,2", "5,5,5,5", 0.1, 3),
+        ("strip1d", "0,1", "0,3", 0.5, 0),
     ], ids=["square-tube-re-im", "squircle-im-im", "disc-circle",
-            "disc-last-bit"])
+            "disc-last-bit", "ball-tube", "disc1d-res1", "ellipsoid-tube-res0",
+            "interval-tube", "square-tube", "strip1d", "striptube-asym",
+            "striptube-ellipsoid-res1", "striptube-squircle",
+            "ball-tube-no-member", "strip1d-no-member"])
     def test_matches_scalar_evaluation(self, spec_path, capsys, tmp_path,
                                        spec, plane, center, half_width,
                                        resolution):
+        if isinstance(spec, str):
+            spec = json.loads((ROOT / "specs" / f"{spec}.json").read_text())
         out_path = tmp_path / "grid.csv"
-        code, _, _ = run(capsys, ["slice", "--model", spec_path(spec),
-                                  "--plane", plane, "--center=" + center,
-                                  "--half-width", repr(half_width),
-                                  "--resolution", str(resolution),
-                                  "--out", str(out_path)])
+        argv = ["slice", "--model", spec_path(spec), "--plane", plane,
+                "--center=" + center, "--half-width", repr(half_width),
+                "--resolution", str(resolution)]
+        code, out, _ = run(capsys, argv)
         assert code == 0
+        assert run(capsys, argv + ["--out", str(out_path)])[0] == 0
         expected = _scalar_slice(model_from_spec(spec),
                                  [int(p) for p in plane.split(",")],
                                  np.array([float(c) for c in
                                            center.split(",")]),
                                  half_width, resolution)
+        assert out.encode("utf-8") == expected
         assert out_path.read_bytes() == expected
+
+    @pytest.mark.parametrize("spec", [BALL_TUBE, SQUARE_TUBE],
+                             ids=["ellipsoid", "polytope"])
+    def test_elliptic_tube_gauges_each_point_once(self, spec_path, capsys,
+                                                  monkeypatch, spec):
+        # one gauge pair decides membership and gives the potential
+        body = type(model_from_spec(spec).body)
+        calls = []
+        gauge_batch = body.gauge_batch
+
+        def counted(self, X, Y):
+            calls.append(len(X))
+            return gauge_batch(self, X, Y)
+        monkeypatch.setattr(body, "gauge_batch", counted)
+        code, _, _ = run(capsys, ["slice", "--model", spec_path(spec),
+                                  "--plane", "0,2", "--half-width", "1.25",
+                                  "--resolution", "10"])
+        assert code == 0
+        assert len(calls) == 2 and calls[0] == calls[1] > 0
+
+    def test_writes_at_most_one_block(self, spec_path, monkeypatch):
+        # the text goes out block by block, so it never sits whole in memory
+        class Recording(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+        writes = []
+        stream = Recording()
+        monkeypatch.setattr("sys.stdout", stream)
+        resolution = 30
+        assert main(["slice", "--model", spec_path(BALL_TUBE), "--plane",
+                     "2,3", "--resolution", str(resolution)]) == 0
+        assert "".join(writes) == stream.getvalue()
+        assert stream.getvalue().count("\r\n") == 1 + (resolution + 1) ** 2
+        for text in writes:
+            assert text.endswith("\r\n")
+            assert text.count("\r\n") <= resolution + 1
 
 
 def _scalar_slice(model, plane, center, half_width, resolution) -> bytes:

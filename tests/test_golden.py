@@ -52,6 +52,16 @@ def _commands() -> dict:
         commands[f"slice {spec}"] = [
             "slice", "--model", str(ROOT / "specs" / f"{spec}.json"),
             "--plane", plane, "--resolution", "20"]
+    # off-centre planes through the other model kinds
+    for spec, plane, center in (
+            ("strip1d", "0,1", "0.3,0.1"),
+            ("disc1d", "0,1", "0.2,-0.1"),
+            ("interval_tube", "0,1", "0.1,0.05"),
+            ("striptube_asym", "0,1", "0.5,-0.2"),
+            ("striptube_squircle", "1,2", "0.1,-0.2,0.05,0.1")):
+        commands[f"slice {spec} off-centre"] = [
+            "slice", "--model", str(ROOT / "specs" / f"{spec}.json"),
+            "--plane", plane, "--center=" + center, "--resolution", "40"]
     return commands
 
 

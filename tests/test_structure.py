@@ -3,7 +3,8 @@ between models lives on the model classes, and no model defines a
 one-point sampler, member or potential of its own, so every draw and
 every evaluation takes the batched path. No
 module imports SciPy, which only the tests use, as an independent
-oracle."""
+oracle, and none calls into the csv module: ``slice`` writes its text
+itself, and the tests keep ``csv.writer`` as the reference for it."""
 import ast
 from pathlib import Path
 
@@ -77,6 +78,37 @@ def test_scipy_guard_sees_each_spelling():
               "from .scipy_free import x\n"
               "import scipyish\n")
     assert scipy_import_lines(source) == [1, 2, 3, 5]
+
+
+def csv_use_lines(source: str) -> list:
+    """The lines of source that take a name from the csv module. A bare
+    ``import csv`` is left alone: perfbench's tracer hooks ``cli.csv``,
+    and its tests need the name bound."""
+    tree = ast.parse(source)
+    return sorted(
+        [node.lineno for node in ast.walk(tree)
+         if isinstance(node, ast.Attribute)
+         and isinstance(node.value, ast.Name) and node.value.id == "csv"]
+        + [node.lineno for node in ast.walk(tree)
+           if isinstance(node, ast.ImportFrom)
+           and node.level == 0 and node.module == "csv"])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_csv_use(path):
+    # slice writes the csv-module text itself, a block of rows per write
+    assert csv_use_lines(path.read_text()) == []
+
+
+def test_csv_guard_sees_each_use():
+    source = ("import csv\n"
+              "w = csv.writer(handle)\n"
+              "from csv import writer\n"
+              "rows = csvkit.reader(handle)\n"
+              "def f():\n"
+              "    return csv.QUOTE_MINIMAL\n")
+    assert csv_use_lines(source) == [2, 3, 6]
 
 
 SCALAR_SAMPLERS = ("sample_member", "sample_fd_safe", "strip_point")
