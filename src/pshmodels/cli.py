@@ -13,8 +13,7 @@ body inradius on tube models (see ``suites``).
 from __future__ import annotations
 
 import argparse
-# perfbench's tracer hooks cli.csv; the package writes no text through csv
-import csv  # noqa: F401
+import csv
 import json
 import math
 import sys
@@ -77,12 +76,28 @@ def _load_model(path: str) -> Model:
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, sort_keys=True, allow_nan=False)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    """Write a command's output to out_path, or to stdout without one.
+
+    A record (a dict) is written as one line of JSON. Any other payload is
+    an iterable of text blocks, written with one ``write`` each to a file
+    opened without newline translation: ``slice`` gives its CSV this way.
+    """
+    if isinstance(payload, dict):
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
+        return
+    handle = (open(out_path, "w", newline="", encoding="utf-8") if out_path
+              else sys.stdout)
+    try:
+        for block in payload:
+            handle.write(block)
+    finally:
+        if out_path:
+            handle.close()
 
 
 def _model_and_point(args):
@@ -174,40 +189,39 @@ def cmd_slice(args) -> int:
         raise SpecError("slice grid overflows: --center plus --half-width "
                         "is not finite")
     Z = coords[:, :n] + 1j * coords[:, n:]
-    # one pass: the membership of every row and the potential of members
+    # one pass: the membership of every row and the potential of members.
+    # Everything is evaluated before the file opens, so an error leaves no
+    # partial file
     member, u = model.member_potential_batch(Z)
-    # everything is evaluated before the file opens, so an error leaves
-    # no partial file
-    handle = open(args.out, "w", newline="", encoding="utf-8") if args.out \
-        else sys.stdout
-    try:
-        _write_slice(handle, coords[::ticks.size, i].tolist(),
-                     coords[:ticks.size, j].tolist(), member.tolist(),
-                     u.tolist())
-    finally:
-        if args.out:
-            handle.close()
+    _emit(_slice_blocks(coords[::ticks.size, i].tolist(),
+                        coords[:ticks.size, j].tolist(), member.tolist(),
+                        u.tolist()), args.out)
     return 0
 
 
-def _write_slice(handle, c1, c2, member, u) -> None:
-    """Write the slice CSV: the header, then one block of rows per value
-    of c1, each row a value of c2 in order, with one write per block.
+# slice writes the text of csv.writer in its default (excel) dialect itself
+_SEP, _EOL = csv.excel.delimiter, csv.excel.lineterminator
 
-    The text is what ``csv.writer`` writes in its default dialect: CRLF
-    line ends, ``repr`` of each float, 0 or 1 for membership and an empty
-    ``u`` outside the domain. ``u`` holds the potential of the member rows
-    only, in row order. Each c1 and c2 value is formatted once.
+
+def _slice_blocks(c1, c2, member, u):
+    """The slice CSV as blocks of text: the header, then one block of rows
+    per value of c1, each row a value of c2 in order.
+
+    The text is what ``csv.writer`` writes: CRLF line ends, ``repr`` of
+    each float, 0 or 1 for membership and an empty ``u`` outside the
+    domain. ``u`` holds the potential of the member rows only, in row
+    order. Each c1 and c2 value is formatted once.
     """
-    handle.write("c1,c2,member,u\r\n")
-    heads = [repr(v) + "," for v in c2]
+    yield _SEP.join(["c1", "c2", "member", "u"]) + _EOL
+    heads = [repr(v) + _SEP for v in c2]
+    inside, outside = "1" + _SEP, "0" + _SEP + _EOL
     values = map(repr, u)
     for k, value in enumerate(c1):
-        lead = repr(value) + ","
+        lead = repr(value) + _SEP
         flags = member[k * len(c2):(k + 1) * len(c2)]
-        handle.write(lead + lead.join([
-            head + ("1," + next(values) + "\r\n" if flag else "0,\r\n")
-            for head, flag in zip(heads, flags)]))
+        yield lead + lead.join([
+            head + (inside + next(values) + _EOL if flag else outside)
+            for head, flag in zip(heads, flags)])
 
 
 # the options shared between subcommands; each takes only those it reads

@@ -380,12 +380,6 @@ class StripTube(Model):
             raise OutsideDomainError("point is not in the strip tube")
         return values
 
-    def member_potential_batch(self, Z) -> tuple[np.ndarray, np.ndarray]:
-        # the gauge is the potential, and membership is gauge < pi/4
-        values = self.gauge.batch(as_points(Z, self.dim).imag)
-        member = values < QUARTER_PI
-        return member, values[member]
-
     def metric(self, x, v) -> float:
         x = _vector(x, self.dim)
         v = _vector(v, self.dim)
@@ -501,21 +495,28 @@ class EllipticTube(Model):
         x, y = z.real, z.imag
         return self.body._gauge(x, y), self.body._gauge(x, -y)
 
+    def _gauge_pair(self, X, Y) -> tuple[np.ndarray, np.ndarray]:
+        """The gauge pair (p(z), p(conj z)) at the rows z = x + iy; raises
+        OutsideDomainError where the body refuses to center a gauge at x."""
+        return self.body.gauge_batch(X, Y), self.body.gauge_batch(X, -Y)
+
+    def _centered_pair(self, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The indices of the rows of Z whose real part centers a gauge, and
+        the gauge pair at each of them."""
+        inside = np.flatnonzero(self.body.gauge_centers(Z.real))
+        return (inside, *self._gauge_pair(Z.real[inside], Z.imag[inside]))
+
     def member_batch(self, Z) -> np.ndarray:
         Z = as_points(Z, self.dim)
-        inside = self.body.gauge_centers(Z.real)
-        X, Y = Z.real[inside], Z.imag[inside]
+        inside, P, Q = self._centered_pair(Z)
         member = np.zeros(len(Z), dtype=bool)
-        member[inside] = (self.body.gauge_batch(X, Y)
-                          * self.body.gauge_batch(X, -Y) < 1.0)
+        member[inside] = P * Q < 1.0
         return member
 
     def potential_batch(self, Z) -> np.ndarray:
         Z = as_points(Z, self.dim)
-        X, Y = Z.real, Z.imag
         try:
-            P = self.body.gauge_batch(X, Y)
-            Q = self.body.gauge_batch(X, -Y)
+            P, Q = self._gauge_pair(Z.real, Z.imag)
         except OutsideDomainError:
             raise OutsideDomainError(
                 f"point is not in the {self.name} domain") from None
@@ -524,13 +525,9 @@ class EllipticTube(Model):
         return _atan_mean(P, Q)
 
     def member_potential_batch(self, Z) -> tuple[np.ndarray, np.ndarray]:
-        # one gauge pair per row: the pair that decides membership also
-        # gives the potential
+        # the pair that decides membership also gives the potential
         Z = as_points(Z, self.dim)
-        inside = np.flatnonzero(self.body.gauge_centers(Z.real))
-        X, Y = Z.real[inside], Z.imag[inside]
-        P = self.body.gauge_batch(X, Y)
-        Q = self.body.gauge_batch(X, -Y)
+        inside, P, Q = self._centered_pair(Z)
         keep = P * Q < 1.0
         member = np.zeros(len(Z), dtype=bool)
         member[inside[keep]] = True
@@ -660,23 +657,17 @@ class EllipticTube(Model):
         return 0.5 * (1.0 / ch.t1 + 1.0 / ch.t2) / tau
 
     def eval_record(self, z) -> dict:
-        # one gauge pair gives membership, the potential and (p, p_bar).
-        # The pair is reported where the body contains Re z; within 1e-12
-        # of an ellipsoid's edge the gauge refuses such a center, and eval
-        # fails there as a domain error
         z = as_point(z, self.dim)
-        X, Y = z.real[None], z.imag[None]
-        record = {"member": False, "u": None, "p": None, "p_bar": None}
-        contained = self.body.contains(z.real)
-        if contained or self.body.gauge_centers(X)[0]:
-            P = self.body.gauge_batch(X, Y)
-            Q = self.body.gauge_batch(X, -Y)
-            if P[0] * Q[0] < 1.0:
-                record["member"] = True
-                record["u"] = float(_atan_mean(P, Q)[0])
-            if contained:
-                record["p"], record["p_bar"] = float(P[0]), float(Q[0])
-        return record
+        if not self.body.contains(z.real):
+            return super().eval_record(z)
+        # (p, p_bar) is reported, and the same pair gives membership and the
+        # potential. Within 1e-12 of an ellipsoid's edge the gauge refuses
+        # the center, and eval fails as a domain error
+        P, Q = self._gauge_pair(z.real[None], z.imag[None])
+        member = bool(P[0] * Q[0] < 1.0)
+        return {"member": member,
+                "u": float(_atan_mean(P, Q)[0]) if member else None,
+                "p": float(P[0]), "p_bar": float(Q[0])}
 
     def geodesic_record(self, z) -> dict:
         from .geodesics import chart
