@@ -5,15 +5,18 @@ centered at an interior point x, the y-Hessian of the gauge where the
 boundary is C^2, and support values used to certify holomorphic pullbacks.
 Support values come from closed forms only (polytope vertices, ellipsoid
 and superellipse duality); a generic smooth body has none and refuses.
-Polytopes and ellipsoids use closed forms, also batched over the rows of
-(N, n) arrays by ``gauge_batch`` and ``contains_batch``; ``gauge_centers``
-marks the rows at which a gauge may be centered. Smooth bodies bracket the
-root on membership and then run a safeguarded Newton iteration on the
-oracle value along the ray, bisecting whenever a Newton step would leave
-the bracket; their ``gauge_batch`` runs that root find as one masked loop
-over all rows, on the batched oracle ``oracle_batch``, and gives the
-scalar gauges bit for bit; a batch of at most two rays runs the scalar
-root find on each, which is cheaper at that size and gives the same bits.
+Every body evaluates over the rows of (N, n) arrays: ``gauge_batch`` and
+``contains_batch`` are the one path, and the one-point ``_gauge`` and
+``contains`` are their batches of one row; ``gauge_centers`` marks the
+rows at which a gauge may be centered. Polytopes and ellipsoids use closed
+forms. Smooth bodies bracket the root on membership and then run a
+safeguarded Newton iteration on the oracle value along the ray, bisecting
+whenever a Newton step would leave the bracket; their ``gauge_batch`` runs
+that root find as one masked loop over all rows, on the batched oracle
+``oracle_batch``; a batch of at most two rays runs the scalar root find
+``_gauge_bisect`` on each, which is cheaper at that size and gives the same
+bits. That scalar root find tests membership once per bracket step, so a
+smooth body keeps a one-point ``contains`` of its own.
 Support values come from ``support_batch`` over the rows of an (N, n)
 array; ``support`` is its batch of one row. A polytope is built with
 NumPy alone: its vertices, bounding box and Chebyshev ball come from
@@ -72,9 +75,9 @@ def _rows(a, dim: int) -> np.ndarray:
 def _matvec(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Rows M @ v for the rows v of V, as a stacked matmul.
 
-    The stacked matmul runs the BLAS kernel of the scalar ``M @ v`` once
-    per row, so batched gauges agree with the scalar ones bit for bit; a
-    single ``V @ M.T`` rounds differently in about a third of the rows.
+    The stacked matmul runs the BLAS kernel of the one-point ``M @ v``
+    once per row, so a row's gauge does not depend on the batch it is in;
+    a single ``V @ M.T`` rounds differently in about a third of the rows.
     """
     return (M @ V[:, :, None])[:, :, 0]
 
@@ -91,11 +94,12 @@ class ConvexBody:
     c2 = True  # C2 boundary, so the gauge has a Hessian off the center
 
     def contains(self, x) -> bool:
-        raise NotImplementedError
+        """Membership of x: the batch of one row."""
+        return bool(self.contains_batch(_vector(x, self.dim)[None])[0])
 
     def contains_batch(self, W) -> np.ndarray:
-        """contains at each row of an (N, n) array, as a bool (N,) array,
-        agreeing with ``contains`` bit for bit."""
+        """Membership at each row of an (N, n) array, as a bool (N,)
+        array."""
         raise NotImplementedError
 
     def support(self, a) -> float:
@@ -126,13 +130,14 @@ class ConvexBody:
         return self._gauge(x, y)
 
     def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
-        # validated-input fast path; the tube models call it directly
-        raise NotImplementedError
+        # the batch of one row, on validated vectors; EllipticTube.gauges,
+        # which geodesics.chart uses, calls it directly
+        return float(self.gauge_batch(x[None], y[None])[0])
 
     def gauge_centers(self, X) -> np.ndarray:
         """Bool (N,) mask of the rows of X at which a gauge may be centered,
-        by the gauge's own rule: ``_gauge`` raises OutsideDomainError
-        exactly at the rows outside the mask."""
+        by the gauge's own rule: ``gauge_batch`` raises OutsideDomainError
+        exactly when a row is outside the mask."""
         raise NotImplementedError
 
     def gauge_batch(self, X, Y) -> np.ndarray:
@@ -298,10 +303,6 @@ class Polytope(ConvexBody):
         self._cheb_center, self._cheb_radius = _chebyshev(U[rows],
                                                           beta[rows])
 
-    def contains(self, x) -> bool:
-        x = _vector(x, self.dim)
-        return bool(np.all(self.A @ x < self.b))
-
     def contains_batch(self, W) -> np.ndarray:
         W = _rows(W, self.dim)
         return np.all(_matvec(self.A, W) < self.b, axis=1)
@@ -318,16 +319,6 @@ class Polytope(ConvexBody):
     def bounding_box(self):
         return self._bbox[0].copy(), self._bbox[1].copy()
 
-    def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
-        den = self.b - self.A @ x
-        if np.any(den <= 0.0):
-            raise OutsideDomainError("gauge center x is not inside the polytope")
-        if not np.any(y):
-            return 0.0
-        # halfspaces with a.y <= 0 never constrain t; the empty max is 0
-        ratios = (self.A @ y) / den
-        return float(max(0.0, np.max(ratios)))
-
     def gauge_centers(self, X) -> np.ndarray:
         X = _rows(X, self.dim)
         return np.all(self.b - _matvec(self.A, X) > 0.0, axis=1)
@@ -338,6 +329,7 @@ class Polytope(ConvexBody):
         den = self.b - _matvec(self.A, X)
         if np.any(den <= 0.0):
             raise OutsideDomainError("gauge center x is not inside the polytope")
+        # halfspaces with a.y <= 0 never constrain t; the empty max is 0
         top = np.max(_matvec(self.A, Y) / den, axis=1)
         return np.where(top > 0.0, top, 0.0)
 
@@ -365,10 +357,6 @@ class Ellipsoid(ConvexBody):
         self._Qinv = np.linalg.inv(self.Q)
         self._eigmax = float(np.linalg.eigvalsh(self.Q)[-1])
 
-    def contains(self, x) -> bool:
-        x = _vector(x, self.dim)
-        return bool(x @ self.Q @ x < 1.0)
-
     def contains_batch(self, W) -> np.ndarray:
         W = _rows(W, self.dim)
         return ((W[:, None, :] @ self.Q) @ W[:, :, None])[:, 0, 0] < 1.0
@@ -387,17 +375,6 @@ class Ellipsoid(ConvexBody):
     def bounding_box(self):
         half = np.sqrt(np.diag(self._Qinv))
         return -half, half.copy()
-
-    def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
-        Qx = self.Q @ x
-        d = 1.0 - x @ Qx
-        if d < 1e-12:
-            raise OutsideDomainError("x too close to the ellipsoid boundary")
-        if not np.any(y):
-            return 0.0
-        b = Qx @ y
-        c = y @ self.Q @ y
-        return float((b + np.sqrt(b * b + c * d)) / d)
 
     def gauge_centers(self, X) -> np.ndarray:
         # not contains: the gauge also refuses centers within 1e-12 of
@@ -464,6 +441,9 @@ class SmoothBody(ConvexBody):
                 raise SpecError("smooth body oracle is not convex")
 
     def contains(self, x) -> bool:
+        # one point, not a batch of one row: _gauge_bisect tests
+        # membership once per bracket step, and timed on a superellipse a
+        # batch of one row costs 27 against 13 us a call
         x = _vector(x, self.dim)
         if np.linalg.norm(x) > self.bounding_radius:
             return False
@@ -510,13 +490,6 @@ class SmoothBody(ConvexBody):
         return self._members(_rows(W, self.dim))
 
     gauge_centers = contains_batch
-
-    def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
-        if not self.contains(x):
-            raise OutsideDomainError("gauge center x is not inside the body")
-        if not np.any(y):
-            return 0.0
-        return self._gauge_bisect(x, y)
 
     def _gauge_bisect(self, x: np.ndarray, y: np.ndarray) -> float:
         """Gauge 1/s, s the root of phi(s) = f(x + s y), for interior x, y != 0.

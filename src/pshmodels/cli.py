@@ -158,7 +158,11 @@ def cmd_verify(args) -> int:
 
 def cmd_slice(args) -> int:
     model = _load_model(args.model)
-    i, j = (int(p) for p in args.plane.split(","))
+    try:
+        i, j = (int(p) for p in args.plane.split(","))
+    except ValueError:
+        raise SpecError(f"--plane must be two indices I,J, got "
+                        f"{args.plane!r}") from None
     n = model.dim
     if not (0 <= i < 2 * n and 0 <= j < 2 * n) or i == j:
         raise SpecError("plane indices must be distinct and in [0, 2n)")
@@ -174,15 +178,21 @@ def cmd_slice(args) -> int:
         raise SpecError("--resolution must be >= 0")
     if not (math.isfinite(args.half_width) and args.half_width > 0):
         raise SpecError("--half-width must be positive and finite")
+    size = args.resolution + 1 if args.resolution else 1
+    try:
+        # the grid before its ticks: a grid past the address space fails
+        # here, having allocated nothing
+        coords = np.tile(center, (size ** 2, 1))
+    except MemoryError:
+        raise SpecError(f"slice grid of {size} x {size} points does not "
+                        "fit in memory; lower --resolution") from None
     with np.errstate(over="ignore", invalid="ignore"):
-        ticks = (np.linspace(-args.half_width, args.half_width,
-                             args.resolution + 1)
+        ticks = (np.linspace(-args.half_width, args.half_width, size)
                  if args.resolution else np.array([0.0]))
         # rows run c2 fastest, in blocks of ticks.size rows sharing c1;
         # each coordinate is center + tick, the same addition the CSV
         # columns report, so each block's c1 and c2 values are read off
         # its first row and the first block
-        coords = np.tile(center, (ticks.size ** 2, 1))
         coords[:, i] += np.repeat(ticks, ticks.size)
         coords[:, j] += np.tile(ticks, ticks.size)
     if not np.all(np.isfinite(coords)):

@@ -1,10 +1,11 @@
-"""Batched evaluation against the scalar path, which is the reference.
+"""Batched evaluation against the former one-point code, the reference.
 
 Property tests over random SPD ellipsoids, bounded polytopes and
-superellipses: batched gauges reproduce the scalar ones row by row (the
-smooth-body gauges bit for bit), batched memberships and potentials
-reproduce the former one-point formulas kept here, the batched samplers
-and support values reproduce the former scalar code byte for byte,
+superellipses: batched gauges and memberships reproduce the former
+one-point formulas of the bodies kept here, and the smooth-body gauges
+the scalar root find, bit for bit; batched model memberships and
+potentials reproduce the former one-point formulas kept here, the batched
+samplers and support values reproduce the former scalar code byte for byte,
 batched Levi matrices reproduce levi_matrix, and polytope vertices,
 bounding boxes, Chebyshev radii and support values reproduce HiGHS and
 Qhull.
@@ -45,8 +46,63 @@ def _interior_rows(body, rng, count, reach=0.95):
     return c + (reach * r * rng.uniform(size=count))[:, None] * u
 
 
+def _former_polytope_gauge(body, x, y):
+    den = body.b - body.A @ x
+    if np.any(den <= 0.0):
+        raise OutsideDomainError("gauge center x is not inside the polytope")
+    if not np.any(y):
+        return 0.0
+    # halfspaces with a.y <= 0 never constrain t; the empty max is 0
+    ratios = (body.A @ y) / den
+    return float(max(0.0, np.max(ratios)))
+
+
+def _former_ellipsoid_gauge(body, x, y):
+    Qx = body.Q @ x
+    d = 1.0 - x @ Qx
+    if d < 1e-12:
+        raise OutsideDomainError("x too close to the ellipsoid boundary")
+    if not np.any(y):
+        return 0.0
+    b = Qx @ y
+    c = y @ body.Q @ y
+    return float((b + np.sqrt(b * b + c * d)) / d)
+
+
+def _former_gauge(body, x, y):
+    """The gauge centered at x, at y, by the one-point formula each body
+    had before ``_gauge`` became a batch of one row; a smooth body ran the
+    scalar root find, which its batches of at most two rays still run."""
+    if isinstance(body, Polytope):
+        return _former_polytope_gauge(body, x, y)
+    if isinstance(body, Ellipsoid):
+        return _former_ellipsoid_gauge(body, x, y)
+    if not body.contains(x):
+        raise OutsideDomainError("gauge center x is not inside the body")
+    if not np.any(y):
+        return 0.0
+    return body._gauge_bisect(x, y)
+
+
+def _former_contains(body, x):
+    """Membership of x by the one-point formula each body had before
+    ``contains`` became a batch of one row; a smooth body keeps its own."""
+    if isinstance(body, Polytope):
+        return bool(np.all(body.A @ x < body.b))
+    if isinstance(body, Ellipsoid):
+        return bool(x @ body.Q @ x < 1.0)
+    return body.contains(x)
+
+
+def _former_origin_gauge(body):
+    """The former one-point gauge of body centered at the origin, as a
+    function of y: the reference for ``Gauge``."""
+    origin = np.zeros(body.dim)
+    return lambda y: _former_gauge(body, origin, y)
+
+
 def _scalar_gauges(body, X, Y):
-    return np.array([body._gauge(x, y) for x, y in zip(X, Y)])
+    return np.array([_former_gauge(body, x, y) for x, y in zip(X, Y)])
 
 
 def _former_member(model, z):
@@ -59,7 +115,7 @@ def _former_member(model, z):
             return False
         return p * q < 1.0
     if isinstance(model, StripTube):
-        return model.gauge(z.imag) < QUARTER_PI
+        return _former_origin_gauge(model.body)(z.imag) < QUARTER_PI
     if isinstance(model, Disc1D):
         return abs(z[0]) < 1.0
     return abs(z[0].imag) < QUARTER_PI
@@ -71,14 +127,15 @@ def _former_potential(model, z):
         p, q = _former_gauges(model.body, z)
         return 0.5 * (math.atan(p) + math.atan(q))
     if isinstance(model, StripTube):
-        return model.gauge(z.imag)
+        return _former_origin_gauge(model.body)(z.imag)
     if isinstance(model, Disc1D):
         return abs(cmath.atanh(z[0]).imag)
     return abs(z[0].imag)
 
 
 def _former_gauges(body, z):
-    return body._gauge(z.real, z.imag), body._gauge(z.real, -z.imag)
+    return (_former_gauge(body, z.real, z.imag),
+            _former_gauge(body, z.real, -z.imag))
 
 
 def _rays(body, rng, count):
@@ -92,13 +149,11 @@ def _rays(body, rng, count):
 
 
 def _assert_gauge_batch_matches_scalar(body, X, Y):
-    """Smooth bodies run the scalar root find row by row, so equal bit for
-    bit; closed forms round differently in a batch."""
-    batch, scalar = body.gauge_batch(X, Y), _scalar_gauges(body, X, Y)
-    if isinstance(body, SmoothBody):
-        np.testing.assert_array_equal(batch, scalar)
-    else:
-        np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=0)
+    """Bit for bit: the closed forms run the kernels of the former
+    one-point formulas row by row, and smooth bodies the scalar root
+    find."""
+    np.testing.assert_array_equal(body.gauge_batch(X, Y),
+                                  _scalar_gauges(body, X, Y))
 
 
 @SETTINGS
@@ -168,8 +223,9 @@ def test_gauge_batch_rejects_an_outside_center(body, seed, row):
     Y = rng.normal(size=X.shape)
     lo, hi = body.bounding_box()
     X[row] = hi + (hi - lo)  # beyond the bounding box
-    with pytest.raises(OutsideDomainError):
-        body._gauge(X[row], Y[row])
+    for one_row in (body._gauge, lambda x, y: _former_gauge(body, x, y)):
+        with pytest.raises(OutsideDomainError):
+            one_row(X[row], Y[row])
     with pytest.raises(OutsideDomainError):
         body.gauge_batch(X, Y)
 
@@ -281,7 +337,9 @@ def test_member_batch_matches_scalar_at_the_edge(seed):
 def test_contains_batch_matches_contains(body, seed):
     rng = np.random.default_rng(seed)
     X = _real_parts(body, rng, 18)
-    assert body.contains_batch(X).tolist() == [body.contains(x) for x in X]
+    member = body.contains_batch(X).tolist()
+    assert member == [_former_contains(body, x) for x in X]
+    assert member == [body.contains(x) for x in X]
 
 
 # The one-point draws and support values as they were before batching,
@@ -316,7 +374,7 @@ def _reference_body_point(tube, rng, shrink):
     c = tube.body.interior_point()
     for _ in range(10000):
         x = rng.uniform(lo, hi)
-        if tube.body.contains(c + (x - c) / shrink):
+        if _former_contains(tube.body, c + (x - c) / shrink):
             return x
     raise ConvergenceError("body sampling starved")
 
@@ -324,7 +382,7 @@ def _reference_body_point(tube, rng, shrink):
 def _reference_member(tube, rng):
     x = _reference_body_point(tube, rng, 0.97)
     d = _reference_unit_vector(rng, tube.dim)
-    pu, qu = tube.body._gauge(x, d), tube.body._gauge(x, -d)
+    pu, qu = _former_gauge(tube.body, x, d), _former_gauge(tube.body, x, -d)
     t = math.sqrt(rng.uniform(0.0, 0.9) / (pu * qu))
     return x + 1j * t * d
 
@@ -334,7 +392,8 @@ def _reference_fd_safe(tube, rng, h):
     for _ in range(10000):
         x = _reference_body_point(tube, rng, 0.5)
         d = _reference_unit_vector(rng, tube.dim)
-        pu, qu = tube.body._gauge(x, d), tube.body._gauge(x, -d)
+        pu = _former_gauge(tube.body, x, d)
+        qu = _former_gauge(tube.body, x, -d)
         t_hi = 0.8 / max(pu, qu)
         t_lo = max(0.3 * rin, 0.6 * t_hi)
         if t_hi <= t_lo:
@@ -377,7 +436,7 @@ def test_batched_samplers_match_the_scalar_row_loop(body, seed,
                                                     relative_step):
     # the scalar references are the elliptic-tube samplers as they were
     # before batching: rng.uniform on array bounds, unit_vector, contains
-    # and _gauge one row at a time
+    # and the gauge one row at a time
     tube = EllipticTube(body)
     h = relative_step * body.inradius()
     w = complex(0.2, 0.4 * QUARTER_PI)
@@ -411,22 +470,23 @@ def test_rows_with_an_empty_safe_window_draw_again():
 
 
 # The strip-tube and 1-D samplers as they were before batching: one row
-# at a time, with the former unit_vector and the scalar gauge.
+# at a time, with the former unit_vector and the former one-point gauge.
 
 def _reference_strip_member(tube, rng):
     x = rng.uniform(-1.0, 1.0, tube.dim)
     d = _reference_unit_vector(rng, tube.dim)
     level = rng.uniform(0.0, 0.95) * QUARTER_PI
-    y = level * d / tube.gauge(d)
+    y = level * d / _former_origin_gauge(tube.body)(d)
     return x + 1j * y
 
 
 def _reference_strip_fd_safe(tube, rng, h, attempts=None):
+    gauge = _former_origin_gauge(tube.body)
     x = rng.uniform(-1.0, 1.0, tube.dim)
     for attempt in range(1, 1001):
         d = _reference_unit_vector(rng, tube.dim)
         level = rng.uniform(0.4 * QUARTER_PI, 0.9 * QUARTER_PI)
-        y = level * d / tube.gauge(d)
+        y = level * d / gauge(d)
         if np.linalg.norm(y) >= max(0.5 * tube.body.inradius(), 10.0 * h):
             if attempts is not None:
                 attempts.append(attempt)
@@ -440,22 +500,24 @@ def _reference_flat_ray(gauge, x, y, zeta):
 
 
 def _reference_strip_tube_point(tube, w, rng):
+    gauge = _former_origin_gauge(tube.body)
     d = _reference_unit_vector(rng, tube.dim)
-    y = d / tube.gauge(d)
+    y = d / gauge(d)
     x = rng.uniform(-1.0, 1.0, tube.dim)
-    return _reference_flat_ray(tube.gauge, x, y, w)
+    return _reference_flat_ray(gauge, x, y, w)
 
 
 def _reference_strip_tube_gaps(tube, seed, samples):
+    gauge = _former_origin_gauge(tube.body)
     gaps = []
     for k in range(samples):
         rng = substream(seed, k)
         d = _reference_unit_vector(rng, tube.dim)
-        y = d / tube.gauge(d) * rng.uniform(0.1, 0.9) * QUARTER_PI
+        y = d / gauge(d) * rng.uniform(0.1, 0.9) * QUARTER_PI
         x = rng.uniform(-1.0, 1.0, tube.dim)
         zeta = complex(rng.uniform(-1.0, 1.0),
                        rng.uniform(0.05, 0.95) * QUARTER_PI)
-        f = _reference_flat_ray(tube.gauge, x, y, zeta)
+        f = _reference_flat_ray(gauge, x, y, zeta)
         gaps.append(abs(tube.potential(f) - zeta.imag))
     return gaps
 

@@ -538,9 +538,16 @@ class TestSlice:
         (["--center=nan,0,0,0"], "--center"),
         (["--center=0,0,-inf,0"], "--center"),
         (["--center=0,0,1e308,0", "--half-width", "1e308"], "--half-width"),
+        (["--plane", "2,3,1"], "two indices I,J"),
+        (["--plane", "2,x"], "two indices I,J"),
+        # about 2.9 PiB, past the 47-bit address space: NumPy refuses the
+        # grid without touching memory
+        (["--resolution", "10000000"], "does not fit in memory"),
     ], ids=["plane-repeated", "plane-out-of-range", "plane-two-real",
             "resolution-negative", "half-width-zero", "half-width-nan",
-            "half-width-inf", "center-nan", "center-inf", "grid-overflow"])
+            "half-width-inf", "center-nan", "center-inf", "grid-overflow",
+            "plane-three-indices", "plane-not-an-integer",
+            "grid-past-memory"])
     def test_rejects_bad_input(self, spec_path, capsys, tmp_path, extra,
                                message):
         out_path = tmp_path / "grid.csv"
@@ -548,7 +555,7 @@ class TestSlice:
                 "--resolution", "2", "--out", str(out_path)]
         code, _, err = run(capsys, argv + extra)
         assert code == 2
-        assert message in err
+        assert err.startswith("error: ") and message in err
         assert "RuntimeWarning" not in err
         assert not out_path.exists()
 

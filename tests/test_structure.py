@@ -1,8 +1,8 @@
 """No module of the package branches on a model type: what differs
 between models lives on the model classes, and no model defines a
-one-point sampler, member or potential of its own, so every draw and
-every evaluation takes the batched path. No
-module imports SciPy, which only the tests use, as an independent
+one-point sampler, member or potential of its own, nor a body a one-point
+gauge or membership, so every draw and every evaluation takes the batched
+path. No module imports SciPy, which only the tests use, as an independent
 oracle, and none takes more than the default dialect from the csv module:
 ``slice`` writes its text itself, and the tests keep ``csv.writer`` as the
 reference for it."""
@@ -125,10 +125,10 @@ def scalar_overrides(classes, names=SCALAR_SAMPLERS) -> list:
             for name in names if name in vars(cls)]
 
 
-def _model_subclasses(cls) -> list:
+def _subclasses(cls) -> list:
     subs = []
     for sub in cls.__subclasses__():
-        subs += [sub] + _model_subclasses(sub)
+        subs += [sub] + _subclasses(sub)
     return subs
 
 
@@ -138,7 +138,7 @@ def test_one_sampling_path():
     from pshmodels import models
     assert sorted(scalar_overrides([models.Model])) == sorted(
         f"Model.{name}" for name in SCALAR_SAMPLERS)
-    assert scalar_overrides(_model_subclasses(models.Model)) == []
+    assert scalar_overrides(_subclasses(models.Model)) == []
 
 
 def test_sampler_guard_sees_an_override():
@@ -152,9 +152,9 @@ def test_sampler_guard_sees_an_override():
     assert scalar_overrides([Scalar, Batched]) == ["Scalar.sample_fd_safe"]
 
 
-def _package_models(classes) -> list:
-    """The classes of the package among classes; the tests' own model
-    doubles may evaluate one point at a time."""
+def _package_classes(classes) -> list:
+    """The classes of the package among classes; the tests' own model and
+    body doubles may evaluate one point at a time."""
     return [cls for cls in classes if cls.__module__.startswith("pshmodels")]
 
 
@@ -164,7 +164,7 @@ def test_one_evaluation_path():
     from pshmodels import models
     assert scalar_overrides([models.Model], SCALAR_EVALUATORS) == [
         "Model.member", "Model.potential"]
-    assert scalar_overrides(_package_models(_model_subclasses(models.Model)),
+    assert scalar_overrides(_package_classes(_subclasses(models.Model)),
                             SCALAR_EVALUATORS) == []
 
 
@@ -181,5 +181,57 @@ def test_evaluation_guard_sees_an_override():
         def potential(self, z):
             return 0.0
     Scalar.__module__ = Batched.__module__ = "pshmodels.models"
-    assert scalar_overrides(_package_models([Scalar, Batched, Double]),
+    assert scalar_overrides(_package_classes([Scalar, Batched, Double]),
                             SCALAR_EVALUATORS) == ["Scalar.potential"]
+
+
+SCALAR_BODY_METHODS = ("_gauge", "contains")
+
+
+def scalar_body_overrides(classes) -> list:
+    """The one-point gauges and memberships the package's bodies among
+    classes define for themselves, but SmoothBody.contains: its scalar
+    root find tests membership once per bracket step, where a batch of one
+    row costs more."""
+    return [name for name in scalar_overrides(_package_classes(classes),
+                                              SCALAR_BODY_METHODS)
+            if name != "SmoothBody.contains"]
+
+
+def test_one_body_evaluation_path():
+    # a body evaluates only in batches; its _gauge and contains are those
+    # of ConvexBody, the batches of one row
+    from pshmodels import bodies
+    assert scalar_overrides([bodies.ConvexBody], SCALAR_BODY_METHODS) == [
+        "ConvexBody._gauge", "ConvexBody.contains"]
+    assert scalar_body_overrides(_subclasses(bodies.ConvexBody)) == []
+
+
+def test_body_guard_sees_an_override():
+    class Polytope:
+        def _gauge(self, x, y):
+            return 0.0
+
+    class Ellipsoid:
+        def contains(self, x):
+            return True
+
+    class SmoothBody:
+        def _gauge(self, x, y):
+            return 0.0
+
+        def contains(self, x):
+            return True
+
+    class Batched:
+        def gauge_batch(self, X, Y):
+            return X
+
+    class Double:  # a test double, outside the package
+        def contains(self, x):
+            return True
+    classes = [Polytope, Ellipsoid, SmoothBody, Batched]
+    for cls in classes:
+        cls.__module__ = "pshmodels.bodies"
+    assert scalar_body_overrides(classes + [Double]) == [
+        "Polytope._gauge", "Ellipsoid.contains", "SmoothBody._gauge"]
