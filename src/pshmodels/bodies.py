@@ -455,12 +455,12 @@ class SmoothBody(ConvexBody):
 
     def inradius(self) -> float:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(2)))
-        origin = np.zeros(self.dim)
         dirs = list(np.eye(self.dim)) + list(-np.eye(self.dim))
         for _ in range(64):
             v = rng.normal(size=self.dim)
             dirs.append(v / np.linalg.norm(v))
-        r = min(1.0 / self.gauge(origin, d) for d in dirs)
+        D = np.array(dirs)
+        r = float(np.min(1.0 / self.gauge_batch(np.zeros_like(D), D)))
         return 0.9 * r
 
     def bounding_box(self):

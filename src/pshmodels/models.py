@@ -6,11 +6,12 @@ vanishing exactly on the center), the closed-form boundary-slope
 pseudo-metric on the center, and a finite-difference slope estimator that
 realizes the metric as the limit of potential(x + i t v)/t.
 
-``potential_batch`` evaluates the potential at every row of an (N, n)
-array in one call, and ``member_batch`` the membership;
-``member_potential_batch`` gives both in one pass, the potential at the
-member rows only. ``potential`` and ``member`` are defined once, on Model,
-as batches of one row.
+A model defines one evaluation: ``member_potential_batch(Z)`` gives the
+membership mask of the rows of an (N, n) array and the potential at its
+member rows, in one pass. Everything else is defined once, on Model:
+``member_batch`` is that mask, ``potential_batch`` those values (refused
+with "point is not in the <name> domain" when any row is not a member),
+and ``member`` and ``potential`` are batches of one row.
 
 Every model samples in batches: ``sample_member_batch(rngs)``,
 ``sample_fd_safe_batch(rngs, h)`` and ``strip_points(W, rngs)`` draw row i
@@ -90,18 +91,20 @@ def _uniform_rows(rngs, dim: int) -> np.ndarray:
 class Model:
     """Base class: a tube domain with center and extremal potential.
 
-    Each model also has ``member_batch`` and ``potential_batch``; the
-    maximality battery ``competitors(seed)``; ``strip_points(W, rngs)``,
-    the images of the W[i], |Im W[i]| < pi/4, under holomorphic strip
-    maps into the domain (drawn from rngs[i] on tubes); and
-    ``geodesic_witnesses(seed, samples)``, a pair (gaps,
+    Each model defines ``member_potential_batch``, its domain and potential
+    stated once; the maximality battery ``competitors(seed)``;
+    ``strip_points(W, rngs)``, the images of the W[i], |Im W[i]| < pi/4,
+    under holomorphic strip maps into the domain (drawn from rngs[i] on
+    tubes); and ``geodesic_witnesses(seed, samples)``, a pair (gaps,
     reconstructions): per extremal disc or flat ray, the largest gap
     between the potential along it and its closed form, and per disc
     chart, its base point error over max(1, |z|).
-    A subclass evaluates and draws only in batches (``member_batch``,
-    ``potential_batch``, ``sample_member_batch``, ``sample_fd_safe_batch``,
-    ``strip_points``); ``member``, ``potential`` and the one-point
-    samplers here are their batches of one row, validated by ``as_point``.
+    A subclass evaluates and draws only in batches
+    (``member_potential_batch``, ``sample_member_batch``,
+    ``sample_fd_safe_batch``, ``strip_points``). ``member_batch`` and
+    ``potential_batch`` here are the mask and the values of
+    ``member_potential_batch``; ``member``, ``potential`` and the one-point
+    samplers are their batches of one row, validated by ``as_point``.
     A model must not change after construction: the suites cache their
     sample draws on the model object (``functools.lru_cache``).
     """
@@ -125,9 +128,19 @@ class Model:
     def member_potential_batch(self, Z) -> tuple[np.ndarray, np.ndarray]:
         """The membership mask of the rows of an (N, n) array, and the
         potential at its member rows, in row order."""
-        Z = as_points(Z, self.dim)
-        member = self.member_batch(Z)
-        return member, self.potential_batch(Z[member])
+        raise NotImplementedError
+
+    def member_batch(self, Z) -> np.ndarray:
+        """The membership mask of the rows of an (N, n) array."""
+        return self.member_potential_batch(Z)[0]
+
+    def potential_batch(self, Z) -> np.ndarray:
+        """The potential at every row of an (N, n) array; raises
+        OutsideDomainError if any row is not a member."""
+        member, values = self.member_potential_batch(Z)
+        if not np.all(member):
+            raise OutsideDomainError(f"point is not in the {self.name} domain")
+        return values
 
     def metric(self, x, v) -> float:
         raise NotImplementedError
@@ -216,17 +229,16 @@ class _PlaneDomain(Model):
     """A plane domain over a real interval: the image of the strip
     {|Im w| < pi/4} under the conformal map _to_plane, with inverse
     _to_strip. The potential is |Im w| at the preimage w, so the map is an
-    extremal disc."""
+    extremal disc. ``_members`` is the domain's mask over complex values."""
 
     dim = 1
 
-    def potential_batch(self, Z) -> np.ndarray:
-        Z = as_points(Z, 1)
-        if not np.all(self.member_batch(Z)):
-            raise OutsideDomainError(f"point is not in the {self.name} domain")
+    def member_potential_batch(self, Z) -> tuple[np.ndarray, np.ndarray]:
+        w = as_points(Z, 1)[:, 0]
+        member = self._members(w)
         # per value: NumPy's complex arctanh rounds differently from cmath
-        return np.array([abs(self._to_strip(c).imag)
-                         for c in Z[:, 0].tolist()], dtype=float)
+        return member, np.array([abs(self._to_strip(c).imag)
+                                 for c in w[member].tolist()], dtype=float)
 
     def strip_points(self, W, rngs) -> np.ndarray:
         # the identity strip map, or tanh per value: no draw
@@ -261,8 +273,9 @@ class Strip1D(_PlaneDomain):
     _to_plane = _to_strip = staticmethod(complex)  # the identity
     fd_step_limit = 0.9 * QUARTER_PI / 10.0  # the window 10 h < 0.9 pi/4
 
-    def member_batch(self, Z) -> np.ndarray:
-        return np.abs(as_points(Z, 1)[:, 0].imag) < QUARTER_PI
+    @staticmethod
+    def _members(w: np.ndarray) -> np.ndarray:
+        return np.abs(w.imag) < QUARTER_PI
 
     def metric(self, x, v) -> float:
         x = _vector(x, 1)
@@ -305,12 +318,12 @@ class Disc1D(_PlaneDomain):
     _to_plane, _to_strip = staticmethod(np.tanh), staticmethod(cmath.atanh)
     fd_step_limit = 0.8 * QUARTER_PI / 20.0  # the window 20 h < 0.8 pi/4
 
-    def member_batch(self, Z) -> np.ndarray:
+    @staticmethod
+    def _members(w: np.ndarray) -> np.ndarray:
         # Python abs per value: NumPy's vectorized complex abs differs
         # from it in the last bit for about a third of inputs, which
         # decides membership on the unit circle
-        w = as_points(Z, 1)[:, 0].tolist()
-        return np.array([abs(c) < 1.0 for c in w], dtype=bool)
+        return np.array([abs(c) < 1.0 for c in w.tolist()], dtype=bool)
 
     def metric(self, x, v) -> float:
         x = _vector(x, 1)
@@ -371,14 +384,10 @@ class StripTube(Model):
     def body(self) -> ConvexBody:
         return self.gauge.body
 
-    def member_batch(self, Z) -> np.ndarray:
-        return self.gauge.batch(as_points(Z, self.dim).imag) < QUARTER_PI
-
-    def potential_batch(self, Z) -> np.ndarray:
+    def member_potential_batch(self, Z) -> tuple[np.ndarray, np.ndarray]:
         values = self.gauge.batch(as_points(Z, self.dim).imag)
-        if np.any(values >= QUARTER_PI):
-            raise OutsideDomainError("point is not in the strip tube")
-        return values
+        member = values < QUARTER_PI
+        return member, values[member]
 
     def metric(self, x, v) -> float:
         x = _vector(x, self.dim)
@@ -500,34 +509,12 @@ class EllipticTube(Model):
         OutsideDomainError where the body refuses to center a gauge at x."""
         return self.body.gauge_batch(X, Y), self.body.gauge_batch(X, -Y)
 
-    def _centered_pair(self, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The indices of the rows of Z whose real part centers a gauge, and
-        the gauge pair at each of them."""
-        inside = np.flatnonzero(self.body.gauge_centers(Z.real))
-        return (inside, *self._gauge_pair(Z.real[inside], Z.imag[inside]))
-
-    def member_batch(self, Z) -> np.ndarray:
-        Z = as_points(Z, self.dim)
-        inside, P, Q = self._centered_pair(Z)
-        member = np.zeros(len(Z), dtype=bool)
-        member[inside] = P * Q < 1.0
-        return member
-
-    def potential_batch(self, Z) -> np.ndarray:
-        Z = as_points(Z, self.dim)
-        try:
-            P, Q = self._gauge_pair(Z.real, Z.imag)
-        except OutsideDomainError:
-            raise OutsideDomainError(
-                f"point is not in the {self.name} domain") from None
-        if np.any(P * Q >= 1.0):
-            raise OutsideDomainError(f"point is not in the {self.name} domain")
-        return _atan_mean(P, Q)
-
     def member_potential_batch(self, Z) -> tuple[np.ndarray, np.ndarray]:
-        # the pair that decides membership also gives the potential
+        # the gauge pair at the rows whose real part centers a gauge
+        # decides membership and also gives the potential
         Z = as_points(Z, self.dim)
-        inside, P, Q = self._centered_pair(Z)
+        inside = np.flatnonzero(self.body.gauge_centers(Z.real))
+        P, Q = self._gauge_pair(Z.real[inside], Z.imag[inside])
         keep = P * Q < 1.0
         member = np.zeros(len(Z), dtype=bool)
         member[inside[keep]] = True

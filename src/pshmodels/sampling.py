@@ -15,8 +15,11 @@ drawing; only the arithmetic between the draws is shared across rows.
 ``substream`` seeds its Philox with a seed sequence whose state is the key
 itself. ``Philox(key=...)`` builds the same stream, but first builds an
 unkeyed ``SeedSequence()`` from OS entropy and throws it away, which more
-than doubles the cost of a stream. The class is built on first use, so
-that ``import pshmodels`` does not load ``numpy.random``.
+than doubles the cost of a stream. The key becomes a uint64 array once,
+when the seed sequence is made, and every Philox starts from one shared
+read-only zero counter, which it copies; both give the stream of
+``Philox(key=...)`` bit for bit. The class is built on first use, so that
+``import pshmodels`` does not load ``numpy.random``.
 """
 from __future__ import annotations
 
@@ -27,6 +30,10 @@ import numpy as np
 from .bodies import _rowdot
 
 _MASK64 = (1 << 64) - 1
+# Philox's default counter 0 as the uint64 words it converts 0 into;
+# passing them skips that conversion, and Philox copies them
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
 
 
 @functools.cache
@@ -37,7 +44,7 @@ def _keyed_seed():
         __slots__ = ("key",)
 
         def __init__(self, key):
-            self.key = key
+            self.key = np.array(key, dtype=np.uint64)
 
         def generate_state(self, n_words, dtype=np.uint32):
             # Philox asks for its two-word key; any other request means
@@ -46,7 +53,7 @@ def _keyed_seed():
             if n_words != 2 or np.dtype(dtype) != np.uint64:
                 raise RuntimeError("a keyed Philox seed holds two 64-bit "
                                    f"words, not {n_words} of {dtype}")
-            return np.array(self.key, dtype=np.uint64)
+            return self.key
 
     return KeyedSeed
 
@@ -55,7 +62,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
     """Generator for sample `index` of the sweep identified by `seed`: the
     Philox stream keyed by [seed mod 2^64, index mod 2^64]."""
     key = _keyed_seed()([seed & _MASK64, index & _MASK64])
-    return np.random.Generator(np.random.Philox(key))
+    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
 
 
 def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -12,6 +12,7 @@ Qhull.
 """
 import cmath
 import io
+import json
 import math
 import tracemalloc
 from contextlib import redirect_stdout
@@ -28,7 +29,8 @@ from pshmodels import (QUARTER_PI, ConvergenceError, Disc1D, Ellipsoid,
                        EllipticTube, Gauge, OutsideDomainError, Polytope,
                        SmoothBody, SpecError, Strip1D, StripTube,
                        Superellipse, chart, levi_line, levi_matrices,
-                       levi_matrix, substream, unit_disc_point, unit_vector)
+                       levi_matrix, model_from_spec, substream,
+                       unit_disc_point, unit_vector)
 from pshmodels.cli import main
 from pshmodels.sampling import unit_disc_points, unit_vectors
 from strategies import (bodies, ellipsoids, polytopes, superellipses,
@@ -330,6 +332,80 @@ def test_member_batch_matches_scalar_at_the_edge(seed):
     ]
     for model, Z in cases:
         _assert_batch_matches_scalar(model, Z)
+
+
+def _contract_rows(model, rng, count=24):
+    """Rows of model's domain: sampled members, rows within 1e-12 of the
+    edge (relative, on either side) and rows anywhere around it, shuffled
+    together."""
+    scale = 1.0 + rng.uniform(-1e-12, 1e-12, count)
+    members = model.sample_member_batch(
+        [substream(int(rng.integers(2 ** 32)), k) for k in range(count)])
+    if model.body is None:  # strip1d, disc1d
+        x = rng.uniform(-1.0, 1.0, count)
+        theta = rng.uniform(0.0, 2.0 * math.pi, count)
+        edge = (x + 1j * QUARTER_PI * scale * np.sign(rng.normal(size=count))
+                if isinstance(model, Strip1D) else scale * np.exp(1j * theta))
+        around = rng.uniform(-2.0, 2.0, count) + 1j * rng.uniform(-2.0, 2.0,
+                                                                    count)
+        rows = [members, edge[:, None], around[:, None]]
+    else:
+        body = model.body
+        lo, hi = body.bounding_box()
+        D = rng.normal(size=(count, model.dim))
+        D /= np.linalg.norm(D, axis=1)[:, None]
+        X = _interior_rows(body, rng, count)
+        if isinstance(model, StripTube):
+            level = QUARTER_PI * scale / model.gauge.batch(D)
+            Y = level[:, None] * D
+            rows = [members, X + 1j * Y]
+        else:
+            # the imaginary edge p q = 1, and real parts at the body's edge
+            P, Q = body.gauge_batch(X, D), body.gauge_batch(X, -D)
+            Y = np.sqrt(scale / (P * Q))[:, None] * D
+            c = body.interior_point()
+            C = np.broadcast_to(c, D.shape)
+            R = c + scale[:, None] * D / body.gauge_batch(C, D)[:, None]
+            rows = [members, X + 1j * Y, R + 1e-3j * D]
+        B = rng.uniform(lo - (hi - lo), hi + (hi - lo), (count, model.dim))
+        rows.append(B + 1j * rng.normal(size=B.shape) * (hi - lo))
+    Z = np.vstack(rows)
+    return Z[rng.permutation(len(Z))]
+
+
+CONTRACT_BODIES = ("unit_square", "unit_ball", "ellipsoid14",
+                   "interval_asym", "squircle", "zero_gradient_disc")
+
+
+def _contract_models(request):
+    specs = sorted((ROOT / "specs").glob("*.json"))
+    models = [model_from_spec(json.loads(path.read_text()))
+              for path in specs]
+    for name in CONTRACT_BODIES:
+        body = request.getfixturevalue(name)
+        models += [StripTube(Gauge(body)), EllipticTube(body)]
+    return models + [Strip1D(), Disc1D()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_member_and_potential_are_the_one_evaluation(request, seed):
+    # member_batch is the mask of member_potential_batch, potential_batch
+    # its values, and any non-member row is refused
+    rng = np.random.default_rng(seed)
+    for model in _contract_models(request):
+        Z = _contract_rows(model, rng)
+        member, values = model.member_potential_batch(Z)
+        assert member.dtype == bool and member.shape == (len(Z),)
+        assert 0 < np.count_nonzero(member) < len(Z)
+        np.testing.assert_array_equal(model.member_batch(Z), member)
+        np.testing.assert_array_equal(model.potential_batch(Z[member]),
+                                      values)
+        with pytest.raises(OutsideDomainError,
+                           match=f"not in the {model.name} domain"):
+            model.potential_batch(Z)
+        for z in Z[~member][:4]:
+            with pytest.raises(OutsideDomainError):
+                model.potential_batch(z[None])
 
 
 @SETTINGS

@@ -397,6 +397,24 @@ class TestGeometryHelpers:
     def test_ellipsoid_inradius(self, ellipsoid14):
         assert ellipsoid14.inradius() == pytest.approx(0.5, abs=1e-12)
 
+    def test_smooth_inradius_is_the_former_loop(self, zero_gradient_disc):
+        # the former loop: one one-row origin gauge per direction, over the
+        # axes and 64 normal draws of the same stream
+        def former(body):
+            rng = np.random.Generator(np.random.Philox(key=np.uint64(2)))
+            origin = np.zeros(body.dim)
+            dirs = list(np.eye(body.dim)) + list(-np.eye(body.dim))
+            for _ in range(64):
+                v = rng.normal(size=body.dim)
+                dirs.append(v / np.linalg.norm(v))
+            return 0.9 * min(1.0 / body.gauge(origin, d) for d in dirs)
+
+        def oracle(w):  # the ellipsoid w1^2 + 2 w2^2 + 3 w3^2 < 1
+            q = np.array([1.0, 2.0, 3.0])
+            return float(w @ (q * w) - 1.0), 2.0 * q * w, 2.0 * np.diag(q)
+        for body in (zero_gradient_disc, SmoothBody(oracle, 3, 1.5)):
+            assert body.inradius() == former(body)
+
     def test_bounding_boxes(self, unit_square, ellipsoid14):
         lo, hi = unit_square.bounding_box()
         assert np.allclose(lo, [-1, -1], atol=1e-9)

@@ -198,7 +198,7 @@ class TestGeodesic:
                                           "striptube_ellipsoid.json"),
                                       "--point", "0,5j"])
         assert code == 3
-        assert out == "" and "not in the strip tube" in err
+        assert out == "" and "not in the striptube domain" in err
 
 
 # the common options each subcommand reads; it must refuse the others

@@ -68,7 +68,7 @@ def test_scalar_error_surface(unit_ball, interval_sym):
         (STRIP, [1.0j], "point is not in the strip1d domain"),
         (DISC, [1.5], "point is not in the disc1d domain"),
         (StripTube(Gauge(unit_ball)), [0.0, 1.0j],
-         "point is not in the strip tube"),
+         "point is not in the striptube domain"),
         (EllipticTube(unit_ball), [0.0, 1.5j],
          "point is not in the elliptictube domain"),
         (EllipticTube(interval_sym), [1.5 + 0.1j],

@@ -2,10 +2,12 @@
 between models lives on the model classes, and no model defines a
 one-point sampler, member or potential of its own, nor a body a one-point
 gauge or membership, so every draw and every evaluation takes the batched
-path. No module imports SciPy, which only the tests use, as an independent
-oracle, and none takes more than the default dialect from the csv module:
-``slice`` writes its text itself, and the tests keep ``csv.writer`` as the
-reference for it."""
+path. A model evaluates through ``member_potential_batch`` alone: only
+Model defines ``member_batch`` and ``potential_batch``. No module imports
+SciPy, which only the tests use, as an independent oracle, none takes
+more than the default dialect from the csv module (``slice`` writes its
+text itself, and the tests keep ``csv.writer`` as the reference for it),
+and none imports a name it never uses."""
 import ast
 from pathlib import Path
 
@@ -119,8 +121,8 @@ SCALAR_EVALUATORS = ("member", "potential")
 
 
 def scalar_overrides(classes, names=SCALAR_SAMPLERS) -> list:
-    """Each of the one-point methods names a class defines for itself, as
-    Class.name."""
+    """Each of the methods names (by default the one-point samplers) a
+    class defines for itself, as Class.name."""
     return [f"{cls.__name__}.{name}" for cls in classes
             for name in names if name in vars(cls)]
 
@@ -185,6 +187,43 @@ def test_evaluation_guard_sees_an_override():
                             SCALAR_EVALUATORS) == ["Scalar.potential"]
 
 
+BATCH_EVALUATORS = ("member_batch", "potential_batch")
+
+
+def test_one_model_evaluation():
+    # a model defines member_potential_batch alone; member_batch and
+    # potential_batch are those of Model, its mask and its values
+    from pshmodels import models
+    assert scalar_overrides([models.Model], BATCH_EVALUATORS) == [
+        "Model.member_batch", "Model.potential_batch"]
+    assert scalar_overrides(_package_classes(_subclasses(models.Model)),
+                            BATCH_EVALUATORS) == []
+
+
+def test_batch_evaluation_guard_sees_an_override():
+    class StripTube:
+        def potential_batch(self, Z):
+            return Z
+
+    class Disc1D:
+        def member_batch(self, Z):
+            return Z
+
+    class Batched:
+        def member_potential_batch(self, Z):
+            return Z, Z
+
+    class Double:  # a test double, outside the package
+        def potential_batch(self, Z):
+            return Z
+    classes = [StripTube, Disc1D, Batched]
+    for cls in classes:
+        cls.__module__ = "pshmodels.models"
+    assert scalar_overrides(_package_classes(classes + [Double]),
+                            BATCH_EVALUATORS) == [
+        "StripTube.potential_batch", "Disc1D.member_batch"]
+
+
 SCALAR_BODY_METHODS = ("_gauge", "contains")
 
 
@@ -235,3 +274,47 @@ def test_body_guard_sees_an_override():
         cls.__module__ = "pshmodels.bodies"
     assert scalar_body_overrides(classes + [Double]) == [
         "Polytope._gauge", "Ellipsoid.contains", "SmoothBody._gauge"]
+
+
+# names a module imports for others to read: perfbench's tracer test checks
+# that tracing leaves cli.substream bound
+REEXPORTS = {"cli.py": {"substream"}}
+
+
+def unused_imports(source: str) -> list:
+    """The names source imports and never reads, but those in its
+    ``__all__``, sorted."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name) and target.id == "__all__"
+                        for target in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_import(path):
+    unused = unused_imports(path.read_text())
+    assert sorted(set(unused) - REEXPORTS.get(path.name, set())) == []
+
+
+def test_import_guard_sees_an_unused_name():
+    source = ("from __future__ import annotations\n"
+              "import os\n"
+              "import numpy as np\n"
+              "import xml.dom\n"
+              "from .bodies import Gauge, interval as segment, _rowdot\n"
+              "__all__ = ['Gauge']\n"
+              "def f(x: np.ndarray) -> float:\n"
+              "    return xml.dom.x + _rowdot(x, x)\n")
+    assert unused_imports(source) == ["os", "segment"]
