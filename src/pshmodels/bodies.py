@@ -7,16 +7,24 @@ Support values come from closed forms only (polytope vertices, ellipsoid
 and superellipse duality); a generic smooth body has none and refuses.
 Every body evaluates over the rows of (N, n) arrays: ``gauge_batch`` and
 ``contains_batch`` are the one path, and the one-point ``_gauge`` and
-``contains`` are their batches of one row; ``gauge_centers`` marks the
-rows at which a gauge may be centered. Polytopes and ellipsoids use closed
-forms. Smooth bodies bracket the root on membership and then run a
-safeguarded Newton iteration on the oracle value along the ray, bisecting
-whenever a Newton step would leave the bracket; their ``gauge_batch`` runs
-that root find as one masked loop over all rows, on the batched oracle
-``oracle_batch``; a batch of at most two rays runs the scalar root find
-``_gauge_bisect`` on each, which is cheaper at that size and gives the same
-bits. That scalar root find tests membership once per bracket step, so a
-smooth body keeps a one-point ``contains`` of its own.
+``contains`` are their batches of one row.
+The gauge contract is stated once, on ConvexBody: ``gauge_centers`` marks
+the rows at which a gauge may be centered (the body's points; an ellipsoid
+also refuses centers within 1e-12 of its boundary), ``gauge_batch`` and
+``gauge_pair`` (the gauges at y and -y, the pair (p(z), p(conj z)) at
+z = x + iy) refuse any other center with the body's ``center_refusal``,
+or take the rows of a mask the caller holds untested, and then run the
+body's formula ``_gauges``, the one gauge method a body defines.
+Polytopes and ellipsoids use closed forms; an ellipsoid rescales a row y
+by a power of two where y Q y would leave the float range. Smooth bodies
+bracket the root on membership and then run a safeguarded Newton
+iteration on the oracle value along the ray, bisecting whenever a Newton
+step would leave the bracket; their ``_gauges`` runs that root find as one
+masked loop over all rows, on the batched oracle ``oracle_batch``; a batch
+of at most two rays runs the scalar root find ``_gauge_bisect`` on each,
+which is cheaper at that size and gives the same bits. That scalar root
+find tests membership once per bracket step, so a smooth body keeps a
+one-point ``contains`` of its own.
 Support values come from ``support_batch`` over the rows of an (N, n)
 array; ``support`` is its batch of one row. A polytope is built with
 NumPy alone: its vertices, bounding box and Chebyshev ball come from
@@ -37,7 +45,10 @@ _MAX_BRACKET = 200
 _MAX_ROOT_STEPS = 200
 _BRACKET_GROWTH = 2.0
 _REL_TOL = 1e-15
-# SmoothBody.gauge_batch finds the roots of at most this many rays one by
+# an ellipsoid gauge rescales the rows y whose quadratic y Q y lies outside
+# this range, far inside the float range on both sides
+_QUADRATIC_RANGE = (2.0 ** -600, 2.0 ** 600)
+# SmoothBody._gauges finds the roots of at most this many rays one by
 # one: timed on a superellipse, the masked root find costs 482 against
 # 164 us at one ray, 314 against 253 us at two, 410 against 1,401 at eight
 _SCALAR_ROWS = 2
@@ -92,6 +103,7 @@ class ConvexBody:
 
     dim: int
     c2 = True  # C2 boundary, so the gauge has a Hessian off the center
+    center_refusal = "gauge center x is not inside the body"
 
     def contains(self, x) -> bool:
         """Membership of x: the batch of one row."""
@@ -135,14 +147,36 @@ class ConvexBody:
         return float(self.gauge_batch(x[None], y[None])[0])
 
     def gauge_centers(self, X) -> np.ndarray:
-        """Bool (N,) mask of the rows of X at which a gauge may be centered,
-        by the gauge's own rule: ``gauge_batch`` raises OutsideDomainError
-        exactly when a row is outside the mask."""
-        raise NotImplementedError
+        """Bool (N,) mask of the rows of X that may center a gauge, by
+        default the body's points; the gauges refuse exactly the others."""
+        return self.contains_batch(X)
+
+    def _centered(self, X, Y, centers=None):
+        """(X, Y) validated; raises OutsideDomainError with
+        ``center_refusal`` unless every row of X is in ``gauge_centers``.
+        Given that mask as ``centers``, the rows in it, untested."""
+        if centers is not None:  # mask first: copy only the rows kept
+            X, Y = np.asarray(X)[centers], np.asarray(Y)[centers]
+        X = _rows(X, self.dim)
+        Y = _rows(Y, self.dim)
+        if centers is None and not np.all(self.gauge_centers(X)):
+            raise OutsideDomainError(self.center_refusal)
+        return X, Y
 
     def gauge_batch(self, X, Y) -> np.ndarray:
         """Gauges centered at the rows of X, at the rows of Y, as an (N,)
-        array; raises OutsideDomainError if any center is outside."""
+        array; refused as ``_centered`` refuses."""
+        return self._gauges(*self._centered(X, Y))
+
+    def gauge_pair(self, X, Y, centers=None):
+        """The gauges at y and -y centered at each row x, the pair (p(z),
+        p(conj z)) at z = x + iy, from one center test, or from none at the
+        rows of a mask ``centers = gauge_centers(X)`` the caller holds."""
+        X, Y = self._centered(X, Y, centers)
+        return self._gauges(X, Y), self._gauges(X, -Y)
+
+    def _gauges(self, X, Y) -> np.ndarray:
+        """The body's gauge formula, on rows _centered."""
         raise NotImplementedError
 
     def gauge_hessian(self, x, y) -> np.ndarray:
@@ -280,6 +314,7 @@ class Polytope(ConvexBody):
     """
 
     c2 = False  # faces meet at corners
+    center_refusal = "gauge center x is not inside the polytope"
 
     def __init__(self, A, b):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -319,16 +354,8 @@ class Polytope(ConvexBody):
     def bounding_box(self):
         return self._bbox[0].copy(), self._bbox[1].copy()
 
-    def gauge_centers(self, X) -> np.ndarray:
-        X = _rows(X, self.dim)
-        return np.all(self.b - _matvec(self.A, X) > 0.0, axis=1)
-
-    def gauge_batch(self, X, Y) -> np.ndarray:
-        X = _rows(X, self.dim)
-        Y = _rows(Y, self.dim)
+    def _gauges(self, X, Y) -> np.ndarray:
         den = self.b - _matvec(self.A, X)
-        if np.any(den <= 0.0):
-            raise OutsideDomainError("gauge center x is not inside the polytope")
         # halfspaces with a.y <= 0 never constrain t; the empty max is 0
         top = np.max(_matvec(self.A, Y) / den, axis=1)
         return np.where(top > 0.0, top, 0.0)
@@ -339,6 +366,8 @@ class Polytope(ConvexBody):
 
 class Ellipsoid(ConvexBody):
     """Open ellipsoid {w : w^T Q w < 1} with Q symmetric positive definite."""
+
+    center_refusal = "x too close to the ellipsoid boundary"
 
     def __init__(self, Q):
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -382,25 +411,41 @@ class Ellipsoid(ConvexBody):
         X = _rows(X, self.dim)
         return 1.0 - _rowdot(X, _matvec(self.Q, X)) >= 1e-12
 
-    def gauge_batch(self, X, Y) -> np.ndarray:
-        X = _rows(X, self.dim)
-        Y = _rows(Y, self.dim)
+    def _gauges(self, X, Y) -> np.ndarray:
         QX = _matvec(self.Q, X)
         d = 1.0 - _rowdot(X, QX)
-        if np.any(d < 1e-12):
-            raise OutsideDomainError("x too close to the ellipsoid boundary")
+        c = self._quadratic(Y)
+        # the gauge is 1-homogeneous, and scaling y by a power of two is
+        # exact while no product leaves the normal range: a row whose
+        # quadratic c lies outside _QUADRATIC_RANGE, where b * b or c * d
+        # may underflow or overflow, is evaluated at y / 2^e, with max
+        # |y_i| / 2^e in [1/2, 1), and scaled back
+        offcenter = np.any(Y, axis=1)
+        wild = np.flatnonzero(offcenter & ~((c >= _QUADRATIC_RANGE[0])
+                                            & (c <= _QUADRATIC_RANGE[1])))
+        if len(wild):
+            e = np.frexp(np.max(np.abs(Y[wild]), axis=1))[1]
+            Y = Y.copy()
+            Y[wild] = np.ldexp(Y[wild], -e[:, None])
+            c[wild] = self._quadratic(Y[wild])
         b = _rowdot(QX, Y)
-        c = ((Y[:, None, :] @ self.Q) @ Y[:, :, None])[:, 0, 0]
         p = (b + np.sqrt(b * b + c * d)) / d
-        return np.where(np.any(Y, axis=1), p, 0.0)
+        if len(wild):
+            with np.errstate(over="ignore"):  # a gauge past the float range
+                p[wild] = np.ldexp(p[wild], e)
+        return np.where(offcenter, p, 0.0)
+
+    def _quadratic(self, Y: np.ndarray) -> np.ndarray:
+        # y Q y row by row, with the kernels of contains_batch; not finite
+        # where it leaves the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ((Y[:, None, :] @ self.Q) @ Y[:, :, None])[:, 0, 0]
 
     def gauge_hessian_batch(self, X, Y) -> np.ndarray:
-        X, Y = _offcenter_rows(X, Y, self.dim)
+        X, Y = self._centered(*_offcenter_rows(X, Y, self.dim))
         QX = _matvec(self.Q, X)
         QY = _matvec(self.Q, Y)
         d = 1.0 - _rowdot(X, QX)
-        if np.any(d < 1e-12):
-            raise OutsideDomainError("x too close to the ellipsoid boundary")
         b = _rowdot(QX, Y)
         c = _rowdot(QY, Y)
         r = np.sqrt(b * b + c * d)[:, None, None]
@@ -416,7 +461,7 @@ class SmoothBody(ConvexBody):
     The caller declares a bounding radius; convexity is spot-checked by
     sampling the oracle Hessian. ``oracle_batch`` gives the values and
     gradients at the rows of an (N, n) array, for the batched root find of
-    ``gauge_batch``; a subclass with a closed form overrides it. A generic
+    ``_gauges``; a subclass with a closed form overrides it. A generic
     body has no certified support value, so competitors that need one are
     not built over it.
     """
@@ -445,7 +490,9 @@ class SmoothBody(ConvexBody):
         # membership once per bracket step, and timed on a superellipse a
         # batch of one row costs 27 against 13 us a call
         x = _vector(x, self.dim)
-        if np.linalg.norm(x) > self.bounding_radius:
+        with np.errstate(over="ignore"):  # a norm past the range is outside
+            far = np.linalg.norm(x) > self.bounding_radius
+        if far:
             return False
         value, _, _ = self.oracle(x)
         return bool(value < 0.0)
@@ -481,15 +528,14 @@ class SmoothBody(ConvexBody):
     def _members(self, W: np.ndarray) -> np.ndarray:
         """contains at each row of a validated (N, n) array; as there, the
         oracle sees only the rows within the bounding radius."""
-        near = np.sqrt(_rowdot(W, W)) <= self.bounding_radius
+        with np.errstate(over="ignore"):  # as in contains
+            near = np.sqrt(_rowdot(W, W)) <= self.bounding_radius
         member = np.zeros(len(W), dtype=bool)
         member[near] = self.oracle_batch(W[near])[0] < 0.0
         return member
 
     def contains_batch(self, W) -> np.ndarray:
         return self._members(_rows(W, self.dim))
-
-    gauge_centers = contains_batch
 
     def _gauge_bisect(self, x: np.ndarray, y: np.ndarray) -> float:
         """Gauge 1/s, s the root of phi(s) = f(x + s y), for interior x, y != 0.
@@ -544,11 +590,7 @@ class SmoothBody(ConvexBody):
                 s = s_lo + step
         raise ConvergenceError("gauge root find did not settle")
 
-    def gauge_batch(self, X, Y) -> np.ndarray:
-        X = _rows(X, self.dim)
-        Y = _rows(Y, self.dim)
-        if not np.all(self._members(X)):
-            raise OutsideDomainError("gauge center x is not inside the body")
+    def _gauges(self, X, Y) -> np.ndarray:
         out = np.zeros(len(X))
         rows = np.flatnonzero(np.any(Y, axis=1))
         if len(rows) > _SCALAR_ROWS:
@@ -631,11 +673,11 @@ class SmoothBody(ConvexBody):
 
     def gauge_hessian_batch(self, X, Y) -> np.ndarray:
         """Central-difference y-Hessians of the gauge, step 1e-4 |y|."""
-        X, Y = _offcenter_rows(X, Y, self.dim)
+        X, Y = self._centered(*_offcenter_rows(X, Y, self.dim))
         H = np.empty((len(X), self.dim, self.dim))
         for i, (x, y) in enumerate(zip(X, Y)):
             def field(Ys, x=x):
-                return self.gauge_batch(np.broadcast_to(x, Ys.shape), Ys)
+                return self._gauges(np.broadcast_to(x, Ys.shape), Ys)
             H[i] = central_differences(field, y[None],
                                        1e-4 * np.linalg.norm(y))[2][0]
         return H
@@ -702,7 +744,8 @@ class Gauge:
     def __init__(self, body: ConvexBody):
         self.body = body
         self._origin = np.zeros(body.dim)
-        if not body.contains(self._origin):
+        # the one center test: batch evaluates at the origin unchecked
+        if not body.gauge_centers(self._origin[None])[0]:
             raise SpecError("gauge requires a body containing the origin")
 
     @property
@@ -715,7 +758,7 @@ class Gauge:
     def batch(self, Y) -> np.ndarray:
         """The gauge at each row of an (N, n) array."""
         Y = _rows(Y, self.dim)
-        return self.body.gauge_batch(np.zeros_like(Y), Y)
+        return self.body._gauges(np.zeros_like(Y), Y)
 
     def hessian(self, y) -> np.ndarray:
         return self.body.gauge_hessian(self._origin, y)

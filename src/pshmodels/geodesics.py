@@ -5,8 +5,8 @@ whose diameter is a chord of the body; the chart below recovers that disc
 and reproduces the potential along it in closed form. Strip tubes carry
 an analogous flat ray through each point.
 
-``chart_rows`` builds the charts of many points from two ``gauge_batch``
-calls, and ``disc_points`` / ``strip_map`` map one parameter per chart;
+``chart_rows`` builds the charts of many points from one ``gauge_pair``
+call, and ``disc_points`` / ``strip_map`` map one parameter per chart;
 they agree with ``chart`` and ``GeodesicChart.point`` bit for bit.
 ``striptube_geodesics`` maps many flat rays from one gauge call.
 """
@@ -94,15 +94,15 @@ def chart(body: ConvexBody, z) -> GeodesicChart:
 
 def chart_rows(body: ConvexBody, Z):
     """(t1, t2, x1, x2) of ``chart(body, z)`` at each row z of Z, as
-    arrays of shapes (N,), (N,), (N, n), (N, n), from two gauge_batch
-    calls; refused as ``chart`` refuses."""
+    arrays of shapes (N,), (N,), (N, n), (N, n), from one gauge_pair
+    call; refused as ``chart`` refuses."""
     Z = as_points(Z, body.dim)
     if not np.all(np.any(Z.imag, axis=1)):
         raise OutsideDomainError("no disc chart through center points (y = 0)")
     X, Y = Z.real, Z.imag
     refusal = OutsideDomainError("point is not in the elliptic tube")
     try:
-        P, Q = body.gauge_batch(X, Y), body.gauge_batch(X, -Y)
+        P, Q = body.gauge_pair(X, Y)
     except OutsideDomainError:
         raise refusal from None
     if not np.all(P * Q < 1.0):

@@ -504,20 +504,16 @@ class EllipticTube(Model):
         x, y = z.real, z.imag
         return self.body._gauge(x, y), self.body._gauge(x, -y)
 
-    def _gauge_pair(self, X, Y) -> tuple[np.ndarray, np.ndarray]:
-        """The gauge pair (p(z), p(conj z)) at the rows z = x + iy; raises
-        OutsideDomainError where the body refuses to center a gauge at x."""
-        return self.body.gauge_batch(X, Y), self.body.gauge_batch(X, -Y)
-
     def member_potential_batch(self, Z) -> tuple[np.ndarray, np.ndarray]:
         # the gauge pair at the rows whose real part centers a gauge
         # decides membership and also gives the potential
         Z = as_points(Z, self.dim)
-        inside = np.flatnonzero(self.body.gauge_centers(Z.real))
-        P, Q = self._gauge_pair(Z.real[inside], Z.imag[inside])
-        keep = P * Q < 1.0
+        inside = self.body.gauge_centers(Z.real)
+        P, Q = self.body.gauge_pair(Z.real, Z.imag, inside)
+        with np.errstate(over="ignore"):  # past the float range: outside
+            keep = P * Q < 1.0
         member = np.zeros(len(Z), dtype=bool)
-        member[inside[keep]] = True
+        member[inside] = keep
         return member, _atan_mean(P[keep], Q[keep])
 
     def metric(self, x, v) -> float:
@@ -553,8 +549,7 @@ class EllipticTube(Model):
     def sample_member_batch(self, rngs) -> np.ndarray:
         X = self._body_points(rngs, 0.97)
         D = unit_vectors(rngs, self.dim)
-        P = self.body.gauge_batch(X, D)
-        Q = self.body.gauge_batch(X, -D)
+        P, Q = self.body.gauge_pair(X, D)
         # rng.uniform(0.0, 0.9) is 0.9 u
         U = np.array([rng.random() for rng in rngs])
         T = np.sqrt(0.9 * U / (P * Q))
@@ -577,8 +572,7 @@ class EllipticTube(Model):
             active = [rngs[i] for i in rows.tolist()]
             X = self._body_points(active, 0.5)
             D = unit_vectors(active, self.dim)
-            t_hi = 0.8 / np.maximum(self.body.gauge_batch(X, D),
-                                    self.body.gauge_batch(X, -D))
+            t_hi = 0.8 / np.maximum(*self.body.gauge_pair(X, D))
             t_lo = np.maximum(0.3 * rin, 0.6 * t_hi)
             # a row whose window is empty draws again next round
             drawn = np.flatnonzero(~(t_hi <= t_lo))
@@ -637,11 +631,15 @@ class EllipticTube(Model):
     def disc_bound(self, x, v) -> float:
         from .geodesics import chart
         # the chart disc depends only on the ray of v; scale v into the
-        # tube, chart there, and undo the scaling on the realized bound
+        # tube, chart there, and undo the scaling on the realized bound.
+        # v is first scaled by a power of two to max |v_i| in [1/2, 1),
+        # exactly, so that p q stays in the float range for any v
+        e = math.frexp(float(np.max(np.abs(v))))[1]
+        v = np.ldexp(v, -e)
         p, q = self.gauges(x + 1j * v)
         tau = 0.5 / math.sqrt(p * q)
         ch = chart(self.body, x + 1j * tau * v)
-        return 0.5 * (1.0 / ch.t1 + 1.0 / ch.t2) / tau
+        return math.ldexp(0.5 * (1.0 / ch.t1 + 1.0 / ch.t2) / tau, e)
 
     def eval_record(self, z) -> dict:
         z = as_point(z, self.dim)
@@ -650,11 +648,12 @@ class EllipticTube(Model):
         # (p, p_bar) is reported, and the same pair gives membership and the
         # potential. Within 1e-12 of an ellipsoid's edge the gauge refuses
         # the center, and eval fails as a domain error
-        P, Q = self._gauge_pair(z.real[None], z.imag[None])
-        member = bool(P[0] * Q[0] < 1.0)
+        P, Q = self.body.gauge_pair(z.real[None], z.imag[None])
+        p, q = float(P[0]), float(Q[0])
+        member = p * q < 1.0  # a Python product past the range is inf
         return {"member": member,
                 "u": float(_atan_mean(P, Q)[0]) if member else None,
-                "p": float(P[0]), "p_bar": float(Q[0])}
+                "p": p, "p_bar": q}
 
     def geodesic_record(self, z) -> dict:
         from .geodesics import chart

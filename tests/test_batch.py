@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
@@ -230,6 +230,96 @@ def test_gauge_batch_rejects_an_outside_center(body, seed, row):
             one_row(X[row], Y[row])
     with pytest.raises(OutsideDomainError):
         body.gauge_batch(X, Y)
+
+
+# the refusal text of each body kind, as it was before the gauge contract
+# was stated once, on ConvexBody
+REFUSALS = {Polytope: "gauge center x is not inside the polytope",
+            Ellipsoid: "x too close to the ellipsoid boundary",
+            SmoothBody: "gauge center x is not inside the body"}
+
+
+def _center_rule_rows(body, rng, count):
+    """Centers on both sides of the body's center rule: within three ulps
+    of the boundary, at about the ellipsoid margin d = 1 - x Q x = 1e-12
+    (relatively 5e-13 inside the boundary), anywhere in and around the
+    bounding box, and, last, one beyond it."""
+    d = rng.normal(size=(count, body.dim))
+    edge = d / _scalar_gauges(body, np.zeros_like(d), d)[:, None]
+    margin = 1.0 - 5e-13 * (1.0 + rng.uniform(-0.01, 0.01, (count, 1)))
+    lo, hi = body.bounding_box()
+    return np.vstack([_near(np.ones((count, 1)), rng) * edge, margin * edge,
+                      rng.uniform(2.0 * lo, 2.0 * hi, size=(count, body.dim)),
+                      hi + (hi - lo)])
+
+
+@SETTINGS
+@given(body=bodies, seed=st.integers(0, 2 ** 32 - 1))
+def test_gauge_pair_is_two_gauge_batches(body, seed):
+    # bit for bit, from the rows it tests or from a mask the caller holds
+    rng = np.random.default_rng(seed)
+    X = _center_rule_rows(body, rng, 12)
+    Y = rng.normal(size=X.shape)
+    Y[rng.integers(len(Y))] = 0.0
+    centers = body.gauge_centers(X)
+    assert np.any(centers) and not np.all(centers)
+    Xc, Yc = X[centers], Y[centers]
+    P, Q = body.gauge_batch(Xc, Yc), body.gauge_batch(Xc, -Yc)
+    for pair in (body.gauge_pair(Xc, Yc), body.gauge_pair(X, Y, centers)):
+        np.testing.assert_array_equal(pair[0], P)
+        np.testing.assert_array_equal(pair[1], Q)
+
+
+@SETTINGS
+@given(body=bodies, seed=st.integers(0, 2 ** 32 - 1))
+def test_gauges_refuse_exactly_outside_gauge_centers(body, seed):
+    rng = np.random.default_rng(seed)
+    X = _center_rule_rows(body, rng, 4)
+    Y = rng.normal(size=X.shape)
+    refusal = next(text for kind, text in REFUSALS.items()
+                   if isinstance(body, kind))
+    assert body.center_refusal == refusal
+    centers = body.gauge_centers(X)
+    for x, y, inside in zip(X[:, None], Y[:, None], centers):
+        if inside:
+            body.gauge_batch(x, y)
+            body.gauge_pair(x, y)
+            continue
+        calls = [body.gauge_batch, body.gauge_pair]
+        if body.c2:
+            calls.append(body.gauge_hessian_batch)
+        for call in calls:
+            with pytest.raises(OutsideDomainError, match=f"^{refusal}$"):
+                call(x, y)
+    with pytest.raises(OutsideDomainError, match=f"^{refusal}$"):
+        body.gauge_pair(X, Y)
+
+
+@pytest.mark.parametrize("name", ["unit_square", "unit_ball", "squircle"])
+def test_one_center_test_per_evaluation(request, monkeypatch, name):
+    # an elliptic-tube evaluation tests its centers once, and a Gauge,
+    # which tested the origin when it was built, never again
+    body = request.getfixturevalue(name)
+    tube, strip = EllipticTube(body), StripTube(Gauge(body))
+    members = tube.sample_member_batch([substream(7, k) for k in range(20)])
+    Z = np.vstack([members, members + 2.0])  # real parts outside too
+    calls = []
+    gauge_centers = type(body).gauge_centers
+
+    def counted(self, X):
+        calls.append(len(X))
+        return gauge_centers(self, X)
+    monkeypatch.setattr(type(body), "gauge_centers", counted)
+    for evaluate, rows in ((tube.member_potential_batch, Z),
+                           (tube.member_batch, Z),
+                           (tube.potential_batch, members)):
+        calls.clear()
+        evaluate(rows)
+        assert calls == [len(rows)]
+    calls.clear()
+    strip.gauge.batch(Z.imag)
+    strip.member_potential_batch(Z)
+    assert calls == []
 
 
 @SETTINGS
@@ -812,18 +902,29 @@ def test_levi_matrices_match_levi_matrix(body, seed):
                 assert np.max(np.abs(A - scalar)) <= bound
 
 
+# SciPy passes small_matrix_value to HiGHS with this warning
+@pytest.mark.filterwarnings("ignore:Unrecognized options detected")
 @SETTINGS
 @given(body=polytopes(), directions=arrays(float, (6, 3),
                                            elements=unit_floats))
+@example(body=Polytope(np.vstack([np.eye(3), -np.eye(3),
+                                  [[1e-9, 0.0, -0.5]]]),
+                       [1.0, 1.0, 1.0, 2.0, 1.0, 2.0, 0.5]),
+         directions=-np.ones((6, 3)))
 def test_vertex_support_matches_lp(body, directions):
     for a in directions[:, :body.dim]:
         # HiGHS solves for the unit direction at its tightest dual
         # tolerance: objective coefficients under its default of 1e-7
-        # would pass a suboptimal vertex as optimal
+        # would pass a suboptimal vertex as optimal. It also drops matrix
+        # entries up to small_matrix_value, 1e-9 by default, which the
+        # drawn normals reach: the halfspace 1e-9 x - 0.5 z < 0.5 then
+        # loses its x term, and the LP misses a vertex by 1e-9 relative;
+        # 1e-12 is the least value HiGHS takes
         norm = float(np.linalg.norm(a)) or 1.0
         res = linprog(-a / norm, A_ub=body.A, b_ub=body.b,
                       bounds=[(None, None)] * body.dim, method="highs",
-                      options={"dual_feasibility_tolerance": 1e-10})
+                      options={"dual_feasibility_tolerance": 1e-10,
+                               "small_matrix_value": 1e-12})
         assert res.success
         expected = -res.fun * norm
         assert abs(body.support(a) - expected) <= 1e-9 * max(1.0, expected)

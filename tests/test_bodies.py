@@ -193,6 +193,20 @@ class TestGaugeProperties:
                 assert body.gauge(x, t * y) == pytest.approx(t * p, rel=1e-12)
 
     @pytest.mark.parametrize("fixture", ["unit_square", "unit_ball",
+                                         "ellipsoid14", "interval_asym"])
+    def test_power_of_two_scaling_is_exact(self, fixture, request):
+        # also where y Q y would leave the float range: an ellipsoid
+        # evaluates those rows rescaled
+        body = request.getfixturevalue(fixture)
+        rng = substream(105, 0)
+        X = np.array([sample_interior(body, rng) for _ in range(40)])
+        Y = rng.normal(size=X.shape) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+        P = body.gauge_batch(X, Y)
+        for k in (-900, -600, 600, 900):
+            np.testing.assert_array_equal(
+                body.gauge_batch(X, np.ldexp(Y, k)), np.ldexp(P, k))
+
+    @pytest.mark.parametrize("fixture", ["unit_square", "unit_ball",
                                          "ellipsoid14", "squircle"])
     def test_membership_duality(self, fixture, request):
         body = request.getfixturevalue(fixture)

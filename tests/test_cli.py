@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,28 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _count_gauge_rows(monkeypatch, model) -> list:
+    """Record (method, rows evaluated) for each gauge_batch, gauge_pair and
+    one-point _gauge call on the class of model's body."""
+    body = type(model.body)
+    calls = []
+
+    def count(name):
+        method = getattr(body, name)
+
+        def counted(self, X, Y, *args):
+            if name == "gauge_pair" and args and args[0] is not None:
+                rows = int(np.count_nonzero(args[0]))  # rows in centers
+            else:
+                rows = len(np.atleast_2d(X))
+            calls.append((name, rows))
+            return method(self, X, Y, *args)
+        monkeypatch.setattr(body, name, counted)
+    for name in ("gauge_batch", "gauge_pair", "_gauge"):
+        count(name)
+    return calls
+
+
 class TestEval:
     @pytest.mark.parametrize("point, member", [
         ("0.1+0.2j,-0.2+0.15j", True), ("0.1+2j,0.3", False),
@@ -60,20 +83,15 @@ class TestEval:
     def test_one_gauge_pair(self, spec_path, capsys, monkeypatch, point,
                             member):
         # membership, potential and (p, p_bar) come from one gauge pair
-        body = type(model_from_spec(SQUARE_TUBE).body)
-        calls = []
-        for name in ("gauge_batch", "_gauge"):
-            def counted(self, *args, _method=getattr(body, name)):
-                calls.append(len(np.atleast_2d(args[0])))
-                return _method(self, *args)
-            monkeypatch.setattr(body, name, counted)
+        calls = _count_gauge_rows(monkeypatch, model_from_spec(SQUARE_TUBE))
         code, out, _ = run(capsys, ["eval", "--model", spec_path(SQUARE_TUBE),
                                     "--point=" + point])
         assert json.loads(out)["member"] is member
         assert code == (0 if member else 3)
         # outside the body no gauge is centered, and none is evaluated
-        assert ([n for n in calls if n]
-                == ([1, 1] if json.loads(out)["p"] is not None else []))
+        assert ([call for call in calls if call[1]]
+                == ([("gauge_pair", 1)] if json.loads(out)["p"] is not None
+                    else []))
 
     def test_interval_tube_point(self, spec_path, capsys):
         code, out, _ = run(capsys, ["eval", "--model", spec_path(INTERVAL_TUBE),
@@ -611,19 +629,15 @@ class TestSlice:
     def test_elliptic_tube_gauges_each_point_once(self, spec_path, capsys,
                                                   monkeypatch, spec):
         # one gauge pair decides membership and gives the potential
-        body = type(model_from_spec(spec).body)
-        calls = []
-        gauge_batch = body.gauge_batch
-
-        def counted(self, X, Y):
-            calls.append(len(X))
-            return gauge_batch(self, X, Y)
-        monkeypatch.setattr(body, "gauge_batch", counted)
+        calls = _count_gauge_rows(monkeypatch, model_from_spec(spec))
         code, _, _ = run(capsys, ["slice", "--model", spec_path(spec),
                                   "--plane", "0,2", "--half-width", "1.25",
                                   "--resolution", "10"])
         assert code == 0
-        assert len(calls) == 2 and calls[0] == calls[1] > 0
+        # the grid reaches past the body: some of its 121 points center
+        # no gauge
+        assert len(calls) == 1 and calls[0][0] == "gauge_pair"
+        assert 0 < calls[0][1] < 121
 
     def test_writes_at_most_one_block(self, spec_path, monkeypatch):
         # the text goes out block by block, so it never sits whole in memory
@@ -717,3 +731,78 @@ def test_nan_worst_value_is_written_as_null(monkeypatch, capsys, suite):
     else:
         report = payload
     assert report["worst_value"] is None and report["pass"] is False
+
+
+SPEC_PATHS = sorted((ROOT / "specs").glob("*.json"))
+TINY_SCALES = ("1e-300", "1e-200", "1e-160")
+HUGE_SCALES = ("1e150", "1e300")
+
+
+def _run_quietly(capsys, argv):
+    """run, failing on any warning the command raises or prints."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err and "warning" not in err
+    return code, out, err
+
+
+class TestExtremeScales:
+    """``metric`` at xi = s e1 and ``eval`` at Im z = s e1, x = (0.1, ...),
+    on every spec, at scales s whose squares leave the float range. Near
+    the center the potential and the metric are 1-homogeneous in s."""
+
+    @staticmethod
+    def _case(path):
+        model = model_from_spec(json.loads(path.read_text()))
+        return model, np.full(model.dim, 0.1), np.eye(model.dim)[0]
+
+    @pytest.mark.parametrize("scale", TINY_SCALES + HUGE_SCALES)
+    @pytest.mark.parametrize("path", SPEC_PATHS, ids=lambda p: p.stem)
+    def test_metric(self, capsys, path, scale):
+        model, x, e1 = self._case(path)
+        xi = ",".join([scale] + ["0"] * (model.dim - 1))
+        code, out, err = _run_quietly(capsys, [
+            "metric", "--model", str(path),
+            "--x", ",".join(["0.1"] * model.dim), "--xi", xi])
+        if path.stem == "striptube_squircle":
+            # its gauge root find brackets from s = 1 in at most 200
+            # doublings or halvings, which cannot reach these scales
+            assert code == 4 and err.startswith("convergence error:")
+            return
+        if scale in HUGE_SCALES:
+            # metric_slope's ladder of absolute steps cannot enter
+            assert code == 3 and err.startswith("domain error:")
+            return
+        assert code == 0
+        record, s = _strict_json(out), float(scale)
+        assert record["E_closed"] == pytest.approx(s * model.metric(x, e1),
+                                                   rel=1e-12)
+        assert record["F_upper"] == pytest.approx(
+            s * model.disc_bound(x, e1), rel=1e-12)
+        assert (abs(record["E_fd"] - record["E_closed"])
+                <= TOL_DEFAULTS["metric_fd"] * record["E_closed"])
+
+    @pytest.mark.parametrize("scale", TINY_SCALES + HUGE_SCALES)
+    @pytest.mark.parametrize("path", SPEC_PATHS, ids=lambda p: p.stem)
+    def test_eval(self, capsys, path, scale):
+        model, x, e1 = self._case(path)
+        point = ",".join([f"0.1+{scale}j"] + ["0.1"] * (model.dim - 1))
+        code, out, err = _run_quietly(capsys, ["eval", "--model", str(path),
+                                               "--point", point])
+        if path.stem == "striptube_squircle":
+            assert code == 4 and err.startswith("convergence error:")
+            return
+        record = _strict_json(out)
+        if scale in HUGE_SCALES:
+            assert code == 3
+            assert record["member"] is False and record["u"] is None
+            return
+        assert code == 0 and record["member"] is True
+        assert all(record[key] is None or record[key] >= 0.0
+                   for key in ("p", "p_bar"))
+        # off the center u > 0, and u = s E(x, e1) to first order
+        assert record["u"] > 0.0
+        assert record["u"] == pytest.approx(float(scale)
+                                            * model.metric(x, e1), rel=1e-12)

@@ -169,6 +169,20 @@ class TestMetric:
                     assert model.metric(x, t * v) == pytest.approx(
                         t * e, rel=1e-12)
 
+    @pytest.mark.parametrize("fixture", ["unit_square", "unit_ball"])
+    def test_disc_bound_scales_exactly(self, fixture, request):
+        # the disc is charted at v scaled by a power of two, so a v whose
+        # gauges multiply past the float range has its bound too
+        tube = EllipticTube(request.getfixturevalue(fixture))
+        for k in range(20):
+            rng = substream(205, k)
+            x = tube.sample_center(rng)
+            v = rng.normal(size=2)
+            bound = tube.disc_bound(x, v)
+            for e in (-900, -500, 500, 900):
+                assert tube.disc_bound(x, np.ldexp(v, e)) == math.ldexp(
+                    bound, e)
+
     def test_center_required(self, unit_ball):
         with pytest.raises(OutsideDomainError):
             EllipticTube(unit_ball).metric([1.5, 0.0], [1.0, 0.0])

@@ -2,8 +2,11 @@
 between models lives on the model classes, and no model defines a
 one-point sampler, member or potential of its own, nor a body a one-point
 gauge or membership, so every draw and every evaluation takes the batched
-path. A model evaluates through ``member_potential_batch`` alone: only
-Model defines ``member_batch`` and ``potential_batch``. No module imports
+path. A body states its gauge formula alone: only ConvexBody tests and
+refuses centers and defines ``gauge_batch`` and ``gauge_pair``, and only
+Ellipsoid has a center rule of its own. A model evaluates through
+``member_potential_batch`` alone: only Model defines ``member_batch`` and
+``potential_batch``. No module imports
 SciPy, which only the tests use, as an independent oracle, none takes
 more than the default dialect from the csv module (``slice`` writes its
 text itself, and the tests keep ``csv.writer`` as the reference for it),
@@ -274,6 +277,62 @@ def test_body_guard_sees_an_override():
         cls.__module__ = "pshmodels.bodies"
     assert scalar_body_overrides(classes + [Double]) == [
         "Polytope._gauge", "Ellipsoid.contains", "SmoothBody._gauge"]
+
+
+# the gauge contract: the center test, its refusal and the two gauge
+# batches are stated once, on ConvexBody
+GAUGE_CONTRACT = ("gauge_centers", "_centered", "gauge_batch", "gauge_pair")
+
+
+def gauge_contract_overrides(classes) -> list:
+    """The parts of the gauge contract the package's bodies among classes
+    restate for themselves, but Ellipsoid.gauge_centers: an ellipsoid also
+    refuses centers within 1e-12 of its boundary."""
+    return [name for name in scalar_overrides(_package_classes(classes),
+                                              GAUGE_CONTRACT)
+            if name != "Ellipsoid.gauge_centers"]
+
+
+def test_one_gauge_contract():
+    # a body defines its gauge formula _gauges and nothing else of the
+    # contract; gauge_batch and gauge_pair refuse and evaluate through it
+    from pshmodels import bodies
+    assert scalar_overrides([bodies.ConvexBody], GAUGE_CONTRACT) == [
+        f"ConvexBody.{name}" for name in GAUGE_CONTRACT]
+    assert gauge_contract_overrides(_subclasses(bodies.ConvexBody)) == []
+    assert scalar_overrides(_package_classes(_subclasses(bodies.ConvexBody)),
+                            ("_gauges",)) == [
+        "Polytope._gauges", "Ellipsoid._gauges", "SmoothBody._gauges"]
+
+
+def test_gauge_contract_guard_sees_an_override():
+    class Polytope:
+        def gauge_centers(self, X):
+            return X
+
+    class Ellipsoid:
+        def gauge_centers(self, X):
+            return X
+
+        def gauge_batch(self, X, Y):
+            return X
+
+    class SmoothBody:
+        def gauge_pair(self, X, Y, centers=None):
+            return X, Y
+
+        def _gauges(self, X, Y):
+            return X
+
+    class Double:  # a test double, outside the package
+        def gauge_batch(self, X, Y):
+            return X
+    classes = [Polytope, Ellipsoid, SmoothBody]
+    for cls in classes:
+        cls.__module__ = "pshmodels.bodies"
+    assert gauge_contract_overrides(classes + [Double]) == [
+        "Polytope.gauge_centers", "Ellipsoid.gauge_batch",
+        "SmoothBody.gauge_pair"]
 
 
 # names a module imports for others to read: perfbench's tracer test checks
