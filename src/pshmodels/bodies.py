@@ -83,6 +83,26 @@ def _rows(a, dim: int) -> np.ndarray:
     return m
 
 
+def as_point(z, dim: int) -> np.ndarray:
+    """Coerce z to a complex vector of the given dimension."""
+    v = np.atleast_1d(np.asarray(z, dtype=complex))
+    if v.ndim != 1 or v.size != dim:
+        raise ValueError(f"dimension mismatch: expected a point of C^{dim}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("point has non-finite entries")
+    return v
+
+
+def as_points(Z, dim: int) -> np.ndarray:
+    """Coerce Z to a finite complex (N, dim) array, validated once."""
+    m = np.asarray(Z, dtype=complex)
+    if m.ndim != 2 or m.shape[1] != dim:
+        raise ValueError(f"expected an (N, {dim}) array of points of C^{dim}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("points have non-finite entries")
+    return m
+
+
 def _matvec(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Rows M @ v for the rows v of V, as a stacked matmul.
 
@@ -142,8 +162,7 @@ class ConvexBody:
         return self._gauge(x, y)
 
     def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
-        # the batch of one row, on validated vectors; EllipticTube.gauges,
-        # which geodesics.chart uses, calls it directly
+        # the batch of one row, on the vectors ``gauge`` validated
         return float(self.gauge_batch(x[None], y[None])[0])
 
     def gauge_centers(self, X) -> np.ndarray:

@@ -5,22 +5,30 @@ whose diameter is a chord of the body; the chart below recovers that disc
 and reproduces the potential along it in closed form. Strip tubes carry
 an analogous flat ray through each point.
 
-``chart_rows`` builds the charts of many points from one ``gauge_pair``
-call, and ``disc_points`` / ``strip_map`` map one parameter per chart;
-they agree with ``chart`` and ``GeodesicChart.point`` bit for bit.
-``striptube_geodesics`` maps many flat rays from one gauge call.
+``chart`` takes its gauge pair from two ``body.gauge`` calls, and
+``chart_rows`` the charts of many points from one ``gauge_pair`` call;
+``disc_points`` / ``strip_map`` map one parameter per chart, and agree
+with ``chart`` and ``GeodesicChart.point`` bit for bit.
+``striptube_geodesics`` maps many flat rays from one gauge call. The
+module sits below ``models``, whose models build their discs here.
 """
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bodies import ConvexBody, Gauge, _rows, _vector
+from .bodies import ConvexBody, Gauge, _rows, _vector, as_point, as_points
 from .errors import OutsideDomainError
-from .models import QUARTER_PI, EllipticTube, Model, as_point, as_points
 from .sampling import substream, unit_disc_points
+
+if TYPE_CHECKING:
+    from .models import Model
+
+QUARTER_PI = math.pi / 4  # half-width of the strip strip_map maps to a disc
 
 
 @dataclass(frozen=True)
@@ -76,19 +84,18 @@ def zeta0(t1: float, t2: float) -> complex:
 
 def chart(body: ConvexBody, z) -> GeodesicChart:
     """Chart of the extremal disc through z = x + iy, y != 0."""
-    tube = EllipticTube(body)
     z = as_point(z, body.dim)
     if not np.any(z.imag):
         raise OutsideDomainError("no disc chart through center points (y = 0)")
+    x, y = z.real, z.imag
     refusal = OutsideDomainError("point is not in the elliptic tube")
     try:
-        p, q = tube.gauges(z)
+        p, q = body.gauge(x, y), body.gauge(x, -y)
     except OutsideDomainError:
         raise refusal from None
     if not p * q < 1.0:
         raise refusal
     t1, t2 = 1.0 / p, 1.0 / q
-    x, y = z.real, z.imag
     return GeodesicChart(body, t1, t2, x + t1 * y, x - t2 * y, zeta0(t1, t2))
 
 
@@ -116,23 +123,25 @@ def identity_residual(body: ConvexBody, z, nsamples: int, seed: int) -> float:
     hyperbolic height |Im atanh zeta|, over seeded samples of the disc,
     drawn by ``unit_disc_points`` and evaluated in one batched potential
     call."""
+    # the package's one deferred import: the residual is taken on the tube
+    # over body, and models, which holds the tube, imports this module
+    from .models import EllipticTube
     if nsamples < 1:
         raise ValueError("nsamples must be positive")
     ch = chart(body, z)
-    return chart_residuals(body, ch.x1[None], ch.x2[None], nsamples,
-                           [seed])[0]
+    return chart_residuals(EllipticTube(body), ch.x1[None], ch.x2[None],
+                           nsamples, [seed])[0]
 
 
-def chart_residuals(body: ConvexBody, X1, X2, nsamples: int,
-                    seeds) -> list:
+def chart_residuals(tube: Model, X1, X2, nsamples: int, seeds) -> list:
     """identity_residual of the chart with endpoints X1[i], X2[i] over
-    the disc draws of seeds[i], for every i; all charts' draws go to one
-    batched potential call."""
+    the disc draws of seeds[i], for every i, on the tube of the charts;
+    all charts' draws go to one batched potential call."""
     zetas = unit_disc_points([substream(seed, k) for seed in seeds
                               for k in range(nsamples)])
     points = disc_points(np.repeat(X1, nsamples, axis=0),
                          np.repeat(X2, nsamples, axis=0), zetas)
-    values = EllipticTube(body).potential_batch(points).tolist()
+    values = tube.potential_batch(points).tolist()
     gaps = [abs(value - abs(cmath.atanh(zeta).imag))
             for value, zeta in zip(values, zetas.tolist())]
     # np.max, not max: Python's max drops a NaN that is not first

@@ -19,23 +19,26 @@ A battery certifies its competitors in batches as well: ``slab_pullbacks``
 and ``linear_pullbacks`` take the support values of all their directions
 from two ``support_batch`` calls, and pass each competitor's to
 ``slab_pullback`` or ``linear_pullback``, which build it as for one
-direction.
+direction. The module sits below ``models``, whose models build their
+batteries here.
 """
 from __future__ import annotations
 
 import cmath
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .bodies import (ConvexBody, Ellipsoid, Gauge, _matvec, _rowdot, _rows,
-                     _vector)
+from .bodies import (ConvexBody, Gauge, _matvec, _rowdot, _rows, _vector,
+                     as_points)
 from .errors import SpecError
 from .geodesics import GeodesicChart, disc_points
-from .models import Model, as_points
 from .sampling import substream, unit_disc_points
+
+if TYPE_CHECKING:
+    from .models import Model
 
 
 @dataclass
@@ -94,22 +97,16 @@ def slab_pullbacks(body: ConvexBody, D) -> list:
 def linear_pullback(gauge: Gauge, covector, reach=None) -> Competitor:
     """Pullback |Im(c . z)| of the flat-strip potential through z -> c . z.
 
-    Admissible when |c . y| <= gauge(y) for all y, certified in closed
-    form: c^T Q^{-1} c <= 1 for ellipsoidal gauges, the support values of
-    +/- c otherwise, whose larger one ``reach`` is when the caller has it
+    Admissible when |c . y| <= gauge(y) for all y, certified by the
+    closed-form support values of +/- c (sqrt(c^T Q^{-1} c) on an
+    ellipsoid), whose larger one ``reach`` is when the caller has it
     already, as ``linear_pullbacks`` has.
     """
     c = _vector(covector, gauge.dim)
-    body = gauge.body
-    if isinstance(body, Ellipsoid):
-        bound = float(c @ body._Qinv @ c)
-        if bound > 1.0 + 1e-12:
-            raise SpecError("covector exceeds the gauge (c^T Q^-1 c > 1)")
-    else:
-        if reach is None:
-            reach = max(body.support(c), body.support(-c))
-        if reach > 1.0 + 1e-12:
-            raise SpecError("covector exceeds the gauge on the body closure")
+    if reach is None:
+        reach = max(gauge.body.support(c), gauge.body.support(-c))
+    if reach > 1.0 + 1e-12:
+        raise SpecError("covector exceeds the gauge on the body closure")
 
     C = c[None, :]
 
@@ -120,11 +117,9 @@ def linear_pullback(gauge: Gauge, covector, reach=None) -> Competitor:
 
 
 def linear_pullbacks(gauge: Gauge, C) -> list:
-    """``linear_pullback`` of each row of C; off ellipsoids, the rows are
-    certified by two ``support_batch`` calls."""
+    """``linear_pullback`` of each row of C, the rows certified by two
+    ``support_batch`` calls."""
     C = _rows(C, gauge.dim)
-    if isinstance(gauge.body, Ellipsoid):
-        return [linear_pullback(gauge, c) for c in C]
     reach = np.maximum(gauge.body.support_batch(C),
                        gauge.body.support_batch(-C)).tolist()
     return [linear_pullback(gauge, c, r) for c, r in zip(C, reach)]

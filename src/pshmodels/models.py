@@ -22,7 +22,9 @@ batched call each. ``sample_member``, ``sample_fd_safe`` and
 ``strip_point`` are defined once, on Model, as batches of one row.
 
 Each model also carries its own part of every verification suite and CLI
-record (see Model), so no caller branches on the model type.
+record (see Model), so no caller branches on the model type. Its discs
+come from ``geodesics`` and its competitors from ``maximality``, which
+sit below this module; ``QUARTER_PI`` and ``as_point`` are theirs.
 """
 from __future__ import annotations
 
@@ -34,33 +36,14 @@ from typing import Callable
 import numpy as np
 
 from .bodies import (ConvexBody, Ellipsoid, Gauge, _rowdot, _vector,
-                     body_from_spec, interval)
+                     as_point, as_points, body_from_spec, interval)
 from .errors import ConvergenceError, OutsideDomainError, SpecError
+from .geodesics import (QUARTER_PI, chart, chart_residuals, chart_rows,
+                        disc_points, strip_map, striptube_geodesics, zeta0)
+from .maximality import geodesic_pullback, linear_pullbacks, slab_pullbacks
 from .sampling import substream, unit_vectors
 
-QUARTER_PI = math.pi / 4  # 0.7853981633974483, the potential supremum
-
 _DEFAULT_STEPS = (1e-2, 1e-3, 1e-4)
-
-
-def as_point(z, dim: int) -> np.ndarray:
-    """Coerce z to a complex vector of the given dimension."""
-    v = np.atleast_1d(np.asarray(z, dtype=complex))
-    if v.ndim != 1 or v.size != dim:
-        raise ValueError(f"dimension mismatch: expected a point of C^{dim}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("point has non-finite entries")
-    return v
-
-
-def as_points(Z, dim: int) -> np.ndarray:
-    """Coerce Z to a finite complex (N, dim) array, validated once."""
-    m = np.asarray(Z, dtype=complex)
-    if m.ndim != 2 or m.shape[1] != dim:
-        raise ValueError(f"expected an (N, {dim}) array of points of C^{dim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("points have non-finite entries")
-    return m
 
 
 def conjugate(z) -> np.ndarray:
@@ -192,7 +175,9 @@ class Model:
         """Slope of the potential along t -> x + i t v, extrapolated to t = 0+.
 
         Richardson-stabilized over a decreasing step ladder; the ladder is
-        halved (up to 60 times) if its largest step leaves the domain.
+        halved (up to 60 times) if its largest step leaves the domain. The
+        slope is 1-homogeneous in v, so a v with max |v_i| outside
+        [2^-60, 2^60] runs at v / 2^e, max |v_i| in [1/2, 1), scaled back.
         """
         x = _vector(x, self.dim)
         v = _vector(v, self.dim)
@@ -205,6 +190,11 @@ class Model:
             raise ValueError("steps must be positive")
         if np.any(np.diff(steps) >= 0):
             raise ValueError("steps must be strictly decreasing")
+        e = 0
+        top = float(np.max(np.abs(v)))
+        if not 2.0 ** -60 <= top <= 2.0 ** 60:
+            e = math.frexp(top)[1]
+            v = np.ldexp(v, -e)
         for _ in range(60):
             if self.member(x + 1j * steps[0] * v):
                 break
@@ -213,7 +203,7 @@ class Model:
             raise OutsideDomainError("slope ladder cannot enter the domain")
         quotients = self.potential_batch(x + 1j * steps[:, None] * v) / steps
         if steps.size == 1:
-            return float(quotients[0])
+            return math.ldexp(float(quotients[0]), e)
         diffs = np.abs(np.diff(quotients))
         scale = max(1.0, float(np.max(np.abs(quotients))))
         if diffs.size >= 2 and diffs[-1] > diffs[0] + 1e-9 * scale:
@@ -222,7 +212,7 @@ class Model:
         s = steps ** 2
         vander = np.vander(s, increasing=True)
         coeffs = np.linalg.solve(vander, quotients)
-        return float(coeffs[0])
+        return math.ldexp(float(coeffs[0]), e)
 
 
 class _PlaneDomain(Model):
@@ -303,7 +293,6 @@ class Strip1D(_PlaneDomain):
         return np.array(W, dtype=complex).reshape(-1, 1)
 
     def competitors(self, seed: int) -> list:
-        from .maximality import linear_pullbacks
         return linear_pullbacks(Gauge(interval(-1.0, 1.0)),
                                 [[1.0], [-1.0], [0.5]])
 
@@ -356,8 +345,6 @@ class Disc1D(_PlaneDomain):
                         dtype=complex).reshape(-1, 1)
 
     def competitors(self, seed: int) -> list:
-        from .geodesics import chart
-        from .maximality import geodesic_pullback, slab_pullbacks
         body = interval(-1.0, 1.0)
         Z = self.sample_member_batch([substream(seed, 10 ** 6 + j)
                                       for j in range(3)])
@@ -436,7 +423,6 @@ class StripTube(Model):
         raise ConvergenceError("strip-tube safe sampling starved")
 
     def competitors(self, seed: int) -> list:
-        from .maximality import linear_pullbacks
         body = self.body
         D = unit_vectors([substream(seed, 10 ** 6 + j) for j in range(16)],
                          self.dim)
@@ -448,7 +434,6 @@ class StripTube(Model):
         return linear_pullbacks(self.gauge, C)
 
     def geodesic_witnesses(self, seed: int, samples: int):
-        from .geodesics import striptube_geodesics
         # d, scale, x, zeta
         rngs = [substream(seed, k) for k in range(samples)]
         D = unit_vectors(rngs, self.dim)
@@ -464,7 +449,6 @@ class StripTube(Model):
                 for u, zeta in zip(values.tolist(), zetas)], []
 
     def strip_points(self, W, rngs) -> np.ndarray:
-        from .geodesics import striptube_geodesics
         # d, x
         D = unit_vectors(rngs, self.dim)
         X = _uniform_rows(rngs, self.dim)
@@ -497,12 +481,6 @@ class EllipticTube(Model):
 
     name = "elliptictube"
     gauge_identities = True
-
-    def gauges(self, z) -> tuple[float, float]:
-        """The pair (p(z), p(conj z)) at z = x + iy."""
-        z = as_point(z, self.dim)
-        x, y = z.real, z.imag
-        return self.body._gauge(x, y), self.body._gauge(x, -y)
 
     def member_potential_batch(self, Z) -> tuple[np.ndarray, np.ndarray]:
         # the gauge pair at the rows whose real part centers a gauge
@@ -589,8 +567,6 @@ class EllipticTube(Model):
         raise ConvergenceError("elliptic-tube safe sampling starved")
 
     def competitors(self, seed: int) -> list:
-        from .geodesics import chart
-        from .maximality import geodesic_pullback, slab_pullbacks
         D = unit_vectors([substream(seed, 10 ** 6 + j) for j in range(12)],
                          self.dim)
         comps = slab_pullbacks(self.body, D)
@@ -601,7 +577,6 @@ class EllipticTube(Model):
         return comps
 
     def geodesic_witnesses(self, seed: int, samples: int):
-        from .geodesics import chart_residuals, chart_rows, disc_points, zeta0
         Z = self.sample_member_batch([substream(seed, 3 * 10 ** 6 + j)
                                       for j in range(10)])
         witnesses = np.flatnonzero(np.any(Z.imag, axis=1))
@@ -613,12 +588,11 @@ class EllipticTube(Model):
         reconstructions = [float(np.linalg.norm(r - z))
                            / max(1.0, float(np.linalg.norm(z)))
                            for r, z in zip(R, Z)]
-        gaps = chart_residuals(self.body, X1, X2, max(samples // 10, 10),
+        gaps = chart_residuals(self, X1, X2, max(samples // 10, 10),
                                [seed + j for j in witnesses.tolist()])
         return gaps, reconstructions
 
     def strip_points(self, W, rngs) -> np.ndarray:
-        from .geodesics import chart_rows, strip_map
         Z = self.sample_member_batch(rngs)
         rows = np.flatnonzero(~np.any(Z.imag, axis=1))
         while len(rows):
@@ -629,14 +603,13 @@ class EllipticTube(Model):
         return strip_map(X1, X2, W)
 
     def disc_bound(self, x, v) -> float:
-        from .geodesics import chart
         # the chart disc depends only on the ray of v; scale v into the
         # tube, chart there, and undo the scaling on the realized bound.
         # v is first scaled by a power of two to max |v_i| in [1/2, 1),
         # exactly, so that p q stays in the float range for any v
         e = math.frexp(float(np.max(np.abs(v))))[1]
         v = np.ldexp(v, -e)
-        p, q = self.gauges(x + 1j * v)
+        p, q = self.body.gauge(x, v), self.body.gauge(x, -v)
         tau = 0.5 / math.sqrt(p * q)
         ch = chart(self.body, x + 1j * tau * v)
         return math.ldexp(0.5 * (1.0 / ch.t1 + 1.0 / ch.t2) / tau, e)
@@ -656,7 +629,6 @@ class EllipticTube(Model):
                 "p": p, "p_bar": q}
 
     def geodesic_record(self, z) -> dict:
-        from .geodesics import chart
         z = as_point(z, self.dim)
         ch = chart(self.body, z)
         return {"t1": ch.t1, "t2": ch.t2,

@@ -166,6 +166,25 @@ class TestMetric:
                                     "--x", "2.0,0.0", "--xi", "1,0"])
         assert code == 3
 
+    @pytest.mark.parametrize("name", ["ball_tube", "square_tube"])
+    def test_fd_gap_is_relative_above_one(self, capsys, name):
+        # E_fd is within 1e-8 of E_closed relative to it, but 8.5e-06 off
+        # in absolute terms, which an absolute test called a disagreement
+        argv = ["metric", "--model", str(ROOT / "specs" / f"{name}.json"),
+                "--x", "0.1,0.1", "--xi", "1000,0"]
+        code, out, err = run(capsys, argv)
+        record = json.loads(out)
+        assert code == 0 and err == ""
+        assert abs(record["E_fd"] - record["E_closed"]) > 1e-6
+        # below 1 the test stays absolute
+        code, out, err = run(capsys, argv[:-1] + ["0.5,0", "--tol",
+                                                   "metric_fd=1e-17"])
+        record = json.loads(out)
+        gap = abs(record["E_fd"] - record["E_closed"])
+        assert code == 0 and record["E_closed"] <= 1.0 and gap > 1e-17
+        assert err == ("warning: closed-form and FD metrics differ by "
+                       f"{gap:.3e}\n")
+
     @pytest.mark.parametrize("xi", ["0,0,0,0", "1,0,0,0", "0", "1"])
     def test_xi_of_wrong_dimension(self, spec_path, capsys, xi):
         # a zero xi used to skip the dimension check and print zeros
@@ -771,11 +790,9 @@ class TestExtremeScales:
             # doublings or halvings, which cannot reach these scales
             assert code == 4 and err.startswith("convergence error:")
             return
-        if scale in HUGE_SCALES:
-            # metric_slope's ladder of absolute steps cannot enter
-            assert code == 3 and err.startswith("domain error:")
-            return
-        assert code == 0
+        # metric_slope runs its ladder at xi scaled to unit size, so it
+        # enters the domain at every scale
+        assert code == 0 and err == ""
         record, s = _strict_json(out), float(scale)
         assert record["E_closed"] == pytest.approx(s * model.metric(x, e1),
                                                    rel=1e-12)
@@ -783,6 +800,24 @@ class TestExtremeScales:
             s * model.disc_bound(x, e1), rel=1e-12)
         assert (abs(record["E_fd"] - record["E_closed"])
                 <= TOL_DEFAULTS["metric_fd"] * record["E_closed"])
+
+    @pytest.mark.parametrize("path", [p for p in SPEC_PATHS
+                                      if p.stem != "striptube_squircle"],
+                             ids=lambda p: p.stem)
+    def test_metric_subnormal_xi(self, capsys, path):
+        # at a subnormal xi the slope is positive and within a few
+        # subnormal steps of the closed form (ball_tube read -1e-322 when
+        # the ladder ran at the subnormal xi itself)
+        model, _, _ = self._case(path)
+        code, out, err = _run_quietly(capsys, [
+            "metric", "--model", str(path),
+            "--x", ",".join(["0.1"] * model.dim),
+            "--xi", ",".join(["1e-320"] + ["0"] * (model.dim - 1))])
+        assert code == 0 and err == ""
+        record = _strict_json(out)
+        assert record["E_closed"] > 0.0 and record["E_fd"] > 0.0
+        assert (abs(record["E_fd"] - record["E_closed"])
+                <= 2e-3 * record["E_closed"])
 
     @pytest.mark.parametrize("scale", TINY_SCALES + HUGE_SCALES)
     @pytest.mark.parametrize("path", SPEC_PATHS, ids=lambda p: p.stem)

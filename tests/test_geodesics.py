@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pshmodels import geodesics
+from pshmodels import models
 from pshmodels.geodesics import chart_rows
 from pshmodels import (QUARTER_PI, Disc1D, EllipticTube, Gauge,
                        OutsideDomainError, Strip1D, StripTube, chart,
@@ -154,8 +154,9 @@ class TestIdentityResidual:
             built.append(np.array(Z))
             return chart_rows(body, Z)
 
-        monkeypatch.setattr(geodesics, "chart_rows", counting_rows)
-        monkeypatch.setattr(geodesics, "chart", lambda body, z:
+        # models binds both names at import, and looks them up there
+        monkeypatch.setattr(models, "chart_rows", counting_rows)
+        monkeypatch.setattr(models, "chart", lambda body, z:
                             scalar.append(z) or chart(body, z))
         gaps, reconstructions = EllipticTube(unit_ball).geodesic_witnesses(
             42, 20)

@@ -10,7 +10,9 @@ Ellipsoid has a center rule of its own. A model evaluates through
 SciPy, which only the tests use, as an independent oracle, none takes
 more than the default dialect from the csv module (``slice`` writes its
 text itself, and the tests keep ``csv.writer`` as the reference for it),
-and none imports a name it never uses."""
+and none imports a name it never uses. The imports run one way, from each
+module to the layers below it, with one deferred import, and none inside
+any other function."""
 import ast
 from pathlib import Path
 
@@ -377,3 +379,103 @@ def test_import_guard_sees_an_unused_name():
               "def f(x: np.ndarray) -> float:\n"
               "    return xml.dom.x + _rowdot(x, x)\n")
     assert unused_imports(source) == ["os", "segment"]
+
+
+# the package's modules, lowest layer first: at run time a module imports
+# only modules before it, so the imports form one direction; a model builds
+# its discs (geodesics) and competitors (maximality) from the layers below
+LAYERS = ("errors", "stencils", "bodies", "sampling", "geodesics",
+          "maximality", "models", "reports", "levi", "suites", "cli",
+          "__init__", "__main__")
+# the one import inside a function: an identity residual is taken on the
+# tube over a body, which geodesics cannot build from below models
+DEFERRED_IMPORTS = {("geodesics", "identity_residual")}
+
+
+def _is_type_checking(node) -> bool:
+    test = node.test if isinstance(node, ast.If) else None
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
+            or isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+
+
+def function_imports(source: str) -> list:
+    """(function, line) of each import inside a function, the function
+    named by the outermost one."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if function and isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append((function, child.lineno))
+            if function is None and isinstance(child, (ast.FunctionDef,
+                                                       ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, function)
+    visit(ast.parse(source), None)
+    return found
+
+
+def runtime_imports(source: str) -> set:
+    """The package modules source imports when it is imported: imports
+    outside functions and outside ``if TYPE_CHECKING:``."""
+    found = set()
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                continue
+            if _is_type_checking(node):
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").split(".")
+                if node.level == 0 and module[0] != "pshmodels":
+                    continue
+                path = module[1:] if node.level == 0 else module
+                found.update(path[:1] if path and path[0] else
+                             {alias.name for alias in node.names})
+            elif isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[1] for alias in node.names
+                             if alias.name.startswith("pshmodels."))
+            visit(ast.iter_child_nodes(node))
+    visit(ast.parse(source).body)
+    return found
+
+
+def test_layers_list_every_module():
+    assert sorted(LAYERS) == sorted(p.stem for p in SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_one_import_direction(layer):
+    source = (SRC / f"{layer}.py").read_text()
+    later = set(LAYERS[LAYERS.index(layer):])
+    assert sorted(runtime_imports(source) & later) == []
+    assert [(layer, function) for function, _ in function_imports(source)
+            if (layer, function) not in DEFERRED_IMPORTS] == []
+
+
+def test_import_direction_guard_sees_each_spelling():
+    source = ("from typing import TYPE_CHECKING\n"
+              "import pshmodels.cli\n"
+              "from . import models, sampling\n"
+              "from .levi import levi_line\n"
+              "from pshmodels.suites import verify\n"
+              "from pshmodels import reports\n"
+              "if TYPE_CHECKING:\n"
+              "    from .geodesics import chart\n"
+              "else:\n"
+              "    from .maximality import Competitor\n"
+              "class Tube:\n"
+              "    def gauges(self):\n"
+              "        from .bodies import Gauge\n"
+              "        def inner():\n"
+              "            import pshmodels.errors\n"
+              "def identity_residual():\n"
+              "    from .models import EllipticTube\n")
+    assert runtime_imports(source) == {"cli", "models", "sampling", "levi",
+                                       "suites", "reports", "maximality"}
+    assert function_imports(source) == [("gauges", 13), ("gauges", 15),
+                                        ("identity_residual", 17)]
