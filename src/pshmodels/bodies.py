@@ -5,16 +5,16 @@ centered at an interior point x, the y-Hessian of the gauge where the
 boundary is C^2, and support values used to certify holomorphic pullbacks.
 Support values come from closed forms only (polytope vertices, ellipsoid
 and superellipse duality); a generic smooth body has none and refuses.
-Every body evaluates over the rows of (N, n) arrays: ``gauge_batch`` and
-``contains_batch`` are the one path, and the one-point ``_gauge`` and
-``contains`` are their batches of one row.
-The gauge contract is stated once, on ConvexBody: ``gauge_centers`` marks
-the rows at which a gauge may be centered (the body's points; an ellipsoid
-also refuses centers within 1e-12 of its boundary), ``gauge_batch`` and
-``gauge_pair`` (the gauges at y and -y, the pair (p(z), p(conj z)) at
-z = x + iy) refuse any other center with the body's ``center_refusal``,
-or take the rows of a mask the caller holds untested, and then run the
-body's formula ``_gauges``, the one gauge method a body defines.
+The input contract is stated once, on ConvexBody: each public method
+validates its input once, one point or the rows of an (N, n) array, and
+runs a body formula on the validated rows (``_members``, ``_supports``,
+``_gauges``, ``_hessians``), which validates nothing; a one-point method
+is the batch of one row. ``gauge_centers`` marks the rows that may center
+a gauge by the center rule ``_centers`` (the body's points; an ellipsoid
+also refuses centers within 1e-12 of its boundary), and the gauges refuse
+any other center with ``center_refusal``. ``gauge_pair``, the pair
+(p(z), p(conj z)) at z = x + iy, may take a mask of centers the caller
+holds instead.
 Polytopes and ellipsoids use closed forms; an ellipsoid rescales a row y
 by a power of two where y Q y would leave the float range. Smooth bodies
 bracket the root on membership and then run a safeguarded Newton
@@ -23,13 +23,11 @@ step would leave the bracket; their ``_gauges`` runs that root find as one
 masked loop over all rows, on the batched oracle ``oracle_batch``; a batch
 of at most two rays runs the scalar root find ``_gauge_bisect`` on each,
 which is cheaper at that size and gives the same bits. That scalar root
-find tests membership once per bracket step, so a smooth body keeps a
-one-point ``contains`` of its own.
-Support values come from ``support_batch`` over the rows of an (N, n)
-array; ``support`` is its batch of one row. A polytope is built with
-NumPy alone: its vertices, bounding box and Chebyshev ball come from
-solving every square subsystem of its halfspaces, in stacked calls of a
-bounded number of subsystems.
+find tests membership once per bracket step, on ``contains``, so a smooth
+body's ``_member`` evaluates one point, not a batch of one row.
+A polytope is built with NumPy alone: its vertices, bounding box and
+Chebyshev ball come from solving every square subsystem of its
+halfspaces, in stacked calls of a bounded number of subsystems.
 """
 from __future__ import annotations
 
@@ -63,22 +61,24 @@ _SUBSET_CHUNK = 4096
 
 
 def _vector(x, dim: int | None = None) -> np.ndarray:
+    """Coerce x to a finite real vector, contiguous: a strided row gives
+    other dot products than its copy in the BLAS kernels of the bodies."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a 1-D real vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
-    return v
+    return np.ascontiguousarray(v)
 
 
 def _rows(a, dim: int) -> np.ndarray:
-    """Coerce a to a finite real (N, dim) array, validated once per batch."""
+    """Coerce a to a finite real contiguous (N, dim) array."""
     m = np.ascontiguousarray(a, dtype=float)
     if m.ndim != 2 or m.shape[1] != dim:
         raise ValueError(f"expected an (N, {dim}) real array")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("array has non-finite entries")
     return m
 
@@ -119,28 +119,39 @@ def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 class ConvexBody:
-    """Base class; concrete bodies implement membership and geometry hooks."""
+    """Base class: every public method, validating its input once; a
+    concrete body defines the formulas and its geometry."""
 
     dim: int
     c2 = True  # C2 boundary, so the gauge has a Hessian off the center
     center_refusal = "gauge center x is not inside the body"
 
     def contains(self, x) -> bool:
-        """Membership of x: the batch of one row."""
-        return bool(self.contains_batch(_vector(x, self.dim)[None])[0])
+        """Membership of x."""
+        return self._member(_vector(x, self.dim))
+
+    def _member(self, x: np.ndarray) -> bool:
+        # the batch of one row, on the vector ``contains`` validated
+        return bool(self._members(x[None])[0])
 
     def contains_batch(self, W) -> np.ndarray:
-        """Membership at each row of an (N, n) array, as a bool (N,)
-        array."""
+        """Membership at each row of an (N, n) array, a bool (N,) array."""
+        return self._members(_rows(W, self.dim))
+
+    def _members(self, W: np.ndarray) -> np.ndarray:
+        """The body's membership formula, on validated rows."""
         raise NotImplementedError
 
     def support(self, a) -> float:
-        """sup of a . w over the body (finite by boundedness): the batch of
-        one row."""
-        return float(self.support_batch(_vector(a, self.dim)[None])[0])
+        """sup of a . w over the body, finite by boundedness."""
+        return float(self._supports(_vector(a, self.dim)[None])[0])
 
     def support_batch(self, A) -> np.ndarray:
-        """The support value at each row of an (N, n) array, from a closed
+        """The support value at each row of an (N, n) array."""
+        return self._supports(_rows(A, self.dim))
+
+    def _supports(self, A: np.ndarray) -> np.ndarray:
+        """The body's support formula, on validated rows, from a closed
         form; a body without one refuses, so no competitor rests on an
         uncertified bound."""
         raise SpecError(f"no certified support for {type(self).__name__}")
@@ -157,65 +168,68 @@ class ConvexBody:
 
     def gauge(self, x, y) -> float:
         """Minkowski functional of the body centered at interior x, at y."""
-        x = _vector(x, self.dim)
-        y = _vector(y, self.dim)
-        return self._gauge(x, y)
+        return self._gauge(_vector(x, self.dim), _vector(y, self.dim))
 
     def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
         # the batch of one row, on the vectors ``gauge`` validated
-        return float(self.gauge_batch(x[None], y[None])[0])
+        return float(self._gauges(*self._centered(x[None], y[None]))[0])
 
     def gauge_centers(self, X) -> np.ndarray:
-        """Bool (N,) mask of the rows of X that may center a gauge, by
-        default the body's points; the gauges refuse exactly the others."""
-        return self.contains_batch(X)
+        """Bool (N,) mask of the rows of X that may center a gauge; the
+        gauges refuse exactly the others."""
+        return self._centers(_rows(X, self.dim))
 
-    def _centered(self, X, Y, centers=None):
-        """(X, Y) validated; raises OutsideDomainError with
-        ``center_refusal`` unless every row of X is in ``gauge_centers``.
-        Given that mask as ``centers``, the rows in it, untested."""
-        if centers is not None:  # mask first: copy only the rows kept
-            X, Y = np.asarray(X)[centers], np.asarray(Y)[centers]
-        X = _rows(X, self.dim)
-        Y = _rows(Y, self.dim)
-        if centers is None and not np.all(self.gauge_centers(X)):
+    def _centers(self, X: np.ndarray) -> np.ndarray:
+        """The center rule on validated rows: by default the body's points."""
+        return self._members(X)
+
+    def _centered(self, X: np.ndarray, Y: np.ndarray):
+        """Validated rows (X, Y); raises OutsideDomainError with
+        ``center_refusal`` unless every row of X is a gauge center."""
+        if not np.all(self._centers(X)):
             raise OutsideDomainError(self.center_refusal)
         return X, Y
 
     def gauge_batch(self, X, Y) -> np.ndarray:
         """Gauges centered at the rows of X, at the rows of Y, as an (N,)
         array; refused as ``_centered`` refuses."""
-        return self._gauges(*self._centered(X, Y))
+        return self._gauges(*self._centered(_rows(X, self.dim),
+                                            _rows(Y, self.dim)))
 
     def gauge_pair(self, X, Y, centers=None):
         """The gauges at y and -y centered at each row x, the pair (p(z),
         p(conj z)) at z = x + iy, from one center test, or from none at the
         rows of a mask ``centers = gauge_centers(X)`` the caller holds."""
-        X, Y = self._centered(X, Y, centers)
+        if centers is None:
+            X, Y = self._centered(_rows(X, self.dim), _rows(Y, self.dim))
+        else:  # mask first: copy only the rows kept
+            X = _rows(np.asarray(X)[centers], self.dim)
+            Y = _rows(np.asarray(Y)[centers], self.dim)
         return self._gauges(X, Y), self._gauges(X, -Y)
 
-    def _gauges(self, X, Y) -> np.ndarray:
+    def _gauges(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """The body's gauge formula, on rows _centered."""
         raise NotImplementedError
 
     def gauge_hessian(self, x, y) -> np.ndarray:
         """y-Hessian of the gauge centered at interior x, at y != 0."""
-        x = _vector(x, self.dim)
-        y = _vector(y, self.dim)
-        return self.gauge_hessian_batch(x[None], y[None])[0]
+        return self._offcenter_hessians(_vector(x, self.dim)[None],
+                                        _vector(y, self.dim)[None])[0]
 
     def gauge_hessian_batch(self, X, Y) -> np.ndarray:
         """gauge_hessian at each row pair of X and Y, shape (N, n, n)."""
+        return self._offcenter_hessians(_rows(X, self.dim),
+                                        _rows(Y, self.dim))
+
+    def _offcenter_hessians(self, X: np.ndarray, Y: np.ndarray):
+        """_hessians at validated rows, refused at y = 0 and off center."""
+        if not np.all(np.any(Y, axis=1)):
+            raise ValueError("gauge Hessian undefined at y = 0")
+        return self._hessians(*self._centered(X, Y))
+
+    def _hessians(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """The body's gauge Hessian formula, on rows _centered, y != 0."""
         raise NotImplementedError
-
-
-def _offcenter_rows(X, Y, dim: int):
-    """(X, Y) validated for a gauge Hessian: y != 0 in every row."""
-    X = _rows(X, dim)
-    Y = _rows(Y, dim)
-    if not np.all(np.any(Y, axis=1)):
-        raise ValueError("gauge Hessian undefined at y = 0")
-    return X, Y
 
 
 def _subsets(m: int, k: int) -> np.ndarray:
@@ -357,12 +371,11 @@ class Polytope(ConvexBody):
         self._cheb_center, self._cheb_radius = _chebyshev(U[rows],
                                                           beta[rows])
 
-    def contains_batch(self, W) -> np.ndarray:
-        W = _rows(W, self.dim)
+    def _members(self, W) -> np.ndarray:
         return np.all(_matvec(self.A, W) < self.b, axis=1)
 
-    def support_batch(self, A) -> np.ndarray:
-        return np.max(_matvec(self._vertices, _rows(A, self.dim)), axis=1)
+    def _supports(self, A) -> np.ndarray:
+        return np.max(_matvec(self._vertices, A), axis=1)
 
     def interior_point(self) -> np.ndarray:
         return self._cheb_center.copy()
@@ -379,7 +392,7 @@ class Polytope(ConvexBody):
         top = np.max(_matvec(self.A, Y) / den, axis=1)
         return np.where(top > 0.0, top, 0.0)
 
-    def gauge_hessian_batch(self, X, Y) -> np.ndarray:
+    def _hessians(self, X, Y) -> np.ndarray:
         raise ValueError("polytope gauge is not C2; no Hessian")
 
 
@@ -405,13 +418,11 @@ class Ellipsoid(ConvexBody):
         self._Qinv = np.linalg.inv(self.Q)
         self._eigmax = float(np.linalg.eigvalsh(self.Q)[-1])
 
-    def contains_batch(self, W) -> np.ndarray:
-        W = _rows(W, self.dim)
+    def _members(self, W) -> np.ndarray:
         return ((W[:, None, :] @ self.Q) @ W[:, :, None])[:, 0, 0] < 1.0
 
-    def support_batch(self, A) -> np.ndarray:
-        A = _rows(A, self.dim)
-        # a @ Qinv @ a row by row, with the kernels of contains_batch
+    def _supports(self, A) -> np.ndarray:
+        # a @ Qinv @ a row by row, with the kernels of _members
         return np.sqrt(((A[:, None, :] @ self._Qinv) @ A[:, :, None])[:, 0, 0])
 
     def interior_point(self) -> np.ndarray:
@@ -424,10 +435,9 @@ class Ellipsoid(ConvexBody):
         half = np.sqrt(np.diag(self._Qinv))
         return -half, half.copy()
 
-    def gauge_centers(self, X) -> np.ndarray:
-        # not contains: the gauge also refuses centers within 1e-12 of
+    def _centers(self, X) -> np.ndarray:
+        # not _members: the gauge also refuses centers within 1e-12 of
         # the boundary, where its quadratic loses all precision
-        X = _rows(X, self.dim)
         return 1.0 - _rowdot(X, _matvec(self.Q, X)) >= 1e-12
 
     def _gauges(self, X, Y) -> np.ndarray:
@@ -455,13 +465,12 @@ class Ellipsoid(ConvexBody):
         return np.where(offcenter, p, 0.0)
 
     def _quadratic(self, Y: np.ndarray) -> np.ndarray:
-        # y Q y row by row, with the kernels of contains_batch; not finite
+        # y Q y row by row, with the kernels of _members; not finite
         # where it leaves the float range
         with np.errstate(over="ignore", invalid="ignore"):
             return ((Y[:, None, :] @ self.Q) @ Y[:, :, None])[:, 0, 0]
 
-    def gauge_hessian_batch(self, X, Y) -> np.ndarray:
-        X, Y = self._centered(*_offcenter_rows(X, Y, self.dim))
+    def _hessians(self, X, Y) -> np.ndarray:
         QX = _matvec(self.Q, X)
         QY = _matvec(self.Q, Y)
         d = 1.0 - _rowdot(X, QX)
@@ -504,11 +513,10 @@ class SmoothBody(ConvexBody):
             if np.min(np.linalg.eigvalsh(np.asarray(hess, dtype=float))) < -1e-10:
                 raise SpecError("smooth body oracle is not convex")
 
-    def contains(self, x) -> bool:
+    def _member(self, x) -> bool:
         # one point, not a batch of one row: _gauge_bisect tests
         # membership once per bracket step, and timed on a superellipse a
         # batch of one row costs 27 against 13 us a call
-        x = _vector(x, self.dim)
         with np.errstate(over="ignore"):  # a norm past the range is outside
             far = np.linalg.norm(x) > self.bounding_radius
         if far:
@@ -544,17 +552,13 @@ class SmoothBody(ConvexBody):
             values[i], grads[i], _ = self.oracle(w)
         return values, grads
 
-    def _members(self, W: np.ndarray) -> np.ndarray:
-        """contains at each row of a validated (N, n) array; as there, the
-        oracle sees only the rows within the bounding radius."""
-        with np.errstate(over="ignore"):  # as in contains
+    def _members(self, W) -> np.ndarray:
+        # _member at each row, the oracle only within the bounding radius
+        with np.errstate(over="ignore"):  # as in _member
             near = np.sqrt(_rowdot(W, W)) <= self.bounding_radius
         member = np.zeros(len(W), dtype=bool)
         member[near] = self.oracle_batch(W[near])[0] < 0.0
         return member
-
-    def contains_batch(self, W) -> np.ndarray:
-        return self._members(_rows(W, self.dim))
 
     def _gauge_bisect(self, x: np.ndarray, y: np.ndarray) -> float:
         """Gauge 1/s, s the root of phi(s) = f(x + s y), for interior x, y != 0.
@@ -690,9 +694,8 @@ class SmoothBody(ConvexBody):
             raise ConvergenceError("no outer bracket for the gauge root")
         raise ConvergenceError("no inner bracket for the gauge root")
 
-    def gauge_hessian_batch(self, X, Y) -> np.ndarray:
+    def _hessians(self, X, Y) -> np.ndarray:
         """Central-difference y-Hessians of the gauge, step 1e-4 |y|."""
-        X, Y = self._centered(*_offcenter_rows(X, Y, self.dim))
         H = np.empty((len(X), self.dim, self.dim))
         for i, (x, y) in enumerate(zip(X, Y)):
             def field(Ys, x=x):
@@ -738,9 +741,8 @@ class Superellipse(SmoothBody):
     def _spot_check_convexity(self):
         """Nothing to check: a sum of even powers is convex."""
 
-    def support_batch(self, A) -> np.ndarray:
+    def _supports(self, A) -> np.ndarray:
         # Hoelder duality: the dual of the weighted m-norm ball
-        A = _rows(A, self.dim)
         m = self.power
         q = m / (m - 1)
         sums = np.add.reduce(np.abs(A * self.radii) ** q, axis=1)
@@ -772,7 +774,9 @@ class Gauge:
         return self.body.dim
 
     def __call__(self, y) -> float:
-        return self.body.gauge(self._origin, y)
+        """The gauge at y: the batch of one row."""
+        y = _vector(y, self.dim)[None]
+        return float(self.body._gauges(np.zeros_like(y), y)[0])
 
     def batch(self, Y) -> np.ndarray:
         """The gauge at each row of an (N, n) array."""

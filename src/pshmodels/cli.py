@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -253,7 +254,9 @@ def _add_common(parser, *flags):
         parser.add_argument(flag, **_COMMON[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="pshmodels",
         description="Extremal plurisubharmonic tube models: evaluation, "

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bodies import ConvexBody, Gauge, _rows, _vector, as_point, as_points
+from .bodies import ConvexBody, Gauge, _rows, as_point, as_points
 from .errors import OutsideDomainError
 from .sampling import substream, unit_disc_points
 
@@ -172,10 +172,7 @@ def striptube_geodesics(gauge: Gauge, X, Y, zetas) -> np.ndarray:
 def disc_upper_bound(model: Model, x, v) -> float:
     """Metric upper bound realized by an explicit analytic disc through
     (x, v); equality with the closed-form metric certifies extremality."""
-    x = _vector(x, model.dim)
-    v = _vector(v, model.dim)
+    x, v = model._center_args(x, v)
     if not np.any(v):
         raise ValueError("no candidate disc for v = 0")
-    if not model.in_center(x):
-        raise OutsideDomainError(f"x is not in the {model.name} center")
     return model.disc_bound(x, v)

@@ -13,6 +13,12 @@ member rows, in one pass. Everything else is defined once, on Model:
 with "point is not in the <name> domain" when any row is not a member),
 and ``member`` and ``potential`` are batches of one row.
 
+A model's center rule ``_in_center`` (by default every real point; on an
+elliptic tube its body's ``gauge_centers``, as in its membership) is
+asked by ``in_center`` and by ``_center_args(x, v)``, which validates the
+pair of every metric and refuses an x off the center, once, with "x is
+not in the <name> center".
+
 Every model samples in batches: ``sample_member_batch(rngs)``,
 ``sample_fd_safe_batch(rngs, h)`` and ``strip_points(W, rngs)`` draw row i
 from ``rngs[i]`` alone, each row with its own Generator calls in a fixed
@@ -129,7 +135,19 @@ class Model:
         raise NotImplementedError
 
     def in_center(self, x) -> bool:
-        raise NotImplementedError
+        return self._in_center(_vector(x, self.dim))
+
+    def _in_center(self, x: np.ndarray) -> bool:
+        """The center rule at a validated x: by default every real point."""
+        return True
+
+    def _center_args(self, x, v):
+        """(x, v) validated, x refused unless it is in the center."""
+        x = _vector(x, self.dim)
+        v = _vector(v, self.dim)
+        if not self._in_center(x):
+            raise OutsideDomainError(f"x is not in the {self.name} center")
+        return x, v
 
     def sample_center(self, rng) -> np.ndarray:
         raise NotImplementedError
@@ -179,10 +197,7 @@ class Model:
         slope is 1-homogeneous in v, so a v with max |v_i| outside
         [2^-60, 2^60] runs at v / 2^e, max |v_i| in [1/2, 1), scaled back.
         """
-        x = _vector(x, self.dim)
-        v = _vector(v, self.dim)
-        if not self.in_center(x):
-            raise OutsideDomainError(f"x is not in the {self.name} center")
+        x, v = self._center_args(x, v)
         if not np.any(v):
             return 0.0
         steps = np.asarray(steps, dtype=float)
@@ -268,15 +283,7 @@ class Strip1D(_PlaneDomain):
         return np.abs(w.imag) < QUARTER_PI
 
     def metric(self, x, v) -> float:
-        x = _vector(x, 1)
-        v = _vector(v, 1)
-        if not self.in_center(x):
-            raise OutsideDomainError("x is not a finite real point")
-        return abs(float(v[0]))
-
-    def in_center(self, x) -> bool:
-        x = _vector(x, 1)
-        return True
+        return abs(float(self._center_args(x, v)[1][0]))
 
     def sample_member_batch(self, rngs) -> np.ndarray:
         # x, then y, from each Generator
@@ -315,15 +322,11 @@ class Disc1D(_PlaneDomain):
         return np.array([abs(c) < 1.0 for c in w.tolist()], dtype=bool)
 
     def metric(self, x, v) -> float:
-        x = _vector(x, 1)
-        v = _vector(v, 1)
-        if not self.in_center(x):
-            raise OutsideDomainError("x is not in (-1, 1)")
+        x, v = self._center_args(x, v)
         return abs(float(v[0])) / (1.0 - float(x[0]) ** 2)
 
-    def in_center(self, x) -> bool:
-        x = _vector(x, 1)
-        return bool(abs(float(x[0])) < 1.0)
+    def _in_center(self, x) -> bool:
+        return abs(float(x[0])) < 1.0
 
     def sample_member_batch(self, rngs) -> np.ndarray:
         rows = []
@@ -377,13 +380,7 @@ class StripTube(Model):
         return member, values[member]
 
     def metric(self, x, v) -> float:
-        x = _vector(x, self.dim)
-        v = _vector(v, self.dim)
-        return self.gauge(v)
-
-    def in_center(self, x) -> bool:
-        x = _vector(x, self.dim)
-        return True
+        return self.gauge(self._center_args(x, v)[1])
 
     # Each sampler draws, per row, the coordinates x, a unit direction d
     # and a level or scale along it, in the order of the Generator calls
@@ -495,15 +492,13 @@ class EllipticTube(Model):
         return member, _atan_mean(P[keep], Q[keep])
 
     def metric(self, x, v) -> float:
-        x = _vector(x, self.dim)
-        v = _vector(v, self.dim)
-        if not self.in_center(x):
-            raise OutsideDomainError("x is not in the body")
-        return 0.5 * (self.body.gauge(x, v) + self.body.gauge(x, -v))
+        x, v = self._center_args(x, v)
+        P, Q = self.body.gauge_pair(x[None], v[None])
+        return 0.5 * float(P[0] + Q[0])
 
-    def in_center(self, x) -> bool:
-        x = _vector(x, self.dim)
-        return self.body.contains(x)
+    def _in_center(self, x) -> bool:
+        # the gauge centers, as in member_potential_batch
+        return bool(self.body.gauge_centers(x[None])[0])
 
     def _body_points(self, rngs, shrink: float) -> np.ndarray:
         """Uniform draws from the bounding box, each redrawn until the
@@ -616,12 +611,12 @@ class EllipticTube(Model):
 
     def eval_record(self, z) -> dict:
         z = as_point(z, self.dim)
-        if not self.body.contains(z.real):
+        inside = self.body.gauge_centers(z.real[None])
+        if not inside[0]:
             return super().eval_record(z)
         # (p, p_bar) is reported, and the same pair gives membership and the
-        # potential. Within 1e-12 of an ellipsoid's edge the gauge refuses
-        # the center, and eval fails as a domain error
-        P, Q = self.body.gauge_pair(z.real[None], z.imag[None])
+        # potential
+        P, Q = self.body.gauge_pair(z.real[None], z.imag[None], inside)
         p, q = float(P[0]), float(Q[0])
         member = p * q < 1.0  # a Python product past the range is inf
         return {"member": member,

@@ -824,6 +824,95 @@ def test_support_refused_without_a_closed_form(zero_gradient_disc):
         zero_gradient_disc.support([1.0, 0.0])
 
 
+# Every public method of a body and of its Gauge, as (name, arguments):
+# "x" a point, "X" the rows of an (N, n) array.
+BODY_METHODS = {"contains": "x", "support": "x", "gauge": "xx",
+                "gauge_hessian": "xx", "contains_batch": "X",
+                "support_batch": "X", "gauge_centers": "X",
+                "gauge_batch": "XX", "gauge_pair": "XX",
+                "gauge_hessian_batch": "XX"}
+GAUGE_METHODS = {"__call__": "x", "batch": "X", "hessian": "x"}
+_MALFORMED = "expected|non-finite|dimension mismatch"
+
+
+def _malformed(kind, valid):
+    """Inputs that fail the validation of a point (kind "x") or of rows
+    ("X"), valid being a good one: wrong shapes, a NaN and an inf."""
+    nan, inf = valid.copy(), valid.copy()
+    nan.flat[-1], inf.flat[0] = np.nan, -np.inf
+    wide = np.concatenate([valid, valid[..., :1]], axis=-1)
+    shapes = [valid[None], 0.5] if kind == "x" else [valid[0], valid[None]]
+    return shapes + [wide, nan, inf]
+
+
+@SETTINGS
+@given(body=bodies, seed=st.integers(0, 2 ** 32 - 1))
+def test_public_methods_refuse_malformed_input(body, seed):
+    # each argument is validated before any formula runs (the polytope's
+    # Hessian refusal, the support refusal of a body without a closed form
+    # and the center refusals come after), so a malformed one is a plain
+    # ValueError
+    rng = np.random.default_rng(seed)
+    X = _interior_rows(body, rng, 3)
+    valid = {"x": X[0], "X": X}
+    for owner, methods in ((body, BODY_METHODS),
+                           (Gauge(body), GAUGE_METHODS)):
+        for name, kinds in methods.items():
+            call = getattr(owner, name)
+            for i, kind in enumerate(kinds):
+                for bad in _malformed(kind, valid[kind]):
+                    args = [valid[k] for k in kinds]
+                    args[i] = bad
+                    with pytest.raises(ValueError, match=_MALFORMED) as exc:
+                        call(*args)
+                    assert type(exc.value) is ValueError, (name, i, bad)
+
+
+def _assert_one_row_is_batch(body, rng):
+    """Bit for bit, also on strided points such as the real and imaginary
+    parts of a complex point: from dimension 4 on, their dot products
+    differ from those of contiguous copies in about two rows in three."""
+    X = _interior_rows(body, rng, 4)
+    Y = rng.normal(size=X.shape) * 10.0 ** rng.uniform(-2.0, 2.0, (4, 1))
+    gauge = Gauge(body)
+    for z in X + 1j * Y:
+        x, y = z.real, z.imag
+        xr, yr = np.array([x]), np.array([y])
+        assert body.contains(x) == body.contains_batch(xr)[0]
+        assert body.support(y).hex() == float(body.support_batch(yr)[0]).hex()
+        assert gauge(y).hex() == float(gauge.batch(yr)[0]).hex()
+        P, Q = body.gauge_pair(xr, yr)
+        assert body.gauge(x, y).hex() == float(
+            body.gauge_batch(xr, yr)[0]).hex()
+        assert (body.gauge(x, y), body.gauge(x, -y)) == (P[0], Q[0])
+        if body.c2:
+            np.testing.assert_array_equal(body.gauge_hessian(x, y),
+                                          body.gauge_hessian_batch(xr, yr)[0])
+            np.testing.assert_array_equal(
+                gauge.hessian(y), body.gauge_hessian(np.zeros_like(x), y))
+
+
+@SETTINGS
+@given(body=bodies, seed=st.integers(0, 2 ** 32 - 1))
+def test_one_row_methods_are_batches_of_one_row(body, seed):
+    _assert_one_row_is_batch(body, np.random.default_rng(seed))
+
+
+def _spd(n, seed):
+    L = np.random.default_rng(seed).normal(size=(n, n))
+    return L @ L.T + 0.1 * np.eye(n)
+
+
+@pytest.mark.parametrize("body", [
+    Ellipsoid(_spd(5, 0)), Superellipse([1.0, 0.7, 2.0, 1.5, 0.4]),
+    Polytope(np.vstack([np.eye(5), -np.eye(5), np.ones((1, 5))]),
+             [1.0] * 10 + [2.0])], ids=["ellipsoid", "superellipse",
+                                        "polytope"])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_row_methods_are_batches_of_one_row_in_5d(body, seed):
+    _assert_one_row_is_batch(body, np.random.default_rng(seed))
+
+
 def test_squircle_verify_makes_no_one_row_gauge_call(monkeypatch):
     # every gauge of the command runs in a batch; batches of one or two
     # rays still reach the scalar root find inside gauge_batch

@@ -841,3 +841,51 @@ class TestExtremeScales:
         assert record["u"] > 0.0
         assert record["u"] == pytest.approx(float(scale)
                                             * model.metric(x, e1), rel=1e-12)
+
+
+ELLIPSOID_TUBE = {"model": "elliptictube",
+                  "body": {"type": "ellipsoid", "Q": [[1.0, 0.0], [0.0, 4.0]]}}
+
+
+@pytest.mark.parametrize("spec", [BALL_TUBE, ELLIPSOID_TUBE],
+                         ids=["ball_tube", "ellipsoid_tube"])
+def test_ellipsoid_edge_band_is_off_the_center(spec_path, capsys, spec):
+    # x Q x = 1 - 5e-13: inside the ellipsoid, but within 1e-12 of its
+    # edge, where no gauge is centered; membership, the center test,
+    # metric, eval and slice agree that the tube's center does not hold x
+    x = repr(math.sqrt(1.0 - 5e-13))
+    model, path = model_from_spec(spec), spec_path(spec)
+    assert model.body.contains([float(x), 0.0])
+    assert not model.member_batch([[complex(x), 0j]])[0]
+    assert not model.in_center([float(x), 0.0])
+    code, out, err = run(capsys, ["metric", "--model", path, f"--x={x},0",
+                                  "--xi=1,0"])
+    assert (code, out) == (3, "")
+    assert err == "domain error: x is not in the model center\n"
+    code, out, err = run(capsys, ["eval", "--model", path, f"--point={x},0"])
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"member": False, "u": None, "p": None,
+                               "p_bar": None}
+    code, out, _ = run(capsys, ["slice", "--model", path, "--plane", "2,3",
+                                f"--center={x},0,0,0", "--resolution", "0"])
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2] == "0"
+
+
+def test_parser_is_built_once(spec_path, capsys, monkeypatch):
+    # build_parser costs about ten times a parse; main builds it once per
+    # process, and a second command parses with it unchanged
+    import argparse
+    from pshmodels import cli
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    getattr(cli.build_parser, "cache_clear", lambda: None)()
+    argv = ["eval", "--model", spec_path(SQUARE_TUBE), "--point=0.1+0.2j,0"]
+    first, second = run(capsys, argv), run(capsys, argv)
+    assert first == second and first[0] == 0
+    assert built.count("pshmodels") == 1

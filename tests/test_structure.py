@@ -2,17 +2,19 @@
 between models lives on the model classes, and no model defines a
 one-point sampler, member or potential of its own, nor a body a one-point
 gauge or membership, so every draw and every evaluation takes the batched
-path. A body states its gauge formula alone: only ConvexBody tests and
-refuses centers and defines ``gauge_batch`` and ``gauge_pair``, and only
-Ellipsoid has a center rule of its own. A model evaluates through
-``member_potential_batch`` alone: only Model defines ``member_batch`` and
-``potential_batch``. No module imports
-SciPy, which only the tests use, as an independent oracle, none takes
-more than the default dialect from the csv module (``slice`` writes its
-text itself, and the tests keep ``csv.writer`` as the reference for it),
-and none imports a name it never uses. The imports run one way, from each
-module to the layers below it, with one deferred import, and none inside
-any other function."""
+path. A body states its formulas alone: only ConvexBody defines the
+public body methods, which validate their input once, tests and refuses
+centers and defines ``gauge_batch`` and ``gauge_pair``; no formula of a
+body validates, and only Ellipsoid has a center rule of its own. A model
+evaluates through ``member_potential_batch`` alone: only Model defines
+``member_batch`` and ``potential_batch``, and only ``Model._center_args``
+refuses an x off a model's center. No module imports SciPy, which only
+the tests use, as an independent oracle, none takes more than the default
+dialect from the csv module (``slice`` writes its text itself, and the
+tests keep ``csv.writer`` as the reference for it), and none imports a
+name it never uses. The imports run one way, from each module to the
+layers below it, with one deferred import, and none inside any other
+function."""
 import ast
 from pathlib import Path
 
@@ -234,17 +236,14 @@ SCALAR_BODY_METHODS = ("_gauge", "contains")
 
 def scalar_body_overrides(classes) -> list:
     """The one-point gauges and memberships the package's bodies among
-    classes define for themselves, but SmoothBody.contains: its scalar
-    root find tests membership once per bracket step, where a batch of one
-    row costs more."""
-    return [name for name in scalar_overrides(_package_classes(classes),
-                                              SCALAR_BODY_METHODS)
-            if name != "SmoothBody.contains"]
+    classes define for themselves."""
+    return scalar_overrides(_package_classes(classes), SCALAR_BODY_METHODS)
 
 
 def test_one_body_evaluation_path():
     # a body evaluates only in batches; its _gauge and contains are those
-    # of ConvexBody, the batches of one row
+    # of ConvexBody, the batches of one row (a smooth body's scalar root
+    # find runs its own one-point formula _member, through contains)
     from pshmodels import bodies
     assert scalar_overrides([bodies.ConvexBody], SCALAR_BODY_METHODS) == [
         "ConvexBody._gauge", "ConvexBody.contains"]
@@ -261,8 +260,8 @@ def test_body_guard_sees_an_override():
             return True
 
     class SmoothBody:
-        def _gauge(self, x, y):
-            return 0.0
+        def _member(self, x):
+            return True
 
         def contains(self, x):
             return True
@@ -278,7 +277,7 @@ def test_body_guard_sees_an_override():
     for cls in classes:
         cls.__module__ = "pshmodels.bodies"
     assert scalar_body_overrides(classes + [Double]) == [
-        "Polytope._gauge", "Ellipsoid.contains", "SmoothBody._gauge"]
+        "Polytope._gauge", "Ellipsoid.contains", "SmoothBody.contains"]
 
 
 # the gauge contract: the center test, its refusal and the two gauge
@@ -288,23 +287,24 @@ GAUGE_CONTRACT = ("gauge_centers", "_centered", "gauge_batch", "gauge_pair")
 
 def gauge_contract_overrides(classes) -> list:
     """The parts of the gauge contract the package's bodies among classes
-    restate for themselves, but Ellipsoid.gauge_centers: an ellipsoid also
-    refuses centers within 1e-12 of its boundary."""
-    return [name for name in scalar_overrides(_package_classes(classes),
-                                              GAUGE_CONTRACT)
-            if name != "Ellipsoid.gauge_centers"]
+    restate for themselves."""
+    return scalar_overrides(_package_classes(classes), GAUGE_CONTRACT)
 
 
 def test_one_gauge_contract():
     # a body defines its gauge formula _gauges and nothing else of the
-    # contract; gauge_batch and gauge_pair refuse and evaluate through it
+    # contract; gauge_batch and gauge_pair refuse and evaluate through it.
+    # Only Ellipsoid has a center rule _centers of its own: it also
+    # refuses centers within 1e-12 of its boundary
     from pshmodels import bodies
     assert scalar_overrides([bodies.ConvexBody], GAUGE_CONTRACT) == [
         f"ConvexBody.{name}" for name in GAUGE_CONTRACT]
-    assert gauge_contract_overrides(_subclasses(bodies.ConvexBody)) == []
-    assert scalar_overrides(_package_classes(_subclasses(bodies.ConvexBody)),
-                            ("_gauges",)) == [
+    subclasses = _package_classes(_subclasses(bodies.ConvexBody))
+    assert gauge_contract_overrides(subclasses) == []
+    assert scalar_overrides(subclasses, ("_gauges",)) == [
         "Polytope._gauges", "Ellipsoid._gauges", "SmoothBody._gauges"]
+    assert scalar_overrides(subclasses, ("_centers",)) == [
+        "Ellipsoid._centers"]
 
 
 def test_gauge_contract_guard_sees_an_override():
@@ -313,7 +313,7 @@ def test_gauge_contract_guard_sees_an_override():
             return X
 
     class Ellipsoid:
-        def gauge_centers(self, X):
+        def _centers(self, X):
             return X
 
         def gauge_batch(self, X, Y):
@@ -335,6 +335,152 @@ def test_gauge_contract_guard_sees_an_override():
     assert gauge_contract_overrides(classes + [Double]) == [
         "Polytope.gauge_centers", "Ellipsoid.gauge_batch",
         "SmoothBody.gauge_pair"]
+
+
+# the input contract: every public method of a body validates its input
+# and is defined once, on ConvexBody; a body defines formulas alone
+BODY_ENTRY_POINTS = ("contains", "contains_batch", "support", "support_batch",
+                     "gauge", "gauge_batch", "gauge_pair", "gauge_centers",
+                     "gauge_hessian", "gauge_hessian_batch")
+VALIDATORS = {"_rows", "_vector"}
+
+
+def test_one_body_input_contract():
+    from pshmodels import bodies
+    assert scalar_overrides([bodies.ConvexBody], BODY_ENTRY_POINTS) == [
+        f"ConvexBody.{name}" for name in BODY_ENTRY_POINTS]
+    assert scalar_overrides(_package_classes(_subclasses(bodies.ConvexBody)),
+                            BODY_ENTRY_POINTS) == []
+
+
+def test_input_contract_guard_sees_an_override():
+    class Ellipsoid:
+        def contains_batch(self, W):
+            return W
+
+        def _members(self, W):
+            return W
+
+    class Superellipse:
+        def support_batch(self, A):
+            return A
+
+    class Double:  # a test double, outside the package
+        def gauge_centers(self, X):
+            return X
+    for cls in (Ellipsoid, Superellipse):
+        cls.__module__ = "pshmodels.bodies"
+    assert scalar_overrides(
+        _package_classes([Ellipsoid, Superellipse, Double]),
+        BODY_ENTRY_POINTS) == ["Ellipsoid.contains_batch",
+                               "Superellipse.support_batch"]
+
+
+def validating_methods(source: str, base: str = "ConvexBody") -> list:
+    """Class.method of each method of a subclass of base in source (its
+    classes, derived from base directly or through another of them) that
+    calls a validator (``_rows``, ``_vector``)."""
+    tree = ast.parse(source)
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    found = []
+
+    def derives(cls) -> bool:
+        names = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+        return base in names or any(derives(classes[name]) for name in names
+                                    if name in classes)
+    for cls in classes.values():
+        if cls.name == base or not derives(cls):
+            continue
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in VALIDATORS
+                    for node in ast.walk(method)):
+                found.append(f"{cls.name}.{method.name}")
+    return found
+
+
+def test_no_body_formula_validates():
+    # the bodies' formulas run on the rows ConvexBody validated
+    assert validating_methods((SRC / "bodies.py").read_text()) == []
+
+
+def test_validation_guard_sees_a_formula():
+    source = ("class ConvexBody:\n"
+              "    def contains_batch(self, W):\n"
+              "        return self._members(_rows(W, self.dim))\n"
+              "class SmoothBody(ConvexBody):\n"
+              "    def _member(self, x):\n"
+              "        return _vector(x) is x\n"
+              "class Superellipse(SmoothBody):\n"
+              "    def _supports(self, A):\n"
+              "        def inner():\n"
+              "            return _rows(A, 2)\n"
+              "        return inner()\n"
+              "    def _members(self, W):\n"
+              "        return rows(W)\n"
+              "class Gauge:\n"
+              "    def batch(self, Y):\n"
+              "        return _rows(Y, self.dim)\n")
+    assert validating_methods(source) == ["SmoothBody._member",
+                                          "Superellipse._supports"]
+
+
+def off_center_refusals(source: str) -> list:
+    """The functions of source (the outermost one that holds it) that raise
+    an OutsideDomainError whose text starts with "x is not"."""
+    found = []
+
+    def text(node) -> str:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        if isinstance(node, ast.JoinedStr) and node.values:
+            return text(node.values[0])
+        return ""
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Raise)
+                    and isinstance(child.exc, ast.Call)
+                    and isinstance(child.exc.func, ast.Name)
+                    and child.exc.func.id == "OutsideDomainError"
+                    and child.exc.args
+                    and text(child.exc.args[0]).startswith("x is not")):
+                found.append(function)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner and function is None
+                  else function)
+    visit(ast.parse(source), None)
+    return found
+
+
+# the one refusal of an x off a model's center, and the CLI's own, which
+# names no model
+OFF_CENTER_REFUSALS = {"models.py": ["_center_args"], "cli.py": ["cmd_metric"]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_off_center_refusal(path):
+    assert (off_center_refusals(path.read_text())
+            == OFF_CENTER_REFUSALS.get(path.name, []))
+
+
+def test_refusal_guard_sees_each_spelling():
+    source = ("class Disc1D:\n"
+              "    def metric(self, x, v):\n"
+              "        if x:\n"
+              "            raise OutsideDomainError('x is not in (-1, 1)')\n"
+              "        raise OutsideDomainError('point is not in the disc')\n"
+              "def disc_upper_bound(model, x, v):\n"
+              "    def inner():\n"
+              "        raise OutsideDomainError(f'x is not in the {x} center')\n"
+              "    raise ValueError('x is not a vector')\n"
+              "def chart(body, z):\n"
+              "    raise OutsideDomainError(\"gauge center x is not inside\")\n")
+    assert off_center_refusals(source) == ["metric", "disc_upper_bound"]
 
 
 # names a module imports for others to read: perfbench's tracer test checks
