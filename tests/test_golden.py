@@ -1,7 +1,8 @@
 """Pinned outputs of the CLI over the example specs.
 
 ``golden.json`` maps each command below to its exit code and either its
-stdout (eval, geodesic) or the sha256 of its stdout (verify, slice). Any
+stdout and stderr (eval, geodesic, metric) or the sha256 of its stdout
+(verify, slice). Any
 change to a report, a record or a CSV byte shows here. Regenerate it only
 when an output changes on purpose:
 
@@ -22,6 +23,8 @@ from pshmodels.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden.json")
 POINTS = {1: "0.3+0.2j", 2: "0.1+0.2j,-0.2+0.15j"}
+# the center metric's (x, xi) per dimension: an interior x, a nonzero xi
+METRIC_ARGS = {1: ("0.3", "0.7"), 2: ("0.1,-0.2", "1,0.5")}
 
 
 def _commands() -> dict:
@@ -33,10 +36,16 @@ def _commands() -> dict:
             commands[f"verify {spec} {seed}"] = [
                 "verify", "--model", model, "--suite", "all", "--samples",
                 "20", "--seed", seed, "--step", step]
-        point = POINTS[model_from_spec(json.loads(path.read_text())).dim]
+        dim = model_from_spec(json.loads(path.read_text())).dim
         for command in ("eval", "geodesic"):
             commands[f"{command} {spec}"] = [command, "--model", model,
-                                              "--point", point]
+                                              "--point", POINTS[dim]]
+        x, xi = METRIC_ARGS[dim]
+        commands[f"metric {spec}"] = ["metric", "--model", model, "--x", x,
+                                      "--xi", xi]
+    commands["metric ball_tube zero xi"] = [
+        "metric", "--model", str(ROOT / "specs" / "ball_tube.json"), "--x",
+        "0.1,-0.2", "--xi", "0,0"]
     # about 2,500 smooth-body gauge rows per batched call
     commands["verify striptube_squircle 42 large"] = [
         "verify", "--model", str(ROOT / "specs" / "striptube_squircle.json"),
