@@ -171,8 +171,7 @@ def striptube_geodesics(gauge: Gauge, X, Y, zetas) -> np.ndarray:
 
 def disc_upper_bound(model: Model, x, v) -> float:
     """Metric upper bound realized by an explicit analytic disc through
-    (x, v); equality with the closed-form metric certifies extremality."""
+    (x, v); equality with the closed-form metric certifies extremality.
+    At v = 0 the disc is constant and the bound 0.0."""
     x, v = model._center_args(x, v)
-    if not np.any(v):
-        raise ValueError("no candidate disc for v = 0")
-    return model.disc_bound(x, v)
+    return model.disc_bound(x, v) if np.any(v) else 0.0

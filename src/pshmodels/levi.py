@@ -260,8 +260,7 @@ def metric_levi_pair(model: Model, x, v,
         raise TypeError("squared-potential check is defined for strip tubes")
     if not isinstance(model.gauge.body, Ellipsoid):
         raise ValueError("squared gauge must be C2 (ellipsoidal body)")
-    x = _vector(x, model.dim)
-    v = _vector(v, model.dim)
+    x, v = model._center_args(x, v)
     if not np.any(v):
         return 0.0, 0.0
     levi = levi_line(lambda z: model.potential(z) ** 2, x, v, h)

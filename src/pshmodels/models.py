@@ -192,10 +192,10 @@ class Model:
     def metric_slope(self, x, v, steps=_DEFAULT_STEPS) -> float:
         """Slope of the potential along t -> x + i t v, extrapolated to t = 0+.
 
-        Richardson-stabilized over a decreasing step ladder; the ladder is
-        halved (up to 60 times) if its largest step leaves the domain. The
-        slope is 1-homogeneous in v, so a v with max |v_i| outside
-        [2^-60, 2^60] runs at v / 2^e, max |v_i| in [1/2, 1), scaled back.
+        Richardson-stabilized over a decreasing step ladder, halved (up to
+        60 times) until every step is a member. The slope is 1-homogeneous
+        in v, so a v with max |v_i| outside [2^-60, 2^60] runs at v / 2^e,
+        max |v_i| in [1/2, 1), scaled back.
         """
         x, v = self._center_args(x, v)
         if not np.any(v):
@@ -211,12 +211,14 @@ class Model:
             e = math.frexp(top)[1]
             v = np.ldexp(v, -e)
         for _ in range(60):
-            if self.member(x + 1j * steps[0] * v):
+            member, values = self.member_potential_batch(
+                x + 1j * steps[:, None] * v)
+            if np.all(member):
                 break
             steps = steps / 2.0
         else:
             raise OutsideDomainError("slope ladder cannot enter the domain")
-        quotients = self.potential_batch(x + 1j * steps[:, None] * v) / steps
+        quotients = values / steps
         if steps.size == 1:
             return math.ldexp(float(quotients[0]), e)
         diffs = np.abs(np.diff(quotients))
@@ -604,10 +606,10 @@ class EllipticTube(Model):
         # exactly, so that p q stays in the float range for any v
         e = math.frexp(float(np.max(np.abs(v))))[1]
         v = np.ldexp(v, -e)
-        p, q = self.body.gauge(x, v), self.body.gauge(x, -v)
-        tau = 0.5 / math.sqrt(p * q)
-        ch = chart(self.body, x + 1j * tau * v)
-        return math.ldexp(0.5 * (1.0 / ch.t1 + 1.0 / ch.t2) / tau, e)
+        P, Q = self.body.gauge_pair(x[None], v[None])
+        tau = 0.5 / math.sqrt(float(P[0]) * float(Q[0]))
+        T1, T2, _, _ = chart_rows(self.body, (x + 1j * tau * v)[None])
+        return math.ldexp(0.5 * (1.0 / T1[0] + 1.0 / T2[0]) / tau, e)
 
     def eval_record(self, z) -> dict:
         z = as_point(z, self.dim)

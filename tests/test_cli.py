@@ -185,6 +185,32 @@ class TestMetric:
         assert err == ("warning: closed-form and FD metrics differ by "
                        f"{gap:.3e}\n")
 
+    def test_off_center_non_finite_xi_is_malformed(self, spec_path, capsys):
+        # the model validates (x, xi) before it tests the center
+        code, out, err = run(capsys, ["metric", "--model",
+                                      spec_path(BALL_TUBE), "--x=5,5",
+                                      "--xi=inf,0"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_center_tested_at_most_seven_times(self, spec_path, capsys,
+                                               monkeypatch):
+        # once each by metric, metric_slope and disc_upper_bound, then by
+        # metric's gauge pair, the slope ladder's batch, and disc_bound's
+        # gauge pair and chart
+        from pshmodels.bodies import Ellipsoid
+        calls = []
+        centers = Ellipsoid._centers
+
+        def counted(self, X):
+            calls.append(len(X))
+            return centers(self, X)
+        monkeypatch.setattr(Ellipsoid, "_centers", counted)
+        code, _, err = run(capsys, ["metric", "--model", spec_path(BALL_TUBE),
+                                    "--x", "0.1,0.1", "--xi", "1,0.5"])
+        assert (code, err) == (0, "")
+        assert 0 < len(calls) <= 7
+
     @pytest.mark.parametrize("xi", ["0,0,0,0", "1,0,0,0", "0", "1"])
     def test_xi_of_wrong_dimension(self, spec_path, capsys, xi):
         # a zero xi used to skip the dimension check and print zeros
@@ -861,7 +887,7 @@ def test_ellipsoid_edge_band_is_off_the_center(spec_path, capsys, spec):
     code, out, err = run(capsys, ["metric", "--model", path, f"--x={x},0",
                                   "--xi=1,0"])
     assert (code, out) == (3, "")
-    assert err == "domain error: x is not in the model center\n"
+    assert err == "domain error: x is not in the elliptictube center\n"
     code, out, err = run(capsys, ["eval", "--model", path, f"--point={x},0"])
     assert (code, err) == (3, "")
     assert json.loads(out) == {"member": False, "u": None, "p": None,

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,12 @@ from pshmodels import models
 from pshmodels.geodesics import chart_rows
 from pshmodels import (QUARTER_PI, Disc1D, EllipticTube, Gauge,
                        OutsideDomainError, Strip1D, StripTube, chart,
-                       disc_upper_bound, identity_residual,
+                       disc_upper_bound, identity_residual, model_from_spec,
                        striptube_geodesic, substream, unit_disc_point)
 from pshmodels.suites import TOL_DEFAULTS, verify
+
+SPEC_PATHS = sorted((Path(__file__).resolve().parents[1] / "specs")
+                    .glob("*.json"))
 
 
 class TestChart:
@@ -308,6 +313,8 @@ class TestDiscUpperBound:
             assert e <= f + 1e-12
             assert f <= e + 1e-10
 
-    def test_zero_direction_rejected(self, unit_ball):
-        with pytest.raises(ValueError):
-            disc_upper_bound(EllipticTube(unit_ball), [0.0, 0.0], [0.0, 0.0])
+    @pytest.mark.parametrize("path", SPEC_PATHS, ids=lambda p: p.stem)
+    def test_zero_direction_is_the_constant_disc(self, path):
+        model = model_from_spec(json.loads(path.read_text()))
+        x = np.full(model.dim, 0.1)
+        assert disc_upper_bound(model, x, np.zeros(model.dim)) == 0.0

@@ -8,7 +8,9 @@ centers and defines ``gauge_batch`` and ``gauge_pair``; no formula of a
 body validates, and only Ellipsoid has a center rule of its own. A model
 evaluates through ``member_potential_batch`` alone: only Model defines
 ``member_batch`` and ``potential_batch``, and only ``Model._center_args``
-refuses an x off a model's center. No module imports SciPy, which only
+refuses an x off a model's center. The CLI refuses no domain input
+itself: it raises no OutsideDomainError and neither tests nor validates a
+center, so every domain refusal comes from the library. No module imports SciPy, which only
 the tests use, as an independent oracle, none takes more than the default
 dialect from the csv module (``slice`` writes its text itself, and the
 tests keep ``csv.writer`` as the reference for it), and none imports a
@@ -456,9 +458,8 @@ def off_center_refusals(source: str) -> list:
     return found
 
 
-# the one refusal of an x off a model's center, and the CLI's own, which
-# names no model
-OFF_CENTER_REFUSALS = {"models.py": ["_center_args"], "cli.py": ["cmd_metric"]}
+# the one refusal of an x off a model's center
+OFF_CENTER_REFUSALS = {"models.py": ["_center_args"]}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
@@ -481,6 +482,44 @@ def test_refusal_guard_sees_each_spelling():
               "def chart(body, z):\n"
               "    raise OutsideDomainError(\"gauge center x is not inside\")\n")
     assert off_center_refusals(source) == ["metric", "disc_upper_bound"]
+
+
+def domain_refusals(source: str) -> list:
+    """(line, name) of each OutsideDomainError that source raises and of
+    each call of ``in_center`` or ``_center_args`` in it, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(call, ast.Name) and call.id == "OutsideDomainError":
+                found.append((node.lineno, "OutsideDomainError"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            if name in ("in_center", "_center_args"):
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_cli_leaves_domain_refusals_to_the_library():
+    assert domain_refusals((SRC / "cli.py").read_text()) == []
+
+
+def test_domain_refusal_guard_sees_each_kind():
+    source = ("def cmd_metric(args):\n"
+              "    try:\n"
+              "        model.metric(x, v)\n"
+              "    except OutsideDomainError:\n"
+              "        raise\n"
+              "    if not model.in_center(x):\n"
+              "        raise OutsideDomainError('x is not in the center')\n"
+              "    x, v = model._center_args(x, v)\n"
+              "    raise OutsideDomainError\n")
+    assert domain_refusals(source) == [(6, "in_center"),
+                                       (7, "OutsideDomainError"),
+                                       (8, "_center_args"),
+                                       (9, "OutsideDomainError")]
 
 
 # names a module imports for others to read: perfbench's tracer test checks
