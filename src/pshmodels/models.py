@@ -50,6 +50,7 @@ from .maximality import geodesic_pullback, linear_pullbacks, slab_pullbacks
 from .sampling import substream, unit_vectors
 
 _DEFAULT_STEPS = (1e-2, 1e-3, 1e-4)
+_SLOPE_LEVEL = 0.1  # the largest potential at the slope ladder's top step
 
 
 def conjugate(z) -> np.ndarray:
@@ -193,7 +194,9 @@ class Model:
         """Slope of the potential along t -> x + i t v, extrapolated to t = 0+.
 
         Richardson-stabilized over a decreasing step ladder, halved (up to
-        60 times) until every step is a member. The slope is 1-homogeneous
+        60 times) until every step is a member and the potential at the
+        largest is at most _SLOPE_LEVEL: in the linear regime even near the
+        center's edge, where the slope is large. The slope is 1-homogeneous
         in v, so a v with max |v_i| outside [2^-60, 2^60] runs at v / 2^e,
         max |v_i| in [1/2, 1), scaled back.
         """
@@ -213,7 +216,7 @@ class Model:
         for _ in range(60):
             member, values = self.member_potential_batch(
                 x + 1j * steps[:, None] * v)
-            if np.all(member):
+            if np.all(member) and values[0] <= _SLOPE_LEVEL:
                 break
             steps = steps / 2.0
         else:

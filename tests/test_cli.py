@@ -168,10 +168,10 @@ class TestMetric:
 
     @pytest.mark.parametrize("name", ["ball_tube", "square_tube"])
     def test_fd_gap_is_relative_above_one(self, capsys, name):
-        # E_fd is within 1e-8 of E_closed relative to it, but 8.5e-06 off
+        # E_fd is within 1e-13 of E_closed relative to it, but 3.3e-05 off
         # in absolute terms, which an absolute test called a disagreement
         argv = ["metric", "--model", str(ROOT / "specs" / f"{name}.json"),
-                "--x", "0.1,0.1", "--xi", "1000,0"]
+                "--x", "0.1,0.1", "--xi", "1e9,0"]
         code, out, err = run(capsys, argv)
         record = json.loads(out)
         assert code == 0 and err == ""
@@ -210,6 +210,25 @@ class TestMetric:
                                     "--x", "0.1,0.1", "--xi", "1,0.5"])
         assert (code, err) == (0, "")
         assert 0 < len(calls) <= 7
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    @pytest.mark.parametrize("spec", [DISC, BALL_TUBE, SQUARE_TUBE,
+                                      INTERVAL_TUBE],
+                             ids=["disc1d", "ball_tube", "square_tube",
+                                  "interval_tube"])
+    def test_near_the_center_edge(self, spec_path, capsys, spec, k):
+        # x = 1 - 10^-k, where E is about 10^k / 2: the ladder's top step
+        # starts in the linear regime, not at an absolute t = 1e-2
+        x = repr(1.0 - 10.0 ** -k)
+        dim = model_from_spec(spec).dim
+        code, out, err = run(capsys, [
+            "metric", "--model", spec_path(spec),
+            "--x=" + ",".join([x] + ["0"] * (dim - 1)),
+            "--xi=" + ",".join(["1", "0.5"][:dim])])
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert (abs(record["E_fd"] - record["E_closed"])
+                <= 1e-9 * max(1.0, record["E_closed"]))
 
     @pytest.mark.parametrize("xi", ["0,0,0,0", "1,0,0,0", "0", "1"])
     def test_xi_of_wrong_dimension(self, spec_path, capsys, xi):
