@@ -193,12 +193,12 @@ class Model:
     def metric_slope(self, x, v, steps=_DEFAULT_STEPS) -> float:
         """Slope of the potential along t -> x + i t v, extrapolated to t = 0+.
 
-        Richardson-stabilized over a decreasing step ladder, halved (up to
-        60 times) until every step is a member and the potential at the
-        largest is at most _SLOPE_LEVEL: in the linear regime even near the
-        center's edge, where the slope is large. The slope is 1-homogeneous
-        in v, so a v with max |v_i| outside [2^-60, 2^60] runs at v / 2^e,
-        max |v_i| in [1/2, 1), scaled back.
+        Richardson-stabilized over a decreasing step ladder, halved (at
+        most 120 times) until every step is a member and the potential at
+        the largest is at most _SLOPE_LEVEL, linear even near the center's
+        edge. The slope is 1-homogeneous in v, so a v with max |v_i|
+        outside [2^-60, 2^60] runs at v / 2^e, max |v_i| in [1/2, 1),
+        scaled back; 120 halvings cover it and a unit-v slope up to 2^60.
         """
         x, v = self._center_args(x, v)
         if not np.any(v):
@@ -213,7 +213,7 @@ class Model:
         if not 2.0 ** -60 <= top <= 2.0 ** 60:
             e = math.frexp(top)[1]
             v = np.ldexp(v, -e)
-        for _ in range(60):
+        for _ in range(120):
             member, values = self.member_potential_batch(
                 x + 1j * steps[:, None] * v)
             if np.all(member) and values[0] <= _SLOPE_LEVEL:

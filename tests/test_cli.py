@@ -216,15 +216,18 @@ class TestMetric:
                                       INTERVAL_TUBE],
                              ids=["disc1d", "ball_tube", "square_tube",
                                   "interval_tube"])
-    def test_near_the_center_edge(self, spec_path, capsys, spec, k):
-        # x = 1 - 10^-k, where E is about 10^k / 2: the ladder's top step
-        # starts in the linear regime, not at an absolute t = 1e-2
+    @pytest.mark.parametrize("scale", [1.0, 5e17])
+    def test_near_the_center_edge(self, spec_path, capsys, spec, k, scale):
+        # x = 1 - 10^-k, where E is about 10^k / 2 per unit xi: the
+        # ladder's top step starts in the linear regime, not at an
+        # absolute t = 1e-2, and reaches it also at a xi below 2^60,
+        # which runs unscaled
         x = repr(1.0 - 10.0 ** -k)
         dim = model_from_spec(spec).dim
         code, out, err = run(capsys, [
             "metric", "--model", spec_path(spec),
             "--x=" + ",".join([x] + ["0"] * (dim - 1)),
-            "--xi=" + ",".join(["1", "0.5"][:dim])])
+            "--xi=" + ",".join([repr(scale), repr(scale / 2)][:dim])])
         assert (code, err) == (0, "")
         record = json.loads(out)
         assert (abs(record["E_fd"] - record["E_closed"])

@@ -10,13 +10,13 @@ evaluates through ``member_potential_batch`` alone: only Model defines
 ``member_batch`` and ``potential_batch``, and only ``Model._center_args``
 refuses an x off a model's center. The CLI refuses no domain input
 itself: it raises no OutsideDomainError and neither tests nor validates a
-center, so every domain refusal comes from the library. No module imports SciPy, which only
-the tests use, as an independent oracle, none takes more than the default
-dialect from the csv module (``slice`` writes its text itself, and the
-tests keep ``csv.writer`` as the reference for it), and none imports a
-name it never uses. The imports run one way, from each module to the
-layers below it, with one deferred import, and none inside any other
-function."""
+center, so every domain refusal comes from the library. No module imports
+SciPy, which only the tests use, as an independent oracle, none takes more
+than the default dialect from the csv module (``slice`` writes its text
+itself, and the tests keep ``csv.writer`` as the reference for it), and
+none imports a name it never uses. The imports run one way, from each
+module to the layers below it, with one deferred import, and none inside
+any other function."""
 import ast
 from pathlib import Path
 
@@ -490,8 +490,8 @@ def domain_refusals(source: str) -> list:
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise) and node.exc is not None:
-            call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(call, ast.Name) and call.id == "OutsideDomainError":
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "OutsideDomainError":
                 found.append((node.lineno, "OutsideDomainError"))
         elif isinstance(node, ast.Call):
             func = node.func
