@@ -156,6 +156,16 @@ class ConvexBody:
         uncertified bound."""
         raise SpecError(f"no certified support for {type(self).__name__}")
 
+    def tight_covectors(self, D) -> np.ndarray:
+        """A covector c per row d of an (N, n) array, d != 0, scaled so
+        that the slab {|c . w| < 1} holds the body and touches it."""
+        return self._tight_covectors(_rows(D, self.dim))
+
+    def _tight_covectors(self, D: np.ndarray) -> np.ndarray:
+        """The body's tight covectors, on validated rows: by default d over
+        max(h(d), h(-d)), from its support formula."""
+        return D / np.maximum(self._supports(D), self._supports(-D))[:, None]
+
     def interior_point(self) -> np.ndarray:
         raise NotImplementedError
 
@@ -463,6 +473,11 @@ class Ellipsoid(ConvexBody):
             with np.errstate(over="ignore"):  # a gauge past the float range
                 p[wild] = np.ldexp(p[wild], e)
         return np.where(offcenter, p, 0.0)
+
+    def _tight_covectors(self, D) -> np.ndarray:
+        # Q d / sqrt(d Q d), the normal covector at the boundary point on
+        # the ray of d
+        return _matvec(self.Q, D) / np.sqrt(self._quadratic(D))[:, None]
 
     def _quadratic(self, Y: np.ndarray) -> np.ndarray:
         # y Q y row by row, with the kernels of _members; not finite

@@ -173,5 +173,4 @@ def disc_upper_bound(model: Model, x, v) -> float:
     """Metric upper bound realized by an explicit analytic disc through
     (x, v); equality with the closed-form metric certifies extremality.
     At v = 0 the disc is constant and the bound 0.0."""
-    x, v = model._center_args(x, v)
-    return model.disc_bound(x, v) if np.any(v) else 0.0
+    return model._homogeneous(model.disc_bound, x, v)

@@ -17,14 +17,18 @@ A model's center rule ``_in_center`` (by default every real point; on an
 elliptic tube its body's ``gauge_centers``, as in its membership) is
 asked by ``in_center`` and by ``_center_args(x, v)``, which validates the
 pair of every metric and refuses an x off the center, once, with "x is
-not in the <name> center".
+not in the <name> center". The metric, its slope and the disc bound run
+through ``Model._homogeneous``, which scales an extreme v and refuses a
+value past the float range, once.
 
 Every model samples in batches: ``sample_member_batch(rngs)``,
 ``sample_fd_safe_batch(rngs, h)`` and ``strip_points(W, rngs)`` draw row i
 from ``rngs[i]`` alone, each row with its own Generator calls in a fixed
-order, rejection retries in masked rounds over the rows still drawing.
-The gauges and potentials of a draw site run after the draws, in one
-batched call each. ``sample_member``, ``sample_fd_safe`` and
+order. Each rejection retry is a ``draw`` function handed to
+``sampling.redraw``, the package's one loop of masked rounds over the rows
+still drawing, with the sampler's cap on the rounds and its starvation
+message. The gauges and potentials of a draw site run after the draws, in
+one batched call each. ``sample_member``, ``sample_fd_safe`` and
 ``strip_point`` are defined once, on Model, as batches of one row.
 
 Each model also carries its own part of every verification suite and CLI
@@ -41,15 +45,15 @@ from typing import Callable
 
 import numpy as np
 
-from .bodies import (ConvexBody, Ellipsoid, Gauge, _rowdot, _vector,
-                     as_point, as_points, body_from_spec, interval)
+from .bodies import (ConvexBody, Gauge, _rowdot, _vector, as_point,
+                     as_points, body_from_spec, interval)
 from .errors import ConvergenceError, OutsideDomainError, SpecError
 from .geodesics import (QUARTER_PI, chart, chart_residuals, chart_rows,
                         disc_points, strip_map, striptube_geodesics, zeta0)
 from .maximality import geodesic_pullback, linear_pullbacks, slab_pullbacks
-from .sampling import substream, unit_vectors
+from .sampling import redraw, substream, unit_vectors
 
-_DEFAULT_STEPS = (1e-2, 1e-3, 1e-4)
+_LADDER = (1e-2, 1e-3, 1e-4)  # metric_slope's steps, decreasing
 _SLOPE_LEVEL = 0.1  # the largest potential at the slope ladder's top step
 
 
@@ -82,7 +86,8 @@ class Model:
     """Base class: a tube domain with center and extremal potential.
 
     Each model defines ``member_potential_batch``, its domain and potential
-    stated once; the maximality battery ``competitors(seed)``;
+    stated once; its closed-form metric ``_metric``, at the pair
+    ``_homogeneous`` hands it; the maximality battery ``competitors(seed)``;
     ``strip_points(W, rngs)``, the images of the W[i], |Im W[i]| < pi/4,
     under holomorphic strip maps into the domain (drawn from rngs[i] on
     tubes); and ``geodesic_witnesses(seed, samples)``, a pair (gaps,
@@ -133,6 +138,11 @@ class Model:
         return values
 
     def metric(self, x, v) -> float:
+        """The closed-form center metric E(x, v), by ``_homogeneous``."""
+        return self._homogeneous(self._metric, x, v)
+
+    def _metric(self, x: np.ndarray, v: np.ndarray) -> float:
+        """The closed form at validated x in the center and v != 0."""
         raise NotImplementedError
 
     def in_center(self, x) -> bool:
@@ -149,6 +159,28 @@ class Model:
         if not self._in_center(x):
             raise OutsideDomainError(f"x is not in the {self.name} center")
         return x, v
+
+    def _homogeneous(self, formula, x, v) -> float:
+        """``formula(x, v)``, 1-homogeneous in v, at the pair
+        ``_center_args`` validates; 0.0 at v = 0. A v with max |v_i|
+        outside [2^-60, 2^60] runs at v / 2^e, max |v_i| in [1/2, 1), and
+        the value is scaled back; a value past the float range is
+        refused. The metric, its slope and its disc bound all run here."""
+        x, v = self._center_args(x, v)
+        if not np.any(v):
+            return 0.0
+        e = 0
+        top = float(np.max(np.abs(v)))
+        if not 2.0 ** -60 <= top <= 2.0 ** 60:
+            e = math.frexp(top)[1]
+            v = np.ldexp(v, -e)
+        try:
+            value = math.ldexp(formula(x, v), e)
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise OutsideDomainError("metric is past the float range")
+        return value
 
     def sample_center(self, rng) -> np.ndarray:
         raise NotImplementedError
@@ -190,29 +222,21 @@ class Model:
         """The record ``geodesic`` prints: the extremal curve through z."""
         raise SpecError("geodesic charts require a tube model")
 
-    def metric_slope(self, x, v, steps=_DEFAULT_STEPS) -> float:
-        """Slope of the potential along t -> x + i t v, extrapolated to t = 0+.
+    def metric_slope(self, x, v) -> float:
+        """Slope of the potential along t -> x + i t v, extrapolated to
+        t = 0+, by ``_homogeneous``."""
+        return self._homogeneous(self._slope, x, v)
 
-        Richardson-stabilized over a decreasing step ladder, halved (at
+    def _slope(self, x: np.ndarray, v: np.ndarray) -> float:
+        """metric_slope at validated x in the center and v != 0.
+
+        Richardson-stabilized over the step ladder _LADDER, halved (at
         most 120 times) until every step is a member and the potential at
         the largest is at most _SLOPE_LEVEL, linear even near the center's
-        edge. The slope is 1-homogeneous in v, so a v with max |v_i|
-        outside [2^-60, 2^60] runs at v / 2^e, max |v_i| in [1/2, 1),
-        scaled back; 120 halvings cover it and a unit-v slope up to 2^60.
+        edge. 120 halvings reach the level for max |v_i| up to 2^60 and a
+        unit-v slope up to 2^60.
         """
-        x, v = self._center_args(x, v)
-        if not np.any(v):
-            return 0.0
-        steps = np.asarray(steps, dtype=float)
-        if steps.ndim != 1 or steps.size < 1 or np.any(steps <= 0):
-            raise ValueError("steps must be positive")
-        if np.any(np.diff(steps) >= 0):
-            raise ValueError("steps must be strictly decreasing")
-        e = 0
-        top = float(np.max(np.abs(v)))
-        if not 2.0 ** -60 <= top <= 2.0 ** 60:
-            e = math.frexp(top)[1]
-            v = np.ldexp(v, -e)
+        steps = np.array(_LADDER)
         for _ in range(120):
             member, values = self.member_potential_batch(
                 x + 1j * steps[:, None] * v)
@@ -222,17 +246,14 @@ class Model:
         else:
             raise OutsideDomainError("slope ladder cannot enter the domain")
         quotients = values / steps
-        if steps.size == 1:
-            return math.ldexp(float(quotients[0]), e)
         diffs = np.abs(np.diff(quotients))
         scale = max(1.0, float(np.max(np.abs(quotients))))
-        if diffs.size >= 2 and diffs[-1] > diffs[0] + 1e-9 * scale:
+        if diffs[-1] > diffs[0] + 1e-9 * scale:
             raise ConvergenceError("slope quotients are not settling")
         # the quotient has an even error expansion in t; fit in s = t^2
         s = steps ** 2
         vander = np.vander(s, increasing=True)
-        coeffs = np.linalg.solve(vander, quotients)
-        return math.ldexp(float(coeffs[0]), e)
+        return float(np.linalg.solve(vander, quotients)[0])
 
 
 class _PlaneDomain(Model):
@@ -287,8 +308,8 @@ class Strip1D(_PlaneDomain):
     def _members(w: np.ndarray) -> np.ndarray:
         return np.abs(w.imag) < QUARTER_PI
 
-    def metric(self, x, v) -> float:
-        return abs(float(self._center_args(x, v)[1][0]))
+    def _metric(self, x, v) -> float:
+        return abs(float(v[0]))
 
     def sample_member_batch(self, rngs) -> np.ndarray:
         # x, then y, from each Generator
@@ -326,8 +347,7 @@ class Disc1D(_PlaneDomain):
         # decides membership on the unit circle
         return np.array([abs(c) < 1.0 for c in w.tolist()], dtype=bool)
 
-    def metric(self, x, v) -> float:
-        x, v = self._center_args(x, v)
+    def _metric(self, x, v) -> float:
         return abs(float(v[0])) / (1.0 - float(x[0]) ** 2)
 
     def _in_center(self, x) -> bool:
@@ -384,8 +404,8 @@ class StripTube(Model):
         member = values < QUARTER_PI
         return member, values[member]
 
-    def metric(self, x, v) -> float:
-        return self.gauge(self._center_args(x, v)[1])
+    def _metric(self, x, v) -> float:
+        return self.gauge(v)
 
     # Each sampler draws, per row, the coordinates x, a unit direction d
     # and a level or scale along it, in the order of the Generator calls
@@ -407,33 +427,22 @@ class StripTube(Model):
         # x, then (d, level) until the length test passes; the level is
         # dimensionless, and the length test keeps |y| above the step
         X = _uniform_rows(rngs, self.dim)
-        Y = np.empty_like(X)
         floor = max(0.5 * self.body.inradius(), 10.0 * h)
-        rows = np.arange(len(rngs))
-        for _ in range(1000):
-            active = [rngs[i] for i in rows.tolist()]
+
+        def draw(active):
             D = unit_vectors(active, self.dim)
             levels = np.array([rng.uniform(0.4 * QUARTER_PI, 0.9 * QUARTER_PI)
                                for rng in active])
-            Yr = levels[:, None] * D / self.gauge.batch(D)[:, None]
+            Y = levels[:, None] * D / self.gauge.batch(D)[:, None]
             # the norm of np.linalg.norm: the root of the dot product
-            done = np.sqrt(_rowdot(Yr, Yr)) >= floor
-            Y[rows[done]] = Yr[done]
-            rows = rows[~done]
-            if not len(rows):
-                return X + 1j * Y
-        raise ConvergenceError("strip-tube safe sampling starved")
+            return Y, np.sqrt(_rowdot(Y, Y)) >= floor
+        return X + 1j * redraw(rngs, draw, np.empty_like(X), 1000,
+                               "strip-tube safe sampling starved")
 
     def competitors(self, seed: int) -> list:
-        body = self.body
         D = unit_vectors([substream(seed, 10 ** 6 + j) for j in range(16)],
                          self.dim)
-        if isinstance(body, Ellipsoid):
-            C = [(body.Q @ d) / math.sqrt(d @ body.Q @ d) for d in D]
-        else:
-            C = D / np.maximum(body.support_batch(D),
-                               body.support_batch(-D))[:, None]
-        return linear_pullbacks(self.gauge, C)
+        return linear_pullbacks(self.gauge, self.body.tight_covectors(D))
 
     def geodesic_witnesses(self, seed: int, samples: int):
         # d, scale, x, zeta
@@ -496,8 +505,7 @@ class EllipticTube(Model):
         member[inside] = keep
         return member, _atan_mean(P[keep], Q[keep])
 
-    def metric(self, x, v) -> float:
-        x, v = self._center_args(x, v)
+    def _metric(self, x, v) -> float:
         P, Q = self.body.gauge_pair(x[None], v[None])
         return 0.5 * float(P[0] + Q[0])
 
@@ -510,19 +518,15 @@ class EllipticTube(Model):
         body shrunk by ``shrink`` about its interior point contains it."""
         lo, hi = self.body.bounding_box()
         c = self.body.interior_point()
-        X = np.empty((len(rngs), self.dim))
-        rows = np.arange(len(rngs))
-        for _ in range(10000):
+
+        def draw(active):
             # lo + (hi - lo) u is what rng.uniform(lo, hi) computes, at a
             # fraction of its cost for array bounds
-            U = np.array([rngs[i].random(self.dim) for i in rows.tolist()])
+            U = np.array([rng.random(self.dim) for rng in active])
             B = lo + (hi - lo) * U.reshape(-1, self.dim)
-            inside = self.body.contains_batch(c + (B - c) / shrink)
-            X[rows[inside]] = B[inside]
-            rows = rows[~inside]
-            if not len(rows):
-                return X
-        raise ConvergenceError("body sampling starved")
+            return B, self.body.contains_batch(c + (B - c) / shrink)
+        return redraw(rngs, draw, np.empty((len(rngs), self.dim)), 10000,
+                      "body sampling starved")
 
     def sample_member_batch(self, rngs) -> np.ndarray:
         X = self._body_points(rngs, 0.97)
@@ -544,27 +548,27 @@ class EllipticTube(Model):
         # the potential is dimensionless, h a length: compare it with
         # the step relative to the body's scale
         floor = 10.0 * h / rin
-        Z = np.empty((len(rngs), self.dim), dtype=complex)
-        rows = np.arange(len(rngs))
-        for _ in range(10000):
-            active = [rngs[i] for i in rows.tolist()]
+
+        def draw(active):
             X = self._body_points(active, 0.5)
             D = unit_vectors(active, self.dim)
             t_hi = 0.8 / np.maximum(*self.body.gauge_pair(X, D))
             t_lo = np.maximum(0.3 * rin, 0.6 * t_hi)
-            # a row whose window is empty draws again next round
+            Z = np.empty(X.shape, dtype=complex)
+            accepted = np.zeros(len(active), dtype=bool)
+            # a row whose window is empty makes no draw and is not accepted
             drawn = np.flatnonzero(~(t_hi <= t_lo))
             if len(drawn):
                 U = np.array([active[i].random() for i in drawn.tolist()])
                 lo, hi = t_lo[drawn], t_hi[drawn]
                 T = lo + (hi - lo) * U  # rng.uniform(lo, hi)
                 Zd = X[drawn] + 1j * T[:, None] * D[drawn]
-                done = self.potential_batch(Zd) >= floor
-                Z[rows[drawn[done]]] = Zd[done]
-                rows = np.delete(rows, drawn[done])
-                if not len(rows):
-                    return Z
-        raise ConvergenceError("elliptic-tube safe sampling starved")
+                Z[drawn] = Zd
+                accepted[drawn] = self.potential_batch(Zd) >= floor
+            return Z, accepted
+        return redraw(rngs, draw, np.empty((len(rngs), self.dim),
+                                           dtype=complex), 10000,
+                      "elliptic-tube safe sampling starved")
 
     def competitors(self, seed: int) -> list:
         D = unit_vectors([substream(seed, 10 ** 6 + j) for j in range(12)],
@@ -593,12 +597,12 @@ class EllipticTube(Model):
         return gaps, reconstructions
 
     def strip_points(self, W, rngs) -> np.ndarray:
-        Z = self.sample_member_batch(rngs)
-        rows = np.flatnonzero(~np.any(Z.imag, axis=1))
-        while len(rows):
-            Z[rows] = self.sample_member_batch([rngs[i]
-                                                for i in rows.tolist()])
-            rows = rows[~np.any(Z[rows].imag, axis=1)]
+        # member points off the center, where a disc chart is defined
+        def draw(active):
+            Z = self.sample_member_batch(active)
+            return Z, np.any(Z.imag, axis=1)
+        Z = redraw(rngs, draw, np.empty((len(rngs), self.dim), dtype=complex),
+                   1000, "elliptic-tube strip sampling starved")
         _, _, X1, X2 = chart_rows(self.body, Z)
         return strip_map(X1, X2, W)
 

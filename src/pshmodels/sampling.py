@@ -9,8 +9,10 @@ The batched draws (``unit_vectors``, ``unit_disc_points`` and the models'
 take one Generator per row. Row i makes exactly the Generator calls, in
 the same order, that a one-row draw makes on ``rngs[i]``, and ends with
 that Generator in the same state, so a batched draw is byte-identical to
-the row loop. Rejection retries run in masked rounds over the rows still
-drawing; only the arithmetic between the draws is shared across rows.
+the row loop. Every rejection retry of the package runs through one
+function, ``redraw``: masked rounds over the rows still drawing, each
+sampler's cap on the rounds and its own starvation message. Only the
+arithmetic between the draws is shared across rows.
 
 ``substream`` seeds its Philox with a seed sequence whose state is the key
 itself. ``Philox(key=...)`` builds the same stream, but first builds an
@@ -28,6 +30,7 @@ import functools
 import numpy as np
 
 from .bodies import _rowdot
+from .errors import ConvergenceError
 
 _MASK64 = (1 << 64) - 1
 # Philox's default counter 0 as the uint64 words it converts 0 into;
@@ -65,6 +68,30 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
 
 
+def redraw(rngs, draw, out: np.ndarray, rounds: int,
+           starved: str) -> np.ndarray:
+    """Fill the rows of out by rejection, in masked rounds; row i draws
+    from rngs[i] alone.
+
+    Each round calls ``draw(active)`` once, on the Generators of the rows
+    still drawing, in row order; it returns ``(candidates, accepted)``,
+    a candidate row and an acceptance flag per active row. Accepted rows
+    are written to out, and the others draw again next round. After
+    ``rounds`` rounds with a row still drawing, raises
+    ConvergenceError(starved). With no rows, draw is never called.
+    """
+    rows = np.arange(len(rngs))
+    for _ in range(rounds):
+        if not len(rows):
+            break
+        candidates, accepted = draw([rngs[i] for i in rows.tolist()])
+        out[rows[accepted]] = candidates[accepted]
+        rows = rows[~accepted]
+    if len(rows):
+        raise ConvergenceError(starved)
+    return out
+
+
 def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A uniform unit vector of R^dim: the batch of one row."""
     return unit_vectors([rng], dim)[0]
@@ -72,18 +99,16 @@ def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def unit_vectors(rngs, dim: int) -> np.ndarray:
     """A uniform unit vector of R^dim from each Generator of rngs, as the
-    rows of an (N, dim) array: a standard normal draw, drawn again while
-    its norm is below 1e-12, over its norm."""
-    out = np.empty((len(rngs), dim))
-    rows = np.arange(len(rngs))
-    while len(rows):
-        V = np.array([rngs[i].normal(size=dim) for i in rows.tolist()])
+    rows of an (N, dim) array: a standard normal draw, drawn again (in at
+    most 1000 rounds) while its norm is below 1e-12, over its norm."""
+    def draw(active):
+        V = np.array([rng.normal(size=dim) for rng in active])
         # the norm of np.linalg.norm: the square root of the dot product
         norms = np.sqrt(_rowdot(V, V))
-        short = norms < 1e-12
-        out[rows[~short]] = V[~short] / norms[~short, None]
-        rows = rows[short]
-    return out
+        kept = norms >= 1e-12
+        return V / np.where(kept, norms, 1.0)[:, None], kept
+    return redraw(rngs, draw, np.empty((len(rngs), dim)), 1000,
+                  "unit-vector sampling starved")
 
 
 def unit_disc_point(rng: np.random.Generator) -> complex:

@@ -833,13 +833,9 @@ class TestExtremeScales:
         code, out, err = _run_quietly(capsys, [
             "metric", "--model", str(path),
             "--x", ",".join(["0.1"] * model.dim), "--xi", xi])
-        if path.stem == "striptube_squircle":
-            # its gauge root find brackets from s = 1 in at most 200
-            # doublings or halvings, which cannot reach these scales
-            assert code == 4 and err.startswith("convergence error:")
-            return
-        # metric_slope runs its ladder at xi scaled to unit size, so it
-        # enters the domain at every scale
+        # the metric, its slope and its disc bound run at xi scaled to
+        # unit size, so the ladder enters the domain and the squircle's
+        # gauge root find brackets at every scale
         assert code == 0 and err == ""
         record, s = _strict_json(out), float(scale)
         assert record["E_closed"] == pytest.approx(s * model.metric(x, e1),
@@ -889,6 +885,33 @@ class TestExtremeScales:
         assert record["u"] > 0.0
         assert record["u"] == pytest.approx(float(scale)
                                             * model.metric(x, e1), rel=1e-12)
+
+
+# (spec, xi) whose metric at x = (0.1, ...) is past the float range
+PAST_THE_FLOAT_RANGE = {("ball_tube", "every"), ("ellipsoid_tube", "every"),
+                        ("striptube_ellipsoid", "every"),
+                        ("striptube_squircle", "every")}
+
+
+@pytest.mark.parametrize("coordinates", ["every", "one"])
+@pytest.mark.parametrize("path", SPEC_PATHS, ids=lambda p: p.stem)
+def test_metric_past_the_float_range(capsys, path, coordinates):
+    # xi = 1.7e308 in every coordinate, or 1e308 in one: a finite record,
+    # or one domain error line where the metric leaves the float range
+    dim = model_from_spec(json.loads(path.read_text())).dim
+    xi = (["1.7e308"] * dim if coordinates == "every"
+          else ["1e308"] + ["0"] * (dim - 1))
+    code, out, err = _run_quietly(capsys, [
+        "metric", "--model", str(path), "--x", ",".join(["0.1"] * dim),
+        "--xi=" + ",".join(xi)])
+    if (path.stem, coordinates) in PAST_THE_FLOAT_RANGE:
+        assert (code, out) == (3, "")
+        assert err == "domain error: metric is past the float range\n"
+        return
+    assert code == 0 and err == ""
+    record = _strict_json(out)
+    assert all(math.isfinite(value) and value > 1e307
+               for value in record.values())
 
 
 ELLIPSOID_TUBE = {"model": "elliptictube",

@@ -6,7 +6,8 @@ import pytest
 
 from pshmodels import (QUARTER_PI, Disc1D, EllipticTube, Gauge,
                        OutsideDomainError, SpecError, Strip1D, StripTube,
-                       model_from_spec, schwarz_excess, substream)
+                       disc_upper_bound, model_from_spec, schwarz_excess,
+                       substream)
 
 STRIP = Strip1D()
 DISC = Disc1D()
@@ -223,17 +224,28 @@ class TestMetricSlope:
         assert EllipticTube(unit_ball).metric_slope([0.1, 0.1], [0, 0]) == 0.0
 
     def test_ladder_shrinks_when_leaving_domain(self):
-        # largest step exits the strip and must auto-shrink; u is linear so
-        # the extrapolated slope stays exact
-        slope = STRIP.metric_slope([0.0], [1.0], steps=(10.0, 1.0, 0.01))
-        assert slope == pytest.approx(1.0, abs=1e-12)
+        # at v = 1000 the default ladder's largest step leaves the strip
+        # and must auto-shrink; u is linear so the slope stays exact
+        assert STRIP.metric_slope([0.0], [1e3]) == pytest.approx(1e3,
+                                                                 rel=1e-12)
 
     def test_custom_ladder_near_boundary(self, interval_sym):
-        # close to the body edge the metric is large; a small ladder keeps
-        # step * metric well inside the expansion radius
+        # close to the body edge the metric is large; the default ladder
+        # halves until the potential at its top step is at most 0.1, so
+        # step * metric stays inside the expansion radius
         tube = EllipticTube(interval_sym)
-        slope = tube.metric_slope([0.999], [1.0], steps=(1e-5, 1e-6, 1e-7))
+        slope = tube.metric_slope([0.999], [1.0])
         assert slope == pytest.approx(tube.metric([0.999], [1.0]), rel=1e-9)
+
+    def test_past_the_float_range_refused(self, unit_ball):
+        # |v| = 1.7e308 sqrt(2) on the unit ball: the metric, its slope and
+        # its disc bound all leave the float range, and each is refused
+        tube = EllipticTube(unit_ball)
+        for metric in (tube.metric, tube.metric_slope,
+                       lambda x, v: disc_upper_bound(tube, x, v)):
+            with pytest.raises(OutsideDomainError,
+                               match="^metric is past the float range$"):
+                metric([0.0, 0.0], [1.7e308, 1.7e308])
 
     def test_agreement_with_closed_form(self, catalog):
         for model in catalog:
@@ -245,12 +257,6 @@ class TestMetricSlope:
                     continue
                 fd = model.metric_slope(x, v)
                 assert abs(fd - model.metric(x, v)) <= 1e-6
-
-    def test_bad_steps_rejected(self):
-        with pytest.raises(ValueError):
-            STRIP.metric_slope([0.0], [1.0], steps=(1e-3, 1e-2))
-        with pytest.raises(ValueError):
-            STRIP.metric_slope([0.0], [1.0], steps=(-1e-2,))
 
 
 class TestConjugationSymmetry:

@@ -1,9 +1,15 @@
 """The stream contract of ``substream``: sample k of the sweep seeded by
-seed is the Philox stream keyed by [seed mod 2^64, k mod 2^64]."""
+seed is the Philox stream keyed by [seed mod 2^64, k mod 2^64]. The
+masked rounds of ``redraw``, the package's one rejection loop, and the
+starvation message of each sampler that rejects draws, once its cap on
+the rounds is reached."""
 import numpy as np
 import pytest
 
-from pshmodels import sampling, substream
+from pshmodels import (EllipticTube, Ellipsoid, Gauge, StripTube, interval,
+                       sampling, substream)
+from pshmodels.errors import ConvergenceError
+from pshmodels.sampling import redraw, unit_vectors
 
 MASK64 = (1 << 64) - 1
 
@@ -34,3 +40,114 @@ def test_keyed_seed_refuses_any_other_request():
     # a generator seeded any other way than Philox's key fails loudly
     with pytest.raises(RuntimeError):
         np.random.PCG64(seq)
+
+
+def test_redraw_keeps_accepted_rows_and_redraws_the_rest():
+    active_rows = []
+
+    def draw(active):
+        # row "b" is accepted in the third round, the others at once
+        active_rows.append(list(active))
+        rounds = len(active_rows)
+        candidates = np.array([[rounds, ord(name)] for name in active])
+        return candidates, np.array([name != "b" or rounds == 3
+                                     for name in active])
+    out = redraw(["a", "b", "c"], draw, np.zeros((3, 2)), 3, "starved")
+    assert active_rows == [["a", "b", "c"], ["b"], ["b"]]
+    assert out.tolist() == [[1, 97], [3, 98], [1, 99]]
+    active_rows.clear()
+    with pytest.raises(ConvergenceError, match="^starved$"):
+        redraw(["a", "b", "c"], draw, np.zeros((3, 2)), 2, "starved")
+
+
+def test_redraw_over_no_rows_makes_no_draw():
+    def draw(active):
+        raise AssertionError("draw called")
+    out = np.empty((0, 2))
+    assert redraw([], draw, out, 5, "starved") is out
+
+
+class _Logged:
+    """A Generator that records the name of each method asked of it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+class _ZeroNormals:
+    """A Generator double whose normal draws are all zero."""
+
+    def normal(self, size):
+        return np.zeros(size)
+
+
+class _Wall:
+    """A body double: every point is inside, every gauge huge, so no safe
+    window of the elliptic tube is ever open."""
+
+    dim = 2
+
+    def inradius(self):
+        return 1.0
+
+    def bounding_box(self):
+        return -np.ones(2), np.ones(2)
+
+    def interior_point(self):
+        return np.zeros(2)
+
+    def contains_batch(self, W):
+        return np.ones(len(W), dtype=bool)
+
+    def gauge_pair(self, X, Y):
+        return np.full(len(X), 1e300), np.full(len(X), 1e300)
+
+
+class _Empty(_Wall):
+    """A body double that contains no point."""
+
+    def contains_batch(self, W):
+        return np.zeros(len(W), dtype=bool)
+
+
+def test_unit_vector_sampling_starves():
+    with pytest.raises(ConvergenceError,
+                       match="^unit-vector sampling starved$"):
+        unit_vectors([substream(1, 0), _ZeroNormals()], 2)
+
+
+def test_strip_tube_safe_sampling_starves():
+    # no |y| reaches the length floor 10 h = 100 on the interval tube
+    tube = StripTube(Gauge(interval(-1.0, 1.0)))
+    with pytest.raises(ConvergenceError,
+                       match="^strip-tube safe sampling starved$"):
+        tube.sample_fd_safe_batch([substream(1, 0)], 10.0)
+
+
+def test_body_sampling_starves():
+    with pytest.raises(ConvergenceError, match="^body sampling starved$"):
+        EllipticTube(_Empty()).sample_member_batch([substream(1, 0)])
+
+
+def test_elliptic_tube_safe_sampling_starves():
+    # each round draws a body point and a direction; a row whose window is
+    # empty makes no random() call for it
+    rng = _Logged(substream(1, 0))
+    with pytest.raises(ConvergenceError,
+                       match="^elliptic-tube safe sampling starved$"):
+        EllipticTube(_Wall()).sample_fd_safe_batch([rng], 1e-3)
+    assert rng.calls == ["random", "normal"] * 10000
+
+
+def test_elliptic_tube_strip_sampling_starves():
+    # a strip point needs a member point off the center
+    tube = EllipticTube(Ellipsoid(np.eye(2)))
+    tube.sample_member_batch = lambda rngs: np.zeros((len(rngs), 2),
+                                                     dtype=complex)
+    with pytest.raises(ConvergenceError,
+                       match="^elliptic-tube strip sampling starved$"):
+        tube.strip_points([0.1j], [substream(1, 0)])

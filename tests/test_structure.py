@@ -1,5 +1,9 @@
-"""No module of the package branches on a model type: what differs
-between models lives on the model classes, and no model defines a
+"""No module of the package branches on a model type, and the model
+layer branches on no body type: what differs between models lives on the
+model classes, and what differs between bodies on the body classes. Every
+rejection retry runs in ``sampling.redraw``: the only loops of
+``models.py`` and ``sampling.py`` that repeat until a test passes are its
+rounds and the slope ladder of ``Model._slope``. No model defines a
 one-point sampler, member or potential of its own, nor a body a one-point
 gauge or membership, so every draw and every evaluation takes the batched
 path. A body states its formulas alone: only ConvexBody defines the
@@ -24,6 +28,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pshmodels"
 MODEL_CLASSES = {"Strip1D", "Disc1D", "StripTube", "EllipticTube"}
+BODY_CLASSES = {"ConvexBody", "Polytope", "Ellipsoid", "SmoothBody",
+                "Superellipse"}
 
 
 def _named_classes(node) -> set:
@@ -38,13 +44,15 @@ def _named_classes(node) -> set:
     return set()
 
 
-def model_isinstance_lines(source: str) -> list:
+def model_isinstance_lines(source: str, classes=MODEL_CLASSES) -> list:
+    """The lines of source that isinstance-test one of classes, by
+    default a model class."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "isinstance"
             and len(node.args) == 2
-            and _named_classes(node.args[1]) & MODEL_CLASSES]
+            and _named_classes(node.args[1]) & classes]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
@@ -59,6 +67,81 @@ def test_guard_sees_each_spelling():
               "isinstance(m, (Disc1D, int))\n"
               "isinstance(m, Ellipsoid)\n")
     assert model_isinstance_lines(source) == [1, 2, 3]
+
+
+def test_models_branch_on_no_body_class():
+    # a body's own formulas (tight_covectors, gauges) carry what differs
+    source = (SRC / "models.py").read_text()
+    assert model_isinstance_lines(source, BODY_CLASSES) == []
+
+
+def test_body_guard_sees_each_spelling():
+    source = ("isinstance(body, Ellipsoid)\n"
+              "isinstance(b, bodies.Polytope)\n"
+              "isinstance(b, (SmoothBody, int))\n"
+              "isinstance(m, StripTube)\n"
+              "isinstance(b, Superellipse) or isinstance(b, ConvexBody)\n")
+    assert sorted(model_isinstance_lines(source, BODY_CLASSES)) == [
+        1, 2, 3, 5, 5]
+
+
+def _is_retry_loop(node) -> bool:
+    """A while loop, or a for loop over range(...)."""
+    return isinstance(node, ast.While) or (
+        isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Name)
+        and node.iter.func.id == "range")
+
+
+def retry_loops(source: str) -> list:
+    """Where each retry loop of source runs: Class.function or function
+    of the outermost function that holds it, or <module>, in source
+    order."""
+    found = []
+
+    def visit(node, where, in_function):
+        for child in ast.iter_child_nodes(node):
+            if _is_retry_loop(child):
+                found.append(".".join(where) or "<module>")
+            if not in_function and isinstance(child, (
+                    ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, where + (child.name,),
+                      not isinstance(child, ast.ClassDef))
+            else:
+                visit(child, where, in_function)
+    visit(ast.parse(source), (), False)
+    return found
+
+
+# the rounds of the one redraw function, and the slope ladder
+RETRY_LOOPS = {"sampling.py": ["redraw"], "models.py": ["Model._slope"]}
+
+
+@pytest.mark.parametrize("name", sorted(RETRY_LOOPS))
+def test_one_redraw_loop(name):
+    assert retry_loops((SRC / name).read_text()) == RETRY_LOOPS[name]
+
+
+def test_loop_guard_sees_a_reintroduced_loop():
+    source = ("def redraw(rngs):\n"
+              "    for _ in range(3):\n"
+              "        pass\n"
+              "class EllipticTube:\n"
+              "    def strip_points(self, W, rngs):\n"
+              "        while rows:\n"
+              "            rows = rows[1:]\n"
+              "    def sample(self, rngs):\n"
+              "        def draw(active):\n"
+              "            for i in range(2):\n"
+              "                pass\n"
+              "        return [j for j in range(4)]\n"
+              "    def listed(self, xs):\n"
+              "        for x in xs:\n"
+              "            pass\n"
+              "for k in range(2):\n"
+              "    pass\n")
+    assert retry_loops(source) == ["redraw", "EllipticTube.strip_points",
+                                   "EllipticTube.sample", "<module>"]
 
 
 def scipy_import_lines(source: str) -> list:
@@ -343,7 +426,8 @@ def test_gauge_contract_guard_sees_an_override():
 # and is defined once, on ConvexBody; a body defines formulas alone
 BODY_ENTRY_POINTS = ("contains", "contains_batch", "support", "support_batch",
                      "gauge", "gauge_batch", "gauge_pair", "gauge_centers",
-                     "gauge_hessian", "gauge_hessian_batch")
+                     "gauge_hessian", "gauge_hessian_batch",
+                     "tight_covectors")
 VALIDATORS = {"_rows", "_vector"}
 
 
