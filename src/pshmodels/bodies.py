@@ -398,8 +398,10 @@ class Polytope(ConvexBody):
 
     def _gauges(self, X, Y) -> np.ndarray:
         den = self.b - _matvec(self.A, X)
-        # halfspaces with a.y <= 0 never constrain t; the empty max is 0
-        top = np.max(_matvec(self.A, Y) / den, axis=1)
+        # a.y <= 0 never constrains t (the empty max is 0); past the float
+        # range a quotient, and so the gauge, is inf
+        with np.errstate(over="ignore"):
+            top = np.max(_matvec(self.A, Y) / den, axis=1)
         return np.where(top > 0.0, top, 0.0)
 
     def _hessians(self, X, Y) -> np.ndarray:

@@ -5,6 +5,11 @@ matrices by polarization, plurisubharmonicity and Monge-Ampere degeneracy
 checks on sampled safe-region points, and the smooth-case identities tying
 the tube potential's Levi matrix to gauge Hessians.
 
+No stencil point is placed here: a Levi form along d reads
+``stencils.second_differences`` along d and i d, over the polarization
+lines of ``stencils.pair_directions`` for a matrix, and the gauge
+identities read ``stencils.central_differences`` in the coordinates (x, y).
+
 Every check draws its samples from ``substream(seed, k)`` and evaluates
 all their stencil points in one batched field call (``potential_batch``,
 ``gauge_batch``); psh and ma share one cached draw and its eigenvalues.
@@ -14,18 +19,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .bodies import ConvexBody, Ellipsoid, Gauge, _rows, _vector
 from .errors import OutsideDomainError
-from .models import EllipticTube, Model, as_points, pointwise
+from .models import EllipticTube, Model, as_points
 from .reports import CheckReport, point_to_list
 from .sampling import substream
-from .stencils import BatchField, central_differences
-
-Field = Callable[[np.ndarray], float]
+from .stencils import (BatchField, Field, central_differences,
+                       pair_directions, pointwise, second_differences)
 
 
 def _line_forms(field: BatchField, Z: np.ndarray, D: np.ndarray,
@@ -33,21 +36,13 @@ def _line_forms(field: BatchField, Z: np.ndarray, D: np.ndarray,
     """Levi forms at each row of Z along each row of D, shape (N, L).
 
     Quarter of the 5-point Laplacian of t -> field(z + t d) over the
-    complex t-plane. The centers and the 4 L neighbours of every center
-    go to the field in one call.
+    complex t-plane: the second differences along d and i d.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    N, n = Z.shape
-    L = D.shape[0]
-    hd = h * D
-    ihd = 1j * h * D
-    offsets = np.concatenate([hd, -hd, ihd, -ihd])
-    points = np.concatenate([Z, (Z[:, None, :] + offsets).reshape(-1, n)])
-    F = np.asarray(field(points), dtype=float)
-    f0 = F[:N, None]
-    ring = F[N:].reshape(N, 4, L)
-    total = ring[:, 0] + ring[:, 1] + ring[:, 2] + ring[:, 3] - 4.0 * f0
+    L = len(D)
+    f0, plus, minus = second_differences(
+        field, Z, np.concatenate([D, 1j * D]), h)
+    total = (plus[:, :L] + minus[:, :L] + plus[:, L:] + minus[:, L:]
+             - 4.0 * f0[:, None])
     return 0.25 * total / (h * h)
 
 
@@ -64,19 +59,6 @@ def levi_line(field: Field, z, direction, h: float) -> float:
     return float(_line_forms(pointwise(field), z[None], d[None], h)[0, 0])
 
 
-def _polarization_lines(n: int) -> np.ndarray:
-    """Directions e_j, then e_j + e_k, e_j - e_k, e_j + i e_k, e_j - i e_k
-    for each k > j, in the order levi_matrices reads them."""
-    eye = np.eye(n, dtype=complex)
-    lines = []
-    for j in range(n):
-        lines.append(eye[j])
-        for k in range(j + 1, n):
-            lines += [eye[j] + eye[k], eye[j] - eye[k],
-                      eye[j] + 1j * eye[k], eye[j] - 1j * eye[k]]
-    return np.array(lines)
-
-
 def levi_matrices(field: BatchField, Z, h: float) -> np.ndarray:
     """Hermitian Levi matrices (N, n, n) of a batched field at the rows of Z.
 
@@ -89,17 +71,14 @@ def levi_matrices(field: BatchField, Z, h: float) -> np.ndarray:
     if Z.ndim != 2:
         raise ValueError("expected an (N, n) array of points")
     N, n = Z.shape
-    forms = _line_forms(field, Z, _polarization_lines(n), h)
-    A = np.zeros((N, n, n), dtype=complex)
-    col = 0
-    for j in range(n):
-        A[:, j, j] = forms[:, col]
-        col += 1
-        for k in range(j + 1, n):
-            spp, spm, spi, smi = forms[:, col:col + 4].T
-            col += 4
-            A[:, j, k] = 0.25 * ((spp - spm) + 1j * (spi - smi))
-            A[:, k, j] = np.conj(A[:, j, k])
+    D, rows, cols = pair_directions(n, (1, -1, 1j, -1j))
+    forms = _line_forms(field, Z, D, h)
+    spp, spm, spi, smi = forms[:, n:].reshape(N, 4, -1).transpose(1, 0, 2)
+    entries = np.concatenate(
+        [forms[:, :n], 0.25 * ((spp - spm) + 1j * (spi - smi))], axis=1)
+    A = np.empty((N, n, n), dtype=complex)
+    A[:, cols, rows] = np.conj(entries)
+    A[:, rows, cols] = entries
     return A
 
 

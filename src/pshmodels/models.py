@@ -41,7 +41,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -59,13 +58,6 @@ _SLOPE_LEVEL = 0.1  # the largest potential at the slope ladder's top step
 
 def conjugate(z) -> np.ndarray:
     return np.conj(np.atleast_1d(np.asarray(z, dtype=complex)))
-
-
-def pointwise(field: Callable[[np.ndarray], float]):
-    """A scalar field lifted to the rows of an (N, n) array, one call each."""
-    def batch(Z):
-        return np.array([field(z) for z in Z], dtype=float)
-    return batch
 
 
 def _atan_mean(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -623,14 +615,15 @@ class EllipticTube(Model):
         inside = self.body.gauge_centers(z.real[None])
         if not inside[0]:
             return super().eval_record(z)
-        # (p, p_bar) is reported, and the same pair gives membership and the
-        # potential
+        # (p, p_bar) is reported, a gauge past the float range as null, and
+        # the same pair gives membership and the potential
         P, Q = self.body.gauge_pair(z.real[None], z.imag[None], inside)
         p, q = float(P[0]), float(Q[0])
         member = p * q < 1.0  # a Python product past the range is inf
         return {"member": member,
                 "u": float(_atan_mean(P, Q)[0]) if member else None,
-                "p": p, "p_bar": q}
+                "p": p if math.isfinite(p) else None,
+                "p_bar": q if math.isfinite(q) else None}
 
     def geodesic_record(self, z) -> dict:
         z = as_point(z, self.dim)

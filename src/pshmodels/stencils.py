@@ -1,56 +1,80 @@
-"""Central finite-difference stencils evaluated in one batched call.
+"""The package's one finite-difference stencil, in one batched field call.
 
-A field maps an (M, m) real array to its M values. Every stencil point of
-every sample is stacked into a single field call, so a vectorized field
-pays its call overhead once per batch instead of once per point.
+A field maps an (M, m) array to its M values; ``pointwise`` lifts a scalar
+field to one. ``second_differences`` is the only code that places stencil
+points and calls a field: every row and its neighbours w +/- h d along
+every direction d go to the field at once, so a vectorized field pays its
+call overhead once per batch. Its readers share the directions of
+``pair_directions``: ``central_differences`` (phases +1, -1, the real
+gradient and Hessian) and ``levi._line_forms`` (phases +1, -1, +i, -i,
+Levi matrices by polarization).
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
 
+Field = Callable[[np.ndarray], float]
 BatchField = Callable[[np.ndarray], np.ndarray]
 
 
-def _unit_offsets(m: int):
-    """Stencil offsets in units of h: +e_a, -e_a for each a, then
-    e_a + e_b, e_a - e_b, -e_a + e_b, -e_a - e_b for each pair a < b."""
-    eye = np.eye(m)
-    rows = []
-    for a in range(m):
-        rows += [eye[a], -eye[a]]
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    for a, b in pairs:
-        rows += [eye[a] + eye[b], eye[a] - eye[b],
-                 -eye[a] + eye[b], -eye[a] - eye[b]]
-    return np.array(rows), pairs
+def pointwise(field: Field) -> BatchField:
+    """A scalar field lifted to the rows of an (N, n) array, one call each."""
+    def batch(Z):
+        return np.array([field(z) for z in Z], dtype=float)
+    return batch
+
+
+@functools.lru_cache(maxsize=None)
+def pair_directions(m: int, phases: tuple):
+    """(D, rows, cols), cached per (m, phases) and read-only: the rows of D
+    are the axes e_a, then e_a + s e_b for each phase s and, within it,
+    each pair a < b in ``np.triu_indices`` order. The matrix entry of the
+    k-th of the m axes and P pairs is (rows[k], cols[k])."""
+    a, b = np.triu_indices(m, 1)
+    diag = np.arange(m)
+    rows, cols = np.concatenate([diag, a]), np.concatenate([diag, b])
+    pairs = m + np.arange(len(phases) * len(a))
+    D = np.zeros((m + len(pairs), m), dtype=np.result_type(*phases, 1.0))
+    D[diag, diag] = D[pairs, np.tile(a, len(phases))] = 1.0
+    D[pairs, np.tile(b, len(phases))] = np.repeat(phases, len(a))
+    for array in (D, rows, cols):
+        array.setflags(write=False)
+    return D, rows, cols
+
+
+def second_differences(field: BatchField, W: np.ndarray, D: np.ndarray,
+                       h: float):
+    """f(w), f(w + h d) and f(w - h d) at each row w of W along each row d
+    of D, shapes (N,), (N, L) and (N, L), from one field call on the N
+    rows and then the 2 L neighbours of each."""
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    N, m = W.shape
+    hD = h * D
+    ring = (W[:, None, :] + np.concatenate([hD, -hD])).reshape(-1, m)
+    F = np.asarray(field(np.concatenate([W, ring])), dtype=float)
+    F_ring = F[N:].reshape(N, 2, len(D))
+    return F[:N], F_ring[:, 0], F_ring[:, 1]
 
 
 def central_differences(field: BatchField, W, h: float):
-    """Value, gradient and Hessian of a field at the rows of W.
-
-    Central differences with step h: (f(+) - f(-)) / 2h for the gradient,
-    (f(+) - 2 f + f(-)) / h^2 on the Hessian diagonal and the four-point
-    cross difference off it. The 1 + 2 m^2 points of each of the N rows go
-    to the field in one call. Returns arrays of shape (N,), (N, m) and
-    (N, m, m); the Hessian is symmetric by construction.
+    """Value, gradient and Hessian of a field at the rows of W, shapes
+    (N,), (N, m) and (N, m, m), by central differences with step h:
+    (f(+) - f(-)) / 2h for the gradient, (f(+) - 2 f + f(-)) / h^2 on the
+    Hessian diagonal and the four-point cross difference off it, from the
+    1 + 2 m^2 points of each row. The Hessian is symmetric by construction.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
     W = np.asarray(W, dtype=float)
     N, m = W.shape
-    E, pairs = _unit_offsets(m)
-    points = np.concatenate([W, (W[:, None, :] + h * E).reshape(-1, m)])
-    F = np.asarray(field(points), dtype=float)
-    f0 = F[:N]
-    Fs = F[N:].reshape(N, len(E))
-    plus, minus = Fs[:, 0:2 * m:2], Fs[:, 1:2 * m:2]
-    grad = (plus - minus) / (2 * h)
+    D, rows, cols = pair_directions(m, (1, -1))
+    f0, plus, minus = second_differences(field, W, D, h)
+    pp, pm = plus[:, m:].reshape(N, 2, -1).transpose(1, 0, 2)
+    mm, mp = minus[:, m:].reshape(N, 2, -1).transpose(1, 0, 2)
     hess = np.empty((N, m, m))
-    diag = np.arange(m)
-    hess[:, diag, diag] = (plus - 2 * f0[:, None] + minus) / (h * h)
-    for p, (a, b) in enumerate(pairs):
-        pp, pm, mp, mm = Fs[:, 2 * m + 4 * p:2 * m + 4 * p + 4].T
-        hess[:, a, b] = hess[:, b, a] = (pp - pm - mp + mm) / (4 * h * h)
-    return f0, grad, hess
+    hess[:, rows, cols] = hess[:, cols, rows] = np.concatenate([
+        (plus[:, :m] - 2 * f0[:, None] + minus[:, :m]) / (h * h),
+        (pp - pm - mp + mm) / (4 * h * h)], axis=1)
+    return f0, (plus[:, :m] - minus[:, :m]) / (2 * h), hess

@@ -914,6 +914,36 @@ def test_metric_past_the_float_range(capsys, path, coordinates):
                for value in record.values())
 
 
+@pytest.mark.parametrize("coordinates", ["every", "one"])
+@pytest.mark.parametrize("path", SPEC_PATHS, ids=lambda p: p.stem)
+def test_eval_past_the_float_range(capsys, path, coordinates):
+    # Im z = 1.7e308 in every coordinate, or in the first: no member, and
+    # a gauge past the float range is reported as null in strict JSON
+    dim = model_from_spec(json.loads(path.read_text())).dim
+    point = (["0.1+1.7e308j"] * dim if coordinates == "every"
+             else ["0.1+1.7e308j"] + ["0.1"] * (dim - 1))
+    code, out, err = _run_quietly(capsys, [
+        "eval", "--model", str(path), "--point=" + ",".join(point)])
+    if path.stem == "striptube_squircle":
+        assert code == 4 and err.startswith("convergence error:")
+        return
+    assert (code, err) == (3, "")
+    record = _strict_json(out)
+    assert record["member"] is False
+    assert record["u"] is None and record["p"] is None
+
+
+def test_slice_past_the_float_range(capsys):
+    # the polytope gauge's quotient leaves the float range with no warning
+    code, out, err = _run_quietly(capsys, [
+        "slice", "--model", str(ROOT / "specs" / "square_tube.json"),
+        "--plane", "0,2", "--center=0.5,0,1.7e308,0", "--resolution", "2",
+        "--half-width", "0.1"])
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 9 and all(row.endswith(",0,") for row in rows)
+
+
 ELLIPSOID_TUBE = {"model": "elliptictube",
                   "body": {"type": "ellipsoid", "Q": [[1.0, 0.0], [0.0, 4.0]]}}
 

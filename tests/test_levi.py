@@ -10,6 +10,8 @@ from pshmodels import (Ellipsoid, EllipticTube, Gauge, OutsideDomainError,
                        metric_levi_pair, substream, tube_levi_residual)
 from pshmodels import levi, suites
 from pshmodels.maximality import disc_samples
+from pshmodels.stencils import (central_differences, pair_directions,
+                                second_differences)
 from pshmodels.suites import TOL_DEFAULTS, verify
 
 INTERVAL_1D = Ellipsoid([[1.0]])  # the interval (-1, 1) with a C2 boundary
@@ -129,6 +131,81 @@ class TestLeviMatrix:
         for h in (2e-2, 1e-2):
             res[h] = np.max(np.abs(levi_matrix(field, z, h).matrix - exact))
         assert 3.5 <= res[2e-2] / res[1e-2] <= 4.5
+
+
+def levi_from_real_hessian(H, n):
+    """(1/4) [(H_xx + H_yy) + i (H_xy - H_yx)]: the Levi matrix of a field
+    whose Hessian in the 2n real coordinates (Re z, Im z) is H."""
+    return 0.25 * ((H[:, :n, :n] + H[:, n:, n:])
+                   + 1j * (H[:, :n, n:] - H[:, n:, :n]))
+
+
+class TestOneStencil:
+    """levi_matrices and central_differences read one stencil; each must
+    give the Levi matrix the other's Hessian implies."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_readers_agree_on_a_quadratic(self, n):
+        # a generic real quadratic in (Re z, Im z): every Hessian entry and
+        # every Levi entry differs, so a wrong phase or pair order in
+        # either reader moves some entry far beyond the rounding error
+        rng = np.random.default_rng(900 + n)
+        S = rng.standard_normal((2 * n, 2 * n))
+        S = S + S.T
+        c = rng.standard_normal(2 * n)
+
+        def quadratic(W):
+            return np.einsum("ij,jk,ik->i", W, S, W) + W @ c
+        Z = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        W, h = np.hstack([Z.real, Z.imag]), 1e-2
+        A = levi.levi_matrices(
+            lambda Z: quadratic(np.hstack([Z.real, Z.imag])), Z, h)
+        H = central_differences(quadratic, W, h)[2]
+        assert np.max(np.abs(H - 2.0 * S)) <= 1e-8
+        assert np.max(np.abs(A - levi_from_real_hessian(H, n))) <= 1e-8
+        exact = levi_from_real_hessian(np.broadcast_to(2.0 * S, H.shape), n)
+        assert np.max(np.abs(A - exact)) <= 1e-8
+
+    def test_readers_agree_on_the_ball_tube_potential(self, unit_ball):
+        # both difference quotients are O(h^2) from the true derivatives;
+        # they read the same points, so they agree far closer than that
+        tube, h = EllipticTube(unit_ball), 1e-3
+        Z = tube.sample_fd_safe_batch([substream(902, k) for k in range(20)],
+                                      h)
+        A = levi.levi_matrices(tube.potential_batch, Z, h)
+        H = central_differences(
+            lambda W: tube.potential_batch(W[:, :2] + 1j * W[:, 2:]),
+            np.hstack([Z.real, Z.imag]), h)[2]
+        assert np.max(np.abs(A)) > 0.1
+        assert np.max(np.abs(A - levi_from_real_hessian(H, 2))) <= h * h
+
+    def test_one_field_call_on_every_point(self):
+        # the N rows, then w + h d and w - h d of each row, in one call
+        calls = []
+
+        def field(P):
+            calls.append(P.copy())
+            return P[:, 0] + 2.0 * P[:, 1]
+        W = np.array([[0.0, 1.0], [2.0, 3.0]])
+        D = np.array([[1.0, 0.0], [1.0, -1.0], [0.0, 2.0]])
+        f0, plus, minus = second_differences(field, W, D, 0.5)
+        assert len(calls) == 1 and calls[0].shape == (2 + 2 * 2 * 3, 2)
+        np.testing.assert_array_equal(f0, field(W))
+        np.testing.assert_array_equal(plus, [field(w + 0.5 * D) for w in W])
+        np.testing.assert_array_equal(minus, [field(w - 0.5 * D) for w in W])
+
+    def test_pair_directions_are_cached_and_read_only(self):
+        D, rows, cols = pair_directions(3, (1, -1, 1j, -1j))
+        assert pair_directions(3, (1, -1, 1j, -1j))[0] is D
+        e = np.eye(3)
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        expected = [e[0], e[1], e[2]] + [e[a] + s * e[b] for s in
+                                         (1, -1, 1j, -1j) for a, b in pairs]
+        np.testing.assert_array_equal(D, expected)
+        assert list(zip(rows, cols)) == [(0, 0), (1, 1), (2, 2)] + pairs
+        for array in (D, rows, cols):
+            assert not array.flags.writeable
+        assert pair_directions(2, (1, -1))[0].dtype == float
 
 
 class TestPlurisubharmonicity:

@@ -12,7 +12,9 @@ centers and defines ``gauge_batch`` and ``gauge_pair``; no formula of a
 body validates, and only Ellipsoid has a center rule of its own. A model
 evaluates through ``member_potential_batch`` alone: only Model defines
 ``member_batch`` and ``potential_batch``, and only ``Model._center_args``
-refuses an x off a model's center. The CLI refuses no domain input
+refuses an x off a model's center. Only ``stencils.py`` calls a field
+handed to it, so every finite-difference point is placed by its one
+stencil. The CLI refuses no domain input
 itself: it raises no OutsideDomainError and neither tests nor validates a
 center, so every domain refusal comes from the library. No module imports
 SciPy, which only the tests use, as an independent oracle, none takes more
@@ -206,6 +208,56 @@ def test_csv_guard_sees_each_use():
               "def f():\n"
               "    return csv.QUOTE_MINIMAL\n")
     assert csv_use_lines(source) == [2, 3, 7]
+
+
+def field_calls(source: str) -> list:
+    """(function, line) of each call of a parameter named ``field`` in
+    source: in the function or lambda that takes it, or in one nested in
+    it. Defining a field and passing it on is no call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        if "field" not in [arg.arg for arg in params]:
+            continue
+        found += [(getattr(node, "name", "<lambda>"), call.lineno)
+                  for call in ast.walk(node)
+                  if isinstance(call, ast.Call)
+                  and isinstance(call.func, ast.Name)
+                  and call.func.id == "field"]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_stencil(path):
+    # second_differences places every stencil point and calls the field
+    # once per batch; pointwise lifts a scalar field to a batched one
+    callers = {name for name, _ in field_calls(path.read_text())}
+    assert callers == ({"pointwise", "second_differences"}
+                       if path.name == "stencils.py" else set())
+
+
+def test_stencil_guard_sees_a_reintroduced_call():
+    source = ("def _line_forms(field, Z, D, h):\n"
+              "    points = np.concatenate([Z, Z + h * D])\n"
+              "    return field(points)\n"
+              "def levi_line(field, z, d, h):\n"
+              "    return _line_forms(pointwise(field), z, d, h)\n"
+              "def gauge_residuals(body, W, h):\n"
+              "    def field(W):\n"
+              "        return body.gauge_batch(W, W)\n"
+              "    return central_differences(field, W, h)\n"
+              "def lift(field):\n"
+              "    def batch(Z):\n"
+              "        return [field(z) for z in Z]\n"
+              "    return batch\n"
+              "square = lambda field, z: field(z) ** 2\n")
+    assert field_calls(source) == [("_line_forms", 3), ("lift", 12),
+                                   ("<lambda>", 14)]
 
 
 SCALAR_SAMPLERS = ("sample_member", "sample_fd_safe", "strip_point")
