@@ -13,16 +13,17 @@ from .bodies import (ConvexBody, Ellipsoid, Gauge, Polytope, SmoothBody,
 from .errors import ConvergenceError, OutsideDomainError, SpecError
 from .geodesics import (GeodesicChart, chart, disc_upper_bound,
                         identity_residual, striptube_geodesic)
-from .levi import (LeviReport, check_monge_ampere, check_plurisubharmonic,
-                   gauge_identity_residuals, gauge_identity_residuals_batch,
-                   levi_line, levi_matrices, levi_matrix, metric_levi_pair,
-                   tube_levi_residual, tube_levi_residual_batch)
+from .levi import (LeviReport, gauge_identity_residuals,
+                   gauge_identity_residuals_batch, levi_line, levi_matrices,
+                   levi_matrix, metric_levi_pair, tube_levi_residual,
+                   tube_levi_residual_batch)
 from .maximality import (Competitor, geodesic_pullback, linear_pullback,
                          max_violation, member_samples, slab_pullback)
-from .models import (QUARTER_PI, Disc1D, EllipticTube, Model, SchwarzReport,
-                     Strip1D, StripTube, as_point, conjugate,
-                     model_from_spec, schwarz_excess)
+from .models import (QUARTER_PI, Disc1D, EllipticTube, Model, Strip1D,
+                     StripTube, as_point, conjugate, model_from_spec)
 from .sampling import substream, unit_disc_point, unit_vector
+from .suites import (SchwarzReport, check_monge_ampere,
+                     check_plurisubharmonic, schwarz_excess)
 
 __version__ = "0.1.0"
 

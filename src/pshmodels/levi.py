@@ -1,22 +1,20 @@
-"""Finite-difference pluripotential diagnostics.
+"""Finite-difference pluripotential diagnostics, which decide nothing.
 
 Levi forms along complex lines via 5-point stencils, full Hermitian Levi
-matrices by polarization, plurisubharmonicity and Monge-Ampere degeneracy
-checks on sampled safe-region points, and the smooth-case identities tying
-the tube potential's Levi matrix to gauge Hessians.
+matrices by polarization, the residuals of the smooth-case identities
+tying the tube potential's Levi matrix to gauge Hessians, and the metric
+recovered from the Levi form of the squared potential. ``suites`` builds
+every verdict on them.
 
 No stencil point is placed here: a Levi form along d reads
 ``stencils.second_differences`` along d and i d, over the polarization
 lines of ``stencils.pair_directions`` for a matrix, and the gauge
 identities read ``stencils.central_differences`` in the coordinates (x, y).
-
-Every check draws its samples from ``substream(seed, k)`` and evaluates
-all their stencil points in one batched field call (``potential_batch``,
-``gauge_batch``); psh and ma share one cached draw and its eigenvalues.
+A batched form evaluates every stencil point of every row in one field
+call (``potential_batch``, ``gauge_batch``).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +23,6 @@ import numpy as np
 from .bodies import ConvexBody, Ellipsoid, Gauge, _rows, _vector
 from .errors import OutsideDomainError
 from .models import EllipticTube, Model, as_points
-from .reports import CheckReport, point_to_list
-from .sampling import substream
 from .stencils import (BatchField, Field, central_differences,
                        pair_directions, pointwise, second_differences)
 
@@ -101,50 +97,6 @@ def levi_matrix(field: Field, z, h: float) -> LeviReport:
     eigs = np.linalg.eigvalsh(A)
     return LeviReport(matrix=A, min_eig=float(eigs[0]), max_eig=float(eigs[-1]),
                       det_abs=abs(float(np.prod(eigs))), step=h, point=z)
-
-
-@functools.lru_cache(maxsize=1)
-def _sampled_eigs(model: Model, nsamples: int, seed: int, h: float):
-    """Safe-region samples k < nsamples and the extreme Levi eigenvalues
-    of the potential at each, cached read-only: (points, lo, hi)."""
-    if nsamples < 1:
-        raise ValueError("nsamples must be positive")
-    Z = model.sample_fd_safe_batch([substream(seed, k)
-                                    for k in range(nsamples)], h)
-    eigs = np.linalg.eigvalsh(levi_matrices(model.potential_batch, Z, h))
-    Z.setflags(write=False)
-    eigs.setflags(write=False)
-    return Z, eigs[:, 0], eigs[:, -1]
-
-
-def check_plurisubharmonic(model: Model, nsamples: int, seed: int,
-                           h: float = 1e-3, tol: float = 1e-6) -> CheckReport:
-    """All sampled Levi matrices satisfy min_eig >= -tol * max(1, max_eig)."""
-    Z, lo, hi = _sampled_eigs(model, nsamples, seed, h)
-    values = lo / np.maximum(1.0, hi)
-    i = int(np.argmin(values))
-    worst = float(values[i])
-    return CheckReport(check="psh", model=model.name, samples=nsamples, h=h,
-                       tol=tol, worst_point=point_to_list(Z[i]),
-                       worst_value=worst, passed=bool(worst >= -tol))
-
-
-def check_monge_ampere(model: Model, nsamples: int, seed: int,
-                       h: float = 1e-3, rel_tol: float = 1e-4,
-                       abs_floor: float = 1e-4) -> CheckReport:
-    """One Levi eigenvalue vanishes at every sample (degenerate determinant).
-
-    A sample passes if min_eig <= rel_tol * max_eig, or if min_eig is below
-    abs_floor outright (covers dimension 1, where degeneracy means the
-    whole form vanishes).
-    """
-    Z, lo, hi = _sampled_eigs(model, nsamples, seed, h)
-    values = lo / np.maximum(hi, abs_floor)
-    i = int(np.argmax(values))
-    passed = np.all((lo <= rel_tol * hi) | (np.abs(lo) <= abs_floor))
-    return CheckReport(check="ma", model=model.name, samples=nsamples, h=h,
-                       tol=rel_tol, worst_point=point_to_list(Z[i]),
-                       worst_value=float(values[i]), passed=bool(passed))
 
 
 def _require_c2_body(body: ConvexBody) -> None:

@@ -32,7 +32,8 @@ one batched call each. ``sample_member``, ``sample_fd_safe`` and
 ``strip_point`` are defined once, on Model, as batches of one row.
 
 Each model also carries its own part of every verification suite and CLI
-record (see Model), so no caller branches on the model type. Its discs
+record (see Model), so no caller branches on the model type; ``suites``
+turns its samples, competitors and witnesses into verdicts. Its discs
 come from ``geodesics`` and its competitors from ``maximality``, which
 sit below this module; ``QUARTER_PI`` and ``as_point`` are theirs.
 """
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -633,41 +633,6 @@ class EllipticTube(Model):
                 "zeta0": [ch.zeta0.real, ch.zeta0.imag],
                 "reconstruction_residual":
                     float(np.linalg.norm(ch.point(ch.zeta0) - z))}
-
-
-@dataclass(frozen=True)
-class SchwarzReport:
-    """Worst excess of sampled values over the strip Schwarz bound."""
-    max_excess: float
-    worst_point: complex
-    count: int
-
-
-def schwarz_excess(samples, a: float, r: float) -> SchwarzReport:
-    """Max of u - (a/r) Im z over samples (z, u) in the strip {0 < Im z < r}.
-
-    A nonpositive maximum confirms the comparison bound for subharmonic
-    functions valued in [0, a) that vanish on the real axis.
-    """
-    if a <= 0 or r <= 0:
-        raise ValueError("a and r must be positive")
-    slope = a / r
-    worst = -math.inf
-    worst_point = None
-    count = 0
-    for z, value in samples:
-        z = complex(z)
-        if not 0.0 < z.imag < r:
-            raise OutsideDomainError("sample outside the strip {0 < Im z < r}")
-        if not 0.0 <= value < a:
-            raise ValueError("sample value outside [0, a)")
-        excess = value - slope * z.imag
-        if excess > worst:
-            worst, worst_point = excess, z
-        count += 1
-    if count == 0:
-        raise ValueError("no samples")
-    return SchwarzReport(worst, worst_point, count)
 
 
 def model_from_spec(spec: dict) -> Model:

@@ -46,33 +46,37 @@ def pair_directions(m: int, phases: tuple):
 
 
 def second_differences(field: BatchField, W: np.ndarray, D: np.ndarray,
-                       h: float):
+                       h):
     """f(w), f(w + h d) and f(w - h d) at each row w of W along each row d
     of D, shapes (N,), (N, L) and (N, L), from one field call on the N
-    rows and then the 2 L neighbours of each."""
-    if h <= 0:
+    rows and then the 2 L neighbours of each, row by row. The step h is
+    one for every row, or an (N,) array of one step per row."""
+    if (np.asarray(h) <= 0).any():
         raise ValueError("step h must be positive")
     N, m = W.shape
-    hD = h * D
-    ring = (W[:, None, :] + np.concatenate([hD, -hD])).reshape(-1, m)
+    hD = np.multiply.outer(h, D)  # (L, m), or (N, L, m) per row
+    ring = (W[:, None, :] + np.concatenate([hD, -hD], axis=-2)).reshape(-1, m)
     F = np.asarray(field(np.concatenate([W, ring])), dtype=float)
     F_ring = F[N:].reshape(N, 2, len(D))
     return F[:N], F_ring[:, 0], F_ring[:, 1]
 
 
-def central_differences(field: BatchField, W, h: float):
+def central_differences(field: BatchField, W, h):
     """Value, gradient and Hessian of a field at the rows of W, shapes
-    (N,), (N, m) and (N, m, m), by central differences with step h:
-    (f(+) - f(-)) / 2h for the gradient, (f(+) - 2 f + f(-)) / h^2 on the
-    Hessian diagonal and the four-point cross difference off it, from the
-    1 + 2 m^2 points of each row. The Hessian is symmetric by construction.
+    (N,), (N, m) and (N, m, m), by central differences with step h, one
+    for every row or one per row: (f(+) - f(-)) / 2h for the gradient,
+    (f(+) - 2 f + f(-)) / h^2 on the Hessian diagonal and the four-point
+    cross difference off it, from the 1 + 2 m^2 points of each row. The
+    Hessian is symmetric by construction.
     """
     W = np.asarray(W, dtype=float)
     N, m = W.shape
     D, rows, cols = pair_directions(m, (1, -1))
     f0, plus, minus = second_differences(field, W, D, h)
-    pp, pm = plus[:, m:].reshape(N, 2, -1).transpose(1, 0, 2)
-    mm, mp = minus[:, m:].reshape(N, 2, -1).transpose(1, 0, 2)
+    h = np.asarray(h)[..., None]  # one step, or a column of one per row
+    P = len(rows) - m  # pairs, sized so that N = 0 reshapes too
+    pp, pm = plus[:, m:].reshape(N, 2, P).transpose(1, 0, 2)
+    mm, mp = minus[:, m:].reshape(N, 2, P).transpose(1, 0, 2)
     hess = np.empty((N, m, m))
     hess[:, rows, cols] = hess[:, cols, rows] = np.concatenate([
         (plus[:, :m] - 2 * f0[:, None] + minus[:, :m]) / (h * h),

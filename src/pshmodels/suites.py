@@ -1,23 +1,27 @@
-"""The verification suites behind ``pshmodels verify``.
+"""The verification suites behind ``pshmodels verify``: the package's one
+check layer, the only module that turns diagnostics into a CheckReport.
 
 Each runner takes a model, the sweep seed, the sample count, the step h
 and the tolerances by name, and returns a CheckReport. What differs
 between models (body, competitors, witnesses, strip map) comes from the
-model, so no runner branches on a model type.
+model, so no runner branches on a model type. The samples of a suite come
+from ``substream(seed, k)``, drawn once per command: psh and ma share one
+cached draw and its eigenvalues, tube-levi and gauge-derivatives one of
+20 samples safe at 2h.
 """
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecError
-from .levi import (check_monge_ampere, check_plurisubharmonic,
-                   gauge_identity_residuals_batch, tube_levi_residual_batch)
+from .errors import OutsideDomainError, SpecError
+from .levi import (gauge_identity_residuals_batch, levi_matrices,
+                   tube_levi_residual_batch)
 from .maximality import max_violation
-from .models import QUARTER_PI, Model, schwarz_excess
-from .reports import CheckReport, point_to_list
+from .models import QUARTER_PI, Model
 from .sampling import substream
 
 TOL_DEFAULTS = {
@@ -39,6 +43,120 @@ SUITES = ("psh", "ma", "tube-levi", "gauge-derivatives", "maximality",
           "geodesics", "schwarz")
 FD_SUITES = ("psh", "ma", "tube-levi", "gauge-derivatives")
 MIN_RELATIVE_STEP = 1e-5
+
+
+@dataclass
+class CheckReport:
+    check: str
+    model: str
+    samples: int
+    h: float
+    tol: float
+    worst_point: list | None
+    worst_value: float
+    passed: bool
+
+    def to_dict(self) -> dict:
+        # strict JSON has no NaN or infinity: a worst value that is not
+        # finite is written as null, and its check fails
+        finite = math.isfinite(self.worst_value)
+        return {
+            "check": self.check,
+            "model": self.model,
+            "samples": self.samples,
+            "h": self.h,
+            "tol": self.tol,
+            "worst_point": self.worst_point,
+            "worst_value": self.worst_value if finite else None,
+            "pass": self.passed and finite,
+        }
+
+
+def point_to_list(z) -> list:
+    """Complex point as [[re...], [im...]] for JSON output."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return [list(map(float, z.real)), list(map(float, z.imag))]
+
+
+@dataclass(frozen=True)
+class SchwarzReport:
+    """Worst excess of sampled values over the strip Schwarz bound."""
+    max_excess: float
+    worst_point: complex
+    count: int
+
+
+def schwarz_excess(samples, a: float, r: float) -> SchwarzReport:
+    """Max of u - (a/r) Im z over samples (z, u) in the strip {0 < Im z < r}.
+
+    A nonpositive maximum confirms the comparison bound for subharmonic
+    functions valued in [0, a) that vanish on the real axis. The first
+    bad sample decides the error: a point off the strip raises
+    OutsideDomainError, else a value outside [0, a) ValueError. The
+    worst point is the first sample of the maximum.
+    """
+    if a <= 0 or r <= 0:
+        raise ValueError("a and r must be positive")
+    pairs = list(samples)
+    if not pairs:
+        raise ValueError("no samples")
+    Z = np.array([z for z, _ in pairs], dtype=complex)
+    U = np.array([u for _, u in pairs], dtype=float)
+    off_strip = ~((0.0 < Z.imag) & (Z.imag < r))
+    bad = np.flatnonzero(off_strip | ~((0.0 <= U) & (U < a)))
+    if len(bad):
+        if off_strip[bad[0]]:
+            raise OutsideDomainError("sample outside the strip "
+                                     "{0 < Im z < r}")
+        raise ValueError("sample value outside [0, a)")
+    excess = U - (a / r) * Z.imag
+    i = int(np.argmax(excess))  # -inf everywhere (a / r overflows): no worst
+    worst = complex(Z[i]) if excess[i] > -math.inf else None
+    return SchwarzReport(float(excess[i]), worst, len(Z))
+
+
+@functools.lru_cache(maxsize=1)
+def _sampled_eigs(model: Model, nsamples: int, seed: int, h: float):
+    """Safe-region samples k < nsamples and the extreme Levi eigenvalues
+    of the potential at each, cached read-only: (points, lo, hi)."""
+    if nsamples < 1:
+        raise ValueError("nsamples must be positive")
+    Z = model.sample_fd_safe_batch([substream(seed, k)
+                                    for k in range(nsamples)], h)
+    eigs = np.linalg.eigvalsh(levi_matrices(model.potential_batch, Z, h))
+    Z.setflags(write=False)
+    eigs.setflags(write=False)
+    return Z, eigs[:, 0], eigs[:, -1]
+
+
+def check_plurisubharmonic(model: Model, nsamples: int, seed: int,
+                           h: float = 1e-3, tol: float = 1e-6) -> CheckReport:
+    """All sampled Levi matrices satisfy min_eig >= -tol * max(1, max_eig)."""
+    Z, lo, hi = _sampled_eigs(model, nsamples, seed, h)
+    values = lo / np.maximum(1.0, hi)
+    i = int(np.argmin(values))
+    worst = float(values[i])
+    return CheckReport(check="psh", model=model.name, samples=nsamples, h=h,
+                       tol=tol, worst_point=point_to_list(Z[i]),
+                       worst_value=worst, passed=bool(worst >= -tol))
+
+
+def check_monge_ampere(model: Model, nsamples: int, seed: int,
+                       h: float = 1e-3, rel_tol: float = 1e-4,
+                       abs_floor: float = 1e-4) -> CheckReport:
+    """One Levi eigenvalue vanishes at every sample (degenerate determinant).
+
+    A sample passes if min_eig <= rel_tol * max_eig, or if min_eig is below
+    abs_floor outright (covers dimension 1, where degeneracy means the
+    whole form vanishes).
+    """
+    Z, lo, hi = _sampled_eigs(model, nsamples, seed, h)
+    values = lo / np.maximum(hi, abs_floor)
+    i = int(np.argmax(values))
+    passed = np.all((lo <= rel_tol * hi) | (np.abs(lo) <= abs_floor))
+    return CheckReport(check="ma", model=model.name, samples=nsamples, h=h,
+                       tol=rel_tol, worst_point=point_to_list(Z[i]),
+                       worst_value=float(values[i]), passed=bool(passed))
 
 
 def check_step(model: Model, h: float, suite: str = "all") -> None:
@@ -97,7 +215,9 @@ def _richardson(check, residuals, model, seed, h, tols) -> CheckReport:
     """Ratios of each residual at 2h to its value at h over the 20 samples
     safe at 2h; an O(h^2) residual gives about 4. A residual at h below
     the noise floor counts as converged, but the check fails if no
-    residual is above it."""
+    residual is above it. The worst ratio is the first, in row order over
+    samples x residuals, farthest from 4; a NaN ratio is never the worst,
+    but fails the check."""
     body = _smooth_body(model)
     if not model.gauge_identities:
         raise SpecError(f"{check} suite requires an elliptic tube")
@@ -105,25 +225,20 @@ def _richardson(check, residuals, model, seed, h, tols) -> CheckReport:
     res_2h = residuals(body, Z, 2 * h).reshape(len(Z), -1)
     res_h = residuals(body, Z, h).reshape(len(Z), -1)
     lo, hi = tols["ratio_lo"], tols["ratio_hi"]
-    worst_dev, worst_point, worst_ratio = -1.0, None, 4.0
-    compared = 0
-    passed = True
-    for z, r_2h, r_h in zip(Z, res_2h.tolist(), res_h.tolist()):
-        for a, b in zip(r_2h, r_h):
-            if b <= tols["residual_floor"]:
-                continue
-            compared += 1
-            ratio = a / b
-            passed = passed and lo <= ratio <= hi
-            dev = abs(ratio - 4.0)
-            if dev > worst_dev:
-                worst_dev, worst_ratio = dev, ratio
-                worst_point = point_to_list(z)
+    # not "above the floor": a NaN residual is compared, and fails
+    rows, cols = np.nonzero(~(res_h <= tols["residual_floor"]))
+    ratios = res_2h[rows, cols] / res_h[rows, cols]
+    dev = np.abs(ratios - 4.0)
+    worst_point, worst_ratio = None, 4.0
+    if not np.all(np.isnan(dev)):
+        i = int(np.nanargmax(dev))
+        worst_point, worst_ratio = point_to_list(Z[rows[i]]), float(ratios[i])
     # with every residual below the floor no ratio was compared, and a
     # check that compared nothing has shown nothing
+    passed = len(ratios) > 0 and np.all((lo <= ratios) & (ratios <= hi))
     return CheckReport(check=check, model=model.name, samples=res_h.size,
                        h=h, tol=lo, worst_point=worst_point,
-                       worst_value=worst_ratio, passed=passed and compared > 0)
+                       worst_value=worst_ratio, passed=bool(passed))
 
 
 def _suite_tube_levi(model, seed, samples, h, tols) -> CheckReport:

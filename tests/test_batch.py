@@ -6,7 +6,8 @@ one-point formulas of the bodies kept here, and the smooth-body gauges
 the scalar root find, bit for bit; batched model memberships and
 potentials reproduce the former one-point formulas kept here, the batched
 samplers and support values reproduce the former scalar code byte for byte,
-batched Levi matrices reproduce levi_matrix, and polytope vertices,
+batched Levi matrices reproduce levi_matrix, smooth-body gauge Hessians
+the former one-stencil-per-row loop kept here, and polytope vertices,
 bounding boxes, Chebyshev radii and support values reproduce HiGHS and
 Qhull.
 """
@@ -33,6 +34,7 @@ from pshmodels import (QUARTER_PI, ConvergenceError, Disc1D, Ellipsoid,
                        unit_disc_point, unit_vector)
 from pshmodels.cli import main
 from pshmodels.sampling import unit_disc_points, unit_vectors
+from pshmodels.stencils import central_differences
 from strategies import (bodies, ellipsoids, polytopes, superellipses,
                         unit_floats)
 
@@ -933,6 +935,42 @@ def test_squircle_verify_makes_no_one_row_gauge_call(monkeypatch):
         assert main(argv + ["2"]) == 0
     assert counts == {"_gauge": 0, "_gauge_bisect": counts["_gauge_bisect"]}
     assert counts["_gauge_bisect"] > 0
+
+
+def _former_smooth_hessians(body, X, Y):
+    """The former SmoothBody._hessians: one stencil over y, and so one
+    gauge batch, per row."""
+    H = np.empty((len(X), body.dim, body.dim))
+    for i, (x, y) in enumerate(zip(X, Y)):
+        def field(Ys, x=x):
+            return body._gauges(np.broadcast_to(x, Ys.shape), Ys)
+        H[i] = central_differences(field, y[None],
+                                   1e-4 * np.linalg.norm(y))[2][0]
+    return H
+
+
+@SETTINGS
+@given(body=superellipses(), seed=st.integers(0, 2 ** 32 - 1))
+def test_smooth_gauge_hessians_match_the_row_loop(body, seed):
+    X, Y = _rays(body, np.random.default_rng(seed), 7)
+    np.testing.assert_array_equal(body.gauge_hessian_batch(X[1:], Y[1:]),
+                                  _former_smooth_hessians(body, X[1:], Y[1:]))
+    none = np.empty((0, body.dim))
+    assert body.gauge_hessian_batch(none, none).shape == (0,) + 2 * (body.dim,)
+
+
+def test_smooth_gauge_hessians_take_one_gauge_batch(squircle, monkeypatch):
+    # all 1 + 2 n^2 stencil points of every row go to one root find
+    calls = []
+    gauges = SmoothBody._gauges
+
+    def counted(self, X, Y):
+        calls.append(len(X))
+        return gauges(self, X, Y)
+    monkeypatch.setattr(SmoothBody, "_gauges", counted)
+    X, Y = _rays(squircle, np.random.default_rng(5), 21)
+    squircle.gauge_hessian_batch(X[1:], Y[1:])
+    assert calls == [20 * 9]
 
 
 @SETTINGS

@@ -12,7 +12,7 @@ from pshmodels import levi, suites
 from pshmodels.maximality import disc_samples
 from pshmodels.stencils import (central_differences, pair_directions,
                                 second_differences)
-from pshmodels.suites import TOL_DEFAULTS, verify
+from pshmodels.suites import TOL_DEFAULTS, point_to_list, verify
 
 INTERVAL_1D = Ellipsoid([[1.0]])  # the interval (-1, 1) with a C2 boundary
 
@@ -267,8 +267,8 @@ class TestDrawOnce:
         draw, steps, fields = tube.sample_fd_safe_batch, [], []
         monkeypatch.setattr(tube, "sample_fd_safe_batch", lambda rngs, h:
                             steps.extend([h] * len(rngs)) or draw(rngs, h))
-        matrices = levi.levi_matrices
-        monkeypatch.setattr(levi, "levi_matrices", lambda field, Z, h:
+        matrices = suites.levi_matrices
+        monkeypatch.setattr(suites, "levi_matrices", lambda field, Z, h:
                             fields.append(field) or matrices(field, Z, h))
         report = verify(tube, "all", 11, 30, 1e-3, TOL_DEFAULTS)
         assert report["pass"]
@@ -280,11 +280,56 @@ class TestDrawOnce:
         tube = EllipticTube(unit_ball)
         points, values = member_samples(tube, 3, 12)
         assert member_samples(tube, 3, 12)[0] is points
-        for a in (*levi._sampled_eigs(tube, 3, 12, 1e-3), points, values,
+        for a in (*suites._sampled_eigs(tube, 3, 12, 1e-3), points, values,
                   suites._richardson_points(tube, 12, 1e-3),
                   disc_samples(tube, 3, 12)):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+class TestRichardsonVerdict:
+    """The reduction of the residual ratios to a verdict, on residuals
+    given here: a ratio of 4 everywhere but where a test sets one."""
+
+    @staticmethod
+    def verdict(unit_ball, ratios, at_h=None):
+        tube = EllipticTube(unit_ball)
+
+        def residuals(body, Z, h):
+            res = np.ones((len(Z), 3))
+            if h == 1e-3:
+                return res if at_h is None else at_h
+            return res * ratios
+        Z = suites._richardson_points(tube, 4, 1e-3)
+        report = suites._richardson("tube-levi", residuals, tube, 4, 1e-3,
+                                    TOL_DEFAULTS)
+        return report, Z
+
+    def test_nan_residual_at_h_fails_and_the_worst_is_finite(self,
+                                                               unit_ball):
+        ratios = np.full((20, 3), 4.0)
+        ratios[3, 1] = 4.2
+        at_h = np.ones((20, 3))
+        at_h[0, 0] = np.nan
+        report, Z = self.verdict(unit_ball, ratios, at_h)
+        assert not report.passed
+        assert report.worst_value == 4.2
+        assert report.worst_point == point_to_list(Z[3])
+        assert report.samples == 60
+
+    def test_tie_reports_the_first_sample_in_row_order(self, unit_ball):
+        # row order over samples x residuals visits (2, 2) before (3, 0)
+        ratios = np.full((20, 3), 4.0)
+        ratios[3, 0], ratios[2, 2] = 4.25, 3.75
+        report, Z = self.verdict(unit_ball, ratios)
+        assert report.passed
+        assert report.worst_value == 3.75
+        assert report.worst_point == point_to_list(Z[2])
+
+    def test_only_nan_ratios_fail_with_no_worst_point(self, unit_ball):
+        report, _ = self.verdict(unit_ball, np.full((20, 3), np.nan))
+        assert not report.passed
+        assert report.worst_point is None and report.worst_value == 4.0
 
 
 class TestTubeLevi:

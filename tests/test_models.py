@@ -332,6 +332,26 @@ class TestSchwarzExcess:
         with pytest.raises(ValueError):
             schwarz_excess([], 1.0, 1.0)
 
+    def test_first_bad_sample_decides_the_error(self):
+        # a point is tested before its value, and the first bad sample
+        # decides which error is raised
+        bad_value, off_strip = (0.5j, 2.0), (1.0 - 0.5j, 0.1)
+        with pytest.raises(ValueError) as caught:
+            schwarz_excess([bad_value, off_strip], 1.0, 1.0)
+        assert not isinstance(caught.value, OutsideDomainError)
+        with pytest.raises(OutsideDomainError):
+            schwarz_excess([off_strip, bad_value], 1.0, 1.0)
+        with pytest.raises(OutsideDomainError):
+            schwarz_excess([(1.0 - 0.5j, 2.0)], 1.0, 1.0)
+
+    def test_tied_excess_reports_the_first_point(self):
+        samples = [(0.2 + 0.75j, 0.0), (0.1 + 0.5j, 0.2), (0.3 + 0.5j, 0.2),
+                   (0.4 + 0.5j, 0.1)]
+        report = schwarz_excess(iter(samples), 1.0, 1.0)
+        assert report.max_excess == 0.2 - 0.5
+        assert report.worst_point == 0.1 + 0.5j
+        assert report.count == 4
+
 
 class TestModelSpec:
     def test_all_kinds(self):

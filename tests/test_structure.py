@@ -14,9 +14,11 @@ evaluates through ``member_potential_batch`` alone: only Model defines
 ``member_batch`` and ``potential_batch``, and only ``Model._center_args``
 refuses an x off a model's center. Only ``stencils.py`` calls a field
 handed to it, so every finite-difference point is placed by its one
-stencil. The CLI refuses no domain input
-itself: it raises no OutsideDomainError and neither tests nor validates a
-center, so every domain refusal comes from the library. No module imports
+stencil, and only ``suites.py`` builds a verdict: no other module
+constructs a CheckReport or defines a ``check_*`` function. The CLI
+refuses no domain input itself: it raises no OutsideDomainError and
+neither tests nor validates a center, so every domain refusal comes from
+the library. No module imports
 SciPy, which only the tests use, as an independent oracle, none takes more
 than the default dialect from the csv module (``slice`` writes its text
 itself, and the tests keep ``csv.writer`` as the reference for it), and
@@ -258,6 +260,46 @@ def test_stencil_guard_sees_a_reintroduced_call():
               "square = lambda field, z: field(z) ** 2\n")
     assert field_calls(source) == [("_line_forms", 3), ("lift", 12),
                                    ("<lambda>", 14)]
+
+
+def verdict_sites(source: str) -> list:
+    """(name, line) of each function named check_* defined in source and
+    of each CheckReport it constructs, by name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("check_")):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, ast.Call) and "CheckReport" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            found.append(("CheckReport", node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_check_layer(path):
+    # every verdict (worst point, worst value, pass flag) is built in
+    # suites; the layers below it compute diagnostics only
+    if path.name != "suites.py":
+        assert verdict_sites(path.read_text()) == []
+
+
+def test_check_layer_guard_sees_a_reintroduced_verdict():
+    source = ("from .suites import CheckReport\n"
+              "from . import suites\n"
+              "def check_plurisubharmonic(model, n, seed, h, tol):\n"
+              "    return CheckReport('psh', model.name, n, h, tol, None,\n"
+              "                       0.0, True)\n"
+              "class Tube:\n"
+              "    def check_ma(self):\n"
+              "        return suites.CheckReport(*self.fields)\n"
+              "def checks(reports):\n"
+              "    return [report.check for report in reports]\n")
+    assert sorted(verdict_sites(source)) == [
+        ("CheckReport", 4), ("CheckReport", 8),
+        ("check_ma", 7), ("check_plurisubharmonic", 3)]
 
 
 SCALAR_SAMPLERS = ("sample_member", "sample_fd_safe", "strip_point")
@@ -706,8 +748,8 @@ def test_import_guard_sees_an_unused_name():
 # only modules before it, so the imports form one direction; a model builds
 # its discs (geodesics) and competitors (maximality) from the layers below
 LAYERS = ("errors", "stencils", "bodies", "sampling", "geodesics",
-          "maximality", "models", "reports", "levi", "suites", "cli",
-          "__init__", "__main__")
+          "maximality", "models", "levi", "suites", "cli", "__init__",
+          "__main__")
 # the one import inside a function: an identity residual is taken on the
 # tube over a body, which geodesics cannot build from below models
 DEFERRED_IMPORTS = {("geodesics", "identity_residual")}
