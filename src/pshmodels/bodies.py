@@ -36,7 +36,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, OutsideDomainError, SpecError
+from .errors import (ConvergenceError, NotApplicable, OutsideDomainError,
+                     SpecError)
 from .stencils import central_differences
 
 _MAX_BRACKET = 200
@@ -153,8 +154,8 @@ class ConvexBody:
     def _supports(self, A: np.ndarray) -> np.ndarray:
         """The body's support formula, on validated rows, from a closed
         form; a body without one refuses, so no competitor rests on an
-        uncertified bound."""
-        raise SpecError(f"no certified support for {type(self).__name__}")
+        uncertified bound, and a suite that needs one does not apply."""
+        raise NotApplicable(f"no certified support for {type(self).__name__}")
 
     def tight_covectors(self, D) -> np.ndarray:
         """A covector c per row d of an (N, n) array, d != 0, scaled so

@@ -2,13 +2,11 @@
 charts, run verification suites with machine-readable reports, and dump
 CSV grids for external plotting.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage/config error,
-3 domain error, 4 an iterative routine (gauge root find, sampler) failed
-to converge.
-
-The step h of ``verify`` must be positive and finite for every model; the
-finite-difference suites also need at least MIN_RELATIVE_STEP times the
-body inradius on tube models (see ``suites``).
+Exit codes: 0 pass, 1 verification failure, 2 usage/config error (any
+SpecError: a suite run alone that does not apply to the model, or a
+``--step`` refused by ``suites.check_step`` or by a safe sampler that
+cannot serve it), 3 domain error, 4 an iterative routine (gauge root
+find, sampler) failed to converge.
 """
 from __future__ import annotations
 
@@ -307,16 +305,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors carry code 2
         return int(exc.code or 0)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OutsideDomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except ValueError as exc:  # a SpecError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

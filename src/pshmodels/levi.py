@@ -69,7 +69,8 @@ def levi_matrices(field: BatchField, Z, h: float) -> np.ndarray:
     N, n = Z.shape
     D, rows, cols = pair_directions(n, (1, -1, 1j, -1j))
     forms = _line_forms(field, Z, D, h)
-    spp, spm, spi, smi = forms[:, n:].reshape(N, 4, -1).transpose(1, 0, 2)
+    P = len(rows) - n  # pairs, sized so that N = 0 reshapes too
+    spp, spm, spi, smi = forms[:, n:].reshape(N, 4, P).transpose(1, 0, 2)
     entries = np.concatenate(
         [forms[:, :n], 0.25 * ((spp - spm) + 1j * (spi - smi))], axis=1)
     A = np.empty((N, n, n), dtype=complex)

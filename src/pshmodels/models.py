@@ -29,7 +29,10 @@ order. Each rejection retry is a ``draw`` function handed to
 still drawing, with the sampler's cap on the rounds and its starvation
 message. The gauges and potentials of a draw site run after the draws, in
 one batched call each. ``sample_member``, ``sample_fd_safe`` and
-``strip_point`` are defined once, on Model, as batches of one row.
+``strip_point`` are defined once, on Model, as batches of one row. A safe
+sampler whose window cannot serve the step h refuses it itself, before
+any draw (``Model._refuse_step``): ``_PlaneDomain`` from its ``_window``,
+``EllipticTube`` from its gauge cap 0.8.
 
 Each model also carries its own part of every verification suite and CLI
 record (see Model), so no caller branches on the model type; ``suites``
@@ -46,7 +49,8 @@ import numpy as np
 
 from .bodies import (ConvexBody, Gauge, _rowdot, _vector, as_point,
                      as_points, body_from_spec, interval)
-from .errors import ConvergenceError, OutsideDomainError, SpecError
+from .errors import (ConvergenceError, OutsideDomainError, SpecError,
+                     StepRefused)
 from .geodesics import (QUARTER_PI, chart, chart_residuals, chart_rows,
                         disc_points, strip_map, striptube_geodesics, zeta0)
 from .maximality import geodesic_pullback, linear_pullbacks, slab_pullbacks
@@ -85,15 +89,10 @@ class Model:
     tubes); and ``geodesic_witnesses(seed, samples)``, a pair (gaps,
     reconstructions): per extremal disc or flat ray, the largest gap
     between the potential along it and its closed form, and per disc
-    chart, its base point error over max(1, |z|).
-    A subclass evaluates and draws only in batches
-    (``member_potential_batch``, ``sample_member_batch``,
-    ``sample_fd_safe_batch``, ``strip_points``). ``member_batch`` and
-    ``potential_batch`` here are the mask and the values of
-    ``member_potential_batch``; ``member``, ``potential`` and the one-point
-    samplers are their batches of one row, validated by ``as_point``.
-    A model must not change after construction: the suites cache their
-    sample draws on the model object (``functools.lru_cache``).
+    chart, its base point error over max(1, |z|). A subclass evaluates
+    and draws only in batches; the one-row methods here validate by
+    ``as_point``. A model must not change after construction: the suites
+    cache their sample draws on the model object (``functools.lru_cache``).
     """
 
     name: str
@@ -103,8 +102,6 @@ class Model:
     # potential to the centered gauges of the body; other models have none
     gauge_identities = False
     witness_tol = "geodesic"  # tolerance of the geodesics-suite witnesses
-    # the safe sampler's window is empty for steps h at or above this
-    fd_step_limit = math.inf
 
     def member(self, z) -> bool:
         return bool(self.member_batch(as_point(z, self.dim)[None])[0])
@@ -183,8 +180,13 @@ class Model:
 
     def sample_fd_safe_batch(self, rngs, h: float) -> np.ndarray:
         """As sample_member_batch, with the interior margin of O(h^2)
-        stencils."""
+        stencils; a sampler whose window cannot serve h refuses it."""
         raise NotImplementedError
+
+    def _refuse_step(self, h: float, limit: float) -> None:
+        """Refuse, before any draw, a step the safe sampler cannot serve."""
+        if h >= limit:
+            raise StepRefused(self.name, h, limit)
 
     def strip_points(self, W, rngs) -> np.ndarray:
         raise NotImplementedError
@@ -200,7 +202,8 @@ class Model:
 
     def disc_bound(self, x, v) -> float:
         """Metric bound at (x, v) realized by an explicit analytic disc,
-        for validated x in the center and v != 0."""
+        for validated x in the center and v != 0; ``_metric`` where the
+        identity disc, its Moebius image or a flat ray realizes the metric."""
         raise TypeError(f"no disc construction for model {self.name!r}")
 
     def eval_record(self, z) -> dict:
@@ -268,16 +271,18 @@ class _PlaneDomain(Model):
         return np.array([self._to_plane(w) for w in W],
                         dtype=complex).reshape(-1, 1)
 
-    @staticmethod
-    def _strip_rows(rngs, a: float, lo: float, hi: float) -> list:
-        """complex(s, +-t) from each Generator: s from (-a, a), then t from
-        (lo, hi), then its sign, each with probability 1/2."""
+    def sample_fd_safe_batch(self, rngs, h: float) -> np.ndarray:
+        # w = s +- i t from _window, mapped by _safe_map: s from (-a, a),
+        # t from (max(k h, lo pi/4), hi pi/4), its sign with probability 1/2
+        a, k, lo, hi = self._window
+        self._refuse_step(h, hi * QUARTER_PI / k)
         rows = []
         for rng in rngs:
             s = rng.uniform(-a, a)
-            t = rng.uniform(lo, hi)
-            rows.append(complex(s, t if rng.uniform() < 0.5 else -t))
-        return rows
+            t = rng.uniform(max(k * h, lo * QUARTER_PI), hi * QUARTER_PI)
+            rows.append(self._safe_map(
+                complex(s, t if rng.uniform() < 0.5 else -t)))
+        return np.array(rows, dtype=complex).reshape(-1, 1)
 
     def geodesic_witnesses(self, seed: int, samples: int):
         rngs = [substream(seed, k) for k in range(samples)]
@@ -293,8 +298,8 @@ class Strip1D(_PlaneDomain):
     """The flat strip {|Im z| < pi/4} over the real line."""
 
     name = "strip1d"
-    _to_plane = _to_strip = staticmethod(complex)  # the identity
-    fd_step_limit = 0.9 * QUARTER_PI / 10.0  # the window 10 h < 0.9 pi/4
+    _to_plane = _to_strip = _safe_map = staticmethod(complex)  # the identity
+    _window = (1.0, 10.0, 0.1, 0.9)
 
     @staticmethod
     def _members(w: np.ndarray) -> np.ndarray:
@@ -302,6 +307,8 @@ class Strip1D(_PlaneDomain):
 
     def _metric(self, x, v) -> float:
         return abs(float(v[0]))
+
+    disc_bound = _metric
 
     def sample_member_batch(self, rngs) -> np.ndarray:
         # x, then y, from each Generator
@@ -312,17 +319,9 @@ class Strip1D(_PlaneDomain):
     def sample_center(self, rng) -> np.ndarray:
         return np.array([rng.uniform(-1.0, 1.0)])
 
-    def sample_fd_safe_batch(self, rngs, h: float) -> np.ndarray:
-        W = self._strip_rows(rngs, 1.0, max(10.0 * h, 0.1 * QUARTER_PI),
-                             0.9 * QUARTER_PI)
-        return np.array(W, dtype=complex).reshape(-1, 1)
-
     def competitors(self, seed: int) -> list:
         return linear_pullbacks(Gauge(interval(-1.0, 1.0)),
                                 [[1.0], [-1.0], [0.5]])
-
-    def disc_bound(self, x, v) -> float:
-        return abs(float(v[0]))
 
 
 class Disc1D(_PlaneDomain):
@@ -330,7 +329,9 @@ class Disc1D(_PlaneDomain):
 
     name = "disc1d"
     _to_plane, _to_strip = staticmethod(np.tanh), staticmethod(cmath.atanh)
-    fd_step_limit = 0.8 * QUARTER_PI / 20.0  # the window 20 h < 0.8 pi/4
+    # capping the window keeps the tanh image of a safe point away from
+    # the circle, where stencil truncation blows up
+    _safe_map, _window = staticmethod(cmath.tanh), (0.45, 20.0, 0.3, 0.8)
 
     @staticmethod
     def _members(w: np.ndarray) -> np.ndarray:
@@ -341,6 +342,8 @@ class Disc1D(_PlaneDomain):
 
     def _metric(self, x, v) -> float:
         return abs(float(v[0])) / (1.0 - float(x[0]) ** 2)
+
+    disc_bound = _metric
 
     def _in_center(self, x) -> bool:
         return abs(float(x[0])) < 1.0
@@ -356,14 +359,6 @@ class Disc1D(_PlaneDomain):
     def sample_center(self, rng) -> np.ndarray:
         return np.array([rng.uniform(-0.95, 0.95)])
 
-    def sample_fd_safe_batch(self, rngs, h: float) -> np.ndarray:
-        # sample in strip coordinates; capping the window keeps the tanh
-        # image away from the circle, where stencil truncation blows up
-        W = self._strip_rows(rngs, 0.45, max(0.3 * QUARTER_PI, 20.0 * h),
-                             0.8 * QUARTER_PI)
-        return np.array([cmath.tanh(w) for w in W],
-                        dtype=complex).reshape(-1, 1)
-
     def competitors(self, seed: int) -> list:
         body = interval(-1.0, 1.0)
         Z = self.sample_member_batch([substream(seed, 10 ** 6 + j)
@@ -371,10 +366,6 @@ class Disc1D(_PlaneDomain):
         return slab_pullbacks(body, [[1.0]]) + [
             geodesic_pullback(chart(body, z)) for z in Z
             if abs(z[0].imag) > 1e-3]
-
-    def disc_bound(self, x, v) -> float:
-        # Moebius reparameterization of the identity disc
-        return abs(float(v[0])) / (1.0 - float(x[0]) ** 2)
 
 
 class StripTube(Model):
@@ -398,6 +389,8 @@ class StripTube(Model):
 
     def _metric(self, x, v) -> float:
         return self.gauge(v)
+
+    disc_bound = _metric
 
     # Each sampler draws, per row, the coordinates x, a unit direction d
     # and a level or scale along it, in the order of the Generator calls
@@ -458,10 +451,6 @@ class StripTube(Model):
         return striptube_geodesics(self.gauge, X,
                                    D / self.gauge.batch(D)[:, None], W)
 
-    def disc_bound(self, x, v) -> float:
-        # flat ray of striptube_geodesic, reparameterized to unit speed
-        return self.gauge(v)
-
     def geodesic_record(self, z) -> dict:
         y = as_point(z, self.dim).imag
         if not np.any(y):
@@ -485,15 +474,19 @@ class EllipticTube(Model):
     name = "elliptictube"
     gauge_identities = True
 
-    def member_potential_batch(self, Z) -> tuple[np.ndarray, np.ndarray]:
-        # the gauge pair at the rows whose real part centers a gauge
-        # decides membership and also gives the potential
+    def _pairs(self, Z):
+        """(inside, P, Q, keep): the rows of Z centering a gauge, the gauge
+        pair there, and which have P Q < 1, the membership of the pair."""
         Z = as_points(Z, self.dim)
         inside = self.body.gauge_centers(Z.real)
         P, Q = self.body.gauge_pair(Z.real, Z.imag, inside)
         with np.errstate(over="ignore"):  # past the float range: outside
             keep = P * Q < 1.0
-        member = np.zeros(len(Z), dtype=bool)
+        return inside, P, Q, keep
+
+    def member_potential_batch(self, Z) -> tuple[np.ndarray, np.ndarray]:
+        inside, P, Q, keep = self._pairs(Z)
+        member = np.zeros(len(inside), dtype=bool)
         member[inside] = keep
         return member, _atan_mean(P[keep], Q[keep])
 
@@ -538,7 +531,9 @@ class EllipticTube(Model):
         # half-shrunk body, both gauges <= 0.8, and |y| bounded below
         rin = self.body.inradius()
         # the potential is dimensionless, h a length: compare it with
-        # the step relative to the body's scale
+        # the step relative to the body's scale. Gauges <= 0.8 keep it
+        # below atan(0.8), so no draw passes once 10 h / rin reaches that
+        self._refuse_step(h, rin * math.atan(0.8) / 10.0)
         floor = 10.0 * h / rin
 
         def draw(active):
@@ -611,17 +606,13 @@ class EllipticTube(Model):
         return math.ldexp(0.5 * (1.0 / T1[0] + 1.0 / T2[0]) / tau, e)
 
     def eval_record(self, z) -> dict:
-        z = as_point(z, self.dim)
-        inside = self.body.gauge_centers(z.real[None])
+        inside, P, Q, keep = self._pairs(as_point(z, self.dim)[None])
         if not inside[0]:
             return super().eval_record(z)
-        # (p, p_bar) is reported, a gauge past the float range as null, and
-        # the same pair gives membership and the potential
-        P, Q = self.body.gauge_pair(z.real[None], z.imag[None], inside)
+        # (p, p_bar) is reported, a gauge past the float range as null
         p, q = float(P[0]), float(Q[0])
-        member = p * q < 1.0  # a Python product past the range is inf
-        return {"member": member,
-                "u": float(_atan_mean(P, Q)[0]) if member else None,
+        return {"member": bool(keep[0]),
+                "u": float(_atan_mean(P, Q)[0]) if keep[0] else None,
                 "p": p if math.isfinite(p) else None,
                 "p_bar": q if math.isfinite(q) else None}
 

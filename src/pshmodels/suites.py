@@ -2,12 +2,12 @@
 check layer, the only module that turns diagnostics into a CheckReport.
 
 Each runner takes a model, the sweep seed, the sample count, the step h
-and the tolerances by name, and returns a CheckReport. What differs
-between models (body, competitors, witnesses, strip map) comes from the
-model, so no runner branches on a model type. The samples of a suite come
-from ``substream(seed, k)``, drawn once per command: psh and ma share one
-cached draw and its eigenvalues, tube-levi and gauge-derivatives one of
-20 samples safe at 2h.
+and the tolerances by name, and returns a CheckReport, or raises
+NotApplicable where the suite does not apply; no runner branches on a
+model type. Samples come from ``substream(seed, k)``, drawn once per
+command: psh and ma share one cached draw and its eigenvalues, tube-levi
+and gauge-derivatives one of 20 samples safe at 2h, whose refusal by the
+safe sampler names the step h.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutsideDomainError, SpecError
+from .errors import NotApplicable, OutsideDomainError, SpecError, StepRefused
 from .levi import (gauge_identity_residuals_batch, levi_matrices,
                    tube_levi_residual_batch)
 from .maximality import max_violation
@@ -162,20 +162,12 @@ def check_monge_ampere(model: Model, nsamples: int, seed: int,
 def check_step(model: Model, h: float, suite: str = "all") -> None:
     """Refuse (SpecError) a step that is not positive and finite, since
     every report echoes it, and, when the suite ("all" included) takes
-    finite differences, one at or above the model's ``fd_step_limit``,
-    where its safe sampler has no room left, or, on a tube model, one
-    below MIN_RELATIVE_STEP times the body inradius: there the rounding
-    noise of the Levi form, about 1e-16 / (h / r)^2, swamps what the
-    checks measure."""
+    finite differences on a tube model, one below MIN_RELATIVE_STEP times
+    the body inradius, where the Levi form's rounding noise, about
+    1e-16 / (h / r)^2, swamps what the checks measure."""
     if not (math.isfinite(h) and h > 0):
         raise SpecError("--step must be positive and finite")
-    if suite not in FD_SUITES + ("all",):
-        return
-    if h >= model.fd_step_limit:
-        raise SpecError(f"--step {h:g} leaves the {model.name} safe sampler "
-                        "no room; finite differences need a step below "
-                        f"{model.fd_step_limit:g}")
-    if model.body is None:
+    if suite not in FD_SUITES + ("all",) or model.body is None:
         return
     r = model.body.inradius()
     if h / r < MIN_RELATIVE_STEP:
@@ -186,8 +178,8 @@ def check_step(model: Model, h: float, suite: str = "all") -> None:
 
 def _smooth_body(model: Model):
     if model.body is not None and not model.body.c2:
-        raise SpecError(f"suite requires a C2 body; {model.name} is built "
-                        "over a polytope")
+        raise NotApplicable(f"suite requires a C2 body; {model.name} is "
+                            "built over a polytope")
     return model.body
 
 
@@ -204,9 +196,13 @@ def _suite_ma(model, seed, samples, h, tols) -> CheckReport:
 
 @functools.lru_cache(maxsize=1)
 def _richardson_points(model, seed, h):
-    """The 20 samples safe at 2h of both Richardson suites, read-only."""
-    Z = model.sample_fd_safe_batch([substream(seed, k) for k in range(20)],
-                                   2 * h)
+    """The 20 samples safe at 2h of both Richardson suites, read-only; a
+    2h the sampler refuses is refused as the step h, at half its limit."""
+    try:
+        Z = model.sample_fd_safe_batch([substream(seed, k)
+                                        for k in range(20)], 2 * h)
+    except StepRefused as exc:
+        raise StepRefused(model.name, h, exc.limit / 2) from None
     Z.setflags(write=False)
     return Z
 
@@ -220,7 +216,7 @@ def _richardson(check, residuals, model, seed, h, tols) -> CheckReport:
     but fails the check."""
     body = _smooth_body(model)
     if not model.gauge_identities:
-        raise SpecError(f"{check} suite requires an elliptic tube")
+        raise NotApplicable(f"{check} suite requires an elliptic tube")
     Z = _richardson_points(model, seed, h)
     res_2h = residuals(body, Z, 2 * h).reshape(len(Z), -1)
     res_h = residuals(body, Z, h).reshape(len(Z), -1)
@@ -316,8 +312,8 @@ RUNNERS = {
 def verify(model: Model, suite: str, seed: int, samples: int, h: float,
            tols: dict) -> dict:
     """The report of one suite as a dict, or for suite "all" every suite's
-    report, with a suite that does not apply to the model (SpecError)
-    listed as skipped, and the overall pass flag."""
+    report, a suite that does not apply (NotApplicable) listed as skipped,
+    and the overall pass flag; any other refusal propagates."""
     check_step(model, h, suite)
     if suite != "all":
         return RUNNERS[suite](model, seed, samples, h, tols).to_dict()
@@ -326,7 +322,7 @@ def verify(model: Model, suite: str, seed: int, samples: int, h: float,
         try:
             reports.append(RUNNERS[name](model, seed, samples, h,
                                          tols).to_dict())
-        except SpecError as exc:
+        except NotApplicable as exc:
             reports.append({"check": name, "model": model.name,
                             "skipped": str(exc)})
     return {"model": model.name, "suites": reports,

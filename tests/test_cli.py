@@ -528,6 +528,41 @@ class TestVerify:
         assert code in (0, 1) and err == ""
         assert json.loads(out)
 
+    def test_step_past_the_elliptic_window_rejected(self, capsys):
+        # both gauges at most 0.8 keep u below atan(0.8); the floor
+        # 10 h / rin reaches it from h = atan(0.8) / 10 on the unit ball,
+        # where 10,000 redraw rounds used to starve (exit 4)
+        path = str(ROOT / "specs" / "ball_tube.json")
+        for suite in ("psh", "ma", "all"):
+            code, out, err = run(capsys, ["verify", "--model", path,
+                                          "--suite", suite, "--samples",
+                                          "3", "--step", "0.1"])
+            assert code == 2 and out == ""
+            assert "--step 0.1 " in err and "0.0674741" in err
+        code, out, err = run(capsys, ["verify", "--model", path, "--suite",
+                                      "psh", "--samples", "3", "--step",
+                                      "0.05"])
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)["h"] == 0.05
+
+    @pytest.mark.parametrize("suite", ["tube-levi", "gauge-derivatives"])
+    def test_richardson_refusal_names_the_given_step(self, capsys, suite):
+        # the Richardson suites draw at 2h = 0.04, past the 0.033737 of
+        # the ellipsoid tube's window; the refusal is of --step 0.02, at
+        # half that limit
+        code, out, err = run(capsys, ["verify", "--model",
+                                      str(ROOT / "specs" /
+                                          "ellipsoid_tube.json"),
+                                      "--suite", suite, "--step", "0.02"])
+        assert code == 2 and out == ""
+        assert "--step 0.02 " in err and "0.0168685" in err
+        assert "0.04" not in err
+
+    @pytest.mark.parametrize("spec", [STRIP, DISC], ids=["strip1d", "disc1d"])
+    def test_check_step_has_no_window_rule(self, spec):
+        # the safe sampler refuses what its window cannot serve
+        assert check_step(model_from_spec(spec), 0.1, "psh") is None
+
     def test_safe_window_leaves_other_suites_alone(self, spec_path, capsys):
         code, out, _ = run(capsys, ["verify", "--model", spec_path(DISC),
                                     "--suite", "schwarz", "--samples", "5",

@@ -6,8 +6,10 @@ import pytest
 from pshmodels import (Ellipsoid, EllipticTube, Gauge, OutsideDomainError,
                        Strip1D, Disc1D, StripTube, check_monge_ampere,
                        check_plurisubharmonic, gauge_identity_residuals,
-                       Model, levi_line, levi_matrix, member_samples,
-                       metric_levi_pair, substream, tube_levi_residual)
+                       Model, levi_line, levi_matrices, levi_matrix,
+                       member_samples,
+                       metric_levi_pair, substream, tube_levi_residual,
+                       tube_levi_residual_batch)
 from pshmodels import levi, suites
 from pshmodels.maximality import disc_samples
 from pshmodels.stencils import (central_differences, pair_directions,
@@ -131,6 +133,13 @@ class TestLeviMatrix:
         for h in (2e-2, 1e-2):
             res[h] = np.max(np.abs(levi_matrix(field, z, h).matrix - exact))
         assert 3.5 <= res[2e-2] / res[1e-2] <= 4.5
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_rows(self, n):
+        # the pair count is sized explicitly, so 0 rows reshape too
+        A = levi_matrices(lambda Z: np.zeros(len(Z)),
+                          np.empty((0, n), dtype=complex), 1e-3)
+        assert A.shape == (0, n, n)
 
 
 def levi_from_real_hessian(H, n):
@@ -355,6 +364,11 @@ class TestTubeLevi:
     def test_polytope_rejected(self, unit_square):
         with pytest.raises(ValueError):
             tube_levi_residual(unit_square, np.array([0.1j, 0.0]), 1e-3)
+
+    def test_no_rows(self, unit_ball):
+        res = tube_levi_residual_batch(unit_ball,
+                                       np.empty((0, 2), dtype=complex), 1e-3)
+        assert res.shape == (0,)
 
 
 class TestGaugeDerivativeIdentities:

@@ -11,6 +11,7 @@ from pshmodels import (QUARTER_PI, Competitor, Disc1D, Ellipsoid,
                        interval, linear_pullback, max_violation,
                        slab_pullback, substream, unit_disc_point,
                        unit_vector)
+from pshmodels.errors import NotApplicable
 from pshmodels.geodesics import disc_points
 from pshmodels.suites import TOL_DEFAULTS, verify
 
@@ -111,6 +112,34 @@ class TestLinearPullback:
             "check": "maximality", "model": "striptube",
             "skipped": "no certified support for SmoothBody"}
         assert suites["schwarz"]["pass"] is True
+
+    def test_faulty_support_is_not_skipped(self):
+        # a support formula of the wrong sign makes every slab degenerate:
+        # a fault of the body, not a suite that does not apply, so "all"
+        # refuses as the suite run alone does
+        class Flipped(Polytope):
+            def _supports(self, A):
+                return -super()._supports(A)
+
+        tube = EllipticTube(Flipped([[1, 0], [-1, 0], [0, 1], [0, -1]],
+                                    [1, 1, 1, 1]))
+        for suite in ("all", "maximality"):
+            with pytest.raises(SpecError, match="^degenerate slab$") as info:
+                verify(tube, suite, 42, 3, 1e-3, TOL_DEFAULTS)
+            assert not isinstance(info.value, NotApplicable)
+
+    def test_applicability_refusals(self, unit_square, zero_gradient_disc):
+        # the three refusals "all" lists as skipped: a polytope body, no
+        # elliptic tube, no certified support
+        refusals = [
+            lambda: verify(EllipticTube(unit_square), "psh", 42, 3, 1e-3,
+                           TOL_DEFAULTS),
+            lambda: verify(Strip1D(), "tube-levi", 42, 3, 1e-3,
+                           TOL_DEFAULTS),
+            lambda: zero_gradient_disc.support([1.0, 0.0])]
+        for refusal in refusals:
+            with pytest.raises(NotApplicable):
+                refusal()
 
 class TestGeodesicPullback:
     def test_interval_equality_witness(self, interval_sym):

@@ -184,6 +184,12 @@ class TestMetric:
                 assert tube.disc_bound(x, np.ldexp(v, e)) == math.ldexp(
                     bound, e)
 
+    @pytest.mark.parametrize("cls", [Strip1D, Disc1D, StripTube])
+    def test_disc_bound_is_the_metric(self, cls):
+        # the identity disc, its Moebius image and the flat ray realize
+        # the metric exactly, so the bound is the closed form itself
+        assert vars(cls)["disc_bound"] is vars(cls)["_metric"]
+
     def test_center_required(self, unit_ball):
         with pytest.raises(OutsideDomainError):
             EllipticTube(unit_ball).metric([1.5, 0.0], [1.0, 0.0])

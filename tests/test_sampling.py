@@ -2,13 +2,14 @@
 seed is the Philox stream keyed by [seed mod 2^64, k mod 2^64]. The
 masked rounds of ``redraw``, the package's one rejection loop, and the
 starvation message of each sampler that rejects draws, once its cap on
-the rounds is reached."""
+the rounds is reached, and the refusal of a step that a safe sampler's
+window cannot serve, before any draw."""
 import numpy as np
 import pytest
 
-from pshmodels import (EllipticTube, Ellipsoid, Gauge, StripTube, interval,
-                       sampling, substream)
-from pshmodels.errors import ConvergenceError
+from pshmodels import (Disc1D, EllipticTube, Ellipsoid, Gauge, Strip1D,
+                       StripTube, interval, sampling, substream)
+from pshmodels.errors import ConvergenceError, StepRefused
 from pshmodels.sampling import redraw, unit_vectors
 
 MASK64 = (1 << 64) - 1
@@ -151,3 +152,22 @@ def test_elliptic_tube_strip_sampling_starves():
     with pytest.raises(ConvergenceError,
                        match="^elliptic-tube strip sampling starved$"):
         tube.strip_points([0.1j], [substream(1, 0)])
+
+
+@pytest.mark.parametrize("model, h, limit", [
+    (EllipticTube(Ellipsoid(np.eye(2))), 0.1, "0.0674741"),
+    (EllipticTube(Ellipsoid(np.diag([1.0, 4.0]))), 0.04, "0.033737"),
+    (Disc1D(), 0.05, "0.0314159"),
+    (Strip1D(), 0.1, "0.0706858")], ids=["ball", "ellipsoid", "disc",
+                                         "strip"])
+def test_safe_sampler_refuses_an_unservable_step_before_drawing(model, h,
+                                                                limit):
+    # an elliptic-tube window keeps both gauges at most 0.8, so u stays
+    # below atan(0.8) and no draw reaches the floor 10 h / rin from
+    # h = rin atan(0.8) / 10 on; a 1-D window is empty from k h = hi pi/4
+    rng = _Logged(substream(1, 0))
+    with pytest.raises(StepRefused, match=f"^--step {h:g} .* {limit}$"):
+        model.sample_fd_safe_batch([rng], h)
+    assert rng.calls == []
+    assert model.sample_fd_safe_batch([substream(1, 0)], h / 2).shape == (
+        1, model.dim)
