@@ -53,7 +53,8 @@ def _commands() -> dict:
         "42"]
     # many rows of the rejection retries of the batched samplers
     for spec in ("ball_tube", "square_tube", "striptube_asym",
-                 "striptube_ellipsoid", "strip1d", "disc1d"):
+                 "striptube_ellipsoid", "strip1d", "disc1d",
+                 "ellipsoid_tube", "interval_tube"):
         commands[f"verify {spec} 1000003 large"] = [
             "verify", "--model", str(ROOT / "specs" / f"{spec}.json"),
             "--suite", "all", "--samples", "200", "--seed", "1000003"]
@@ -67,10 +68,23 @@ def _commands() -> dict:
             ("disc1d", "0,1", "0.2,-0.1"),
             ("interval_tube", "0,1", "0.1,0.05"),
             ("striptube_asym", "0,1", "0.5,-0.2"),
-            ("striptube_squircle", "1,2", "0.1,-0.2,0.05,0.1")):
+            ("striptube_squircle", "1,2", "0.1,-0.2,0.05,0.1"),
+            ("square_tube", "2,3", "0.3,-0.2,0,0")):
         commands[f"slice {spec} off-centre"] = [
             "slice", "--model", str(ROOT / "specs" / f"{spec}.json"),
             "--plane", plane, "--center=" + center, "--resolution", "40"]
+    # a Re-Im plane crossing the ellipsoid's edge, where centers are refused
+    commands["slice ellipsoid_tube edge"] = [
+        "slice", "--model", str(ROOT / "specs" / "ellipsoid_tube.json"),
+        "--plane", "0,2", "--half-width", "1.25", "--resolution", "40"]
+    # an ellipsoid gauge rescaled by a power of two, and gauges past the
+    # float range
+    for spec, label, point in (("ball_tube", "tiny y", "0.1+1e-300j,0"),
+                               ("ball_tube", "huge y", "0.1+1e300j,0"),
+                               ("square_tube", "huge y", "0.1+1e300j,0")):
+        commands[f"eval {spec} {label}"] = [
+            "eval", "--model", str(ROOT / "specs" / f"{spec}.json"),
+            "--point", point]
     return commands
 
 
