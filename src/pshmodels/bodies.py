@@ -8,13 +8,23 @@ and superellipse duality); a generic smooth body has none and refuses.
 The input contract is stated once, on ConvexBody: each public method
 validates its input once, one point or the rows of an (N, n) array, and
 runs a body formula on the validated rows (``_members``, ``_supports``,
-``_gauges``, ``_hessians``), which validates nothing; a one-point method
-is the batch of one row. ``gauge_centers`` marks the rows that may center
-a gauge by the center rule ``_centers`` (the body's points; an ellipsoid
-also refuses centers within 1e-12 of its boundary), and the gauges refuse
-any other center with ``center_refusal``. ``gauge_pair``, the pair
-(p(z), p(conj z)) at z = x + iy, may take a mask of centers the caller
-holds instead.
+``_centers``, ``_gauges``, ``_gauge_pairs``, ``_hessians``), which
+validates nothing; a one-point method is the batch of one row.
+Every gauge starts from one center pass ``_centers(X)``: the mask of the
+rows that may center a gauge (the body's points; an ellipsoid also
+refuses centers within 1e-12 of its boundary) and the center terms of
+the rows it keeps, which the center test, the gauges, the pair and the
+Hessians all read: b - A x of a polytope, (Q x, 1 - x Q x) of an
+ellipsoid, the rows themselves otherwise. ``gauge_centers`` is that mask,
+and the gauges refuse any other center with ``center_refusal``.
+``gauge_pair``, the pair (p(z), p(conj z)) at z = x + iy, comes from the
+pair formula ``_gauge_pairs``, which an ellipsoid and a polytope evaluate
+from shared terms, bit for bit the gauges at y and -y; with ``masked``
+it refuses no row and returns the mask with the pair at the rows it
+keeps. A ``Gauge`` runs the center pass at the origin once and hands the
+body the origin's terms, which the formulas broadcast over every row.
+``outer_radius`` is sup |w| over the body (a bound on a generic smooth
+body), the mirror of ``inradius``.
 Polytopes and ellipsoids use closed forms; an ellipsoid rescales a row y
 by a power of two where y Q y would leave the float range. Smooth bodies
 bracket the root on membership and then run a safeguarded Newton
@@ -174,6 +184,11 @@ class ConvexBody:
         """Radius of some ball around interior_point() contained in the body."""
         raise NotImplementedError
 
+    def outer_radius(self) -> float:
+        """sup |w| over the body: the radius of the smallest ball about the
+        origin that holds it; a generic smooth body states a bound."""
+        raise NotImplementedError
+
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
@@ -183,44 +198,54 @@ class ConvexBody:
 
     def _gauge(self, x: np.ndarray, y: np.ndarray) -> float:
         # the batch of one row, on the vectors ``gauge`` validated
-        return float(self._gauges(*self._centered(x[None], y[None]))[0])
+        return float(self._gauges(self._centered(x[None]), y[None])[0])
 
     def gauge_centers(self, X) -> np.ndarray:
         """Bool (N,) mask of the rows of X that may center a gauge; the
         gauges refuse exactly the others."""
-        return self._centers(_rows(X, self.dim))
+        return self._centers(_rows(X, self.dim))[0]
 
-    def _centers(self, X: np.ndarray) -> np.ndarray:
-        """The center rule on validated rows: by default the body's points."""
-        return self._members(X)
+    def _centers(self, X: np.ndarray):
+        """The center pass on validated rows: the mask of the rows that may
+        center a gauge (by default the body's points) and the center terms
+        of the rows it keeps, which every gauge formula reads (by default
+        the rows themselves). The formulas broadcast terms of one row."""
+        centers = self._members(X)
+        return centers, X[centers]
 
-    def _centered(self, X: np.ndarray, Y: np.ndarray):
-        """Validated rows (X, Y); raises OutsideDomainError with
-        ``center_refusal`` unless every row of X is a gauge center."""
-        if not np.all(self._centers(X)):
+    def _centered(self, X: np.ndarray):
+        """The center terms of validated rows X; raises OutsideDomainError
+        with ``center_refusal`` unless every row is a gauge center."""
+        centers, C = self._centers(X)
+        if not np.all(centers):
             raise OutsideDomainError(self.center_refusal)
-        return X, Y
+        return C
 
     def gauge_batch(self, X, Y) -> np.ndarray:
         """Gauges centered at the rows of X, at the rows of Y, as an (N,)
         array; refused as ``_centered`` refuses."""
-        return self._gauges(*self._centered(_rows(X, self.dim),
-                                            _rows(Y, self.dim)))
+        X, Y = _rows(X, self.dim), _rows(Y, self.dim)
+        return self._gauges(self._centered(X), Y)
 
-    def gauge_pair(self, X, Y, centers=None):
+    def gauge_pair(self, X, Y, masked: bool = False):
         """The gauges at y and -y centered at each row x, the pair (p(z),
-        p(conj z)) at z = x + iy, from one center test, or from none at the
-        rows of a mask ``centers = gauge_centers(X)`` the caller holds."""
-        if centers is None:
-            X, Y = self._centered(_rows(X, self.dim), _rows(Y, self.dim))
-        else:  # mask first: copy only the rows kept
-            X = _rows(np.asarray(X)[centers], self.dim)
-            Y = _rows(np.asarray(Y)[centers], self.dim)
-        return self._gauges(X, Y), self._gauges(X, -Y)
+        p(conj z)) at z = x + iy, from one center pass; refused as
+        ``_centered`` refuses. With ``masked`` no row is refused: the
+        result is (centers, P, Q), the mask ``gauge_centers(X)`` and the
+        pair at the rows it keeps."""
+        X, Y = _rows(X, self.dim), _rows(Y, self.dim)
+        if not masked:
+            return self._gauge_pairs(self._centered(X), Y)
+        centers, C = self._centers(X)
+        return (centers, *self._gauge_pairs(C, Y[centers]))
 
-    def _gauges(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """The body's gauge formula, on rows _centered."""
+    def _gauges(self, C, Y: np.ndarray) -> np.ndarray:
+        """The body's gauge formula at center terms C, at the rows Y."""
         raise NotImplementedError
+
+    def _gauge_pairs(self, C, Y: np.ndarray):
+        """The gauges at the rows Y and -Y, by default two gauge batches."""
+        return self._gauges(C, Y), self._gauges(C, -Y)
 
     def gauge_hessian(self, x, y) -> np.ndarray:
         """y-Hessian of the gauge centered at interior x, at y != 0."""
@@ -236,10 +261,10 @@ class ConvexBody:
         """_hessians at validated rows, refused at y = 0 and off center."""
         if not np.all(np.any(Y, axis=1)):
             raise ValueError("gauge Hessian undefined at y = 0")
-        return self._hessians(*self._centered(X, Y))
+        return self._hessians(self._centered(X), Y)
 
-    def _hessians(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """The body's gauge Hessian formula, on rows _centered, y != 0."""
+    def _hessians(self, C, Y: np.ndarray) -> np.ndarray:
+        """The body's gauge Hessian formula at center terms C, y != 0."""
         raise NotImplementedError
 
 
@@ -394,18 +419,34 @@ class Polytope(ConvexBody):
     def inradius(self) -> float:
         return self._cheb_radius
 
+    def outer_radius(self) -> float:
+        # a norm peaks at a vertex; hypot does not overflow
+        return float(np.max(np.hypot.reduce(self._vertices, axis=1)))
+
     def bounding_box(self):
         return self._bbox[0].copy(), self._bbox[1].copy()
 
-    def _gauges(self, X, Y) -> np.ndarray:
-        den = self.b - _matvec(self.A, X)
+    def _centers(self, X):
+        # A x once: the center test A x < b and the terms b - A x
+        AX = _matvec(self.A, X)
+        centers = np.all(AX < self.b, axis=1)
+        return centers, self.b - AX[centers]
+
+    def _gauges(self, den, Y) -> np.ndarray:
         # a.y <= 0 never constrains t (the empty max is 0); past the float
         # range a quotient, and so the gauge, is inf
         with np.errstate(over="ignore"):
             top = np.max(_matvec(self.A, Y) / den, axis=1)
         return np.where(top > 0.0, top, 0.0)
 
-    def _hessians(self, X, Y) -> np.ndarray:
+    def _gauge_pairs(self, den, Y):
+        # as _gauges; the quotients at -y are those at y negated, exactly
+        with np.errstate(over="ignore"):
+            R = _matvec(self.A, Y) / den
+        return tuple(np.where(top > 0.0, top, 0.0)
+                     for top in (np.max(R, axis=1), -np.min(R, axis=1)))
+
+    def _hessians(self, C, Y) -> np.ndarray:
         raise ValueError("polytope gauge is not C2; no Hessian")
 
 
@@ -429,7 +470,8 @@ class Ellipsoid(ConvexBody):
             raise SpecError("Q must be positive definite") from None
         self.dim = Q.shape[0]
         self._Qinv = np.linalg.inv(self.Q)
-        self._eigmax = float(np.linalg.eigvalsh(self.Q)[-1])
+        eigs = np.linalg.eigvalsh(self.Q)
+        self._eigmin, self._eigmax = float(eigs[0]), float(eigs[-1])
 
     def _members(self, W) -> np.ndarray:
         return ((W[:, None, :] @ self.Q) @ W[:, :, None])[:, 0, 0] < 1.0
@@ -444,24 +486,43 @@ class Ellipsoid(ConvexBody):
     def inradius(self) -> float:
         return 1.0 / np.sqrt(self._eigmax)
 
+    def outer_radius(self) -> float:
+        return 1.0 / np.sqrt(self._eigmin)
+
     def bounding_box(self):
         half = np.sqrt(np.diag(self._Qinv))
         return -half, half.copy()
 
-    def _centers(self, X) -> np.ndarray:
-        # not _members: the gauge also refuses centers within 1e-12 of
-        # the boundary, where its quadratic loses all precision
-        return 1.0 - _rowdot(X, _matvec(self.Q, X)) >= 1e-12
-
-    def _gauges(self, X, Y) -> np.ndarray:
+    def _centers(self, X):
+        # Q x and d = 1 - x Q x once, for the center test and the terms
+        # (Q x, d). Not _members: the gauge also refuses centers within
+        # 1e-12 of the boundary, where its quadratic loses all precision
         QX = _matvec(self.Q, X)
         d = 1.0 - _rowdot(X, QX)
+        centers = d >= 1e-12
+        return centers, (QX[centers], d[centers])
+
+    def _gauges(self, C, Y) -> np.ndarray:
+        b, r, d, back = self._radicals(C, Y)
+        return back((b + r) / d)
+
+    def _gauge_pairs(self, C, Y):
+        # b is odd in y and c even, exactly, so the gauge at -y is
+        # (-b + r) / d
+        b, r, d, back = self._radicals(C, Y)
+        return back((b + r) / d), back((r - b) / d)
+
+    def _radicals(self, C, Y):
+        """(b, r, d, back): the gauge at y is back((b + r) / d), with
+        b = Q x . y, c = y Q y and r = sqrt(b^2 + c d)."""
+        QX, d = C
         c = self._quadratic(Y)
         # the gauge is 1-homogeneous, and scaling y by a power of two is
         # exact while no product leaves the normal range: a row whose
         # quadratic c lies outside _QUADRATIC_RANGE, where b * b or c * d
         # may underflow or overflow, is evaluated at y / 2^e, with max
-        # |y_i| / 2^e in [1/2, 1), and scaled back
+        # |y_i| / 2^e in [1/2, 1), and scaled back by ``back``, which also
+        # sets 0 at y = 0
         offcenter = np.any(Y, axis=1)
         wild = np.flatnonzero(offcenter & ~((c >= _QUADRATIC_RANGE[0])
                                             & (c <= _QUADRATIC_RANGE[1])))
@@ -471,11 +532,13 @@ class Ellipsoid(ConvexBody):
             Y[wild] = np.ldexp(Y[wild], -e[:, None])
             c[wild] = self._quadratic(Y[wild])
         b = _rowdot(QX, Y)
-        p = (b + np.sqrt(b * b + c * d)) / d
-        if len(wild):
-            with np.errstate(over="ignore"):  # a gauge past the float range
-                p[wild] = np.ldexp(p[wild], e)
-        return np.where(offcenter, p, 0.0)
+
+        def back(p):
+            if len(wild):
+                with np.errstate(over="ignore"):  # past the float range
+                    p[wild] = np.ldexp(p[wild], e)
+            return np.where(offcenter, p, 0.0)
+        return b, np.sqrt(b * b + c * d), d, back
 
     def _tight_covectors(self, D) -> np.ndarray:
         # Q d / sqrt(d Q d), the normal covector at the boundary point on
@@ -488,10 +551,9 @@ class Ellipsoid(ConvexBody):
         with np.errstate(over="ignore", invalid="ignore"):
             return ((Y[:, None, :] @ self.Q) @ Y[:, :, None])[:, 0, 0]
 
-    def _hessians(self, X, Y) -> np.ndarray:
-        QX = _matvec(self.Q, X)
+    def _hessians(self, C, Y) -> np.ndarray:
+        QX, d = C
         QY = _matvec(self.Q, Y)
-        d = 1.0 - _rowdot(X, QX)
         b = _rowdot(QX, Y)
         c = _rowdot(QY, Y)
         r = np.sqrt(b * b + c * d)[:, None, None]
@@ -558,6 +620,9 @@ class SmoothBody(ConvexBody):
     def bounding_box(self):
         half = np.full(self.dim, self.bounding_radius)
         return -half, half.copy()
+
+    def outer_radius(self) -> float:
+        return self.bounding_radius
 
     def oracle_batch(self, W: np.ndarray):
         """Values (N,) and gradients (N, n) of the oracle at the rows of W.
@@ -632,6 +697,9 @@ class SmoothBody(ConvexBody):
         raise ConvergenceError("gauge root find did not settle")
 
     def _gauges(self, X, Y) -> np.ndarray:
+        # the center terms are the rows x, or a Gauge's one origin row
+        if len(X) != len(Y):
+            X = X.repeat(len(Y), axis=0)
         out = np.zeros(len(X))
         rows = np.flatnonzero(np.any(Y, axis=1))
         if len(rows) > _SCALAR_ROWS:
@@ -772,6 +840,17 @@ class Superellipse(SmoothBody):
     def inradius(self) -> float:
         return float(np.min(self.radii))
 
+    def outer_radius(self) -> float:
+        # Hoelder: |w|^2 = sum r_i^2 s_i^2 with sum s_i^m < 1 peaks at
+        # |r^2|_q, q = m / (m - 2), the dual of the (m / 2)-norm; over
+        # max r_i, so that huge radii do not overflow
+        top = float(np.max(self.radii))
+        m = self.power
+        if m == 2:
+            return top
+        q = m / (m - 2)
+        return top * float(np.sum((self.radii / top) ** (2 * q))) ** (0.5 / q)
+
 
 class Gauge:
     """Origin-centered Minkowski functional of a body containing 0.
@@ -783,8 +862,9 @@ class Gauge:
     def __init__(self, body: ConvexBody):
         self.body = body
         self._origin = np.zeros(body.dim)
-        # the one center test: batch evaluates at the origin unchecked
-        if not body.gauge_centers(self._origin[None])[0]:
+        # the one center pass: every gauge reads the origin's terms
+        centers, self._terms = body._centers(self._origin[None])
+        if not centers[0]:
             raise SpecError("gauge requires a body containing the origin")
 
     @property
@@ -793,13 +873,12 @@ class Gauge:
 
     def __call__(self, y) -> float:
         """The gauge at y: the batch of one row."""
-        y = _vector(y, self.dim)[None]
-        return float(self.body._gauges(np.zeros_like(y), y)[0])
+        return float(self.body._gauges(self._terms,
+                                       _vector(y, self.dim)[None])[0])
 
     def batch(self, Y) -> np.ndarray:
         """The gauge at each row of an (N, n) array."""
-        Y = _rows(Y, self.dim)
-        return self.body._gauges(np.zeros_like(Y), Y)
+        return self.body._gauges(self._terms, _rows(Y, self.dim))
 
     def hessian(self, y) -> np.ndarray:
         return self.body.gauge_hessian(self._origin, y)

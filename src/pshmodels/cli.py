@@ -200,8 +200,7 @@ def cmd_slice(args) -> int:
     # partial file
     member, u = model.member_potential_batch(Z)
     _emit(_slice_blocks(coords[::ticks.size, i].tolist(),
-                        coords[:ticks.size, j].tolist(), member.tolist(),
-                        u.tolist()), args.out)
+                        coords[:ticks.size, j].tolist(), member, u), args.out)
     return 0
 
 
@@ -215,19 +214,25 @@ def _slice_blocks(c1, c2, member, u):
 
     The text is what ``csv.writer`` writes: CRLF line ends, ``repr`` of
     each float, 0 or 1 for membership and an empty ``u`` outside the
-    domain. ``u`` holds the potential of the member rows only, in row
-    order. Each c1 and c2 value is formatted once.
+    domain. ``member`` is the bool mask of the grid's rows and ``u`` the
+    potential of its member rows only, in row order. Each c1 and c2 value
+    is formatted once. The rows after c1 come from a table of cells, one
+    per grid row: an outside cell is the text of its c2 column, copied
+    whole, and a member cell is its column's head, "1,", ``repr`` of its
+    u and the line end.
     """
     yield _SEP.join(["c1", "c2", "member", "u"]) + _EOL
     heads = [repr(v) + _SEP for v in c2]
-    inside, outside = "1" + _SEP, "0" + _SEP + _EOL
-    values = map(repr, u)
+    m = len(c2)
+    cells = [head + "0" + _SEP + _EOL for head in heads] * len(c1)
+    inside = [head + "1" + _SEP for head in heads]
+    rows = np.flatnonzero(member)
+    for row, column, value in zip(rows.tolist(), (rows % m).tolist(),
+                                  map(repr, u.tolist())):
+        cells[row] = inside[column] + value + _EOL
     for k, value in enumerate(c1):
         lead = repr(value) + _SEP
-        flags = member[k * len(c2):(k + 1) * len(c2)]
-        yield lead + lead.join([
-            head + (inside + next(values) + _EOL if flag else outside)
-            for head, flag in zip(heads, flags)])
+        yield lead + lead.join(cells[k * m:(k + 1) * m])
 
 
 # the options shared between subcommands; each takes only those it reads

@@ -13,6 +13,11 @@ member rows, in one pass. Everything else is defined once, on Model:
 with "point is not in the <name> domain" when any row is not a member),
 and ``member`` and ``potential`` are batches of one row.
 
+An elliptic tube evaluates through one body call, ``gauge_pair(X, Y,
+masked=True)``: one center pass over every row gives the mask of the
+gauge centers and the terms of the pair (p(z), p(conj z)) at the rows it
+keeps, which membership, the potential and the ``eval`` record all read.
+
 A model's center rule ``_in_center`` (by default every real point; on an
 elliptic tube its body's ``gauge_centers``, as in its membership) is
 asked by ``in_center`` and by ``_center_args(x, v)``, which validates the
@@ -32,7 +37,8 @@ one batched call each. ``sample_member``, ``sample_fd_safe`` and
 ``strip_point`` are defined once, on Model, as batches of one row. A safe
 sampler whose window cannot serve the step h refuses it itself, before
 any draw (``Model._refuse_step``): ``_PlaneDomain`` from its ``_window``,
-``EllipticTube`` from its gauge cap 0.8.
+``EllipticTube`` from its gauge cap 0.8, ``StripTube`` from its level cap
+0.9 pi/4 and the body's ``outer_radius``.
 
 Each model also carries its own part of every verification suite and CLI
 record (see Model), so no caller branches on the model type; ``suites``
@@ -410,7 +416,11 @@ class StripTube(Model):
 
     def sample_fd_safe_batch(self, rngs, h: float) -> np.ndarray:
         # x, then (d, level) until the length test passes; the level is
-        # dimensionless, and the length test keeps |y| above the step
+        # dimensionless, and the length test keeps |y| above the step.
+        # |y| = level / gauge(d) < 0.9 (pi/4) R, R = sup |w| over the
+        # body, so no draw passes once 10 h reaches that
+        self._refuse_step(h, 0.9 * QUARTER_PI * self.body.outer_radius()
+                          / 10.0)
         X = _uniform_rows(rngs, self.dim)
         floor = max(0.5 * self.body.inradius(), 10.0 * h)
 
@@ -478,8 +488,7 @@ class EllipticTube(Model):
         """(inside, P, Q, keep): the rows of Z centering a gauge, the gauge
         pair there, and which have P Q < 1, the membership of the pair."""
         Z = as_points(Z, self.dim)
-        inside = self.body.gauge_centers(Z.real)
-        P, Q = self.body.gauge_pair(Z.real, Z.imag, inside)
+        inside, P, Q = self.body.gauge_pair(Z.real, Z.imag, masked=True)
         with np.errstate(over="ignore"):  # past the float range: outside
             keep = P * Q < 1.0
         return inside, P, Q, keep
@@ -606,15 +615,17 @@ class EllipticTube(Model):
         return math.ldexp(0.5 * (1.0 / T1[0] + 1.0 / T2[0]) / tau, e)
 
     def eval_record(self, z) -> dict:
+        # one evaluation: off the gauge centers P, Q and keep are empty
         inside, P, Q, keep = self._pairs(as_point(z, self.dim)[None])
-        if not inside[0]:
-            return super().eval_record(z)
-        # (p, p_bar) is reported, a gauge past the float range as null
-        p, q = float(P[0]), float(Q[0])
-        return {"member": bool(keep[0]),
-                "u": float(_atan_mean(P, Q)[0]) if keep[0] else None,
-                "p": p if math.isfinite(p) else None,
-                "p_bar": q if math.isfinite(q) else None}
+        member = bool(np.any(keep))
+        record = {"member": member,
+                  "u": float(_atan_mean(P, Q)[0]) if member else None,
+                  "p": None, "p_bar": None}
+        if inside[0]:
+            # (p, p_bar) is reported, a gauge past the float range as null
+            for key, value in (("p", float(P[0])), ("p_bar", float(Q[0]))):
+                record[key] = value if math.isfinite(value) else None
+        return record
 
     def geodesic_record(self, z) -> dict:
         z = as_point(z, self.dim)

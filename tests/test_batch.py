@@ -3,7 +3,9 @@
 Property tests over random SPD ellipsoids, bounded polytopes and
 superellipses: batched gauges and memberships reproduce the former
 one-point formulas of the bodies kept here, and the smooth-body gauges
-the scalar root find, bit for bit; batched model memberships and
+the scalar root find, bit for bit; the mask and gauge pair of one center
+pass reproduce the former center rule and the two former gauge batches
+at y and -y kept here, bit for bit; batched model memberships and
 potentials reproduce the former one-point formulas kept here, the batched
 samplers and support values reproduce the former scalar code byte for byte,
 batched Levi matrices reproduce levi_matrix, smooth-body gauge Hessians
@@ -32,6 +34,7 @@ from pshmodels import (QUARTER_PI, ConvergenceError, Disc1D, Ellipsoid,
                        Superellipse, chart, levi_line, levi_matrices,
                        levi_matrix, model_from_spec, substream,
                        unit_disc_point, unit_vector)
+from pshmodels.bodies import _matvec, _rowdot
 from pshmodels.cli import main
 from pshmodels.sampling import unit_disc_points, unit_vectors
 from pshmodels.stencils import central_differences
@@ -258,7 +261,8 @@ def _center_rule_rows(body, rng, count):
 @SETTINGS
 @given(body=bodies, seed=st.integers(0, 2 ** 32 - 1))
 def test_gauge_pair_is_two_gauge_batches(body, seed):
-    # bit for bit, from the rows it tests or from a mask the caller holds
+    # bit for bit, from the rows it tests or, masked, with the mask of
+    # the rows that center a gauge
     rng = np.random.default_rng(seed)
     X = _center_rule_rows(body, rng, 12)
     Y = rng.normal(size=X.shape)
@@ -267,7 +271,9 @@ def test_gauge_pair_is_two_gauge_batches(body, seed):
     assert np.any(centers) and not np.all(centers)
     Xc, Yc = X[centers], Y[centers]
     P, Q = body.gauge_batch(Xc, Yc), body.gauge_batch(Xc, -Yc)
-    for pair in (body.gauge_pair(Xc, Yc), body.gauge_pair(X, Y, centers)):
+    mask, *masked = body.gauge_pair(X, Y, masked=True)
+    np.testing.assert_array_equal(mask, centers)
+    for pair in (body.gauge_pair(Xc, Yc), masked):
         np.testing.assert_array_equal(pair[0], P)
         np.testing.assert_array_equal(pair[1], Q)
 
@@ -297,27 +303,145 @@ def test_gauges_refuse_exactly_outside_gauge_centers(body, seed):
         body.gauge_pair(X, Y)
 
 
+def _former_centers(body, X):
+    """The center rule each body had before its center pass: the mask of
+    the rows of X that may center a gauge."""
+    if isinstance(body, Ellipsoid):
+        return 1.0 - _rowdot(X, _matvec(body.Q, X)) >= 1e-12
+    if isinstance(body, Polytope):
+        return np.all(_matvec(body.A, X) < body.b, axis=1)
+    return body._members(X)
+
+
+def _former_formula(body, X, Y):
+    """The gauge formula each closed-form body had before its center pass,
+    at centers X; a smooth body's formula still takes the rows x."""
+    if isinstance(body, Polytope):
+        den = body.b - _matvec(body.A, X)
+        with np.errstate(over="ignore"):
+            top = np.max(_matvec(body.A, Y) / den, axis=1)
+        return np.where(top > 0.0, top, 0.0)
+    if not isinstance(body, Ellipsoid):
+        return body._gauges(X, Y)
+    QX = _matvec(body.Q, X)
+    d = 1.0 - _rowdot(X, QX)
+    c = body._quadratic(Y)
+    offcenter = np.any(Y, axis=1)
+    wild = np.flatnonzero(offcenter & ~((c >= 2.0 ** -600)
+                                        & (c <= 2.0 ** 600)))
+    if len(wild):
+        e = np.frexp(np.max(np.abs(Y[wild]), axis=1))[1]
+        Y = Y.copy()
+        Y[wild] = np.ldexp(Y[wild], -e[:, None])
+        c[wild] = body._quadratic(Y[wild])
+    b = _rowdot(QX, Y)
+    p = (b + np.sqrt(b * b + c * d)) / d
+    if len(wild):
+        with np.errstate(over="ignore"):
+            p[wild] = np.ldexp(p[wild], e)
+    return np.where(offcenter, p, 0.0)
+
+
+def _outcome(evaluate):
+    """The arrays evaluate() returns, or the type and text of its error."""
+    try:
+        return tuple(np.asarray(a) for a in evaluate())
+    except ConvergenceError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert a == b
+
+
+# |y| of the rows checked: as drawn by _rays, then each scale of the CLI's
+# TestExtremeScales, whose squares leave the float range
+Y_SCALES = (None, 1e-300, 1e-200, 1e-160, 1e150, 1e300)
+
+
+@SETTINGS
+@given(body=bodies, seed=st.integers(0, 2 ** 32 - 1))
+def test_center_pass_matches_the_former_gauges(body, seed):
+    # the mask and the pair of one center pass, bit for bit, against the
+    # former center rule and the two former gauge batches at y and -y, on
+    # centers on both sides of the rule, y = 0 in some rows; a smooth
+    # body refuses extreme scales with the same error as before
+    rng = np.random.default_rng(seed)
+    for scale in Y_SCALES:
+        X = _center_rule_rows(body, rng, 4)
+        Y = rng.normal(size=X.shape)
+        norms = (10.0 ** rng.uniform(-3.0, 3.0, len(Y)) if scale is None
+                 else scale)
+        Y *= (norms / np.linalg.norm(Y, axis=1))[:, None]
+        Y[rng.integers(len(Y), size=2)] = 0.0
+
+        def former():
+            centers = _former_centers(body, X)
+            Xc, Yc = X[centers], Y[centers]
+            return (centers, _former_formula(body, Xc, Yc),
+                    _former_formula(body, Xc, -Yc))
+        expected = _outcome(former)
+        _assert_same_outcome(
+            _outcome(lambda: body.gauge_pair(X, Y, masked=True)), expected)
+        np.testing.assert_array_equal(body.gauge_centers(X),
+                                      _former_centers(body, X))
+        if len(expected) == 2:  # a refusal: nothing more to compare
+            continue
+        centers, P, Q = expected
+        Xc, Yc = X[centers], Y[centers]
+        _assert_same_outcome(_outcome(lambda: body.gauge_pair(Xc, Yc)),
+                             (P, Q))
+        _assert_same_outcome(_outcome(lambda: (body.gauge_batch(Xc, Yc),)),
+                             (P,))
+        # a Gauge reads the origin's terms, broadcast over every row
+        _assert_same_outcome(
+            _outcome(lambda: (Gauge(body).batch(Y),)),
+            _outcome(lambda: (_former_formula(body, np.zeros_like(Y), Y),)))
+    none = np.empty((0, body.dim))
+    for got, shape in zip(body.gauge_pair(none, none, masked=True),
+                          [(0,)] * 3):
+        assert got.shape == shape
+    assert [a.shape for a in body.gauge_pair(none, none)] == [(0,), (0,)]
+    assert Gauge(body).batch(none).shape == (0,)
+
+
+def count_center_passes(monkeypatch, body) -> list:
+    """Record (formula, rows) for each call of the center pass
+    ``_centers`` and of the pair formula ``_gauge_pairs`` on the class of
+    body: the rows of X and of Y."""
+    calls = []
+    cls = type(body)
+    for name in ("_centers", "_gauge_pairs"):
+        def counted(self, *args, name=name, formula=getattr(cls, name)):
+            calls.append((name, len(args[-1])))
+            return formula(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["unit_square", "unit_ball", "squircle"])
 def test_one_center_test_per_evaluation(request, monkeypatch, name):
-    # an elliptic-tube evaluation tests its centers once, and a Gauge,
-    # which tested the origin when it was built, never again
+    # an elliptic-tube evaluation runs one center pass over every row and
+    # the pair on the rows it centers, and a Gauge, which ran the pass at
+    # the origin when it was built, never again
     body = request.getfixturevalue(name)
     tube, strip = EllipticTube(body), StripTube(Gauge(body))
     members = tube.sample_member_batch([substream(7, k) for k in range(20)])
     Z = np.vstack([members, members + 2.0])  # real parts outside too
-    calls = []
-    gauge_centers = type(body).gauge_centers
-
-    def counted(self, X):
-        calls.append(len(X))
-        return gauge_centers(self, X)
-    monkeypatch.setattr(type(body), "gauge_centers", counted)
+    assert not np.any(body.gauge_centers(Z.real[20:]))
+    calls = count_center_passes(monkeypatch, body)
     for evaluate, rows in ((tube.member_potential_batch, Z),
                            (tube.member_batch, Z),
                            (tube.potential_batch, members)):
         calls.clear()
         evaluate(rows)
-        assert calls == [len(rows)]
+        assert calls == [("_centers", len(rows)), ("_gauge_pairs", 20)]
     calls.clear()
     strip.gauge.batch(Z.imag)
     strip.member_potential_batch(Z)

@@ -429,6 +429,40 @@ class TestGeometryHelpers:
         for body in (zero_gradient_disc, SmoothBody(oracle, 3, 1.5)):
             assert body.inradius() == former(body)
 
+    def test_outer_radii(self, unit_square, ellipsoid14, squircle,
+                         zero_gradient_disc):
+        # sup |w|: a vertex, the longest semi-axis, Hoelder's bound on a
+        # superellipse (its closed form on the squircle is
+        # (1 + 0.7^4)^(1/4)), and a generic smooth body's stated bound
+        assert unit_square.outer_radius() == pytest.approx(2.0 ** 0.5,
+                                                           rel=1e-12)
+        assert ellipsoid14.outer_radius() == pytest.approx(1.0, rel=1e-12)
+        assert squircle.outer_radius() == pytest.approx(
+            (1.0 + 0.7 ** 4) ** 0.25, rel=1e-14)
+        assert Superellipse([0.5, 2.0], power=2).outer_radius() == 2.0
+        assert zero_gradient_disc.outer_radius() == (
+            zero_gradient_disc.bounding_radius)
+        # huge radii, whose powers leave the float range unscaled
+        assert Superellipse([1e100, 1e100], power=4).outer_radius() == (
+            pytest.approx(2.0 ** 0.25 * 1e100, rel=1e-14))
+
+    @pytest.mark.parametrize("body", [
+        Polytope([[1.0, 0.2], [-1.0, 0.5], [0.1, 1.0], [0.3, -1.0]],
+                 [1.0, 2.0, 0.7, 1.5]),
+        Ellipsoid([[2.0, 0.6], [0.6, 1.0]]),
+        Superellipse([1.0, 0.7], power=4),
+        Superellipse([0.5, 1.3, 2.0], power=8)],
+        ids=["polytope", "ellipsoid", "squircle", "superellipse8"])
+    def test_outer_radius_is_the_farthest_boundary_point(self, body):
+        # 1 / gauge(d) is the length of the boundary ray of a unit d: none
+        # exceeds the outer radius, and the longest of many comes close
+        rng = np.random.default_rng(5)
+        D = rng.normal(size=(4000, body.dim))
+        D /= np.linalg.norm(D, axis=1)[:, None]
+        reach = 1.0 / Gauge(body).batch(D)
+        assert np.max(reach) <= body.outer_radius() * (1.0 + 1e-12)
+        assert np.max(reach) >= body.outer_radius() * (1.0 - 1e-2)
+
     def test_bounding_boxes(self, unit_square, ellipsoid14):
         lo, hi = unit_square.bounding_box()
         assert np.allclose(lo, [-1, -1], atol=1e-9)

@@ -55,24 +55,16 @@ def run(capsys, argv):
 
 
 def _count_gauge_rows(monkeypatch, model) -> list:
-    """Record (method, rows evaluated) for each gauge_batch, gauge_pair and
-    one-point _gauge call on the class of model's body."""
+    """Record (formula, rows) for each call of the center pass
+    ``_centers`` (the rows of X) and of the gauge formulas ``_gauges`` and
+    ``_gauge_pairs`` (the rows of Y) on the class of model's body."""
     body = type(model.body)
     calls = []
-
-    def count(name):
-        method = getattr(body, name)
-
-        def counted(self, X, Y, *args):
-            if name == "gauge_pair" and args and args[0] is not None:
-                rows = int(np.count_nonzero(args[0]))  # rows in centers
-            else:
-                rows = len(np.atleast_2d(X))
-            calls.append((name, rows))
-            return method(self, X, Y, *args)
+    for name in ("_centers", "_gauges", "_gauge_pairs"):
+        def counted(self, *args, name=name, formula=getattr(body, name)):
+            calls.append((name, len(args[-1])))
+            return formula(self, *args)
         monkeypatch.setattr(body, name, counted)
-    for name in ("gauge_batch", "gauge_pair", "_gauge"):
-        count(name)
     return calls
 
 
@@ -82,16 +74,16 @@ class TestEval:
         ("1.5+0.1j,0", False)], ids=["member", "nonmember", "outside-body"])
     def test_one_gauge_pair(self, spec_path, capsys, monkeypatch, point,
                             member):
-        # membership, potential and (p, p_bar) come from one gauge pair
+        # membership, potential and (p, p_bar) come from one center pass
+        # and one gauge pair
         calls = _count_gauge_rows(monkeypatch, model_from_spec(SQUARE_TUBE))
         code, out, _ = run(capsys, ["eval", "--model", spec_path(SQUARE_TUBE),
                                     "--point=" + point])
         assert json.loads(out)["member"] is member
         assert code == (0 if member else 3)
         # outside the body no gauge is centered, and none is evaluated
-        assert ([call for call in calls if call[1]]
-                == ([("gauge_pair", 1)] if json.loads(out)["p"] is not None
-                    else []))
+        centered = json.loads(out)["p"] is not None
+        assert calls == [("_centers", 1), ("_gauge_pairs", int(centered))]
 
     def test_interval_tube_point(self, spec_path, capsys):
         code, out, _ = run(capsys, ["eval", "--model", spec_path(INTERVAL_TUBE),
@@ -545,6 +537,25 @@ class TestVerify:
         assert code in (0, 1) and err == ""
         assert json.loads(out)["h"] == 0.05
 
+    @pytest.mark.parametrize("spec, limit", [
+        ("striptube_ellipsoid", "0.0706858"),
+        ("striptube_squircle", "0.0745927")])
+    def test_step_past_the_strip_window_rejected(self, capsys, spec, limit):
+        # a strip-tube draw has |y| < 0.9 (pi/4) R, R = sup |w| over the
+        # body, so the floor 10 h is out of reach from 0.9 (pi/4) R / 10
+        # on, where 1,000 redraw rounds used to starve (exit 4)
+        path = str(ROOT / "specs" / f"{spec}.json")
+        code, out, err = run(capsys, ["verify", "--model", path, "--suite",
+                                      "psh", "--samples", "3", "--step",
+                                      "0.1"])
+        assert code == 2 and out == ""
+        assert "--step 0.1 " in err and limit in err
+        code, out, err = run(capsys, ["verify", "--model", path, "--suite",
+                                      "psh", "--samples", "3", "--step",
+                                      "0.05"])
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)["h"] == 0.05
+
     @pytest.mark.parametrize("suite", ["tube-levi", "gauge-derivatives"])
     def test_richardson_refusal_names_the_given_step(self, capsys, suite):
         # the Richardson suites draw at 2h = 0.04, past the 0.033737 of
@@ -730,7 +741,8 @@ class TestSlice:
                              ids=["ellipsoid", "polytope"])
     def test_elliptic_tube_gauges_each_point_once(self, spec_path, capsys,
                                                   monkeypatch, spec):
-        # one gauge pair decides membership and gives the potential
+        # one center pass over the grid and one gauge pair at the points
+        # it centers decide membership and give the potential
         calls = _count_gauge_rows(monkeypatch, model_from_spec(spec))
         code, _, _ = run(capsys, ["slice", "--model", spec_path(spec),
                                   "--plane", "0,2", "--half-width", "1.25",
@@ -738,8 +750,8 @@ class TestSlice:
         assert code == 0
         # the grid reaches past the body: some of its 121 points center
         # no gauge
-        assert len(calls) == 1 and calls[0][0] == "gauge_pair"
-        assert 0 < calls[0][1] < 121
+        assert [name for name, _ in calls] == ["_centers", "_gauge_pairs"]
+        assert calls[0][1] == 121 and 0 < calls[1][1] < 121
 
     def test_writes_at_most_one_block(self, spec_path, monkeypatch):
         # the text goes out block by block, so it never sits whole in memory

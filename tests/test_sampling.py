@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pshmodels import (Disc1D, EllipticTube, Ellipsoid, Gauge, Strip1D,
-                       StripTube, interval, sampling, substream)
+                       StripTube, Superellipse, sampling, substream)
 from pshmodels.errors import ConvergenceError, StepRefused
 from pshmodels.sampling import redraw, unit_vectors
 
@@ -122,11 +122,13 @@ def test_unit_vector_sampling_starves():
 
 
 def test_strip_tube_safe_sampling_starves():
-    # no |y| reaches the length floor 10 h = 100 on the interval tube
-    tube = StripTube(Gauge(interval(-1.0, 1.0)))
+    # the needle reaches |w| = 1e8, so it serves h = 1e-3, but |y| reaches
+    # the length floor 10 h only along directions within about 1e-6 of
+    # its long axis, which no draw finds
+    tube = StripTube(Gauge(Superellipse([1e-8, 1e8], power=4)))
     with pytest.raises(ConvergenceError,
                        match="^strip-tube safe sampling starved$"):
-        tube.sample_fd_safe_batch([substream(1, 0)], 10.0)
+        tube.sample_fd_safe_batch([substream(1, 0)], 1e-3)
 
 
 def test_body_sampling_starves():
@@ -158,13 +160,18 @@ def test_elliptic_tube_strip_sampling_starves():
     (EllipticTube(Ellipsoid(np.eye(2))), 0.1, "0.0674741"),
     (EllipticTube(Ellipsoid(np.diag([1.0, 4.0]))), 0.04, "0.033737"),
     (Disc1D(), 0.05, "0.0314159"),
-    (Strip1D(), 0.1, "0.0706858")], ids=["ball", "ellipsoid", "disc",
-                                         "strip"])
+    (Strip1D(), 0.1, "0.0706858"),
+    (StripTube(Gauge(Ellipsoid(np.diag([1.0, 4.0])))), 0.1, "0.0706858"),
+    (StripTube(Gauge(Superellipse([1.0, 0.7], power=4))), 0.1,
+     "0.0745927")], ids=["ball", "ellipsoid", "disc", "strip", "striptube",
+                         "squircle-striptube"])
 def test_safe_sampler_refuses_an_unservable_step_before_drawing(model, h,
                                                                 limit):
     # an elliptic-tube window keeps both gauges at most 0.8, so u stays
     # below atan(0.8) and no draw reaches the floor 10 h / rin from
-    # h = rin atan(0.8) / 10 on; a 1-D window is empty from k h = hi pi/4
+    # h = rin atan(0.8) / 10 on; a 1-D window is empty from k h = hi pi/4;
+    # a strip-tube draw has |y| < 0.9 (pi/4) R, R = sup |w| over the body,
+    # so none reaches the floor 10 h from h = 0.9 (pi/4) R / 10 on
     rng = _Logged(substream(1, 0))
     with pytest.raises(StepRefused, match=f"^--step {h:g} .* {limit}$"):
         model.sample_fd_safe_batch([rng], h)

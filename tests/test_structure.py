@@ -9,7 +9,8 @@ gauge or membership, so every draw and every evaluation takes the batched
 path. A body states its formulas alone: only ConvexBody defines the
 public body methods, which validate their input once, tests and refuses
 centers and defines ``gauge_batch`` and ``gauge_pair``; no formula of a
-body validates, and only Ellipsoid has a center rule of its own. A model
+body validates, and a polytope's A x and an ellipsoid's Q x of its
+centers come from one formula, its center pass. A model
 evaluates through ``member_potential_batch`` alone: only Model defines
 ``member_batch`` and ``potential_batch``, and only ``Model._center_args``
 refuses an x off a model's center. Only ``stencils.py`` calls a field
@@ -471,10 +472,13 @@ def gauge_contract_overrides(classes) -> list:
 
 
 def test_one_gauge_contract():
-    # a body defines its gauge formula _gauges and nothing else of the
-    # contract; gauge_batch and gauge_pair refuse and evaluate through it.
-    # Only Ellipsoid has a center rule _centers of its own: it also
-    # refuses centers within 1e-12 of its boundary
+    # a body defines its formulas and nothing else of the contract:
+    # gauge_batch and gauge_pair refuse and evaluate through the center
+    # pass _centers and the gauge formulas _gauges and _gauge_pairs. A
+    # closed-form body has a center pass of its own, whose terms (A x, or
+    # Q x and 1 - x Q x) every formula reads; an ellipsoid's also refuses
+    # centers within 1e-12 of its boundary. A smooth body's pair is two
+    # gauge batches, its two root finds
     from pshmodels import bodies
     assert scalar_overrides([bodies.ConvexBody], GAUGE_CONTRACT) == [
         f"ConvexBody.{name}" for name in GAUGE_CONTRACT]
@@ -482,8 +486,54 @@ def test_one_gauge_contract():
     assert gauge_contract_overrides(subclasses) == []
     assert scalar_overrides(subclasses, ("_gauges",)) == [
         "Polytope._gauges", "Ellipsoid._gauges", "SmoothBody._gauges"]
-    assert scalar_overrides(subclasses, ("_centers",)) == [
-        "Ellipsoid._centers"]
+    assert scalar_overrides(subclasses, ("_centers", "_gauge_pairs")) == [
+        "Polytope._centers", "Polytope._gauge_pairs", "Ellipsoid._centers",
+        "Ellipsoid._gauge_pairs"]
+
+
+def center_products(source: str) -> list:
+    """Class.method of each method in source that multiplies its body's
+    matrix into the centers X, ``_matvec(self.<matrix>, X)``."""
+    found = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "_matvec" and len(node.args) == 2
+                    and isinstance(node.args[0], ast.Attribute)
+                    and isinstance(node.args[0].value, ast.Name)
+                    and node.args[0].value.id == "self"
+                    and isinstance(node.args[1], ast.Name)
+                    and node.args[1].id == "X"
+                    for node in ast.walk(method)):
+                found.append(f"{cls.name}.{method.name}")
+    return found
+
+
+def test_one_center_pass_per_body():
+    # A x of a polytope and Q x of an ellipsoid come from one formula,
+    # the center pass, which the center test and every gauge formula read
+    assert center_products((SRC / "bodies.py").read_text()) == [
+        "Polytope._centers", "Ellipsoid._centers"]
+
+
+def test_center_pass_guard_sees_a_reintroduced_product():
+    source = ("class Ellipsoid(ConvexBody):\n"
+              "    def _centers(self, X):\n"
+              "        return _matvec(self.Q, X)\n"
+              "    def _hessians(self, C, Y):\n"
+              "        QX = _matvec(self.Q, X)\n"
+              "        return _matvec(self.Q, Y)\n"
+              "class Polytope(ConvexBody):\n"
+              "    def _gauges(self, X, Y):\n"
+              "        return self.b - _matvec(self.A, X)\n"
+              "    def _supports(self, A):\n"
+              "        return _matvec(self._vertices, A)\n")
+    assert center_products(source) == [
+        "Ellipsoid._centers", "Ellipsoid._hessians", "Polytope._gauges"]
 
 
 def test_gauge_contract_guard_sees_an_override():
@@ -499,7 +549,7 @@ def test_gauge_contract_guard_sees_an_override():
             return X
 
     class SmoothBody:
-        def gauge_pair(self, X, Y, centers=None):
+        def gauge_pair(self, X, Y, masked=False):
             return X, Y
 
         def _gauges(self, X, Y):
