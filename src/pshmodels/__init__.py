@@ -18,10 +18,11 @@ from .levi import (LeviReport, gauge_identity_residuals,
                    levi_matrix, metric_levi_pair, tube_levi_residual,
                    tube_levi_residual_batch)
 from .maximality import (Competitor, geodesic_pullback, linear_pullback,
-                         max_violation, member_samples, slab_pullback)
+                         max_violation, member_samples, slab_pullback,
+                         violations)
 from .models import (QUARTER_PI, Disc1D, EllipticTube, Model, Strip1D,
                      StripTube, as_point, conjugate, model_from_spec)
-from .sampling import substream, unit_disc_point, unit_vector
+from .sampling import substream, substreams, unit_disc_point, unit_vector
 from .suites import (SchwarzReport, check_monge_ampere,
                      check_plurisubharmonic, schwarz_excess)
 
@@ -71,8 +72,10 @@ __all__ = [
     "slab_pullback",
     "striptube_geodesic",
     "substream",
+    "substreams",
     "tube_levi_residual",
     "tube_levi_residual_batch",
     "unit_disc_point",
     "unit_vector",
+    "violations",
 ]

@@ -811,9 +811,15 @@ class Superellipse(SmoothBody):
             grad = power * s ** (power - 1) / radii
             return value, grad, None
 
-        # |w_i| < r_i for members, so the box diagonal bounds the body
+        # |w_i| < r_i for members, so the box diagonal bounds the body;
+        # over max r_i where |r|^2 overflows or underflows to 0
+        with np.errstate(over="ignore"):
+            diagonal = float(np.linalg.norm(radii))
+        if not 0.0 < diagonal < np.inf:
+            top = float(np.max(radii))
+            diagonal = top * float(np.linalg.norm(radii / top))
         super().__init__(oracle, radii.size,
-                         bounding_radius=float(np.linalg.norm(radii)) * 1.0001)
+                         bounding_radius=diagonal * 1.0001)
 
     def oracle_batch(self, W: np.ndarray):
         """The oracle's closed form over the rows of W, equal to it row by

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bodies import ConvexBody, Gauge, _rows, as_point, as_points
 from .errors import OutsideDomainError
-from .sampling import substream, unit_disc_points
+from .sampling import substreams, unit_disc_points
 
 if TYPE_CHECKING:
     from .models import Model
@@ -137,8 +137,9 @@ def chart_residuals(tube: Model, X1, X2, nsamples: int, seeds) -> list:
     """identity_residual of the chart with endpoints X1[i], X2[i] over
     the disc draws of seeds[i], for every i, on the tube of the charts;
     all charts' draws go to one batched potential call."""
-    zetas = unit_disc_points([substream(seed, k) for seed in seeds
-                              for k in range(nsamples)])
+    zetas = unit_disc_points(substreams(
+        [seed for seed in seeds for _ in range(nsamples)],
+        list(range(nsamples)) * len(seeds)))
     points = disc_points(np.repeat(X1, nsamples, axis=0),
                          np.repeat(X2, nsamples, axis=0), zetas)
     values = tube.potential_batch(points).tolist()

@@ -11,7 +11,9 @@ No stencil point is placed here: a Levi form along d reads
 lines of ``stencils.pair_directions`` for a matrix, and the gauge
 identities read ``stencils.central_differences`` in the coordinates (x, y).
 A batched form evaluates every stencil point of every row in one field
-call (``potential_batch``, ``gauge_batch``).
+call (``potential_batch``, ``gauge_batch``); the batched residuals take
+one step or a sequence of steps, and evaluate the rows at every step in
+that one call.
 """
 from __future__ import annotations
 
@@ -28,8 +30,9 @@ from .stencils import (BatchField, Field, central_differences,
 
 
 def _line_forms(field: BatchField, Z: np.ndarray, D: np.ndarray,
-                h: float) -> np.ndarray:
-    """Levi forms at each row of Z along each row of D, shape (N, L).
+                h) -> np.ndarray:
+    """Levi forms at each row of Z along each row of D, shape (N, L), with
+    step h, one for every row or an (N,) array of one per row.
 
     Quarter of the 5-point Laplacian of t -> field(z + t d) over the
     complex t-plane: the second differences along d and i d.
@@ -39,7 +42,16 @@ def _line_forms(field: BatchField, Z: np.ndarray, D: np.ndarray,
         field, Z, np.concatenate([D, 1j * D]), h)
     total = (plus[:, :L] + minus[:, :L] + plus[:, L:] + minus[:, L:]
              - 4.0 * f0[:, None])
+    h = np.asarray(h)[..., None]  # one step, or a column of one per row
     return 0.25 * total / (h * h)
+
+
+def _at_steps(W: np.ndarray, h):
+    """The rows of W once per step of h, stacked, the step of each stacked
+    row, and the leading shape of a result: () for one step h, (S,) for a
+    sequence of S steps."""
+    h = np.asarray(h, dtype=float)
+    return np.tile(W, (h.size, 1)), np.repeat(h, len(W)), h.shape
 
 
 def levi_line(field: Field, z, direction, h: float) -> float:
@@ -55,8 +67,9 @@ def levi_line(field: Field, z, direction, h: float) -> float:
     return float(_line_forms(pointwise(field), z[None], d[None], h)[0, 0])
 
 
-def levi_matrices(field: BatchField, Z, h: float) -> np.ndarray:
-    """Hermitian Levi matrices (N, n, n) of a batched field at the rows of Z.
+def levi_matrices(field: BatchField, Z, h) -> np.ndarray:
+    """Hermitian Levi matrices (N, n, n) of a batched field at the rows of
+    Z, with step h, one for every row or an (N,) array of one per row.
 
     Diagonal entries come from coordinate lines directly; off-diagonal
     entries combine the four polarization lines e_j +/- e_k, e_j +/- i e_k.
@@ -106,20 +119,24 @@ def _require_c2_body(body: ConvexBody) -> None:
                          "smooth boundary")
 
 
-def tube_levi_residual_batch(body: ConvexBody, Z, h: float) -> np.ndarray:
-    """tube_levi_residual at each row of an (N, n) array, with the Levi
-    stencils of all rows evaluated in one batched potential call."""
+def tube_levi_residual_batch(body: ConvexBody, Z, h) -> np.ndarray:
+    """tube_levi_residual at each row of an (N, n) array, shape (N,), or
+    at each of a sequence of S steps h, shape (S, N). The Levi stencils of
+    every row at every step take one batched potential call, and the
+    closed-form target is computed once per row."""
     _require_c2_body(body)
     tube = EllipticTube(body)
     Z = as_points(Z, body.dim)
     if not np.all(np.any(Z.imag, axis=1)):
         raise OutsideDomainError("gauge Hessian undefined at center points")
+    W, steps, shape = _at_steps(Z, h)
     # the centers are stencil points, so a non-member row raises here
-    A = levi_matrices(tube.potential_batch, Z, h)
+    A = levi_matrices(tube.potential_batch, W, steps)
     X, Y = Z.real, Z.imag
     target = 0.125 * (body.gauge_hessian_batch(X, Y)
                       + body.gauge_hessian_batch(X, -Y))
-    return np.max(np.abs(A - target), axis=(1, 2))
+    return np.max(np.abs(A.reshape(shape + target.shape) - target),
+                  axis=(-2, -1))
 
 
 def tube_levi_residual(body: ConvexBody, z, h: float) -> float:
@@ -135,11 +152,12 @@ def tube_levi_residual(body: ConvexBody, z, h: float) -> float:
 
 
 def gauge_identity_residuals_batch(body: ConvexBody, X, Y,
-                                   h: float) -> np.ndarray:
-    """gauge_identity_residuals at each row pair of X and Y, shape (N, 3).
+                                   h) -> np.ndarray:
+    """gauge_identity_residuals at each row pair of X and Y, shape (N, 3),
+    or at each of a sequence of S steps h, shape (S, N, 3).
 
     One central-difference stencil in the 2n coordinates (x, y) gives
-    every partial of every row, from one batched gauge call.
+    every partial of every row at every step, from one batched gauge call.
     """
     _require_c2_body(body)
     n = body.dim
@@ -151,7 +169,8 @@ def gauge_identity_residuals_batch(body: ConvexBody, X, Y,
     def field(W):
         return body.gauge_batch(W[:, :n], W[:, n:])
 
-    p0, grad, hess = central_differences(field, np.hstack([X, Y]), h)
+    W, steps, shape = _at_steps(np.hstack([X, Y]), h)
+    p0, grad, hess = central_differences(field, W, steps)
     px, py = grad[:, :n], grad[:, n:]
     pxx, pxy, pyy = hess[:, :n, :n], hess[:, :n, n:], hess[:, n:, n:]
     p = p0[:, None, None]
@@ -159,7 +178,7 @@ def gauge_identity_residuals_batch(body: ConvexBody, X, Y,
     r1 = np.max(np.abs(px - p0[:, None] * py), axis=1)
     r2 = np.max(np.abs(pxy - (p * pyy + outer)), axis=(1, 2))
     r3 = np.max(np.abs(pxx - (p ** 2 * pyy + 2.0 * p * outer)), axis=(1, 2))
-    return np.stack([r1, r2, r3], axis=1)
+    return np.stack([r1, r2, r3], axis=1).reshape(shape + (len(X), 3))
 
 
 def gauge_identity_residuals(body: ConvexBody, x, y,

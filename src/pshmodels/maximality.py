@@ -10,7 +10,10 @@ A battery of competitors shares one cached draw of model samples and one
 batched model potential call on them (``member_samples``), and one cached
 draw of disc parameters (``disc_samples``) that each geodesic-disc
 competitor maps through its own chart; each competitor is then evaluated
-once over all its samples. A competitor's evaluator takes the rows of an
+once over all its samples. ``violations`` checks a whole battery, the
+images of all its disc competitors from one ``disc_points`` call and one
+``potential_batch`` call, and equals ``max_violation`` competitor by
+competitor, bit for bit. A competitor's evaluator takes the rows of an
 (N, n) array and agrees bit for bit with the scalar formula at each row:
 row-wise products use the stacked-matmul kernel of ``np.dot``, and the
 complex arithmetic and ``cmath.atanh`` run per value.
@@ -35,7 +38,7 @@ from .bodies import (ConvexBody, Gauge, _matvec, _rowdot, _rows, _vector,
                      as_points)
 from .errors import SpecError
 from .geodesics import GeodesicChart, disc_points
-from .sampling import substream, unit_disc_points
+from .sampling import substreams, unit_disc_points
 
 if TYPE_CHECKING:
     from .models import Model
@@ -161,8 +164,7 @@ def member_samples(model: Model, nsamples: int, seed: int):
     read-only: (points, values)."""
     if nsamples < 1:
         raise ValueError("nsamples must be positive")
-    points = model.sample_member_batch([substream(seed, k)
-                                        for k in range(nsamples)])
+    points = model.sample_member_batch(substreams(seed, range(nsamples)))
     values = model.potential_batch(points)
     points.setflags(write=False)
     values.setflags(write=False)
@@ -177,7 +179,7 @@ def disc_samples(model: Model, nsamples: int, seed: int) -> np.ndarray:
     one command and no other."""
     if nsamples < 1:
         raise ValueError("nsamples must be positive")
-    zetas = unit_disc_points([substream(seed, k) for k in range(nsamples)])
+    zetas = unit_disc_points(substreams(seed, range(nsamples)))
     zetas.setflags(write=False)
     return zetas
 
@@ -202,3 +204,32 @@ def max_violation(model: Model, competitor: Competitor, nsamples: int,
         points, values = member_samples(model, nsamples, seed)
     # np.max, not max: a NaN anywhere makes the violation NaN, which fails
     return float(np.max(competitor.evaluate(points) - values))
+
+
+def violations(model: Model, competitors, nsamples: int, seed: int) -> list:
+    """``max_violation`` of each of competitors, in order, bit for bit.
+
+    The images of every disc competitor's chart take one ``disc_points``
+    and one ``potential_batch`` call, made at the first disc competitor;
+    each competitor is evaluated once, on its own rows.
+    """
+    if nsamples < 1:
+        raise ValueError("nsamples must be positive")
+    charts = [comp.chart for comp in competitors if comp.chart is not None]
+    images = None
+    found = []
+    for comp in competitors:
+        if comp.chart is None:
+            points, values = member_samples(model, nsamples, seed)
+        else:
+            if images is None:
+                zetas = disc_samples(model, nsamples, seed)
+                X1, X2 = (np.repeat([getattr(ch, end) for ch in charts],
+                                    nsamples, axis=0) for end in ("x1", "x2"))
+                P = disc_points(X1, X2, np.tile(zetas, len(charts)))
+                V = model.potential_batch(P)
+                images = zip(P.reshape(len(charts), nsamples, -1),
+                             V.reshape(len(charts), nsamples))
+            points, values = next(images)
+        found.append(float(np.max(comp.evaluate(points) - values)))
+    return found

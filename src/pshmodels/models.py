@@ -60,7 +60,7 @@ from .errors import (ConvergenceError, OutsideDomainError, SpecError,
 from .geodesics import (QUARTER_PI, chart, chart_residuals, chart_rows,
                         disc_points, strip_map, striptube_geodesics, zeta0)
 from .maximality import geodesic_pullback, linear_pullbacks, slab_pullbacks
-from .sampling import redraw, substream, unit_vectors
+from .sampling import redraw, substreams, uniform_rows, unit_vectors
 
 _LADDER = (1e-2, 1e-3, 1e-4)  # metric_slope's steps, decreasing
 _SLOPE_LEVEL = 0.1  # the largest potential at the slope ladder's top step
@@ -70,18 +70,20 @@ def conjugate(z) -> np.ndarray:
     return np.conj(np.atleast_1d(np.asarray(z, dtype=complex)))
 
 
-def _atan_mean(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def _atans(P: np.ndarray) -> np.ndarray:
     # math.atan rather than np.arctan: NumPy's SIMD arctan differs from
     # libm in the last bit for about 0.2% of inputs, and the potential
     # must reproduce the closed form of libm arctangents exactly
-    return np.array([0.5 * (math.atan(p) + math.atan(q))
-                     for p, q in zip(P.tolist(), Q.tolist())], dtype=float)
+    return np.fromiter(map(math.atan, P.tolist()), dtype=float, count=len(P))
 
 
-def _uniform_rows(rngs, dim: int) -> np.ndarray:
+def _atan_mean(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    return 0.5 * (_atans(P) + _atans(Q))
+
+
+def _box_rows(rngs, dim: int) -> np.ndarray:
     """``rng.uniform(-1.0, 1.0, dim)`` of each Generator of rngs, as rows."""
-    return np.array([rng.uniform(-1.0, 1.0, dim)
-                     for rng in rngs]).reshape(-1, dim)
+    return uniform_rows(rngs, np.full(dim, -1.0), np.full(dim, 1.0))
 
 
 class Model:
@@ -272,6 +274,15 @@ class _PlaneDomain(Model):
         return member, np.array([abs(self._to_strip(c).imag)
                                  for c in w[member].tolist()], dtype=float)
 
+    @staticmethod
+    def _strip_draws(rngs) -> np.ndarray:
+        """complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.95, 0.95) pi/4)
+        from each Generator of rngs: a point of the strip."""
+        U = uniform_rows(rngs, [-1.0, -0.95], [1.0, 0.95])
+        W = np.empty(len(U), dtype=complex)
+        W.real, W.imag = U[:, 0], U[:, 1] * QUARTER_PI
+        return W
+
     def strip_points(self, W, rngs) -> np.ndarray:
         # the identity strip map, or tanh per value: no draw
         return np.array([self._to_plane(w) for w in W],
@@ -282,19 +293,16 @@ class _PlaneDomain(Model):
         # t from (max(k h, lo pi/4), hi pi/4), its sign with probability 1/2
         a, k, lo, hi = self._window
         self._refuse_step(h, hi * QUARTER_PI / k)
-        rows = []
-        for rng in rngs:
-            s = rng.uniform(-a, a)
-            t = rng.uniform(max(k * h, lo * QUARTER_PI), hi * QUARTER_PI)
-            rows.append(self._safe_map(
-                complex(s, t if rng.uniform() < 0.5 else -t)))
-        return np.array(rows, dtype=complex).reshape(-1, 1)
+        U = uniform_rows(rngs, [-a, max(k * h, lo * QUARTER_PI), 0.0],
+                         [a, hi * QUARTER_PI, 1.0])
+        T = np.where(U[:, 2] < 0.5, U[:, 1], -U[:, 1])
+        return np.array([self._safe_map(complex(s, t))
+                         for s, t in zip(U[:, 0].tolist(), T.tolist())],
+                        dtype=complex).reshape(-1, 1)
 
     def geodesic_witnesses(self, seed: int, samples: int):
-        rngs = [substream(seed, k) for k in range(samples)]
-        etas = [complex(rng.uniform(-1.0, 1.0),
-                        rng.uniform(-0.95, 0.95) * QUARTER_PI)
-                for rng in rngs]
+        rngs = substreams(seed, range(samples))
+        etas = self._strip_draws(rngs).tolist()
         values = self.potential_batch(self.strip_points(etas, rngs))
         return [abs(u - abs(eta.imag))
                 for u, eta in zip(values.tolist(), etas)], []
@@ -318,9 +326,7 @@ class Strip1D(_PlaneDomain):
 
     def sample_member_batch(self, rngs) -> np.ndarray:
         # x, then y, from each Generator
-        return np.array([complex(rng.uniform(-1.0, 1.0),
-                                 rng.uniform(-0.95, 0.95) * QUARTER_PI)
-                         for rng in rngs], dtype=complex).reshape(-1, 1)
+        return self._strip_draws(rngs).reshape(-1, 1)
 
     def sample_center(self, rng) -> np.ndarray:
         return np.array([rng.uniform(-1.0, 1.0)])
@@ -355,20 +361,20 @@ class Disc1D(_PlaneDomain):
         return abs(float(x[0])) < 1.0
 
     def sample_member_batch(self, rngs) -> np.ndarray:
-        rows = []
-        for rng in rngs:
-            r = 0.97 * math.sqrt(rng.uniform())
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            rows.append(r * cmath.exp(1j * theta))
-        return np.array(rows, dtype=complex).reshape(-1, 1)
+        # a radius from rng.uniform(), then an angle
+        U = uniform_rows(rngs, [0.0, 0.0], [1.0, 2.0 * math.pi])
+        R = 0.97 * np.sqrt(U[:, 0])
+        return np.array([r * cmath.exp(1j * theta) for r, theta in
+                         zip(R.tolist(), U[:, 1].tolist())],
+                        dtype=complex).reshape(-1, 1)
 
     def sample_center(self, rng) -> np.ndarray:
         return np.array([rng.uniform(-0.95, 0.95)])
 
     def competitors(self, seed: int) -> list:
         body = interval(-1.0, 1.0)
-        Z = self.sample_member_batch([substream(seed, 10 ** 6 + j)
-                                      for j in range(3)])
+        Z = self.sample_member_batch(substreams(seed, range(10 ** 6,
+                                                            10 ** 6 + 3)))
         return slab_pullbacks(body, [[1.0]]) + [
             geodesic_pullback(chart(body, z)) for z in Z
             if abs(z[0].imag) > 1e-3]
@@ -405,10 +411,9 @@ class StripTube(Model):
 
     def sample_member_batch(self, rngs) -> np.ndarray:
         # x, d, level
-        X = _uniform_rows(rngs, self.dim)
+        X = _box_rows(rngs, self.dim)
         D = unit_vectors(rngs, self.dim)
-        levels = np.array([rng.uniform(0.0, 0.95) * QUARTER_PI
-                           for rng in rngs])
+        levels = uniform_rows(rngs, [0.0], [0.95])[:, 0] * QUARTER_PI
         return X + 1j * (levels[:, None] * D / self.gauge.batch(D)[:, None])
 
     def sample_center(self, rng) -> np.ndarray:
@@ -421,13 +426,13 @@ class StripTube(Model):
         # body, so no draw passes once 10 h reaches that
         self._refuse_step(h, 0.9 * QUARTER_PI * self.body.outer_radius()
                           / 10.0)
-        X = _uniform_rows(rngs, self.dim)
+        X = _box_rows(rngs, self.dim)
         floor = max(0.5 * self.body.inradius(), 10.0 * h)
 
         def draw(active):
             D = unit_vectors(active, self.dim)
-            levels = np.array([rng.uniform(0.4 * QUARTER_PI, 0.9 * QUARTER_PI)
-                               for rng in active])
+            levels = uniform_rows(active, [0.4 * QUARTER_PI],
+                                  [0.9 * QUARTER_PI])[:, 0]
             Y = levels[:, None] * D / self.gauge.batch(D)[:, None]
             # the norm of np.linalg.norm: the root of the dot product
             return Y, np.sqrt(_rowdot(Y, Y)) >= floor
@@ -435,20 +440,22 @@ class StripTube(Model):
                                "strip-tube safe sampling starved")
 
     def competitors(self, seed: int) -> list:
-        D = unit_vectors([substream(seed, 10 ** 6 + j) for j in range(16)],
+        D = unit_vectors(substreams(seed, range(10 ** 6, 10 ** 6 + 16)),
                          self.dim)
         return linear_pullbacks(self.gauge, self.body.tight_covectors(D))
 
     def geodesic_witnesses(self, seed: int, samples: int):
-        # d, scale, x, zeta
-        rngs = [substream(seed, k) for k in range(samples)]
+        # d, then scale, x and zeta from one uniform draw
+        rngs = substreams(seed, range(samples))
         D = unit_vectors(rngs, self.dim)
-        scales = np.array([rng.uniform(0.1, 0.9) for rng in rngs])
-        X = _uniform_rows(rngs, self.dim)
-        zetas = [complex(rng.uniform(-1.0, 1.0),
-                         rng.uniform(0.05, 0.95) * QUARTER_PI)
-                 for rng in rngs]
-        Y = D / self.gauge.batch(D)[:, None] * scales[:, None] * QUARTER_PI
+        n = self.dim
+        U = uniform_rows(rngs, [0.1] + [-1.0] * n + [-1.0, 0.05],
+                         [0.9] + [1.0] * n + [1.0, 0.95])
+        X = U[:, 1:n + 1]
+        heights = U[:, n + 2] * QUARTER_PI
+        zetas = [complex(re, im) for re, im in
+                 zip(U[:, n + 1].tolist(), heights.tolist())]
+        Y = D / self.gauge.batch(D)[:, None] * U[:, :1] * QUARTER_PI
         values = self.potential_batch(
             striptube_geodesics(self.gauge, X, Y, zetas))
         return [abs(u - zeta.imag)
@@ -457,7 +464,7 @@ class StripTube(Model):
     def strip_points(self, W, rngs) -> np.ndarray:
         # d, x
         D = unit_vectors(rngs, self.dim)
-        X = _uniform_rows(rngs, self.dim)
+        X = _box_rows(rngs, self.dim)
         return striptube_geodesics(self.gauge, X,
                                    D / self.gauge.batch(D)[:, None], W)
 
@@ -514,10 +521,7 @@ class EllipticTube(Model):
         c = self.body.interior_point()
 
         def draw(active):
-            # lo + (hi - lo) u is what rng.uniform(lo, hi) computes, at a
-            # fraction of its cost for array bounds
-            U = np.array([rng.random(self.dim) for rng in active])
-            B = lo + (hi - lo) * U.reshape(-1, self.dim)
+            B = uniform_rows(active, lo, hi)
             return B, self.body.contains_batch(c + (B - c) / shrink)
         return redraw(rngs, draw, np.empty((len(rngs), self.dim)), 10000,
                       "body sampling starved")
@@ -526,9 +530,7 @@ class EllipticTube(Model):
         X = self._body_points(rngs, 0.97)
         D = unit_vectors(rngs, self.dim)
         P, Q = self.body.gauge_pair(X, D)
-        # rng.uniform(0.0, 0.9) is 0.9 u
-        U = np.array([rng.random() for rng in rngs])
-        T = np.sqrt(0.9 * U / (P * Q))
+        T = np.sqrt(uniform_rows(rngs, [0.0], [0.9])[:, 0] / (P * Q))
         return X + 1j * T[:, None] * D
 
     def sample_center(self, rng) -> np.ndarray:
@@ -555,9 +557,8 @@ class EllipticTube(Model):
             # a row whose window is empty makes no draw and is not accepted
             drawn = np.flatnonzero(~(t_hi <= t_lo))
             if len(drawn):
-                U = np.array([active[i].random() for i in drawn.tolist()])
-                lo, hi = t_lo[drawn], t_hi[drawn]
-                T = lo + (hi - lo) * U  # rng.uniform(lo, hi)
+                T = uniform_rows([active[i] for i in drawn.tolist()],
+                                 t_lo[drawn, None], t_hi[drawn, None])[:, 0]
                 Zd = X[drawn] + 1j * T[:, None] * D[drawn]
                 Z[drawn] = Zd
                 accepted[drawn] = self.potential_batch(Zd) >= floor
@@ -567,18 +568,18 @@ class EllipticTube(Model):
                       "elliptic-tube safe sampling starved")
 
     def competitors(self, seed: int) -> list:
-        D = unit_vectors([substream(seed, 10 ** 6 + j) for j in range(12)],
+        D = unit_vectors(substreams(seed, range(10 ** 6, 10 ** 6 + 12)),
                          self.dim)
         comps = slab_pullbacks(self.body, D)
-        Z = self.sample_member_batch([substream(seed, 2 * 10 ** 6 + j)
-                                      for j in range(4)])
+        Z = self.sample_member_batch(
+            substreams(seed, range(2 * 10 ** 6, 2 * 10 ** 6 + 4)))
         comps += [geodesic_pullback(chart(self.body, z))
                   for z in Z if np.any(z.imag)]
         return comps
 
     def geodesic_witnesses(self, seed: int, samples: int):
-        Z = self.sample_member_batch([substream(seed, 3 * 10 ** 6 + j)
-                                      for j in range(10)])
+        Z = self.sample_member_batch(
+            substreams(seed, range(3 * 10 ** 6, 3 * 10 ** 6 + 10)))
         witnesses = np.flatnonzero(np.any(Z.imag, axis=1))
         Z = Z[witnesses]
         T1, T2, X1, X2 = chart_rows(self.body, Z)

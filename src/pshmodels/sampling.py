@@ -4,21 +4,29 @@ Sample k of a sweep is drawn from its own Philox stream keyed by
 (seed, k), so results are a pure function of the pair and independent
 of evaluation order or parallel scheduling.
 
-The batched draws (``unit_vectors``, ``unit_disc_points`` and the models'
-``sample_member_batch`` / ``sample_fd_safe_batch`` / ``strip_points``)
-take one Generator per row. Row i makes exactly the Generator calls, in
-the same order, that a one-row draw makes on ``rngs[i]``, and ends with
+Every draw site builds its streams with ``substreams(seeds, indices)``:
+the keys of all its rows become one uint64 array, and each Generator is
+keyed by one row of it, the stream of ``substream(seed, index)`` bit for
+bit. ``substream`` is the stream of one key.
+
+The batched draws (``unit_vectors``, ``unit_disc_points``,
+``uniform_rows`` and the models' ``sample_member_batch`` /
+``sample_fd_safe_batch`` / ``strip_points``) take one Generator per row
+and make one Generator call per row per stage: a run of uniform draws is
+one ``rng.random(k)`` call, from which ``uniform_rows`` takes
+``lo + (hi - lo) u``, the formula of ``rng.uniform``; a normal draw
+between two uniform draws splits the run. Row i makes exactly the draws,
+in the same order, that a one-row draw makes on ``rngs[i]``, and ends with
 that Generator in the same state, so a batched draw is byte-identical to
 the row loop. Every rejection retry of the package runs through one
 function, ``redraw``: masked rounds over the rows still drawing, each
 sampler's cap on the rounds and its own starvation message. Only the
 arithmetic between the draws is shared across rows.
 
-``substream`` seeds its Philox with a seed sequence whose state is the key
-itself. ``Philox(key=...)`` builds the same stream, but first builds an
-unkeyed ``SeedSequence()`` from OS entropy and throws it away, which more
-than doubles the cost of a stream. The key becomes a uint64 array once,
-when the seed sequence is made, and every Philox starts from one shared
+A stream's seed sequence has the key itself as its state.
+``Philox(key=...)`` builds the same stream, but first builds an unkeyed
+``SeedSequence()`` from OS entropy and throws it away, which more than
+doubles the cost of a stream. Every Philox starts from one shared
 read-only zero counter, which it copies; both give the stream of
 ``Philox(key=...)`` bit for bit. The class is built on first use, so that
 ``import pshmodels`` does not load ``numpy.random``.
@@ -47,7 +55,9 @@ def _keyed_seed():
         __slots__ = ("key",)
 
         def __init__(self, key):
-            self.key = np.array(key, dtype=np.uint64)
+            # a row of substreams' key array is kept as it is, uncopied
+            self.key = (key if isinstance(key, np.ndarray)
+                        else np.array(key, dtype=np.uint64))
 
         def generate_state(self, n_words, dtype=np.uint32):
             # Philox asks for its two-word key; any other request means
@@ -64,8 +74,34 @@ def _keyed_seed():
 def substream(seed: int, index: int) -> np.random.Generator:
     """Generator for sample `index` of the sweep identified by `seed`: the
     Philox stream keyed by [seed mod 2^64, index mod 2^64]."""
-    key = _keyed_seed()([seed & _MASK64, index & _MASK64])
-    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
+    return substreams(seed, [index])[0]
+
+
+def substreams(seeds, indices) -> list:
+    """The Generators of ``substream(seeds[i], indices[i])`` for every i,
+    bit for bit, keyed by the rows of one uint64 array; an int seed
+    serves every index."""
+    indices = [index & _MASK64 for index in indices]
+    keys = np.empty((len(indices), 2), dtype=np.uint64)
+    keys[:, 0] = (seeds & _MASK64 if isinstance(seeds, int)
+                  else [seed & _MASK64 for seed in seeds])
+    keys[:, 1] = indices
+    keyed, philox = _keyed_seed(), np.random.Philox
+    return [np.random.Generator(philox(keyed(key), counter=_ZERO_COUNTER))
+            for key in keys]
+
+
+def uniform_rows(rngs, lo, hi) -> np.ndarray:
+    """Uniform draws from [lo[j], hi[j]) in column j, a row from each
+    Generator of rngs by one ``rng.random`` call of k values, written in
+    place: lo + (hi - lo) u, what k calls of ``rng.uniform(lo[j], hi[j])``
+    compute, at a fraction of their cost."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    U = np.empty((len(rngs), lo.shape[-1]))
+    for rng, row in zip(rngs, U):
+        rng.random(out=row)
+    return lo + (hi - lo) * U
 
 
 def redraw(rngs, draw, out: np.ndarray, rounds: int,
@@ -120,11 +156,8 @@ def unit_disc_points(rngs) -> np.ndarray:
     """A uniform draw from the open unit disc of the complex plane from
     each Generator of rngs, as a complex (N,) array: the root of a
     uniform radius draw, then a uniform angle in [0, 2 pi)."""
-    # one random(2) call makes the draws of uniform(0, 1) and then
-    # uniform(0, 2 pi); uniform(0, b) is 0 + b u, which is b u for u >= 0
-    U = np.array([rng.random(2) for rng in rngs]).reshape(-1, 2)
-    r = np.sqrt(U[:, 0])
-    theta = 2.0 * np.pi * U[:, 1]
+    U = uniform_rows(rngs, [0.0, 0.0], [1.0, 2.0 * np.pi])
+    r, theta = np.sqrt(U[:, 0]), U[:, 1]
     zetas = np.empty(len(U), dtype=complex)
     zetas.real = r * np.cos(theta)
     zetas.imag = r * np.sin(theta)

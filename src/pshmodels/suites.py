@@ -4,10 +4,14 @@ check layer, the only module that turns diagnostics into a CheckReport.
 Each runner takes a model, the sweep seed, the sample count, the step h
 and the tolerances by name, and returns a CheckReport, or raises
 NotApplicable where the suite does not apply; no runner branches on a
-model type. Samples come from ``substream(seed, k)``, drawn once per
-command: psh and ma share one cached draw and its eigenvalues, tube-levi
-and gauge-derivatives one of 20 samples safe at 2h, whose refusal by the
-safe sampler names the step h.
+model type. Samples come from the streams ``substreams(seed, range(N))``,
+drawn once per command, one Generator call per row per stage: psh and ma
+share one cached draw and its eigenvalues, tube-levi and
+gauge-derivatives one of 20 samples safe at 2h, whose refusal by the
+safe sampler names the step h. Each stage evaluates in one batched call:
+a Richardson verdict takes its residuals at 2h and h from one residual
+call, and the maximality battery its disc competitors' images from one
+potential call (``maximality.violations``).
 """
 from __future__ import annotations
 
@@ -20,9 +24,9 @@ import numpy as np
 from .errors import NotApplicable, OutsideDomainError, SpecError, StepRefused
 from .levi import (gauge_identity_residuals_batch, levi_matrices,
                    tube_levi_residual_batch)
-from .maximality import max_violation
+from .maximality import violations
 from .models import QUARTER_PI, Model
-from .sampling import substream
+from .sampling import substreams, uniform_rows
 
 TOL_DEFAULTS = {
     "psh": 1e-6,
@@ -121,8 +125,7 @@ def _sampled_eigs(model: Model, nsamples: int, seed: int, h: float):
     of the potential at each, cached read-only: (points, lo, hi)."""
     if nsamples < 1:
         raise ValueError("nsamples must be positive")
-    Z = model.sample_fd_safe_batch([substream(seed, k)
-                                    for k in range(nsamples)], h)
+    Z = model.sample_fd_safe_batch(substreams(seed, range(nsamples)), h)
     eigs = np.linalg.eigvalsh(levi_matrices(model.potential_batch, Z, h))
     Z.setflags(write=False)
     eigs.setflags(write=False)
@@ -199,8 +202,7 @@ def _richardson_points(model, seed, h):
     """The 20 samples safe at 2h of both Richardson suites, read-only; a
     2h the sampler refuses is refused as the step h, at half its limit."""
     try:
-        Z = model.sample_fd_safe_batch([substream(seed, k)
-                                        for k in range(20)], 2 * h)
+        Z = model.sample_fd_safe_batch(substreams(seed, range(20)), 2 * h)
     except StepRefused as exc:
         raise StepRefused(model.name, h, exc.limit / 2) from None
     Z.setflags(write=False)
@@ -213,13 +215,13 @@ def _richardson(check, residuals, model, seed, h, tols) -> CheckReport:
     the noise floor counts as converged, but the check fails if no
     residual is above it. The worst ratio is the first, in row order over
     samples x residuals, farthest from 4; a NaN ratio is never the worst,
-    but fails the check."""
+    but fails the check. ``residuals(body, Z, (2 * h, h))`` gives the
+    residuals at both steps, stacked, from one call."""
     body = _smooth_body(model)
     if not model.gauge_identities:
         raise NotApplicable(f"{check} suite requires an elliptic tube")
     Z = _richardson_points(model, seed, h)
-    res_2h = residuals(body, Z, 2 * h).reshape(len(Z), -1)
-    res_h = residuals(body, Z, h).reshape(len(Z), -1)
+    res_2h, res_h = residuals(body, Z, (2 * h, h)).reshape(2, len(Z), -1)
     lo, hi = tols["ratio_lo"], tols["ratio_hi"]
     # not "above the floor": a NaN residual is compared, and fails
     rows, cols = np.nonzero(~(res_h <= tols["residual_floor"]))
@@ -242,8 +244,8 @@ def _suite_tube_levi(model, seed, samples, h, tols) -> CheckReport:
                        h, tols)
 
 
-def _gauge_residuals(body, Z, h):
-    return gauge_identity_residuals_batch(body, Z.real, Z.imag, h)
+def _gauge_residuals(body, Z, steps):
+    return gauge_identity_residuals_batch(body, Z.real, Z.imag, steps)
 
 
 def _suite_gauge_derivatives(model, seed, samples, h, tols) -> CheckReport:
@@ -254,8 +256,7 @@ def _suite_gauge_derivatives(model, seed, samples, h, tols) -> CheckReport:
 def _suite_maximality(model, seed, samples, h, tols) -> CheckReport:
     comps = model.competitors(seed)
     # np.max, not max: Python's max drops a NaN that is not first
-    worst = float(np.max([max_violation(model, comp, samples, seed)
-                          for comp in comps]))
+    worst = float(np.max(violations(model, comps, samples, seed)))
     tol = tols["maximality"]
     return CheckReport(check="maximality", model=model.name,
                        samples=len(comps) * samples, h=h, tol=tol,
@@ -275,16 +276,15 @@ def _suite_geodesics(model, seed, samples, h, tols) -> CheckReport:
 
 
 def _suite_schwarz(model, seed, samples, h, tols) -> CheckReport:
-    rngs = [substream(seed, k) for k in range(samples)]
-    etas, targets = [], []
-    for rng in rngs:
-        # the strip map at eta, or at eta with its height halved: either
-        # way the pulled-back potential stays at or below Im eta
-        eta = complex(rng.uniform(-1.0, 1.0),
-                      rng.uniform(0.05, 0.95) * QUARTER_PI)
-        contraction = 0.5 if rng.uniform() < 0.5 else 1.0
-        etas.append(eta)
-        targets.append(complex(eta.real, contraction * eta.imag))
+    rngs = substreams(seed, range(samples))
+    # eta, and the strip map at eta or at eta with its height halved:
+    # either way the pulled-back potential stays at or below Im eta
+    U = uniform_rows(rngs, [-1.0, 0.05, 0.0], [1.0, 0.95, 1.0])
+    heights = U[:, 1] * QUARTER_PI
+    contractions = np.where(U[:, 2] < 0.5, 0.5, 1.0)
+    etas = [complex(x, y) for x, y in zip(U[:, 0].tolist(), heights.tolist())]
+    targets = [complex(x, y) for x, y in
+               zip(U[:, 0].tolist(), (contractions * heights).tolist())]
     values = model.potential_batch(model.strip_points(targets, rngs))
     report = schwarz_excess(zip(etas, values.tolist()), QUARTER_PI,
                             QUARTER_PI)

@@ -8,7 +8,10 @@ pass reproduce the former center rule and the two former gauge batches
 at y and -y kept here, bit for bit; batched model memberships and
 potentials reproduce the former one-point formulas kept here, the batched
 samplers and support values reproduce the former scalar code byte for byte,
-batched Levi matrices reproduce levi_matrix, smooth-body gauge Hessians
+and the schwarz suite's one draw per row its former three, batched Levi
+matrices reproduce levi_matrix, the residuals of both Richardson steps
+from one call the former two calls, the potential's arctangent mean the
+former per-pair loop, smooth-body gauge Hessians
 the former one-stencil-per-row loop kept here, and polytope vertices,
 bounding boxes, Chebyshev radii and support values reproduce HiGHS and
 Qhull.
@@ -28,6 +31,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
+from pshmodels import maximality, models, suites
 from pshmodels import (QUARTER_PI, ConvergenceError, Disc1D, Ellipsoid,
                        EllipticTube, Gauge, OutsideDomainError, Polytope,
                        SmoothBody, SpecError, Strip1D, StripTube,
@@ -37,7 +41,10 @@ from pshmodels import (QUARTER_PI, ConvergenceError, Disc1D, Ellipsoid,
 from pshmodels.bodies import _matvec, _rowdot
 from pshmodels.cli import main
 from pshmodels.sampling import unit_disc_points, unit_vectors
-from pshmodels.stencils import central_differences
+from pshmodels.levi import tube_levi_residual_batch
+from pshmodels.stencils import (central_differences, pair_directions,
+                                second_differences)
+from pshmodels.suites import TOL_DEFAULTS, CheckReport, schwarz_excess
 from strategies import (bodies, ellipsoids, polytopes, superellipses,
                         unit_floats)
 
@@ -930,6 +937,38 @@ def test_one_dimensional_samplers_match_the_scalar_code(seed, h):
             _reference_plane_gaps(model, to_plane, seed, 12)).tobytes()
 
 
+def _former_schwarz(model, seed, samples, h, tols):
+    """The schwarz suite as it was: three rng.uniform calls per row."""
+    rngs = [substream(seed, k) for k in range(samples)]
+    etas, targets = [], []
+    for rng in rngs:
+        eta = complex(rng.uniform(-1.0, 1.0),
+                      rng.uniform(0.05, 0.95) * QUARTER_PI)
+        contraction = 0.5 if rng.uniform() < 0.5 else 1.0
+        etas.append(eta)
+        targets.append(complex(eta.real, contraction * eta.imag))
+    values = model.potential_batch(model.strip_points(targets, rngs))
+    report = schwarz_excess(zip(etas, values.tolist()), QUARTER_PI,
+                            QUARTER_PI)
+    tol = tols["schwarz"]
+    return CheckReport(check="schwarz", model=model.name, samples=samples,
+                       h=h, tol=tol,
+                       worst_point=[report.worst_point.real,
+                                    report.worst_point.imag],
+                       worst_value=report.max_excess,
+                       passed=bool(report.max_excess <= tol))
+
+
+@pytest.mark.parametrize("spec", sorted((ROOT / "specs").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_schwarz_draws_match_the_former_per_call_draws(spec):
+    model = model_from_spec(json.loads(spec.read_text()))
+    for seed, samples in ((0, 25), (42, 7), (2 ** 64 - 1, 40)):
+        got = suites._suite_schwarz(model, seed, samples, 1e-3, TOL_DEFAULTS)
+        want = _former_schwarz(model, seed, samples, 1e-3, TOL_DEFAULTS)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
 @SETTINGS
 @given(body=bodies, seed=st.integers(0, 2 ** 32 - 1))
 def test_support_batch_matches_support(body, seed):
@@ -1324,3 +1363,149 @@ def test_subsystem_solved_past_the_float_range_is_dropped():
 def test_polytope_rejections(A, b, message):
     with pytest.raises(SpecError, match=message):
         Polytope(A, b)
+
+
+# The Richardson residuals as they were: one call per step, each placing
+# the stencils of one step and computing the closed-form target again.
+
+def _former_tube_levi_residuals(body, Z, h):
+    tube = EllipticTube(body)
+    N, n = Z.shape
+    D, rows, cols = pair_directions(n, (1, -1, 1j, -1j))
+    L = len(D)
+    f0, plus, minus = second_differences(tube.potential_batch, Z,
+                                         np.concatenate([D, 1j * D]), h)
+    forms = 0.25 * (plus[:, :L] + minus[:, :L] + plus[:, L:] + minus[:, L:]
+                    - 4.0 * f0[:, None]) / (h * h)
+    P = len(rows) - n
+    spp, spm, spi, smi = forms[:, n:].reshape(N, 4, P).transpose(1, 0, 2)
+    entries = np.concatenate(
+        [forms[:, :n], 0.25 * ((spp - spm) + 1j * (spi - smi))], axis=1)
+    A = np.empty((N, n, n), dtype=complex)
+    A[:, cols, rows] = np.conj(entries)
+    A[:, rows, cols] = entries
+    X, Y = Z.real, Z.imag
+    target = 0.125 * (body.gauge_hessian_batch(X, Y)
+                      + body.gauge_hessian_batch(X, -Y))
+    return np.max(np.abs(A - target), axis=(1, 2))
+
+
+def _former_gauge_residuals(body, Z, h):
+    n = body.dim
+
+    def field(W):
+        return body.gauge_batch(W[:, :n], W[:, n:])
+
+    p0, grad, hess = central_differences(field, np.hstack([Z.real, Z.imag]),
+                                         h)
+    px, py = grad[:, :n], grad[:, n:]
+    pxx, pxy, pyy = hess[:, :n, :n], hess[:, :n, n:], hess[:, n:, n:]
+    p = p0[:, None, None]
+    outer = py[:, :, None] * py[:, None, :]
+    r1 = np.max(np.abs(px - p0[:, None] * py), axis=1)
+    r2 = np.max(np.abs(pxy - (p * pyy + outer)), axis=(1, 2))
+    r3 = np.max(np.abs(pxx - (p ** 2 * pyy + 2.0 * p * outer)), axis=(1, 2))
+    return np.stack([r1, r2, r3], axis=1)
+
+
+def _richardson_models():
+    specs = [json.loads((ROOT / "specs" / f"{name}.json").read_text())
+             for name in ("ball_tube", "ellipsoid_tube", "interval_tube")]
+    return [model_from_spec(spec) for spec in specs] + [
+        EllipticTube(Superellipse([1.0, 0.5], power=4))]
+
+
+@pytest.mark.parametrize("model", _richardson_models(),
+                         ids=["ball", "ellipsoid", "interval",
+                              "superellipse"])
+def test_one_call_richardson_residuals_match_two_calls(model):
+    body = model.body
+    for seed, h in ((42, 1e-3), (7, 2e-4), (2 ** 64 - 1, 1e-3)):
+        Z = suites._richardson_points(model, seed, h)
+        for one_call, former in (
+                (tube_levi_residual_batch, _former_tube_levi_residuals),
+                (suites._gauge_residuals, _former_gauge_residuals)):
+            got = one_call(body, Z, (2 * h, h))
+            want = np.stack([former(body, Z, 2 * h), former(body, Z, h)])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert one_call(body, Z, h).tobytes() == want[1].tobytes()
+
+
+def test_one_batched_call_per_suite_stage(monkeypatch):
+    # on ball_tube, with the cached draws taken first: one potential call
+    # for the disc images of the maximality battery, and one residual
+    # call, one field call and one target per Richardson verdict
+    model = model_from_spec(json.loads(
+        (ROOT / "specs" / "ball_tube.json").read_text()))
+    seed, samples, h = 42, 25, 1e-3
+    Z = suites._richardson_points(model, seed, h)
+    maximality.member_samples(model, samples, seed)
+    maximality.disc_samples(model, samples, seed)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(models.Model, "potential_batch", counted(
+        "potential_batch", models.Model.potential_batch))
+    monkeypatch.setattr(maximality, "disc_points", counted(
+        "disc_points", maximality.disc_points))
+    monkeypatch.setattr(maximality, "max_violation", counted(
+        "max_violation", maximality.max_violation))
+    report = suites.verify(model, "maximality", seed, samples, h,
+                           TOL_DEFAULTS)
+    assert report["pass"]
+    assert calls == ["disc_points", "potential_batch"]
+
+    body = type(model.body)
+    hessian_rows = []
+    monkeypatch.setattr(body, "gauge_hessian_batch", (
+        lambda f: lambda self, X, Y: hessian_rows.append(len(X))
+        or f(self, X, Y))(body.gauge_hessian_batch))
+    monkeypatch.setattr(body, "gauge_batch", counted("gauge_batch",
+                                                     body.gauge_batch))
+    for name in ("tube_levi_residual_batch", "_gauge_residuals"):
+        monkeypatch.setattr(suites, name, counted(name, getattr(suites,
+                                                                name)))
+    calls.clear()
+    assert suites.verify(model, "tube-levi", seed, samples, h,
+                         TOL_DEFAULTS)["pass"]
+    assert calls == ["tube_levi_residual_batch", "potential_batch"]
+    assert hessian_rows == [len(Z), len(Z)]
+    calls.clear()
+    assert suites.verify(model, "gauge-derivatives", seed, samples, h,
+                         TOL_DEFAULTS)["pass"]
+    assert calls == ["_gauge_residuals", "gauge_batch"]
+
+
+def _former_atan_mean(P, Q):
+    return np.array([0.5 * (math.atan(p) + math.atan(q))
+                     for p, q in zip(P.tolist(), Q.tolist())], dtype=float)
+
+
+def test_atan_mean_matches_the_per_pair_loop(monkeypatch, tmp_path):
+    # the gauge pairs of a slice grid's members, as the benchmark slices
+    # ball_tube, and pairs at the edges of the float range
+    pairs = []
+    atan_mean = models._atan_mean
+    monkeypatch.setattr(models, "_atan_mean", lambda P, Q: pairs.append(
+        (P.copy(), Q.copy())) or atan_mean(P, Q))
+    with redirect_stdout(io.StringIO()):
+        assert main(["slice", "--model", str(ROOT / "specs" /
+                                             "ball_tube.json"),
+                     "--plane", "2,3", "--center=0.3,-0.2,0.0,0.0",
+                     "--half-width", "1.25", "--resolution", "70",
+                     "--out", str(tmp_path / "grid.csv")]) == 0
+    (P, Q), = pairs
+    assert len(P) > 1000
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                      np.finfo(float).tiny, 1e-300, 1.0, 1e308, -1e308,
+                      np.inf, -np.inf])
+    for P, Q in ((P, Q), (edges, edges[::-1]), (edges, -edges),
+                 (np.empty(0), np.empty(0))):
+        got = atan_mean(P, Q)
+        assert got.dtype == float
+        assert got.tobytes() == _former_atan_mean(P, Q).tobytes()

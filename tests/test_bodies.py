@@ -446,6 +446,18 @@ class TestGeometryHelpers:
         assert Superellipse([1e100, 1e100], power=4).outer_radius() == (
             pytest.approx(2.0 ** 0.25 * 1e100, rel=1e-14))
 
+    def test_bounding_radius_of_extreme_superellipses(self):
+        # |r| as np.linalg.norm gives it wherever that is positive and
+        # finite; past it (|r|^2 overflows or underflows to 0), over max r_i
+        for radii in ([1.0, 0.7], [3.0, 7.0, 1e-3], [1e-160, 2e-160],
+                      [1e150, 1e-150]):
+            assert Superellipse(radii).bounding_radius == (
+                float(np.linalg.norm(radii)) * 1.0001)
+        for radii in ([1e200, 1e200], [1e-200, 1e-200], [1e308, 1e308]):
+            top = radii[0]
+            assert Superellipse(radii).bounding_radius == (
+                top * float(np.linalg.norm(np.array(radii) / top)) * 1.0001)
+
     @pytest.mark.parametrize("body", [
         Polytope([[1.0, 0.2], [-1.0, 0.5], [0.1, 1.0], [0.3, -1.0]],
                  [1.0, 2.0, 0.7, 1.5]),

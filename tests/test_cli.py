@@ -54,6 +54,19 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def test_eval_serves_a_strip_tube_over_huge_radii(capsys, tmp_path):
+    # the bounding radius of a superellipse of radii 1e200 is 1.4e200,
+    # not an overflow; warnings are errors here, so none is raised
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"model": "striptube", "body": {
+        "type": "smooth", "kind": "superellipse",
+        "params": {"radii": [1e200, 1e200], "power": 4}}}))
+    code, out, err = run(capsys, ["eval", "--model", str(spec),
+                                  "--point", "1e199,0"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["member"] is True
+
+
 def _count_gauge_rows(monkeypatch, model) -> list:
     """Record (formula, rows) for each call of the center pass
     ``_centers`` (the rows of X) and of the gauge formulas ``_gauges`` and

@@ -298,17 +298,18 @@ class TestDrawOnce:
 
 class TestRichardsonVerdict:
     """The reduction of the residual ratios to a verdict, on residuals
-    given here: a ratio of 4 everywhere but where a test sets one."""
+    given here: a ratio of 4 everywhere but where a test sets one. The
+    residuals take the one-call contract of ``_richardson``: both steps,
+    2h then h, in one call, and the residuals at each, stacked."""
 
     @staticmethod
     def verdict(unit_ball, ratios, at_h=None):
         tube = EllipticTube(unit_ball)
 
-        def residuals(body, Z, h):
+        def residuals(body, Z, steps):
+            assert steps == (2e-3, 1e-3)
             res = np.ones((len(Z), 3))
-            if h == 1e-3:
-                return res if at_h is None else at_h
-            return res * ratios
+            return np.stack([res * ratios, res if at_h is None else at_h])
         Z = suites._richardson_points(tube, 4, 1e-3)
         report = suites._richardson("tube-levi", residuals, tube, 4, 1e-3,
                                     TOL_DEFAULTS)

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +11,14 @@ from pshmodels import (QUARTER_PI, Competitor, Disc1D, Ellipsoid,
                        EllipticTube, Gauge, Polytope, SpecError, Strip1D,
                        StripTube, Superellipse, chart, geodesic_pullback,
                        interval, linear_pullback, max_violation,
-                       slab_pullback, substream, unit_disc_point,
-                       unit_vector)
+                       model_from_spec, slab_pullback, substream,
+                       unit_disc_point, unit_vector)
 from pshmodels.errors import NotApplicable
 from pshmodels.geodesics import disc_points
+from pshmodels.maximality import violations
 from pshmodels.suites import TOL_DEFAULTS, verify
+
+SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
 
 
 class TestSlabPullback:
@@ -229,6 +234,36 @@ class TestCompare:
         assert sum(comp.chart is not None for comp in comps) == 4
         assert verify(tube, "maximality", 42, 25, 1e-3, TOL_DEFAULTS)["pass"]
         assert len(rows) == 25
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda p: p.stem)
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])
+    def test_battery_is_max_violation_of_each_competitor(self, spec, seed):
+        # the disc images of a battery come from one potential call, the
+        # reference one call per competitor; in reverse order, the disc
+        # competitors come first
+        model = model_from_spec(json.loads(spec.read_text()))
+        comps = model.competitors(seed)
+        for battery in (comps, comps[::-1]):
+            want = [max_violation(model, comp, 25, seed) for comp in battery]
+            got = violations(model, battery, 25, seed)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_battery_evaluates_each_competitor_once_on_its_rows(self,
+                                                                unit_ball):
+        tube = EllipticTube(unit_ball)
+        comps = tube.competitors(5)
+        seen = []
+        for comp in comps:
+            comp.evaluate = (lambda f, label: lambda Z: seen.append(
+                (label, Z.copy())) or f(Z))(comp.evaluate, comp.label)
+        violations(tube, comps, 30, 5)
+        assert [label for label, _ in seen] == [c.label for c in comps]
+        zetas = maximality.disc_samples(tube, 30, 5)
+        for comp, (_, Z) in zip(comps, seen):
+            want = (maximality.member_samples(tube, 30, 5)[0]
+                    if comp.chart is None
+                    else disc_points(comp.chart.x1, comp.chart.x2, zetas))
+            assert Z.tobytes() == want.tobytes()
 
     def test_deterministic_given_seed(self, unit_square):
         tube = EllipticTube(unit_square)

@@ -1,6 +1,8 @@
 """The stream contract of ``substream``: sample k of the sweep seeded by
-seed is the Philox stream keyed by [seed mod 2^64, k mod 2^64]. The
-masked rounds of ``redraw``, the package's one rejection loop, and the
+seed is the Philox stream keyed by [seed mod 2^64, k mod 2^64], and
+``substreams`` builds the same streams from one key array. One
+``uniform_rows`` call per row is the run of ``rng.uniform`` calls it
+replaces, bit for bit. The masked rounds of ``redraw``, the package's one rejection loop, and the
 starvation message of each sampler that rejects draws, once its cap on
 the rounds is reached, and the refusal of a step that a safe sampler's
 window cannot serve, before any draw."""
@@ -10,7 +12,8 @@ import pytest
 from pshmodels import (Disc1D, EllipticTube, Ellipsoid, Gauge, Strip1D,
                        StripTube, Superellipse, sampling, substream)
 from pshmodels.errors import ConvergenceError, StepRefused
-from pshmodels.sampling import redraw, unit_vectors
+from pshmodels.sampling import (redraw, substreams, uniform_rows,
+                                unit_vectors)
 
 MASK64 = (1 << 64) - 1
 
@@ -29,6 +32,66 @@ def test_substream_is_the_keyed_philox_stream(seed):
         assert got.random(5).tolist() == want.random(5).tolist()
         assert got.normal(size=5).tolist() == want.normal(size=5).tolist()
         assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+
+
+def _assert_same_streams(got, want):
+    """Equal states before and after the same draws of each kind."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert repr(g.bit_generator.state) == repr(w.bit_generator.state)
+        assert g.random(3).tolist() == w.random(3).tolist()
+        assert g.normal(size=3).tolist() == w.normal(size=3).tolist()
+        assert repr(g.bit_generator.state) == repr(w.bit_generator.state)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2 ** 63 + 5, 2 ** 64 - 1, -1])
+def test_substreams_are_the_substreams(seed):
+    # substream is a batch of one; _philox keys its Philox on its own
+    indices = [0, 1, 7, 10 ** 6, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 3,
+               3 * 2 ** 64 + 11, -1]
+    for reference in (substream, _philox):
+        _assert_same_streams(substreams(seed, indices),
+                             [reference(seed, k) for k in indices])
+        _assert_same_streams(substreams(seed, range(5)),
+                             [reference(seed, k) for k in range(5)])
+
+
+def test_substreams_take_one_seed_per_row():
+    # as chart_residuals passes them: each seed repeated over the indices
+    seeds = [0, 42, 2 ** 63 + 5, 2 ** 64 - 1, -1]
+    rows = [(seed, k) for seed in seeds for k in range(3)]
+    for reference in (substream, _philox):
+        _assert_same_streams(substreams([s for s, _ in rows],
+                                        [k for _, k in rows]),
+                             [reference(s, k) for s, k in rows])
+
+
+def test_substreams_of_no_rows():
+    assert substreams(42, []) == []
+    assert substreams([], range(0)) == []
+
+
+def test_uniform_rows_is_the_run_of_uniform_calls():
+    lo = [-1.0, 0.05, 0.0, -0.45, 1e-3]
+    hi = [1.0, 0.95, 1.0, 0.45, 2.0 * np.pi]
+    rngs = [substream(7, k) for k in range(9)]
+    refs = [substream(7, k) for k in range(9)]
+    got = uniform_rows(rngs, lo, hi)
+    want = np.array([[rng.uniform(a, b) for a, b in zip(lo, hi)]
+                     for rng in refs])
+    assert got.tobytes() == want.tobytes()
+    assert [repr(r.bit_generator.state) for r in rngs] == \
+        [repr(r.bit_generator.state) for r in refs]
+    # a bound per row, and rng.uniform(lo, hi, size) on array bounds
+    bounds = np.linspace(-3.0, 3.0, 18).reshape(9, 2)
+    got = uniform_rows(rngs, bounds[:, :1], bounds[:, 1:])
+    want = np.array([rng.uniform(a, b, 1) for rng, (a, b) in
+                     zip(refs, bounds.tolist())])
+    assert got.tobytes() == want.tobytes()
+    box = uniform_rows(rngs, [-2.0, -1.0], [3.0, 0.5])
+    assert box.tobytes() == np.array(
+        [rng.uniform([-2.0, -1.0], [3.0, 0.5]) for rng in refs]).tobytes()
+    assert uniform_rows([], [0.0, 1.0], [1.0, 2.0]).shape == (0, 2)
 
 
 def test_keyed_seed_refuses_any_other_request():

@@ -3,7 +3,9 @@ layer branches on no body type: what differs between models lives on the
 model classes, and what differs between bodies on the body classes. Every
 rejection retry runs in ``sampling.redraw``: the only loops of
 ``models.py`` and ``sampling.py`` that repeat until a test passes are its
-rounds and the slope ladder of ``Model._slope``. No model defines a
+rounds and the slope ladder of ``Model._slope``. Every draw site keys its
+streams in one array, by ``sampling.substreams``: no comprehension of a
+module calls ``substream``. No model defines a
 one-point sampler, member or potential of its own, nor a body a one-point
 gauge or membership, so every draw and every evaluation takes the batched
 path. A body states its formulas alone: only ConvexBody defines the
@@ -147,6 +149,40 @@ def test_loop_guard_sees_a_reintroduced_loop():
               "    pass\n")
     assert retry_loops(source) == ["redraw", "EllipticTube.strip_points",
                                    "EllipticTube.sample", "<module>"]
+
+
+def substream_comprehension_lines(source: str) -> list:
+    """The lines of source with a comprehension (list, set, dict or
+    generator) whose elements call ``substream``, by name or attribute."""
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp,
+                      ast.GeneratorExp)
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, comprehensions)
+        and any(isinstance(call, ast.Call)
+                and _named_classes(call.func) == {"substream"}
+                for part in ([node.key, node.value]
+                             if isinstance(node, ast.DictComp)
+                             else [node.elt])
+                for call in ast.walk(part)))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_streams_keyed_in_one_array(path):
+    assert substream_comprehension_lines(path.read_text()) == []
+
+
+def test_stream_guard_sees_each_comprehension():
+    source = ("rngs = [substream(seed, k) for k in range(n)]\n"
+              "rngs = (sampling.substream(seed, k) for k in range(n))\n"
+              "rngs = {k: substream(seed, k) for k in range(n)}\n"
+              "D = [unit_vector(substream(s, 0), 2) for s in seeds]\n"
+              "rngs = substreams(seed, range(n))\n"
+              "rng = substream(seed, 0)\n"
+              "rows = [rng.random(2) for rng in substreams(seed, range(n))]\n"
+              "keys = {substream: k for k in range(n)}\n")
+    assert substream_comprehension_lines(source) == [1, 2, 3, 4]
 
 
 def scipy_import_lines(source: str) -> list:
