@@ -34,13 +34,15 @@ masked loop over all rows, on the batched oracle ``oracle_batch``; a batch
 of at most two rays runs the scalar root find ``_gauge_bisect`` on each,
 which is cheaper at that size and gives the same bits. That scalar root
 find tests membership once per bracket step, on ``contains``, so a smooth
-body's ``_member`` evaluates one point, not a batch of one row.
+body's ``_member`` evaluates one point, not a batch of one row; membership
+reads the body's value alone, never its gradient.
 A polytope is built with NumPy alone: its vertices, bounding box and
 Chebyshev ball come from solving every square subsystem of its
 halfspaces, in stacked calls of a bounded number of subsystems.
 """
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations
 from typing import Callable, Sequence
 
@@ -58,8 +60,9 @@ _REL_TOL = 1e-15
 # this range, far inside the float range on both sides
 _QUADRATIC_RANGE = (2.0 ** -600, 2.0 ** 600)
 # SmoothBody._gauges finds the roots of at most this many rays one by
-# one: timed on a superellipse, the masked root find costs 482 against
-# 164 us at one ray, 314 against 253 us at two, 410 against 1,401 at eight
+# one: timed on a superellipse, the masked root find costs 155 against
+# 47 us at one ray, 210 against 105 at two, 245 against 160 at three and
+# 250 against 425 at eight
 _SCALAR_ROWS = 2
 # rows of norm about 1 are independent when |det| exceeds this, or when
 # the smallest over the largest singular value does
@@ -298,7 +301,8 @@ def _unit_halfspaces(A: np.ndarray, b: np.ndarray):
 def _solve_subsets(M: np.ndarray, c: np.ndarray, S: np.ndarray):
     """Feasible solutions of the square subsystems M[S] v = c[S] whose rows
     are independent (|det| above _RANK_RTOL; the rows bound it by their
-    norms), in subset order, with the rows tight at each.
+    norms), in subset order, with the rows tight at each and the subsets
+    that gave them.
 
     A solution is kept if it satisfies M v <= c up to a slack relative to
     the data; one whose coordinates or residuals overflow lies past the
@@ -309,12 +313,14 @@ def _solve_subsets(M: np.ndarray, c: np.ndarray, S: np.ndarray):
     with np.errstate(divide="ignore"):
         S = S[np.abs(np.linalg.det(M[S])) > _RANK_RTOL]
     V = np.linalg.solve(M[S], c[S][:, :, None])[:, :, 0]
-    V = V[np.all(np.isfinite(V), axis=1)]
+    finite = np.all(np.isfinite(V), axis=1)
+    V, S = V[finite], S[finite]
     with np.errstate(over="ignore"):
         residual = V @ M.T - c
         slack = _FEAS_RTOL * (np.abs(V) @ np.abs(M).T + np.abs(c))
     feasible = np.all(np.isfinite(slack) & (residual <= slack), axis=1)
-    return V[feasible], np.abs(residual[feasible]) <= slack[feasible]
+    return (V[feasible], np.abs(residual[feasible]) <= slack[feasible],
+            S[feasible])
 
 
 def _basic_feasible(M: np.ndarray, c: np.ndarray):
@@ -323,21 +329,33 @@ def _basic_feasible(M: np.ndarray, c: np.ndarray):
 
     Every square subsystem is solved (_solve_subsets), _SUBSET_CHUNK
     subsets per stacked call, so the time grows as C(m, dim) and the
-    memory stays bounded. Solutions with the same tight rows are one
-    vertex, reached from several subsystems where more than dim
-    halfspaces meet, and the first in subset order is kept.
+    memory stays bounded. Where more than dim halfspaces meet, several
+    subsystems reach one vertex. Solutions with the same tight rows are
+    one vertex, and the first in subset order is kept. So is a solution
+    whose subsystem is tight at another solution with more tight rows, or
+    as many and earlier: that solution solves the subsystem, whose
+    independent rows have one solution. This catches an ill-conditioned
+    subsystem, whose solution lies off the vertex by more than the slack
+    and so misses some of its tight rows.
     """
     S = _subsets(*M.shape)
     # one call at least, so that no subsets give empty arrays
     chunks = [_solve_subsets(M, c, S[i:i + _SUBSET_CHUNK])
               for i in range(0, max(len(S), 1), _SUBSET_CHUNK)]
-    V = np.concatenate([v for v, _ in chunks])
-    tight = np.concatenate([t for _, t in chunks])
+    V, tight, S = (np.concatenate(parts) for parts in zip(*chunks))
     keys = np.packbits(tight, axis=1)
     _, first = np.unique(keys.view(f"V{keys.shape[1]}")[:, 0],
                          return_index=True)
     first.sort()
-    return V[first], tight[first]
+    V, tight, S = V[first], tight[first], S[first]
+    # covers[i, j]: the rows of subsystem j are tight at solution i
+    covers = np.all(tight[:, S], axis=2)
+    count = np.count_nonzero(tight, axis=1)
+    order = np.arange(len(V))
+    better = (count[:, None] > count) | ((count[:, None] == count)
+                                         & (order[:, None] < order))
+    keep = ~np.any(covers & better, axis=0)
+    return V[keep], tight[keep]
 
 
 def _check_bounded(U: np.ndarray):
@@ -566,12 +584,19 @@ class Ellipsoid(ConvexBody):
 class SmoothBody(ConvexBody):
     """Body {w : f(w) < 0} given by an oracle w -> (value, gradient, Hessian).
 
-    The caller declares a bounding radius; convexity is spot-checked by
-    sampling the oracle Hessian. ``oracle_batch`` gives the values and
-    gradients at the rows of an (N, n) array, for the batched root find of
-    ``_gauges``; a subclass with a closed form overrides it. A generic
-    body has no certified support value, so competitors that need one are
-    not built over it.
+    The oracle takes a point, returns the value as a float and the
+    gradient as an (n,) array, and may return None for the Hessian where
+    nothing reads it; convexity is spot-checked by sampling the Hessian.
+    ``oracle_batch`` gives the values and gradients at the rows of an
+    (N, n) array, for the Newton steps of the batched root find of
+    ``_gauges``; a subclass with a closed form overrides it. Membership
+    reads the value alone, through ``_values`` (the oracle's value unless
+    a subclass states it), and only within the declared bounding radius:
+    ``_near``, one test for a point and for rows, which neither overflows
+    nor warns, so a point far past the float range is outside and one
+    within the radius is never lost to a squared norm's overflow. A
+    generic body has no certified support value, so competitors that need
+    one are not built over it.
     """
 
     def __init__(self, oracle: Callable[[np.ndarray], tuple], dim: int,
@@ -581,6 +606,13 @@ class SmoothBody(ConvexBody):
         self.oracle = oracle
         self.dim = int(dim)
         self.bounding_radius = float(bounding_radius)
+        # _near's clip, just past the radius, and its scale 2^-e, which
+        # takes the radius to _unit in [1/2, 1) exactly, or a subnormal
+        # radius into [2^-1023, 1/2), with 2^-e a float
+        self._clip = math.nextafter(self.bounding_radius, math.inf)
+        e = max(math.frexp(self.bounding_radius)[1], -1021)
+        self._scale = math.ldexp(1.0, -e)
+        self._unit = self.bounding_radius * self._scale
         if not self.contains(np.zeros(self.dim)):
             raise SpecError("smooth body oracle must contain the origin")
         self._spot_check_convexity()
@@ -596,13 +628,28 @@ class SmoothBody(ConvexBody):
     def _member(self, x) -> bool:
         # one point, not a batch of one row: _gauge_bisect tests
         # membership once per bracket step, and timed on a superellipse a
-        # batch of one row costs 27 against 13 us a call
-        with np.errstate(over="ignore"):  # a norm past the range is outside
-            far = np.linalg.norm(x) > self.bounding_radius
-        if far:
-            return False
-        value, _, _ = self.oracle(x)
-        return bool(value < 0.0)
+        # batch of one row costs 8.6 against 3.5 us a call
+        return self._near(x) and bool(self._values(x) < 0.0)
+
+    def _near(self, W):
+        """The bounding-radius test |w| <= bounding_radius, at a point (a
+        bool) or at each row of W (a bool array). Neither overflows: the
+        hypot of a point past the float range is inf, and the rows are
+        clipped just past the radius and scaled by a power of two, so that
+        their hypot is at most sqrt(n) and exactly the unscaled one below
+        the clip."""
+        if W.ndim == 1:
+            return math.hypot(*W) <= self.bounding_radius
+        clipped = np.minimum(np.abs(W), self._clip)
+        return np.hypot.reduce(clipped * self._scale, axis=1) <= self._unit
+
+    def _values(self, W):
+        """The oracle value at a point or at each row of W, which
+        membership reads alone; a subclass with a closed form overrides
+        it."""
+        if W.ndim == 1:
+            return self.oracle(W)[0]
+        return self.oracle_batch(W)[0]
 
     def interior_point(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -636,11 +683,12 @@ class SmoothBody(ConvexBody):
         return values, grads
 
     def _members(self, W) -> np.ndarray:
-        # _member at each row, the oracle only within the bounding radius
-        with np.errstate(over="ignore"):  # as in _member
-            near = np.sqrt(_rowdot(W, W)) <= self.bounding_radius
+        # _member at each row, the value only within the bounding radius
+        near = self._near(W)
+        if np.count_nonzero(near) == len(W):
+            return self._values(W) < 0.0
         member = np.zeros(len(W), dtype=bool)
-        member[near] = self.oracle_batch(W[near])[0] < 0.0
+        member[near] = self._values(W[near]) < 0.0
         return member
 
     def _gauge_bisect(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -765,12 +813,12 @@ class SmoothBody(ConvexBody):
         enters, each row with its own count. A row that has crossed probes
         the same s again and crosses again, so it needs no mask."""
         up = self._members(X + Y)
-        down = ~up
+        # a power of two, so multiplying by its inverse divides exactly
+        factor = np.where(up, _BRACKET_GROWTH, 1.0 / _BRACKET_GROWTH)
         near = np.ones(len(X))  # last s on the side of s = 1
         far = np.empty(len(X))  # first s across the boundary
         for _ in range(_MAX_BRACKET):
-            probe = near * _BRACKET_GROWTH
-            np.copyto(probe, near / _BRACKET_GROWTH, where=down)
+            probe = near * factor
             crossed = self._members(X + probe[:, None] * Y) != up
             np.copyto(far, probe, where=crossed)
             np.copyto(near, probe, where=~crossed)
@@ -806,10 +854,8 @@ class Superellipse(SmoothBody):
 
         def oracle(w):
             # no Hessian: only the convexity spot check would read it
-            s = w / radii
-            value = float(np.sum(s ** power) - 1.0)
-            grad = power * s ** (power - 1) / radii
-            return value, grad, None
+            value, grad = self._closed_form(w)
+            return float(value), grad, None
 
         # |w_i| < r_i for members, so the box diagonal bounds the body;
         # over max r_i where |r|^2 overflows or underflows to 0
@@ -821,14 +867,25 @@ class Superellipse(SmoothBody):
         super().__init__(oracle, radii.size,
                          bounding_radius=diagonal * 1.0001)
 
-    def oracle_batch(self, W: np.ndarray):
-        """The oracle's closed form over the rows of W, equal to it row by
-        row."""
+    def _closed_form(self, W: np.ndarray, gradient: bool = True):
+        """sum (w_i / r_i)^m - 1 over the last axis of W, a point or rows,
+        and its gradient unless ``gradient`` is false: the one formula of
+        ``oracle``, ``oracle_batch`` and ``_values``."""
         S = W / self.radii
         m = self.power
         # add.reduce is np.sum without its wrapper, so the same sum
-        return (np.add.reduce(S ** m, axis=1) - 1.0,
-                m * S ** (m - 1) / self.radii)
+        value = np.add.reduce(S ** m, axis=-1) - 1.0
+        if not gradient:
+            return value
+        return value, m * S ** (m - 1) / self.radii
+
+    def oracle_batch(self, W: np.ndarray):
+        """The oracle's closed form over the rows of W, equal to it row by
+        row."""
+        return self._closed_form(W)
+
+    def _values(self, W):
+        return self._closed_form(W, gradient=False)
 
     def _spot_check_convexity(self):
         """Nothing to check: a sum of even powers is convex."""

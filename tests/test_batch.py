@@ -22,6 +22,8 @@ import json
 import math
 import tracemalloc
 from contextlib import redirect_stdout
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -1243,16 +1245,65 @@ def _lp_geometry(A, b):
     return lo, hi, cheb[-1], vertices
 
 
+def _det(M) -> Fraction:
+    """The determinant of a square matrix of fractions, by cofactors."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:]
+                                           for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def _exact_vertices(A, b) -> np.ndarray:
+    """The vertices of {w : A w <= b} in rational arithmetic, rounded to
+    floats at the end: every square subsystem of nonzero determinant
+    solved by Cramer's rule, kept where it satisfies every halfspace
+    exactly."""
+    A = [[Fraction(float(a)) for a in row] for row in A]
+    b = [Fraction(float(v)) for v in b]
+    n = len(A[0])
+    found = set()
+    for rows in combinations(range(len(A)), n):
+        M = [A[i] for i in rows]
+        d = _det(M)
+        if d == 0:
+            continue
+        v = tuple(_det([row[:k] + [b[i]] + row[k + 1:]
+                        for row, i in zip(M, rows)]) / d for k in range(n))
+        if all(sum(a * x for a, x in zip(row, v)) <= c
+               for row, c in zip(A, b)):
+            found.add(v)
+    return np.array([[float(x) for x in v] for v in sorted(found)])
+
+
+def _nearest(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The max-norm distance from each row of P to the nearest row of Q."""
+    return np.min(np.max(np.abs(P[:, None, :] - Q[None, :, :]), axis=2),
+                  axis=1)
+
+
 def _assert_matches_lp_geometry(body):
     """Vertices as a set to 1e-9 against Qhull; bounding box and radius to
-    1e-7 against HiGHS, whose presolve drops coefficients below 1e-9."""
+    1e-7 against HiGHS, whose presolve drops coefficients below 1e-9.
+
+    Where Qhull and the body disagree on a vertex, exact rational
+    vertices decide: Qhull works from the interior point through the dual
+    hull, and where two facets meet at an angle near 1e-8 its vertex can
+    lie a few 1e-9 off. A vertex of the body that Qhull lacks must then be
+    an exact vertex, and a Qhull vertex the body lacks must be no exact
+    vertex, both to the same 1e-9."""
     lo, hi, radius, vertices = _lp_geometry(body.A, body.b)
     scale = max(1.0, float(np.max(np.abs(vertices))))
     tol, lp_tol = 1e-9 * scale, 1e-7 * scale
     ours = body._vertices
-    gaps = np.max(np.abs(ours[:, None, :] - vertices[None, :, :]), axis=2)
-    assert np.all(np.min(gaps, axis=1) <= tol), "a vertex Qhull lacks"
-    assert np.all(np.min(gaps, axis=0) <= tol), "a Qhull vertex is missing"
+    lacks = _nearest(ours, vertices) > tol
+    missing = _nearest(vertices, ours) > tol
+    if np.any(lacks) or np.any(missing):
+        exact = _exact_vertices(body.A, body.b)
+        assert np.all(_nearest(ours[lacks], exact) <= tol), \
+            "a vertex Qhull lacks"
+        assert np.all(_nearest(vertices[missing], exact) > tol), \
+            "a Qhull vertex is missing"
     pairs = np.max(np.abs(ours[:, None, :] - ours[None, :, :]), axis=2)
     assert np.all(pairs[np.triu_indices(len(ours), 1)] > tol), \
         "a vertex is listed twice"
@@ -1306,6 +1357,50 @@ PYRAMID_A = [[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]
 def test_polytope_geometry_on_degenerate_input(A, b, count):
     body = Polytope(A, b)
     assert len(body._vertices) == count
+    _assert_matches_lp_geometry(body)
+
+
+# the box |w_i| <= 1 of R^3 cut by halfspaces a . w <= 1, each a body on
+# which the random test above once failed
+NEAR_PARALLEL = 5.960464477539063e-08  # 2^-24
+
+
+def _cut_cube(*normals) -> Polytope:
+    A = np.vstack([np.eye(3), -np.eye(3), normals])
+    return Polytope(A, np.ones(len(A)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_four_facets_meeting_at_a_vertex_give_it_once():
+    # z <= 1, x + z <= 1, x + y + z <= 1 and x + 2^-24 y + z <= 1 meet at
+    # (0, 0, 1). The subsystem of the last three rows with z <= 1 is
+    # ill-conditioned: its solution lay 1.3e-10 off the vertex, missed
+    # one of its tight rows and was listed as a second vertex
+    body = _cut_cube([1.0, 0.0, 1.0], [1.0, 1.0, 1.0],
+                     [1.0, NEAR_PARALLEL, 1.0])
+    exact = _exact_vertices(body.A, body.b)
+    assert len(body._vertices) == len(exact) == 10
+    assert np.max(_nearest(body._vertices, exact)) <= 1e-15
+    _assert_matches_lp_geometry(body)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_vertices_of_near_parallel_facets_are_exact():
+    # 2^-24 x + z <= 1 meets z <= 1 at an angle of 2^-24 along x = 0, and
+    # x + y + z <= 1 crosses both: the exact vertices include (0, -1, 1),
+    # (0, 0, 1), (1, -1, 1 - 2^-24) and (1, -(1 - 2^-24), 1 - 2^-24),
+    # which the body gives to 1e-15; Qhull puts the first two 2.9e-9
+    # off, past its 1e-9 tolerance
+    body = _cut_cube([NEAR_PARALLEL, 0.0, 1.0], [1.0, 1.0, 1.0])
+    exact = _exact_vertices(body.A, body.b)
+    for v in ([0.0, -1.0, 1.0], [0.0, 0.0, 1.0],
+              [1.0, -1.0, 1.0 - NEAR_PARALLEL],
+              [1.0, NEAR_PARALLEL - 1.0, 1.0 - NEAR_PARALLEL]):
+        assert v in exact.tolist()
+    assert len(body._vertices) == len(exact) == 10
+    assert np.max(_nearest(body._vertices, exact)) <= 1e-15
+    _, _, _, qhull = _lp_geometry(body.A, body.b)
+    assert np.max(_nearest(exact, qhull)) > 1e-9
     _assert_matches_lp_geometry(body)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pshmodels import (Ellipsoid, Gauge, OutsideDomainError, Polytope,
                        interval, substream, unit_vector)
 
 from conftest import bisect_gauge, fd_hessian
+from pshmodels.bodies import _rowdot
 
 
 def sample_interior(body, rng):
@@ -557,3 +559,215 @@ class TestLazyNumpyRandom:
             assert code == 0, code
             assert "numpy.random" not in sys.modules, "a slice loaded it"
             """)
+
+
+class FormerSuperellipse(Superellipse):
+    """The reference for the shared smooth-body kernels: the superellipse
+    as it was before one closed form served both oracles and membership
+    read the value alone. Its scalar oracle sums with np.sum, and its
+    membership tests the norm under np.errstate, by np.linalg.norm for a
+    point and the square root of a row's dot product for rows, and then
+    reads the oracle's value, gradient and all."""
+
+    def __init__(self, radii, power=4):
+        super().__init__(radii, power)
+        radii, power = self.radii, self.power
+
+        def oracle(w):
+            s = w / radii
+            value = float(np.sum(s ** power) - 1.0)
+            grad = power * s ** (power - 1) / radii
+            return value, grad, None
+        self.oracle = oracle
+
+    def oracle_batch(self, W):
+        S = W / self.radii
+        m = self.power
+        return (np.add.reduce(S ** m, axis=1) - 1.0,
+                m * S ** (m - 1) / self.radii)
+
+    def _member(self, x):
+        with np.errstate(over="ignore"):
+            far = np.linalg.norm(x) > self.bounding_radius
+        if far:
+            return False
+        value, _, _ = self.oracle(x)
+        return bool(value < 0.0)
+
+    def _members(self, W):
+        with np.errstate(over="ignore"):
+            near = np.sqrt(_rowdot(W, W)) <= self.bounding_radius
+        member = np.zeros(len(W), dtype=bool)
+        member[near] = self.oracle_batch(W[near])[0] < 0.0
+        return member
+
+
+SMOOTH_KERNEL_BODIES = {"squircle": ([1.0, 0.7], 4),
+                        "superellipse6": ([0.5, 1.3, 2.0], 6)}
+
+
+def _kernel_points(body, rng):
+    """Points at which the shared kernels must give the former bits:
+    random points over many scales, +-0 and subnormals, boundary points
+    and the points 1 ulp either side of them, and points on the sphere of
+    the bounding radius and 1 ulp either side of it."""
+    n, R = body.dim, body.bounding_radius
+    scale = 10.0 ** rng.uniform(-300.0, 150.0, (200, 1))
+    D = rng.normal(size=(400, n))
+    D /= np.hypot.reduce(D, axis=1)[:, None]
+    boundary = D / Gauge(body).batch(D)[:, None]
+    sphere = R * D
+    axes = np.vstack([R * np.eye(n), -R * np.eye(n)])
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308 / 3])
+    special = rng.choice(tiny, (50, n))
+    special[:2] = [[0.0] * n, [-0.0] * n]
+    rings = [W for P in (boundary, sphere, axes)
+             for W in (P, np.nextafter(P, 0.0), np.nextafter(P, 2.0 * P))]
+    return np.vstack([rng.uniform(-1.5, 1.5, (500, n)) * R,
+                      rng.normal(size=(200, n)) * scale, special, *rings])
+
+
+def _squircle_counting_rays(body, count):
+    """count rays, half from the origin and half from centers reaching out
+    to 0.99 of the way to the boundary, as in _squircle_rays."""
+    origin = np.zeros(body.dim)
+    rays = []
+    for k in range(count // 2):
+        rng = substream(111, k)
+        d = unit_vector(rng, body.dim)
+        x = rng.uniform(0.0, 0.99) * d / body.gauge(origin, d)
+        y = rng.normal(size=body.dim) * rng.uniform(0.1, 3.0)
+        rays.extend([(origin, y), (x, y)])
+    return rays
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH_KERNEL_BODIES))
+class TestSharedSmoothKernels:
+    """One superellipse formula for both oracles, membership by the value
+    alone and one bounding-radius test: the former bits and counts."""
+
+    @staticmethod
+    def _bodies(name):
+        radii, power = SMOOTH_KERNEL_BODIES[name]
+        return Superellipse(radii, power), FormerSuperellipse(radii, power)
+
+    def test_oracles_and_membership_are_the_former_bits(self, name):
+        body, former = self._bodies(name)
+        W = _kernel_points(body, np.random.default_rng(28))
+        # the oracles within their power's float range; membership up to
+        # where the former's squared norm overflows
+        top = np.abs(W).max(axis=1)
+        finite, inside = W[top <= 1e40], W[top <= 1e150]
+        for w in finite:
+            value, grad, hess = body.oracle(w)
+            ref = former.oracle(w)
+            assert type(value) is float and hess is None
+            assert value == ref[0]
+            np.testing.assert_array_equal(grad, ref[1])
+        for got, ref in zip(body.oracle_batch(finite),
+                            former.oracle_batch(finite)):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(body._values(finite),
+                                      former.oracle_batch(finite)[0])
+        assert [body.contains(w) for w in inside] == [
+            former.contains(w) for w in inside]
+        np.testing.assert_array_equal(body.contains_batch(inside),
+                                      former.contains_batch(inside))
+        np.testing.assert_array_equal(
+            body.contains_batch(inside), [body.contains(w) for w in inside])
+
+    def test_radius_test_is_the_former_on_the_axes(self, name):
+        # on an axis a norm is exact, so the radius test has one answer
+        # at R and 1 ulp either side of it, whatever its kernel
+        body, _ = self._bodies(name)
+        R = body.bounding_radius
+        for r, near in ((np.nextafter(R, 0.0), True), (R, True),
+                        (np.nextafter(R, np.inf), False)):
+            W = np.vstack([r * np.eye(body.dim), -r * np.eye(body.dim)])
+            assert body._near(W).tolist() == [near] * len(W)
+            assert [body._near(w) for w in W] == [near] * len(W)
+            with np.errstate(over="ignore"):
+                assert all(bool(np.linalg.norm(w) <= R) == near for w in W)
+
+    def test_gauges_are_the_former_bits(self, name):
+        body, former = self._bodies(name)
+        rays = _squircle_counting_rays(body, 200)
+        X, Y = (np.array(rows) for rows in zip(*rays))
+        scalar = [body._gauge_bisect(x, y) for x, y in rays]
+        assert scalar == [former._gauge_bisect(x, y) for x, y in rays]
+        # the masked root find and the former's, on all rows at once and
+        # in batches past _SCALAR_ROWS
+        np.testing.assert_array_equal(1.0 / body._roots(X, Y), scalar)
+        np.testing.assert_array_equal(body._roots(X, Y),
+                                      former._roots(X, Y))
+        np.testing.assert_array_equal(
+            np.concatenate([body.gauge_batch(X[i:i + 3], Y[i:i + 3])
+                            for i in range(0, len(X), 3)]),
+            former.gauge_batch(X, Y))
+
+    def test_scalar_root_find_makes_the_former_calls(self, name):
+        # perfbench reads the contains calls per root (bodies.bisect); the
+        # oracle now runs only for the Newton steps, membership reading
+        # the value alone: the counts of the parent commit on these rays
+        body, _ = self._bodies(name)
+        contains_calls, newton_calls = {"squircle": (590, 1193),
+                                        "superellipse6": (632, 1296)}[name]
+        rays = _squircle_counting_rays(body, 200)
+        calls = {"contains": 0, "oracle": 0}
+        contains, oracle = body.contains, body.oracle
+
+        def counting_contains(x):
+            calls["contains"] += 1
+            return contains(x)
+
+        def counting_oracle(w):
+            calls["oracle"] += 1
+            return oracle(w)
+        body.contains, body.oracle = counting_contains, counting_oracle
+        for x, y in rays:
+            body._gauge_bisect(x, y)
+        assert calls == {"contains": contains_calls, "oracle": newton_calls}
+
+
+class TestSmoothBodyPastTheSquaredNormRange:
+    """Membership within the bounding radius, where w . w overflows: the
+    former radius test read every such point as outside."""
+
+    def test_huge_superellipse_gauge_is_the_closed_form(self):
+        body = Superellipse([1e200, 1e200], power=4)
+        origin = np.zeros(2)
+        for y, closed in (([1e199, 0.0], 0.1), ([0.0, -1e199], 0.1),
+                          ([1e150, 0.0], 1e-50),
+                          ([-1e199, 3e199], 0.0082 ** 0.25)):
+            g = body.gauge(origin, y)
+            assert abs(g - closed) <= 4 * math.ulp(closed), (y, g)
+            assert body.gauge_batch([origin] * 3, [y] * 3).tolist() == [g] * 3
+
+    def test_membership_past_the_squared_norm_range(self, squircle):
+        huge = Superellipse([1e308, 1e308], power=4)
+        W = np.array([[7e307, 7e307], [9e307, 0.0], [1e308, 1e308],
+                      [-1.7e308, 1.7e308], [0.0, 0.0]])
+        assert huge.contains_batch(W).tolist() == [True, True, False,
+                                                    False, True]
+        assert [huge.contains(w) for w in W] == [True, True, False, False,
+                                                 True]
+        # far past a small body's radius: outside, with no overflow
+        W = np.array([[1.7e308, 1.7e308], [0.1, 0.2], [-1.7e308, 0.0]])
+        assert squircle.contains_batch(W).tolist() == [False, True, False]
+        assert [squircle.contains(w) for w in W] == [False, True, False]
+
+    def test_radius_test_at_extreme_radii(self):
+        # the largest and subnormal radii: the clip and the scale stay
+        # floats, and the rows past the radius are far without a warning.
+        # At the least subnormal R the hypot of (R, R) rounds to R, so the
+        # point test, correctly rounded there, reads it as near
+        def inside(w):
+            return -1.0, np.zeros_like(w), np.zeros((2, 2))
+        for R in (np.finfo(float).max, 1e-310, 5e-324, 1.0):
+            body = SmoothBody(inside, 2, R)
+            W = np.array([[R, 0.0], [0.0, -R], [R, R],
+                          [1.7e308, 1.7e308], [0.0, 5e-324]])
+            expected = [True, True, False, False, True]
+            assert body._near(W).tolist() == expected
+            expected[2] = R == 5e-324
+            assert [body._near(w) for w in W] == expected

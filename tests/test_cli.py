@@ -54,17 +54,24 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_eval_serves_a_strip_tube_over_huge_radii(capsys, tmp_path):
+@pytest.mark.parametrize("point, u", [("1e199,0", 0.0),
+                                      ("0+1e199j,0", 0.1)])
+def test_eval_serves_a_strip_tube_over_huge_radii(capsys, tmp_path, point,
+                                                  u):
     # the bounding radius of a superellipse of radii 1e200 is 1.4e200,
-    # not an overflow; warnings are errors here, so none is raised
+    # not an overflow, and Im z = 1e199 e1, whose squared norm overflows,
+    # lies within it: a member whose gauge is the closed form 0.1. No
+    # warning is raised or printed
     spec = tmp_path / "huge.json"
     spec.write_text(json.dumps({"model": "striptube", "body": {
         "type": "smooth", "kind": "superellipse",
         "params": {"radii": [1e200, 1e200], "power": 4}}}))
-    code, out, err = run(capsys, ["eval", "--model", str(spec),
-                                  "--point", "1e199,0"])
+    code, out, err = _run_quietly(capsys, ["eval", "--model", str(spec),
+                                           "--point=" + point])
     assert (code, err) == (0, "")
-    assert json.loads(out)["member"] is True
+    record = json.loads(out)
+    assert record["member"] is True
+    assert abs(record["u"] - u) <= 4 * math.ulp(u)
 
 
 def _count_gauge_rows(monkeypatch, model) -> list:

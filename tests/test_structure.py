@@ -12,7 +12,10 @@ path. A body states its formulas alone: only ConvexBody defines the
 public body methods, which validate their input once, tests and refuses
 centers and defines ``gauge_batch`` and ``gauge_pair``; no formula of a
 body validates, and a polytope's A x and an ellipsoid's Q x of its
-centers come from one formula, its center pass. A model
+centers come from one formula, its center pass. A superellipse states
+its value and gradient in one function, which both oracles and its
+membership value call, and a smooth body tests its bounding radius in
+one helper, which both of its memberships call. A model
 evaluates through ``member_potential_batch`` alone: only Model defines
 ``member_batch`` and ``potential_batch``, and only ``Model._center_args``
 refuses an x off a model's center. Only ``stencils.py`` calls a field
@@ -692,6 +695,143 @@ def test_validation_guard_sees_a_formula():
               "        return _rows(Y, self.dim)\n")
     assert validating_methods(source) == ["SmoothBody._member",
                                           "Superellipse._supports"]
+
+
+def _class_functions(source: str, base: str) -> list:
+    """(name, node) of each function of base and of its subclasses in
+    source: the methods, as Class.method, and the functions nested in
+    them, as Class.method.function."""
+    classes = {node.name: node for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef)}
+
+    def derives(cls) -> bool:
+        names = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+        return cls.name == base or any(derives(classes[name])
+                                       for name in names if name in classes)
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                found.append((f"{prefix}.{child.name}", child))
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+    for cls in classes.values():
+        if derives(cls):
+            visit(cls, cls.name)
+    return found
+
+
+def _own_nodes(function):
+    """The nodes of function, not those of the functions nested in it."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, ast.FunctionDef):
+            stack.extend(ast.iter_child_nodes(node))
+            yield node
+
+
+def _self_calls(function, method: str) -> bool:
+    return any(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == method
+               and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "self"
+               for node in _own_nodes(function))
+
+
+def _names(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def power_formulas(source: str) -> list:
+    """The functions of Superellipse in source that raise to the body's
+    power: a ** whose exponent names ``m`` or ``power``."""
+    return [name for name, function in _class_functions(source,
+                                                        "Superellipse")
+            if any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                   and _names(node.right) & {"m", "power"}
+                   for node in _own_nodes(function))]
+
+
+def radius_tests(source: str) -> list:
+    """The functions of SmoothBody and its subclasses in source that
+    compare with the bounding radius: a comparison with
+    ``self.bounding_radius``, or with ``self._unit``, the radius scaled."""
+    def radius(node) -> bool:
+        return (isinstance(node, ast.Attribute)
+                and node.attr in {"bounding_radius", "_unit"}
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self")
+    return [name for name, function in _class_functions(source, "SmoothBody")
+            if any(isinstance(node, ast.Compare)
+                   and any(map(radius, [node.left, *node.comparators]))
+                   for node in _own_nodes(function))]
+
+
+def callers(source: str, base: str, method: str) -> list:
+    """The functions of base and its subclasses in source that call
+    ``self.<method>``."""
+    return [name for name, function in _class_functions(source, base)
+            if _self_calls(function, method)]
+
+
+def test_one_superellipse_formula():
+    # the value and the gradient are stated once, over the last axis, and
+    # the scalar oracle, the batched one and membership's value read it
+    source = (SRC / "bodies.py").read_text()
+    assert power_formulas(source) == ["Superellipse._closed_form"]
+    assert callers(source, "Superellipse", "_closed_form") == [
+        "Superellipse.__init__.oracle", "Superellipse.oracle_batch",
+        "Superellipse._values"]
+
+
+def test_one_bounding_radius_test():
+    # one helper tests the bounding radius, for a point and for rows, and
+    # both memberships call it
+    source = (SRC / "bodies.py").read_text()
+    assert radius_tests(source) == ["SmoothBody._near"]
+    assert callers(source, "SmoothBody", "_near") == ["SmoothBody._member",
+                                                      "SmoothBody._members"]
+
+
+def test_smooth_formula_guards_see_a_restated_formula():
+    # the former kernels: a scalar oracle of its own, two radius tests
+    source = ("class SmoothBody(ConvexBody):\n"
+              "    def _member(self, x):\n"
+              "        with np.errstate(over='ignore'):\n"
+              "            far = np.linalg.norm(x) > self.bounding_radius\n"
+              "        return not far and self.oracle(x)[0] < 0.0\n"
+              "    def _members(self, W):\n"
+              "        near = np.sqrt(_rowdot(W, W)) <= self.bounding_radius\n"
+              "        return self._near(W) & near\n"
+              "    def _near(self, W):\n"
+              "        return np.hypot.reduce(W, axis=1) <= self._unit\n"
+              "class Superellipse(SmoothBody):\n"
+              "    def __init__(self, radii, power):\n"
+              "        def oracle(w):\n"
+              "            s = w / radii\n"
+              "            return np.sum(s ** power) - 1.0, s ** 3, None\n"
+              "    def oracle_batch(self, W):\n"
+              "        return self._closed_form(W)\n"
+              "    def _closed_form(self, W):\n"
+              "        S, m = W / self.radii, self.power\n"
+              "        return S ** m, m * S ** (m - 1)\n"
+              "    def _supports(self, A):\n"
+              "        return np.abs(A) ** q\n"
+              "class Gauge:\n"
+              "    def batch(self, Y):\n"
+              "        return Y ** self.power < self.bounding_radius\n")
+    assert power_formulas(source) == ["Superellipse.__init__.oracle",
+                                      "Superellipse._closed_form"]
+    assert callers(source, "Superellipse", "_closed_form") == [
+        "Superellipse.oracle_batch"]
+    assert radius_tests(source) == ["SmoothBody._member",
+                                    "SmoothBody._members", "SmoothBody._near"]
+    assert callers(source, "SmoothBody", "_near") == ["SmoothBody._members"]
 
 
 def off_center_refusals(source: str) -> list:
