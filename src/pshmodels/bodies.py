@@ -331,12 +331,12 @@ def _basic_feasible(M: np.ndarray, c: np.ndarray):
     subsets per stacked call, so the time grows as C(m, dim) and the
     memory stays bounded. Where more than dim halfspaces meet, several
     subsystems reach one vertex. Solutions with the same tight rows are
-    one vertex, and the first in subset order is kept. So is a solution
-    whose subsystem is tight at another solution with more tight rows, or
-    as many and earlier: that solution solves the subsystem, whose
-    independent rows have one solution. This catches an ill-conditioned
-    subsystem, whose solution lies off the vertex by more than the slack
-    and so misses some of its tight rows.
+    one vertex, and the first in subset order is kept. A solution is
+    also dropped where its subsystem is tight at another solution that
+    has more tight rows, or as many and comes earlier: that solution
+    solves the subsystem, whose independent rows have one solution. This
+    catches an ill-conditioned subsystem, whose solution lies off the
+    vertex by more than the slack and so misses some of its tight rows.
     """
     S = _subsets(*M.shape)
     # one call at least, so that no subsets give empty arrays
@@ -348,13 +348,16 @@ def _basic_feasible(M: np.ndarray, c: np.ndarray):
                          return_index=True)
     first.sort()
     V, tight, S = V[first], tight[first], S[first]
-    # covers[i, j]: the rows of subsystem j are tight at solution i
-    covers = np.all(tight[:, S], axis=2)
     count = np.count_nonzero(tight, axis=1)
-    order = np.arange(len(V))
-    better = (count[:, None] > count) | ((count[:, None] == count)
-                                         & (order[:, None] < order))
-    keep = ~np.any(covers & better, axis=0)
+    if (count == M.shape[1]).all():
+        # each solution is tight at its own subsystem alone, so one that
+        # is tight at another's subsystem has its key
+        return V, tight
+    # covers[i, j]: the rows of subsystem j are tight at solution i;
+    # rank orders the solutions by tight rows, then by subset order
+    covers = tight[:, S].all(axis=2)
+    rank = count * len(V) - np.arange(len(V))
+    keep = ~(covers & (rank[:, None] > rank)).any(axis=0)
     return V[keep], tight[keep]
 
 

@@ -706,9 +706,11 @@ class TestSharedSmoothKernels:
             former.gauge_batch(X, Y))
 
     def test_scalar_root_find_makes_the_former_calls(self, name):
-        # perfbench reads the contains calls per root (bodies.bisect); the
-        # oracle now runs only for the Newton steps, membership reading
-        # the value alone: the counts of the parent commit on these rays
+        # perfbench reads the contains calls per root (bodies.bisect). The
+        # former root find made these contains calls and Newton steps on
+        # these rays, and its membership also called the oracle (1,547 and
+        # 1,785 oracle calls in all); the oracle now runs for the Newton
+        # steps alone, membership reading the value
         body, _ = self._bodies(name)
         contains_calls, newton_calls = {"squircle": (590, 1193),
                                         "superellipse6": (632, 1296)}[name]
