@@ -69,6 +69,9 @@ _SCALAR_ROWS = 2
 _RANK_RTOL = 1e-12
 # slack of a solution of M v <= c, relative to |M| |v| + |c|
 _FEAS_RTOL = 1e-12
+# two solutions of M v <= c may be one vertex where they lie this close,
+# relative to the largest vertex coordinate
+_SAME_RTOL = 1e-9
 # square subsystems per stacked solve: bounds the memory of a polytope
 # build; the polytopes of the specs and tests need at most a few hundred
 _SUBSET_CHUNK = 4096
@@ -328,15 +331,18 @@ def _basic_feasible(M: np.ndarray, c: np.ndarray):
     with the rows tight at each.
 
     Every square subsystem is solved (_solve_subsets), _SUBSET_CHUNK
-    subsets per stacked call, so the time grows as C(m, dim) and the
-    memory stays bounded. Where more than dim halfspaces meet, several
-    subsystems reach one vertex. Solutions with the same tight rows are
-    one vertex, and the first in subset order is kept. A solution is
-    also dropped where its subsystem is tight at another solution that
-    has more tight rows, or as many and comes earlier: that solution
-    solves the subsystem, whose independent rows have one solution. This
+    subsets per stacked call, so the time grows as C(m, dim). Where more
+    than dim halfspaces meet, several subsystems reach one vertex.
+    Solutions with the same tight rows are one vertex, and the first in
+    subset order is kept. A solution is also dropped where its subsystem
+    is tight at another solution that has more tight rows, or as many
+    and comes earlier, and that lies within _SAME_RTOL of it. This
     catches an ill-conditioned subsystem, whose solution lies off the
-    vertex by more than the slack and so misses some of its tight rows.
+    vertex by more than the slack and so misses some of its tight rows;
+    the distance keeps a vertex whose subsystem is merely tight, within
+    the slack, at a vertex far away across a near-parallel facet. Only a
+    solution tight at more than dim rows can drop another, so the memory
+    of this step grows with the degenerate vertices alone.
     """
     S = _subsets(*M.shape)
     # one call at least, so that no subsets give empty arrays
@@ -349,15 +355,19 @@ def _basic_feasible(M: np.ndarray, c: np.ndarray):
     first.sort()
     V, tight, S = V[first], tight[first], S[first]
     count = np.count_nonzero(tight, axis=1)
-    if (count == M.shape[1]).all():
-        # each solution is tight at its own subsystem alone, so one that
-        # is tight at another's subsystem has its key
-        return V, tight
-    # covers[i, j]: the rows of subsystem j are tight at solution i;
-    # rank orders the solutions by tight rows, then by subset order
-    covers = tight[:, S].all(axis=2)
+    # rank orders the solutions by tight rows, then by subset order; a
+    # solution tight at its own subsystem alone outranks no other, whose
+    # subsystem would then be its own
     rank = count * len(V) - np.arange(len(V))
-    keep = ~(covers & (rank[:, None] > rank)).any(axis=0)
+    big = np.flatnonzero(count > M.shape[1])
+    # drops[i, j]: solution big[i] outranks solution j, is tight at the
+    # rows of subsystem j and lies close to solution j; halved, no
+    # difference of two solutions overflows
+    drops = tight[big][:, S].all(axis=2) & (rank[big, None] > rank)
+    half = 0.5 * V
+    gap = np.abs(half[big, None, :] - half).max(axis=2)
+    drops &= gap <= 0.5 * _SAME_RTOL * np.abs(V).max(initial=0.0)
+    keep = ~drops.any(axis=0)
     return V[keep], tight[keep]
 
 

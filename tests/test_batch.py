@@ -1289,21 +1289,18 @@ def _assert_matches_lp_geometry(body):
     Where Qhull and the body disagree on a vertex, exact rational
     vertices decide: Qhull works from the interior point through the dual
     hull, and where two facets meet at an angle near 1e-8 its vertex can
-    lie a few 1e-9 off. A vertex of the body that Qhull lacks must then be
-    an exact vertex, and a Qhull vertex the body lacks must be no exact
-    vertex, both to the same 1e-9."""
+    lie a few 1e-9 off. The body's vertices must then be the exact ones
+    as a set, to the same 1e-9."""
     lo, hi, radius, vertices = _lp_geometry(body.A, body.b)
     scale = max(1.0, float(np.max(np.abs(vertices))))
     tol, lp_tol = 1e-9 * scale, 1e-7 * scale
     ours = body._vertices
-    lacks = _nearest(ours, vertices) > tol
-    missing = _nearest(vertices, ours) > tol
-    if np.any(lacks) or np.any(missing):
+    if (np.max(_nearest(ours, vertices)) > tol
+            or np.max(_nearest(vertices, ours)) > tol):
         exact = _exact_vertices(body.A, body.b)
-        assert np.all(_nearest(ours[lacks], exact) <= tol), \
-            "a vertex Qhull lacks"
-        assert np.all(_nearest(vertices[missing], exact) > tol), \
-            "a Qhull vertex is missing"
+        assert np.all(_nearest(ours, exact) <= tol), "a vertex is not exact"
+        assert np.all(_nearest(exact, ours) <= tol), \
+            "an exact vertex is missing"
     pairs = np.max(np.abs(ours[:, None, :] - ours[None, :, :]), axis=2)
     assert np.all(pairs[np.triu_indices(len(ours), 1)] > tol), \
         "a vertex is listed twice"
@@ -1389,8 +1386,8 @@ def test_vertices_of_near_parallel_facets_are_exact():
     # 2^-24 x + z <= 1 meets z <= 1 at an angle of 2^-24 along x = 0, and
     # x + y + z <= 1 crosses both: the exact vertices include (0, -1, 1),
     # (0, 0, 1), (1, -1, 1 - 2^-24) and (1, -(1 - 2^-24), 1 - 2^-24),
-    # which the body gives to 1e-15; Qhull puts the first two 2.9e-9
-    # off, past its 1e-9 tolerance
+    # which the body gives to 1e-15; the Qhull of SciPy 1.17 put the
+    # first two 2.9e-9 off, past its 1e-9 tolerance
     body = _cut_cube([NEAR_PARALLEL, 0.0, 1.0], [1.0, 1.0, 1.0])
     exact = _exact_vertices(body.A, body.b)
     for v in ([0.0, -1.0, 1.0], [0.0, 0.0, 1.0],
@@ -1399,8 +1396,22 @@ def test_vertices_of_near_parallel_facets_are_exact():
         assert v in exact.tolist()
     assert len(body._vertices) == len(exact) == 10
     assert np.max(_nearest(body._vertices, exact)) <= 1e-15
-    _, _, _, qhull = _lp_geometry(body.A, body.b)
-    assert np.max(_nearest(exact, qhull)) > 1e-9
+    _assert_matches_lp_geometry(body)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("angle", [1.1e-12, 1.5e-12, 2e-12])
+def test_a_vertex_tight_within_the_slack_far_away_stays(angle):
+    # angle x + z <= 1 meets z <= 1 along x = 0. The subsystem of -y <= 1,
+    # z <= 1 and the cut gives the vertex (0, -1, 1); its rows are tight,
+    # within the slack of about 2e-12, at (1, -1, 1 - angle) too, a unit
+    # away, which has four tight rows and must not drop it
+    body = _cut_cube([angle, 0.0, 1.0])
+    exact = _exact_vertices(body.A, body.b)
+    assert [0.0, -1.0, 1.0] in exact.tolist()
+    assert [0.0, 1.0, 1.0] in exact.tolist()
+    assert len(body._vertices) == len(exact) == 10
+    assert np.max(_nearest(exact, body._vertices)) <= 1e-11
     _assert_matches_lp_geometry(body)
 
 
