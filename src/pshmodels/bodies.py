@@ -304,8 +304,7 @@ def _unit_halfspaces(A: np.ndarray, b: np.ndarray):
 def _solve_subsets(M: np.ndarray, c: np.ndarray, S: np.ndarray):
     """Feasible solutions of the square subsystems M[S] v = c[S] whose rows
     are independent (|det| above _RANK_RTOL; the rows bound it by their
-    norms), in subset order, with the rows tight at each and the subsets
-    that gave them.
+    norms), in subset order, with the rows tight at each.
 
     A solution is kept if it satisfies M v <= c up to a slack relative to
     the data; one whose coordinates or residuals overflow lies past the
@@ -316,14 +315,12 @@ def _solve_subsets(M: np.ndarray, c: np.ndarray, S: np.ndarray):
     with np.errstate(divide="ignore"):
         S = S[np.abs(np.linalg.det(M[S])) > _RANK_RTOL]
     V = np.linalg.solve(M[S], c[S][:, :, None])[:, :, 0]
-    finite = np.all(np.isfinite(V), axis=1)
-    V, S = V[finite], S[finite]
+    V = V[np.all(np.isfinite(V), axis=1)]
     with np.errstate(over="ignore"):
         residual = V @ M.T - c
         slack = _FEAS_RTOL * (np.abs(V) @ np.abs(M).T + np.abs(c))
     feasible = np.all(np.isfinite(slack) & (residual <= slack), axis=1)
-    return (V[feasible], np.abs(residual[feasible]) <= slack[feasible],
-            S[feasible])
+    return V[feasible], np.abs(residual[feasible]) <= slack[feasible]
 
 
 def _basic_feasible(M: np.ndarray, c: np.ndarray):
@@ -334,40 +331,37 @@ def _basic_feasible(M: np.ndarray, c: np.ndarray):
     subsets per stacked call, so the time grows as C(m, dim). Where more
     than dim halfspaces meet, several subsystems reach one vertex.
     Solutions with the same tight rows are one vertex, and the first in
-    subset order is kept. A solution is also dropped where its subsystem
-    is tight at another solution that has more tight rows, or as many
-    and comes earlier, and that lies within _SAME_RTOL of it. This
-    catches an ill-conditioned subsystem, whose solution lies off the
-    vertex by more than the slack and so misses some of its tight rows;
-    the distance keeps a vertex whose subsystem is merely tight, within
-    the slack, at a vertex far away across a near-parallel facet. Only a
-    solution tight at more than dim rows can drop another, so the memory
-    of this step grows with the degenerate vertices alone.
+    subset order is kept. There an ill-conditioned subsystem's solution
+    can also lie off the vertex by more than the slack, miss some of its
+    tight rows and so get a key of its own: a solution is also dropped
+    where it lies within _SAME_RTOL of a solution tight at more than dim
+    rows that outranks it, with more tight rows, or as many and earlier.
+    The distance decides, not tightness within the slack: across a
+    near-parallel facet, a vertex a unit away from a degenerate one can
+    be tight at its rows within the slack. This step's memory grows with
+    the degenerate solutions alone.
     """
     S = _subsets(*M.shape)
     # one call at least, so that no subsets give empty arrays
     chunks = [_solve_subsets(M, c, S[i:i + _SUBSET_CHUNK])
               for i in range(0, max(len(S), 1), _SUBSET_CHUNK)]
-    V, tight, S = (np.concatenate(parts) for parts in zip(*chunks))
+    V = np.concatenate([v for v, _ in chunks])
+    tight = np.concatenate([t for _, t in chunks])
     keys = np.packbits(tight, axis=1)
     _, first = np.unique(keys.view(f"V{keys.shape[1]}")[:, 0],
                          return_index=True)
     first.sort()
-    V, tight, S = V[first], tight[first], S[first]
-    count = np.count_nonzero(tight, axis=1)
-    # rank orders the solutions by tight rows, then by subset order; a
-    # solution tight at its own subsystem alone outranks no other, whose
-    # subsystem would then be its own
+    V, tight = V[first], tight[first]
+    count = tight.sum(axis=1)
+    # rank orders the solutions by tight rows, then by subset order
     rank = count * len(V) - np.arange(len(V))
     big = np.flatnonzero(count > M.shape[1])
-    # drops[i, j]: solution big[i] outranks solution j, is tight at the
-    # rows of subsystem j and lies close to solution j; halved, no
+    # near[i, j]: solution big[i] lies close to solution j; halved, no
     # difference of two solutions overflows
-    drops = tight[big][:, S].all(axis=2) & (rank[big, None] > rank)
     half = 0.5 * V
-    gap = np.abs(half[big, None, :] - half).max(axis=2)
-    drops &= gap <= 0.5 * _SAME_RTOL * np.abs(V).max(initial=0.0)
-    keep = ~drops.any(axis=0)
+    near = (np.abs(half[big, None, :] - half).max(axis=2)
+            <= 0.5 * _SAME_RTOL * np.abs(V).max(initial=0.0))
+    keep = ~(near & (rank[big, None] > rank)).any(axis=0)
     return V[keep], tight[keep]
 
 
