@@ -338,8 +338,8 @@ def _basic_feasible(M: np.ndarray, c: np.ndarray):
     rows that outranks it, with more tight rows, or as many and earlier.
     The distance decides, not tightness within the slack: across a
     near-parallel facet, a vertex a unit away from a degenerate one can
-    be tight at its rows within the slack. This step's memory grows with
-    the degenerate solutions alone.
+    be tight at its rows within the slack. This step makes one pass over
+    the solutions per degenerate one.
     """
     S = _subsets(*M.shape)
     # one call at least, so that no subsets give empty arrays
@@ -355,13 +355,13 @@ def _basic_feasible(M: np.ndarray, c: np.ndarray):
     count = tight.sum(axis=1)
     # rank orders the solutions by tight rows, then by subset order
     rank = count * len(V) - np.arange(len(V))
-    big = np.flatnonzero(count > M.shape[1])
-    # near[i, j]: solution big[i] lies close to solution j; halved, no
-    # difference of two solutions overflows
-    half = 0.5 * V
-    near = (np.abs(half[big, None, :] - half).max(axis=2)
-            <= 0.5 * _SAME_RTOL * np.abs(V).max(initial=0.0))
-    keep = ~(near & (rank[big, None] > rank)).any(axis=0)
+    # halved, so that no difference of two solutions overflows
+    half, tol = 0.5 * V, 0.5 * _SAME_RTOL * np.abs(V).max(initial=0.0)
+    drop = np.zeros(len(V), dtype=bool)
+    for i in np.flatnonzero(count > M.shape[1]):
+        drop |= (rank < rank[i]) & (np.abs(half - half[i]).max(axis=1)
+                                    <= tol)
+    keep = ~drop
     return V[keep], tight[keep]
 
 
