@@ -24,7 +24,10 @@ it refuses no row and returns the mask with the pair at the rows it
 keeps. A ``Gauge`` runs the center pass at the origin once and hands the
 body the origin's terms, which the formulas broadcast over every row.
 ``outer_radius`` is sup |w| over the body (a bound on a generic smooth
-body), the mirror of ``inradius``.
+body), the mirror of ``inradius``. An ellipsoid is the image of the unit
+ball under its ``ball_factor`` L^-T, from the Cholesky factor Q = L L^T
+of its build, which maps the ball's uniform law onto the ellipsoid's;
+other bodies have none.
 Polytopes and ellipsoids use closed forms; an ellipsoid rescales a row y
 by a power of two where y Q y would leave the float range. Smooth bodies
 bracket the root on membership and then run a safeguarded Newton
@@ -105,7 +108,7 @@ def as_point(z, dim: int) -> np.ndarray:
     v = np.atleast_1d(np.asarray(z, dtype=complex))
     if v.ndim != 1 or v.size != dim:
         raise ValueError(f"dimension mismatch: expected a point of C^{dim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("point has non-finite entries")
     return v
 
@@ -115,7 +118,7 @@ def as_points(Z, dim: int) -> np.ndarray:
     m = np.asarray(Z, dtype=complex)
     if m.ndim != 2 or m.shape[1] != dim:
         raise ValueError(f"expected an (N, {dim}) array of points of C^{dim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("points have non-finite entries")
     return m
 
@@ -142,6 +145,10 @@ class ConvexBody:
     dim: int
     c2 = True  # C2 boundary, so the gauge has a Hessian off the center
     center_refusal = "gauge center x is not inside the body"
+    # the matrix M of a body that is the image {M u : |u| < 1} of the open
+    # unit ball, so that M maps the ball's uniform law to the body's (an
+    # ellipsoid); None for a body that is no such image
+    ball_factor: np.ndarray | None = None
 
     def contains(self, x) -> bool:
         """Membership of x."""
@@ -223,7 +230,7 @@ class ConvexBody:
         """The center terms of validated rows X; raises OutsideDomainError
         with ``center_refusal`` unless every row is a gauge center."""
         centers, C = self._centers(X)
-        if not np.all(centers):
+        if not centers.all():
             raise OutsideDomainError(self.center_refusal)
         return C
 
@@ -265,7 +272,7 @@ class ConvexBody:
 
     def _offcenter_hessians(self, X: np.ndarray, Y: np.ndarray):
         """_hessians at validated rows, refused at y = 0 and off center."""
-        if not np.all(np.any(Y, axis=1)):
+        if not Y.any(axis=1).all():
             raise ValueError("gauge Hessian undefined at y = 0")
         return self._hessians(self._centered(X), Y)
 
@@ -433,7 +440,7 @@ class Polytope(ConvexBody):
                                                           beta[rows])
 
     def _members(self, W) -> np.ndarray:
-        return np.all(_matvec(self.A, W) < self.b, axis=1)
+        return (_matvec(self.A, W) < self.b).all(axis=1)
 
     def _supports(self, A) -> np.ndarray:
         return np.max(_matvec(self._vertices, A), axis=1)
@@ -454,7 +461,7 @@ class Polytope(ConvexBody):
     def _centers(self, X):
         # A x once: the center test A x < b and the terms b - A x
         AX = _matvec(self.A, X)
-        centers = np.all(AX < self.b, axis=1)
+        centers = (AX < self.b).all(axis=1)
         return centers, self.b - AX[centers]
 
     def _gauges(self, den, Y) -> np.ndarray:
@@ -490,10 +497,13 @@ class Ellipsoid(ConvexBody):
             raise SpecError("Q must be symmetric")
         self.Q = 0.5 * (Q + Q.T)
         try:
-            np.linalg.cholesky(self.Q)
+            L = np.linalg.cholesky(self.Q)
         except np.linalg.LinAlgError:
             raise SpecError("Q must be positive definite") from None
         self.dim = Q.shape[0]
+        # Q = L L^T, so w = L^-T u has w Q w = u u: the body is the image
+        # of the unit ball under L^-T
+        self.ball_factor = np.ascontiguousarray(np.linalg.inv(L).T)
         self._Qinv = np.linalg.inv(self.Q)
         eigs = np.linalg.eigvalsh(self.Q)
         self._eigmin, self._eigmax = float(eigs[0]), float(eigs[-1])
@@ -548,7 +558,7 @@ class Ellipsoid(ConvexBody):
         # may underflow or overflow, is evaluated at y / 2^e, with max
         # |y_i| / 2^e in [1/2, 1), and scaled back by ``back``, which also
         # sets 0 at y = 0
-        offcenter = np.any(Y, axis=1)
+        offcenter = Y.any(axis=1)
         wild = np.flatnonzero(offcenter & ~((c >= _QUADRATIC_RANGE[0])
                                             & (c <= _QUADRATIC_RANGE[1])))
         if len(wild):
@@ -756,7 +766,7 @@ class SmoothBody(ConvexBody):
         if len(X) != len(Y):
             X = X.repeat(len(Y), axis=0)
         out = np.zeros(len(X))
-        rows = np.flatnonzero(np.any(Y, axis=1))
+        rows = np.flatnonzero(Y.any(axis=1))
         if len(rows) > _SCALAR_ROWS:
             out[rows] = 1.0 / self._roots(X[rows], Y[rows])
         else:

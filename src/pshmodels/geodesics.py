@@ -85,7 +85,7 @@ def zeta0(t1: float, t2: float) -> complex:
 def chart(body: ConvexBody, z) -> GeodesicChart:
     """Chart of the extremal disc through z = x + iy, y != 0."""
     z = as_point(z, body.dim)
-    if not np.any(z.imag):
+    if not z.imag.any():
         raise OutsideDomainError("no disc chart through center points (y = 0)")
     x, y = z.real, z.imag
     refusal = OutsideDomainError("point is not in the elliptic tube")
@@ -104,7 +104,7 @@ def chart_rows(body: ConvexBody, Z):
     arrays of shapes (N,), (N,), (N, n), (N, n), from one gauge_pair
     call; refused as ``chart`` refuses."""
     Z = as_points(Z, body.dim)
-    if not np.all(np.any(Z.imag, axis=1)):
+    if not Z.imag.any(axis=1).all():
         raise OutsideDomainError("no disc chart through center points (y = 0)")
     X, Y = Z.real, Z.imag
     refusal = OutsideDomainError("point is not in the elliptic tube")
@@ -112,7 +112,7 @@ def chart_rows(body: ConvexBody, Z):
         P, Q = body.gauge_pair(X, Y)
     except OutsideDomainError:
         raise refusal from None
-    if not np.all(P * Q < 1.0):
+    if not (P * Q < 1.0).all():
         raise refusal
     T1, T2 = 1.0 / P, 1.0 / Q
     return T1, T2, X + T1[:, None] * Y, X - T2[:, None] * Y
@@ -121,33 +121,35 @@ def chart_rows(body: ConvexBody, Z):
 def identity_residual(body: ConvexBody, z, nsamples: int, seed: int) -> float:
     """Worst gap between the tube potential on the disc and the disc's own
     hyperbolic height |Im atanh zeta|, over seeded samples of the disc,
-    drawn by ``unit_disc_points`` and evaluated in one batched potential
-    call."""
+    drawn by ``unit_disc_points`` from ``substream(seed, k)``, k <
+    nsamples, and evaluated in one batched potential call."""
     # the package's one deferred import: the residual is taken on the tube
     # over body, and models, which holds the tube, imports this module
     from .models import EllipticTube
     if nsamples < 1:
         raise ValueError("nsamples must be positive")
     ch = chart(body, z)
+    zetas = unit_disc_points(substreams(seed, range(nsamples)))
     return chart_residuals(EllipticTube(body), ch.x1[None], ch.x2[None],
-                           nsamples, [seed])[0]
+                           zetas)[0]
 
 
-def chart_residuals(tube: Model, X1, X2, nsamples: int, seeds) -> list:
+def chart_residuals(tube: Model, X1, X2, zetas) -> list:
     """identity_residual of the chart with endpoints X1[i], X2[i] over
-    the disc draws of seeds[i], for every i, on the tube of the charts;
-    all charts' draws go to one batched potential call."""
-    zetas = unit_disc_points(substreams(
-        [seed for seed in seeds for _ in range(nsamples)],
-        list(range(nsamples)) * len(seeds)))
-    points = disc_points(np.repeat(X1, nsamples, axis=0),
-                         np.repeat(X2, nsamples, axis=0), zetas)
+    the disc parameters zetas, the same for every i, on the tube of the
+    charts; all charts' images go to one batched potential call."""
+    zetas = np.asarray(zetas, dtype=complex)
+    count = len(zetas)
+    points = disc_points(np.repeat(X1, count, axis=0),
+                         np.repeat(X2, count, axis=0),
+                         np.tile(zetas, len(X1)))
     values = tube.potential_batch(points).tolist()
-    gaps = [abs(value - abs(cmath.atanh(zeta).imag))
-            for value, zeta in zip(values, zetas.tolist())]
+    heights = [abs(cmath.atanh(zeta).imag) for zeta in zetas.tolist()]
+    gaps = [abs(value - height)
+            for value, height in zip(values, heights * len(X1))]
     # np.max, not max: Python's max drops a NaN that is not first
-    return [float(np.max([0.0] + gaps[i:i + nsamples]))
-            for i in range(0, len(gaps), nsamples)]
+    return [float(np.max([0.0] + gaps[i:i + count]))
+            for i in range(0, len(gaps), count)]
 
 
 def striptube_geodesic(gauge: Gauge, x, y, zeta) -> np.ndarray:
@@ -161,10 +163,10 @@ def striptube_geodesics(gauge: Gauge, X, Y, zetas) -> np.ndarray:
     one ``Gauge.batch`` call."""
     X = _rows(X, gauge.dim)
     Y = _rows(Y, gauge.dim)
-    if not np.all(np.any(Y, axis=1)):
+    if not Y.any(axis=1).all():
         raise OutsideDomainError("flat ray undefined for y = 0")
     zetas = np.array([complex(zeta) for zeta in zetas], dtype=complex)
-    if not np.all((0.0 < zetas.imag) & (zetas.imag < QUARTER_PI)):
+    if not ((0.0 < zetas.imag) & (zetas.imag < QUARTER_PI)).all():
         raise OutsideDomainError("zeta must lie in the open upper half-strip")
     directions = Y / gauge.batch(Y)[:, None]
     return X.astype(complex) + zetas[:, None] * directions

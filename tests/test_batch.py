@@ -671,6 +671,13 @@ def _reference_support(body, a):
 
 
 def _reference_body_point(tube, rng, shrink):
+    """An ellipsoid's point of its own uniform law: a direction, then a
+    radius U^(1/n), through its ball factor. Any other body keeps the
+    former law, the box point redrawn until the shrunk body holds it."""
+    if isinstance(tube.body, Ellipsoid):
+        d = _reference_unit_vector(rng, tube.dim)
+        r = rng.uniform(0.0, 1.0) ** (1.0 / tube.dim)
+        return tube.body.ball_factor @ ((shrink * r) * d)
     lo, hi = tube.body.bounding_box()
     c = tube.body.interior_point()
     for _ in range(10000):
@@ -688,7 +695,7 @@ def _reference_member(tube, rng):
     return x + 1j * t * d
 
 
-def _reference_fd_safe(tube, rng, h):
+def _reference_fd_safe(tube, rng, h, empty=None):
     rin = tube.body.inradius()
     for _ in range(10000):
         x = _reference_body_point(tube, rng, 0.5)
@@ -698,6 +705,8 @@ def _reference_fd_safe(tube, rng, h):
         t_hi = 0.8 / max(pu, qu)
         t_lo = max(0.3 * rin, 0.6 * t_hi)
         if t_hi <= t_lo:
+            if empty is not None:
+                empty.append(x)
             continue
         z = x + 1j * rng.uniform(t_lo, t_hi) * d
         if tube.potential(z) >= 10.0 * h / rin:
@@ -730,14 +739,15 @@ def _assert_rows_match_the_scalar_loop(batch, scalar, seed, count=12):
 
 
 @SETTINGS
-@given(body=st.one_of(ellipsoids(), polytopes()),
+@given(body=st.one_of(ellipsoids(), polytopes(), superellipses()),
        seed=st.integers(0, 2 ** 32 - 1),
        relative_step=st.floats(1e-4, 1e-2))
 def test_batched_samplers_match_the_scalar_row_loop(body, seed,
                                                     relative_step):
     # the scalar references are the elliptic-tube samplers as they were
     # before batching: rng.uniform on array bounds, unit_vector, contains
-    # and the gauge one row at a time
+    # and the gauge one row at a time; an ellipsoid's body point is its
+    # own law, one row at a time
     tube = EllipticTube(body)
     h = relative_step * body.inradius()
     w = complex(0.2, 0.4 * QUARTER_PI)
@@ -763,11 +773,25 @@ class _OverstatedEllipsoid(Ellipsoid):
         return 2.0 * super().inradius()
 
 
+class _OverstatedPolytope(Polytope):
+    """As _OverstatedEllipsoid, a box that keeps the box rejection."""
+
+    def inradius(self):
+        return 2.0 * super().inradius()
+
+
 def test_rows_with_an_empty_safe_window_draw_again():
-    tube = EllipticTube(_OverstatedEllipsoid(np.diag([1.0, 4.0])))
-    _assert_rows_match_the_scalar_loop(
-        lambda rngs: tube.sample_fd_safe_batch(rngs, 1e-3),
-        lambda rng: _reference_fd_safe(tube, rng, 1e-3), 5, count=40)
+    # an ellipsoid, with its own law, and a box, with the box rejection
+    for body in (_OverstatedEllipsoid(np.diag([1.0, 4.0])),
+                 _OverstatedPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]],
+                                     [1, 1, 0.5, 0.5])):
+        tube = EllipticTube(body)
+        empty = []
+        _assert_rows_match_the_scalar_loop(
+            lambda rngs: tube.sample_fd_safe_batch(rngs, 1e-3),
+            lambda rng: _reference_fd_safe(tube, rng, 1e-3, empty), 5,
+            count=40)
+        assert empty  # some row's window came out empty, and drew again
 
 
 # The strip-tube and 1-D samplers as they were before batching: one row

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -1055,3 +1056,21 @@ def test_parser_is_built_once(spec_path, capsys, monkeypatch):
     first, second = run(capsys, argv), run(capsys, argv)
     assert first == second and first[0] == 0
     assert built.count("pshmodels") == 1
+
+
+def test_eight_dimensional_ellipsoid_tube_verifies(spec_path, capsys):
+    # an ellipsoid draws its body points from its own law, in one round,
+    # so no sampler starves in 8-D, where a box rejection of points of the
+    # half-shrunk body accepts vol(body) / vol(box) / 2^8 of its draws
+    # and exits 4. The command takes about 0.1 s in-process on a 2-core
+    # Xeon; 1 s bounds it
+    M = np.random.default_rng(0).standard_normal((8, 8))
+    path = spec_path({"model": "elliptictube", "body": {
+        "type": "ellipsoid", "Q": (M @ M.T / 8 + np.eye(8)).tolist()}})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify", "--model", path, "--suite",
+                                  "all", "--samples", "200", "--seed", "42"])
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert [s["pass"] for s in json.loads(out)["suites"]] == [True] * 7
+    assert elapsed < 1.0

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pshmodels import models
+from pshmodels import geodesics, maximality, models
 from pshmodels.geodesics import chart_rows
 from pshmodels import (QUARTER_PI, Disc1D, EllipticTube, Gauge,
                        OutsideDomainError, Strip1D, StripTube, chart,
@@ -167,9 +167,52 @@ class TestIdentityResidual:
             42, 20)
         assert len(gaps) == len(reconstructions) == 10
         assert len(built) == 1 and len(built[0]) == 10 and scalar == []
-        # the shared charts give the residuals identity_residual computes
-        assert gaps == [identity_residual(unit_ball, z, 10, 42 + j)
-                        for j, z in enumerate(built[0])]
+        # the shared charts give the residuals identity_residual computes,
+        # every witness over the disc parameters of keys (42, k), k < 10
+        assert gaps == [identity_residual(unit_ball, z, 10, 42)
+                        for z in built[0]]
+
+    @pytest.mark.parametrize("spec", [p for p in SPEC_PATHS if
+                                      "elliptictube" in p.read_text()],
+                             ids=lambda p: p.stem)
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])
+    def test_reconstructions_are_the_norms_of_np_linalg_norm(self, spec,
+                                                              seed):
+        # the row norms of the real and imaginary parts, bit for bit the
+        # per-row np.linalg.norm they replace
+        tube = model_from_spec(json.loads(spec.read_text()))
+        Z = tube.sample_member_batch([substream(seed, 3 * 10 ** 6 + j)
+                                      for j in range(10)])
+        Z = Z[np.any(Z.imag, axis=1)]
+        want = []
+        for z in Z:
+            ch = chart(tube.body, z)
+            want.append(float(np.linalg.norm(ch.point(ch.zeta0) - z))
+                        / max(1.0, float(np.linalg.norm(z))))
+        _, reconstructions = tube.geodesic_witnesses(seed, 20)
+        assert np.array(reconstructions).tobytes() == np.array(want).tobytes()
+
+    def test_witnesses_reuse_the_battery_disc_draw(self, unit_ball,
+                                                   monkeypatch):
+        # the battery draws 25 disc parameters; the witnesses check their
+        # discs over the first 10 of them and draw none of their own
+        draw, rows = maximality.unit_disc_points, []
+        monkeypatch.setattr(maximality, "unit_disc_points",
+                            lambda rngs: rows.extend(rngs) or draw(rngs))
+        monkeypatch.setattr(geodesics, "unit_disc_points",
+                            lambda rngs: rows.extend(rngs) or draw(rngs))
+        tube = EllipticTube(unit_ball)
+        assert verify(tube, "maximality", 42, 25, 1e-3, TOL_DEFAULTS)["pass"]
+        assert verify(tube, "geodesics", 42, 25, 1e-3, TOL_DEFAULTS)["pass"]
+        assert len(rows) == 25
+        # alone, they draw the battery's draw, or the ten they check
+        # where the battery draws fewer
+        rows.clear()
+        EllipticTube(unit_ball).geodesic_witnesses(42, 25)
+        assert len(rows) == 25
+        rows.clear()
+        EllipticTube(unit_ball).geodesic_witnesses(42, 5)
+        assert len(rows) == 10
 
     def test_real_zeta_trivial(self, unit_ball):
         ch = chart(unit_ball, np.array([0.3j, 0.0]))

@@ -238,32 +238,51 @@ class TestCompare:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda p: p.stem)
     @pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])
     def test_battery_is_max_violation_of_each_competitor(self, spec, seed):
-        # the disc images of a battery come from one potential call, the
-        # reference one call per competitor; in reverse order, the disc
-        # competitors come first
+        # the disc images of a battery come from one potential call and
+        # its pullbacks from one projection, the reference one
+        # call per competitor; in reverse order, the disc competitors come
+        # first. A bare copy of a competitor goes through its evaluate
         model = model_from_spec(json.loads(spec.read_text()))
         comps = model.competitors(seed)
+        comps += [Competitor(f"bare {c.label}", c.evaluate)
+                  for c in comps[:2]]
         for battery in (comps, comps[::-1]):
             want = [max_violation(model, comp, 25, seed) for comp in battery]
             got = violations(model, battery, 25, seed)
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
-    def test_battery_evaluates_each_competitor_once_on_its_rows(self,
-                                                                unit_ball):
+    def test_battery_evaluates_each_competitor_once_on_its_rows(
+            self, unit_ball, monkeypatch):
+        # a disc competitor is evaluated once, on its chart's images; the
+        # slab and linear pullbacks take one projection over all their
+        # rows and never call evaluate; a bare Competitor(label, evaluate)
+        # is evaluated once, on the member samples
         tube = EllipticTube(unit_ball)
         comps = tube.competitors(5)
+        slab = comps[0]
+        comps += [Competitor("bare", slab.evaluate),
+                  linear_pullback(Gauge(unit_ball), [0.6, 0.0])]
         seen = []
         for comp in comps:
-            comp.evaluate = (lambda f, label: lambda Z: seen.append(
-                (label, Z.copy())) or f(Z))(comp.evaluate, comp.label)
-        violations(tube, comps, 30, 5)
-        assert [label for label, _ in seen] == [c.label for c in comps]
+            comp.evaluate = (lambda f, comp: lambda Z: seen.append(
+                (comp, Z.copy())) or f(Z))(comp.evaluate, comp)
+        project, projected = maximality._project, []
+        monkeypatch.setattr(maximality, "_project", lambda R, Z:
+                            projected.append(len(R)) or project(R, Z))
+        got = violations(tube, comps, 30, 5)
+        evaluated = [c for c in comps if c.row is None]
+        assert [c.chart is not None for c in evaluated] == [True] * 4 + [False]
+        assert [comp for comp, _ in seen] == evaluated
+        # the twelve slabs with the linear pullback, and the bare copy's
+        assert sorted(projected) == [1, 13]
         zetas = maximality.disc_samples(tube, 30, 5)
-        for comp, (_, Z) in zip(comps, seen):
+        for comp, Z in seen:
             want = (maximality.member_samples(tube, 30, 5)[0]
                     if comp.chart is None
                     else disc_points(comp.chart.x1, comp.chart.x2, zetas))
             assert Z.tobytes() == want.tobytes()
+        # the bare copy of the first slab reads what the slab reads
+        assert got[-2] == got[0]
 
     def test_deterministic_given_seed(self, unit_square):
         tube = EllipticTube(unit_square)

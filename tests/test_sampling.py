@@ -5,17 +5,23 @@ seed is the Philox stream keyed by [seed mod 2^64, k mod 2^64], and
 replaces, bit for bit. The masked rounds of ``redraw``, the package's one rejection loop, and the
 starvation message of each sampler that rejects draws, once its cap on
 the rounds is reached, and the refusal of a step that a safe sampler's
-window cannot serve, before any draw."""
+window cannot serve, before any draw. An ellipsoid's body points follow
+its uniform law, drawn in one round, and each example spec's ``verify``
+builds no more streams than its pinned ceiling."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pshmodels import (Disc1D, EllipticTube, Ellipsoid, Gauge, Strip1D,
-                       StripTube, Superellipse, sampling, substream)
+                       StripTube, Superellipse, cli, geodesics, maximality,
+                       models, sampling, substream, suites)
 from pshmodels.errors import ConvergenceError, StepRefused
 from pshmodels.sampling import (redraw, substreams, uniform_rows,
                                 unit_vectors)
 
 MASK64 = (1 << 64) - 1
+SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
 
 
 def _philox(seed: int, index: int) -> np.random.Generator:
@@ -241,3 +247,82 @@ def test_safe_sampler_refuses_an_unservable_step_before_drawing(model, h,
     assert rng.calls == []
     assert model.sample_fd_safe_batch([substream(1, 0)], h / 2).shape == (
         1, model.dim)
+
+
+def _anisotropic_ellipsoid(n: int) -> Ellipsoid:
+    """Q = M M^T / n + I, M standard normal from default_rng(n): no axis
+    of the body is a coordinate axis, and no two have one length."""
+    M = np.random.default_rng(n).standard_normal((n, n))
+    return Ellipsoid(M @ M.T / n + np.eye(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_ellipsoid_points_follow_its_uniform_law(n):
+    # 20,000 seeded rows of an ellipsoid's body points at shrink 0.97: the
+    # ball factor maps the unit ball onto the body, every point lies
+    # strictly inside the shrunk body, and the fraction of points whose
+    # gauge is below rho shrink is rho^n, the uniform law's, within five
+    # binomial standard deviations
+    body = _anisotropic_ellipsoid(n)
+    M = body.ball_factor
+    np.testing.assert_allclose(M.T @ body.Q @ M, np.eye(n), atol=1e-12)
+    X = EllipticTube(body)._body_points(substreams(7, range(20000)), 0.97)
+    assert body.contains_batch(X / 0.97).all()
+    radii = np.sqrt(np.einsum("ij,jk,ik->i", X, body.Q, X)) / 0.97
+    for rho in (0.25, 0.5, 0.75, 0.9, 0.99):
+        p = rho ** n
+        bound = 5.0 * np.sqrt(p * (1.0 - p) / len(X)) + 1.0 / len(X)
+        assert abs(np.mean(radii < rho) - p) <= bound, rho
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("shrink", [0.97, 0.5])
+def test_ellipsoid_points_are_the_row_loop(n, shrink):
+    # a batch is its rows drawn one at a time, byte for byte, each
+    # Generator left in the same state: a direction, then one uniform
+    tube = EllipticTube(_anisotropic_ellipsoid(n))
+    rngs, refs = substreams(11, range(40)), substreams(11, range(40))
+    got = tube._body_points(rngs, shrink)
+    want = np.array([tube._body_points([rng], shrink)[0] for rng in refs])
+    assert got.tobytes() == want.tobytes()
+    assert [repr(r.bit_generator.state) for r in rngs] == \
+        [repr(r.bit_generator.state) for r in refs]
+    probe = substreams(11, range(40))
+    for rng in probe:
+        rng.normal(size=n)
+        rng.random(1)
+    assert [repr(r.bit_generator.state) for r in probe] == \
+        [repr(r.bit_generator.state) for r in refs]
+
+
+# streams built by `verify --suite all --samples 25 --seed 42` on each
+# example spec: a ceiling, so that a stream added per row fails here. The
+# elliptic tubes' geodesic witnesses draw no streams of their own; they
+# check their discs over the battery's disc parameters
+STREAM_CEILINGS = {"ball_tube": 146, "ellipsoid_tube": 146,
+                   "interval_tube": 146, "square_tube": 101,
+                   "strip1d": 100, "disc1d": 128, "striptube_asym": 91,
+                   "striptube_ellipsoid": 116, "striptube_squircle": 116}
+
+
+def test_stream_budget_lists_every_spec():
+    assert sorted(STREAM_CEILINGS) == sorted(p.stem for p in SPECS)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda p: p.stem)
+def test_verify_stream_budget(spec, monkeypatch, capsys):
+    # every module that binds substreams by name counts through one wrapper
+    built, original = [], sampling.substreams
+
+    def counting(seeds, indices):
+        streams = original(seeds, indices)
+        built.append(len(streams))
+        return streams
+    for module in (sampling, geodesics, maximality, models, suites):
+        if getattr(module, "substreams", None) is original:
+            monkeypatch.setattr(module, "substreams", counting)
+    step = "2e-4" if "squircle" in spec.stem else "1e-3"
+    assert cli.main(["verify", "--model", str(spec), "--suite", "all",
+                     "--samples", "25", "--seed", "42", "--step", step]) == 0
+    capsys.readouterr()
+    assert sum(built) <= STREAM_CEILINGS[spec.stem]
